@@ -500,7 +500,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--limit",
         action="store_true",
-        help="extrapolate the small-phase uncertainty limit instead of a fixed phi",
+        help="exact phi -> 0 uncertainty limit instead of a fixed phi",
     )
     parser.add_argument("--alpha", type=float, help="combined state |alpha|")
     parser.add_argument("--beta", type=float, help="combined state |beta|")

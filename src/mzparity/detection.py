@@ -1,18 +1,28 @@
 """Parity-detection observables and the error-propagation phase uncertainty.
 
-The authoritative computation path is the general engine: a state vector,
-the rotation-kernel sum
+Every engine observable comes from one spectrum per state: weights w and
+frequencies lam such that
 
-    <P> = sum_j sum_{mu',mu} (-1)^(j-mu') psi*_{mu',j} psi_{mu,j} d^j_{mu'mu}(2 phi)
+    <P>(phi) = sum_k w_k exp(-2i phi lam_k).
 
-for at-input states, and the phase-shift-plus-Q route for states inside
-the interferometer.  Both are cross-checked against the brute-force Fock
-oracle.  The commonly quoted per-family closed forms are evaluated
-verbatim by ``closed_form_expectation`` as secondary cross-checks; two of
-them (``berry-wiseman`` and ``combined``, listed in
-``DISCREPANT_CLOSED_FORMS``) carry phase conventions that contradict the
-operator algebra, so they disagree with the engine by more than roundoff
-and the engine value is authoritative wherever physics is at stake.
+For at-input states w_k = conj(<e_k|S psi>) <e_k|psi> over the cached J_y
+eigenvectors e_k of each block, with S the diagonal parity sign and lam_k
+the exact eigenvalues.  For states inside the interferometer w = conj(psi)
+(Q psi) and lam = -mu, with no eigensystem at all.  ``parity_expectation``
+and ``parity_derivative`` are O(n) sums over that spectrum,
+``phase_uncertainty`` builds it once for both, and
+``phase_uncertainty_limit`` reads the exact phi -> 0 limit off its Taylor
+coefficients.  The engine is cross-checked against the brute-force Fock
+oracle.
+
+The commonly quoted per-family closed forms are evaluated verbatim by
+``closed_form_expectation`` as secondary cross-checks, and their phi -> 0
+limit is taken by Richardson extrapolation over phase points, treating
+them as black boxes.  Two of them (``berry-wiseman`` and ``combined``,
+listed in ``DISCREPANT_CLOSED_FORMS``) carry phase conventions that
+contradict the operator algebra, so they disagree with the engine by more
+than roundoff and the engine value is authoritative wherever physics is
+at stake.
 """
 
 from __future__ import annotations
@@ -27,13 +37,7 @@ from .errors import ConsistencyError, DomainError, NumericalLimitError
 from .halfint import HalfInt
 from .interferometer import q_apply
 from .states import CombinedStateParams, Frame, TwoModeState
-from .wigner import (
-    _block_derivative,
-    _eigen_d_block,
-    _element_from_twice,
-    d_derivative,
-    d_element,
-)
+from .wigner import _I_POWERS, _jy_eigensystem, _times_real, d_derivative, d_element
 
 __all__ = [
     "BenchmarkLimits",
@@ -53,7 +57,10 @@ __all__ = [
 
 _RESIDUE_TOL = 1e-10
 _DERIVATIVE_FLOOR = 1e-14
-_SPARSE_PAIR_CAP = 16
+# Taylor terms the phi -> 0 limit looks at, and the relative size (against
+# each coefficient's bound) below which a coefficient is roundoff.
+_TAYLOR_ORDER = 8
+_ZERO_TOL = 1e-11
 
 # Families whose quoted closed form is known to deviate from the engine
 # (and from the oracle) by more than roundoff: the optimal-state formula
@@ -93,63 +100,63 @@ def _real_with_residue_check(value: complex, context: str) -> float:
     return value.real
 
 
-def _at_input_block(two_j: int, vec: np.ndarray, theta: float, derivative: bool) -> complex:
-    """Bilinear parity sum over one j block at rotation angle theta = 2 phi."""
-    nonzero = np.flatnonzero(vec)
-    if nonzero.size == 0:
-        return 0j
-    if nonzero.size**2 <= _SPARSE_PAIR_CAP:
-        total = 0j
-        for row in nonzero:
-            sign = -1.0 if row % 2 else 1.0
-            two_mp = two_j - 2 * int(row)
-            for col in nonzero:
-                two_m = two_j - 2 * int(col)
-                if derivative:
-                    kernel = d_derivative(
-                        HalfInt(two_j), HalfInt(two_mp), HalfInt(two_m), theta
-                    )
-                else:
-                    kernel = _element_from_twice(two_j, two_mp, two_m, theta)
-                total += sign * np.conj(vec[row]) * vec[col] * kernel
-        return total
-    matrix = _block_derivative(two_j, theta) if derivative else _eigen_d_block(two_j, theta)
-    signs = np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0)
-    return complex(np.vdot(signs * vec, matrix @ vec))
-
-
-def _inside_block(two_j: int, vec: np.ndarray, phi: float, derivative: bool) -> complex:
-    """Phase shifter then Q on one block, inside the interferometer."""
-    mu = (two_j - 2.0 * np.arange(two_j + 1)) / 2.0
-    shifted = np.exp(-1j * phi * mu) * vec
-    overlap = np.conj(shifted) * q_apply(two_j, shifted)
-    if derivative:
-        overlap = overlap * (2j * mu)
-    return complex(np.sum(overlap))
-
-
-def _expectation_parts(state: TwoModeState, phi: float, derivative: bool) -> complex:
-    state.require_normalized()
+def _finite_phase(phi) -> float:
     phi = float(phi)
-    total = 0j
-    if state.frame is Frame.AT_INPUT:
-        for two_j, vec in state.components.items():
-            block = _at_input_block(two_j, vec, 2.0 * phi, derivative)
-            total += 2.0 * block if derivative else block
-    else:
-        for two_j, vec in state.components.items():
-            total += _inside_block(two_j, vec, phi, derivative)
-    return total
+    if not math.isfinite(phi):
+        raise DomainError(f"phase phi must be finite, got {phi!r}")
+    return phi
+
+
+def _spectrum(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and frequencies lam with <P>(phi) = sum w exp(-2i phi lam).
+
+    At-input blocks: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y
+    eigenvectors e_k, lam_k their exact eigenvalues; only the nonzero
+    amplitudes are projected.  Inside blocks: w = conj(psi) (Q psi) and
+    lam = -mu, because the phase shifter gives the mu and -mu entries
+    the relative phase exp(2i phi mu).
+    """
+    state.require_normalized()
+    weights, freqs = [], []
+    for two_j, vec in state.components.items():
+        if state.frame is Frame.AT_INPUT:
+            rows = np.flatnonzero(vec)
+            if rows.size == 0:
+                continue
+            lam, basis = _jy_eigensystem(two_j)
+            coeffs = _I_POWERS[rows % 4] * vec[rows]
+            signed = np.where(rows % 2 == 0, coeffs, -coeffs)
+            # <e_k|psi> = sum_r i^r V[r, k] psi_r, and likewise for S psi
+            plain, parity = _times_real(np.stack([coeffs, signed]), basis[rows])
+            weights.append(np.conj(parity) * plain)
+            freqs.append(lam)
+        else:
+            weights.append(np.conj(vec) * q_apply(two_j, vec))
+            freqs.append((2.0 * np.arange(two_j + 1) - two_j) / 2.0)
+    return np.concatenate(weights), np.concatenate(freqs)
+
+
+def _expectation_at(spectrum, phi: float) -> complex:
+    weights, freqs = spectrum
+    return complex(np.sum(weights * np.exp(-2j * phi * freqs)))
+
+
+def _derivative_at(spectrum, phi: float) -> complex:
+    weights, freqs = spectrum
+    return complex(np.sum(weights * (-2j * freqs) * np.exp(-2j * phi * freqs)))
 
 
 def parity_expectation(state: TwoModeState, phi: float) -> float:
     """<P> after phase phi: output-port photon-number parity."""
-    value = _expectation_parts(state, phi, derivative=False)
+    phi = _finite_phase(phi)
+    value = _expectation_at(_spectrum(state), phi)
     return _real_with_residue_check(value, f"parity expectation for {state.label!r}")
 
+
 def parity_derivative(state: TwoModeState, phi: float) -> float:
-    """d<P>/dphi, assembled from the same sums with kernel derivatives."""
-    value = _expectation_parts(state, phi, derivative=True)
+    """d<P>/dphi, differentiating the same spectral sum term by term."""
+    phi = _finite_phase(phi)
+    value = _derivative_at(_spectrum(state), phi)
     return _real_with_residue_check(value, f"parity derivative for {state.label!r}")
 
 
@@ -171,10 +178,17 @@ def phase_uncertainty(state: TwoModeState, phi: float) -> DetectionResult:
 
     Delta P = sqrt(1 - <P>^2) because P^2 = 1.  Points where the
     derivative vanishes (below 1e-14) report +infinity; the phi -> 0
-    operating point is handled by phase_uncertainty_limit instead.
+    operating point is handled by phase_uncertainty_limit instead.  A
+    non-finite phi raises DomainError.
     """
-    phi = float(phi)
-    return _bundle(phi, parity_expectation(state, phi), parity_derivative(state, phi))
+    phi = _finite_phase(phi)
+    spectrum = _spectrum(state)
+    context = f"for {state.label!r}"
+    return _bundle(
+        phi,
+        _real_with_residue_check(_expectation_at(spectrum, phi), f"parity expectation {context}"),
+        _real_with_residue_check(_derivative_at(spectrum, phi), f"parity derivative {context}"),
+    )
 
 
 def _phi_ladder(two_j_max: int) -> list[float]:
@@ -229,18 +243,76 @@ def _extrapolate_limit(values: list[float], context: str) -> float:
     )
 
 
-def phase_uncertainty_limit(state: TwoModeState) -> float:
-    """The phi -> 0 operating-point uncertainty, by Richardson extrapolation.
+def _leading_order(coeffs: np.ndarray, bounds: np.ndarray) -> int | None:
+    """Index of the first coefficient that is not roundoff, or None."""
+    above = np.flatnonzero(np.abs(coeffs) > _ZERO_TOL * bounds)
+    return int(above[0]) if above.size else None
 
-    Evaluates delta phi on phi_k = 1e-2 / (2^k (2 j_max + 1)), k = 0..6,
-    and extrapolates.  Returns +infinity for states with no phase
-    information (for example the plain Yuen state) and for divergent
-    limits; raises NumericalLimitError if the ladder neither converges
-    nor diverges.
+
+def _limit_from_spectrum(weights: np.ndarray, freqs: np.ndarray, context: str) -> float:
+    """Exact phi -> 0 limit of sqrt(1 - f^2) / |f'| for f = sum w exp(-2i phi lam).
+
+    Weights sharing a frequency are merged first.  If no weight is left at
+    a nonzero frequency, f does not depend on phi and the limit is +inf.
+    Otherwise f = sum_m F_m phi^m with F_m = sum w (-2i lam)^m / m!, and
+    with p and q the leading orders of 1 - f^2 and f' the uncertainty
+    behaves as phi^(p/2 - q): finite when p = 2q, +inf when p < 2q.  A
+    coefficient counts as zero below _ZERO_TOL times its bound
+    (2 max|lam|)^m / m!, which |F_m| cannot exceed because |sum w| <= 1.
+    No leading order within _TAYLOR_ORDER terms, or orders no state can
+    have, raise NumericalLimitError.
     """
-    ladder = _phi_ladder(state.max_two_j)
-    values = [phase_uncertainty(state, phi).delta_phi for phi in ladder]
-    return _extrapolate_limit(values, f"phase uncertainty limit for {state.label!r}")
+    twice = np.rint(2.0 * freqs).astype(np.int64)
+    low = int(twice.min())
+    merged = np.bincount(twice - low, weights.real) + 1j * np.bincount(
+        twice - low, weights.imag
+    )
+    freqs = (np.arange(merged.size) + low) / 2.0
+    if np.all(np.abs(merged[freqs != 0.0]) <= _ZERO_TOL):
+        return math.inf
+    span = 2.0 * float(np.max(np.abs(freqs)))
+    series = np.empty(_TAYLOR_ORDER + 1, dtype=complex)
+    bounds = np.empty(_TAYLOR_ORDER + 1)
+    term, bound = merged, 1.0
+    for m in range(_TAYLOR_ORDER + 1):
+        series[m], bounds[m] = term.sum(), bound
+        term = term * (-2j * freqs) / (m + 1)
+        bound *= span / (m + 1)
+    if np.any(np.abs(series.imag) > _ZERO_TOL * bounds):
+        raise ConsistencyError(f"{context}: Taylor coefficients {series!r} are not real")
+    series = series.real
+    # 1 - f^2 and f' as power series; the bounds propagate the same way
+    spread = -np.convolve(series, series)[: _TAYLOR_ORDER + 1]
+    spread[0] += 1.0
+    spread_bounds = np.convolve(bounds, bounds)[: _TAYLOR_ORDER + 1]
+    orders = np.arange(1, _TAYLOR_ORDER + 1)
+    slope, slope_bounds = series[1:] * orders, bounds[1:] * orders
+    p = _leading_order(spread, spread_bounds)
+    q = _leading_order(slope, slope_bounds)
+    if p is not None and q is not None and p == 2 * q and spread[p] > 0.0:
+        return math.sqrt(spread[p]) / abs(slope[q])
+    if p is not None and (q is None or p < 2 * q):
+        return math.inf
+    raise NumericalLimitError(
+        f"{context}: no consistent leading orders within {_TAYLOR_ORDER} Taylor terms "
+        f"(1 - <P>^2 starts at order {p}, d<P>/dphi at order {q}; coefficients {series!r})"
+    )
+
+
+def phase_uncertainty_limit(state: TwoModeState) -> float:
+    """The phi -> 0 operating-point uncertainty, from Taylor coefficients.
+
+    Exact: the leading orders of 1 - <P>^2 and d<P>/dphi at phi = 0 come
+    from the state's parity spectrum, so no phase point is evaluated.
+    Returns +infinity for states with no phase information (for example
+    the plain Yuen state) and for divergent limits; raises
+    NumericalLimitError if no leading order appears within the Taylor
+    terms kept.
+    """
+    weights, freqs = _spectrum(state)
+    return _limit_from_spectrum(
+        weights, freqs, f"phase uncertainty limit for {state.label!r}"
+    )
 
 
 def benchmark_limits(n_total: int) -> BenchmarkLimits:
@@ -445,7 +517,13 @@ def closed_form_uncertainty(
 def closed_form_uncertainty_limit(
     label: str, n, params: CombinedStateParams | None = None
 ) -> float:
-    """phi -> 0 limit of the closed-form uncertainty, same ladder as the engine."""
+    """phi -> 0 limit of the closed-form uncertainty, by Richardson extrapolation.
+
+    The quoted forms are black boxes with no spectrum to expand, so their
+    uncertainty is evaluated on a halving ladder of phase points and
+    extrapolated; this is the reference the engine's exact limit is
+    checked against.
+    """
     two_j_max = int(n) if label != "coherent" else max(int(math.ceil(float(n))), 1)
     ladder = _phi_ladder(two_j_max)
     values = [closed_form_uncertainty(label, n, phi, params).delta_phi for phi in ladder]

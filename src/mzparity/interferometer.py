@@ -5,11 +5,12 @@ Conventions, fixed once and cross-checked against the brute-force oracle:
 * the 50:50 beam splitter is exp(-i pi/2 J_x) (``inverse=False``) or its
   adjoint exp(+i pi/2 J_x) (``inverse=True``), realized through the
   factorization exp(-i pi/2 J_x) = exp(i pi/2 J_z) exp(-i pi/2 J_y)
-  exp(-i pi/2 J_z): diagonal phases around a real d-block at -+ pi/2.
+  exp(-i pi/2 J_z): diagonal phases around a J_y rotation by -+ pi/2.
   Applying it toggles the frame tag.
 * the phase shifter multiplies |j,mu> by exp(-i mu phi) and acts only on
   inside-interferometer states.
-* the full interferometer is exp(-i phi J_y), one real d-block per j;
+* the full interferometer is exp(-i phi J_y), applied block by block
+  through the cached J_y eigensystem (no d-block is formed);
   the composition beam splitter -> phase shifter -> inverse beam splitter
   reproduces it exactly (not merely up to phase), which the tests check.
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, FrameError
 from .states import Frame, TwoModeState
-from .wigner import _eigen_d_block
+from .wigner import _rotate
 
 __all__ = [
     "apply_beam_splitter",
@@ -54,8 +55,7 @@ def apply_mzi(state: TwoModeState, phi: float) -> TwoModeState:
         )
     phi = float(phi)
     blocks = {
-        two_j: _eigen_d_block(two_j, phi) @ vec
-        for two_j, vec in state.components.items()
+        two_j: _rotate(two_j, vec, phi) for two_j, vec in state.components.items()
     }
     return _rebuild(state, blocks, state.frame)
 
@@ -67,8 +67,7 @@ def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeSt
     for two_j, vec in state.components.items():
         mu = state.mu_values(two_j)
         inner = np.exp(-0.5j * math.pi * mu) * vec
-        rotated = _eigen_d_block(two_j, middle) @ inner
-        blocks[two_j] = np.exp(0.5j * math.pi * mu) * rotated
+        blocks[two_j] = np.exp(0.5j * math.pi * mu) * _rotate(two_j, inner, middle)
     flipped = (
         Frame.INSIDE_INTERFEROMETER
         if state.frame is Frame.AT_INPUT

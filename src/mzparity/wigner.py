@@ -5,32 +5,35 @@
 columns are ordered by descending magnetic number mu = j, j-1, ..., -j
 throughout the package.
 
-Two evaluation paths back the public functions:
+Everything rests on one cached object per block, the J_y eigensystem.
+The phase rotation diag((-i)^k) turns J_y into a real symmetric
+tridiagonal matrix whose spectrum is exactly mu = -j ... j, so only real
+eigenvectors V are stored (the eigenvalues are snapped to their exact
+values) and the i^k phases are applied on the fly.  From it:
 
-* the classical factorial sum, evaluated in log domain with per-term sign
-  tracking and compensated (Kahan) summation.  It is relatively accurate
-  whenever the alternating sum is well conditioned, which covers small
-  blocks, small rotation angles and all far-corner elements, including
-  magnitudes far below the underflow threshold of naive factorials.
-* an eigendecomposition of J_y.  The phase rotation U = diag(i^k) turns
-  J_y into a real symmetric tridiagonal matrix whose spectrum is exactly
-  mu = -j ... j, so the eigenvalues are snapped to those values and the
-  rotation is synthesized as d = Re[i^(col-row) V exp(-i theta L) V^T].
-  This path is absolutely accurate (~1e-13) and keeps whole blocks
-  orthogonal even at 2j = 200, where the central elements of the factorial
-  sum lose every significant digit to cancellation.
+* ``_rotate`` applies exp(-i theta J_y) to a vector with two O(n^2)
+  products; the interferometer transforms use it.
+* ``d_block`` synthesizes a whole block d = Re[i^(col-row) V exp(-i theta
+  L) V^T] on demand.  It is absolutely accurate (~1e-13) and keeps blocks
+  orthogonal even at 2j = 1000.
+* ``d_element`` prefers the classical factorial sum, evaluated in log
+  domain with per-term sign tracking and compensated (Kahan) summation.
+  It is relatively accurate whenever the alternating sum is well
+  conditioned, which covers small blocks, small angles and far-corner
+  elements below the underflow threshold of naive factorials.  When the
+  tracked condition of the sum is poor it reads the single element from
+  the eigensystem in O(n).
 
-``d_element`` prefers the factorial sum and falls back to the
-eigendecomposition when the tracked condition of the sum is poor;
-``d_block`` always uses the eigendecomposition.
+The eigensystem cache is bounded by bytes (``_EIGEN_CACHE_BYTES``) and
+evicts least-recently-used blocks; no per-angle result is cached.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +57,17 @@ _NOISE_GUARD = 1e-13
 # inside 1e-10 and the eigendecomposition takes over.
 _CONDITION_CAP = 1e4
 
+# Upper bound on the bytes of cached J_y eigensystems.  One block at
+# 2j = 1000 takes 8 MB.  A coherent state touches every block up to about
+# nbar + 7 sqrt(nbar), so the budget holds that whole working set up to
+# nbar ~ 250 while large-N sweeps stay far from the GB range.
+_EIGEN_CACHE_BYTES = 128 * 2**20
 
-@lru_cache(maxsize=None)
+_eigen_cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4
+
+
 def log_factorial(n: int) -> float:
     """Natural log of n! for non-negative integer n."""
     try:
@@ -97,8 +109,9 @@ def _factorial_sum(two_j: int, two_mp: int, two_m: int, theta: float):
     jmm = (two_j - two_m) // 2
     jpp = (two_j + two_mp) // 2
     jmp = (two_j - two_mp) // 2
+    lgamma = math.lgamma  # log(k!) = lgamma(k + 1); arguments here are valid
     half_log_norm = 0.5 * (
-        log_factorial(jpp) + log_factorial(jmp) + log_factorial(jpm) + log_factorial(jmm)
+        lgamma(jpp + 1) + lgamma(jmp + 1) + lgamma(jpm + 1) + lgamma(jmm + 1)
     )
     log_c = math.log(abs(c)) if c != 0.0 else 0.0
     log_s = math.log(abs(s)) if s != 0.0 else 0.0
@@ -115,10 +128,7 @@ def _factorial_sum(two_j: int, two_mp: int, two_m: int, theta: float):
         if s == 0.0 and b > 0:
             continue
         log_mag = half_log_norm - (
-            log_factorial(jpm - k)
-            + log_factorial(k)
-            + log_factorial(jmp - k)
-            + log_factorial(b - k)
+            lgamma(jpm - k + 1) + lgamma(k + 1) + lgamma(jmp - k + 1) + lgamma(b - k + 1)
         ) + a * log_c + b * log_s
         negative = k % 2 == 1
         if c < 0.0 and a % 2 == 1:
@@ -137,16 +147,28 @@ def _factorial_sum(two_j: int, two_mp: int, two_m: int, theta: float):
     return total, max_term
 
 
-@lru_cache(maxsize=64)
-def _jy_eigensystem(two_j: int):
-    """Eigenvectors of J_y rotated to real form, with exact eigenvalues.
+def _cached_bytes() -> int:
+    return sum(lam.nbytes + vec.nbytes for lam, vec in _eigen_cache.values())
 
-    J_y conjugated by diag(i^index) is the real symmetric tridiagonal
+
+def _jy_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real eigenvectors of J_y for one block, cached.
+
+    J_y conjugated by diag((-i)^index) is the real symmetric tridiagonal
     matrix with off-diagonal -A(mu_i)/2, A(m) = sqrt(j(j+1) - m(m-1)).
     Its exact spectrum is mu = -j ... j; ``numpy.linalg.eigh`` returns it
     in that (ascending) order and the computed eigenvalues are replaced
-    by the exact ones.
+    by the exact ones.  The eigenvectors of J_y itself are
+    e_k[r] = (-i)^r vec[r, k]; callers apply those phases on the fly.
+
+    Entries are evicted least recently used first so the cached arrays
+    never exceed ``_EIGEN_CACHE_BYTES``; a block too large for the budget
+    is computed and returned without being cached.
     """
+    hit = _eigen_cache.get(two_j)
+    if hit is not None:
+        _eigen_cache.move_to_end(two_j)
+        return hit
     n = two_j + 1
     mu = (two_j - 2.0 * np.arange(n)) / 2.0
     jj = 0.5 * two_j * (0.5 * two_j + 1.0)
@@ -162,12 +184,45 @@ def _jy_eigensystem(two_j: int):
         raise ConsistencyError(f"J_y spectrum for 2j = {two_j} failed to snap")
     vec.flags.writeable = False
     lam.flags.writeable = False
-    return lam, vec
+    entry = (lam, vec)
+    size = lam.nbytes + vec.nbytes
+    if size <= _EIGEN_CACHE_BYTES:
+        while _eigen_cache and _cached_bytes() + size > _EIGEN_CACHE_BYTES:
+            _eigen_cache.popitem(last=False)
+        _eigen_cache[two_j] = entry
+    return entry
 
 
-@lru_cache(maxsize=256)
+def _times_real(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right for one complex and one real operand.
+
+    Multiplying the real and imaginary parts separately avoids copying the
+    real matrix to complex, which costs more than the product itself.
+    """
+    if np.iscomplexobj(left):
+        return left.real @ right + 1j * (left.imag @ right)
+    return left @ right.real + 1j * (left @ right.imag)
+
+
+def _rotate(two_j: int, vec: np.ndarray, theta: float) -> np.ndarray:
+    """exp(-i theta J_y) applied to one block vector.
+
+    Two O(n^2) products against the cached eigensystem: project onto the
+    J_y eigenbasis, advance each component by exp(-i theta lambda_k), and
+    map back.
+    """
+    lam, basis = _jy_eigensystem(two_j)
+    phases = _I_POWERS[np.arange(two_j + 1) % 4]
+    coeffs = _times_real(phases * vec, basis) * np.exp(-1j * theta * lam)
+    return np.conj(phases) * _times_real(basis, coeffs)
+
+
 def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:
-    """Full d block via the J_y eigendecomposition; read-only array."""
+    """Full d block via the J_y eigendecomposition; read-only, not cached.
+
+    d = Re[i^(col-row) V exp(-i theta L) V^T], split into its cosine and
+    sine parts.
+    """
     n = two_j + 1
     if theta == 0.0:
         out = np.eye(n)
@@ -186,12 +241,18 @@ def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:
     return out
 
 
+def _eigen_element(two_j: int, row: int, col: int, theta: float) -> float:
+    """One d element from the cached eigensystem in O(n)."""
+    lam, vec = _jy_eigensystem(two_j)
+    total = np.dot(vec[row] * vec[col], np.exp(-1j * theta * lam))
+    return float((_I_POWERS[(col - row) % 4] * total).real)
+
+
 def _element_from_twice(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
     value, max_term = _factorial_sum(two_j, two_mp, two_m, theta)
     if max_term <= _CONDITION_CAP * abs(value):
         return value
-    block = _eigen_d_block(two_j, theta)
-    return float(block[(two_j - two_mp) // 2, (two_j - two_m) // 2])
+    return _eigen_element(two_j, (two_j - two_mp) // 2, (two_j - two_m) // 2, theta)
 
 
 def d_element(j, mu_p, mu, theta) -> float:
@@ -272,19 +333,3 @@ def d_derivative(j, mu_p, mu, theta) -> float:
             two_j, two_mp - 2, two_m, theta
         )
     return 0.5 * (raised - lowered)
-
-
-def _block_derivative(two_j: int, theta: float) -> np.ndarray:
-    """Full derivative block, rows mixed by the tridiagonal -i J_y."""
-    dmat = _eigen_d_block(two_j, theta)
-    n = two_j + 1
-    mu2 = two_j - 2 * np.arange(n)
-    out = np.zeros((n, n))
-    for r in range(n):
-        acc = np.zeros(n)
-        if r - 1 >= 0:
-            acc += _ladder_up(two_j, mu2[r]) * dmat[r - 1, :]
-        if r + 1 < n:
-            acc -= _ladder_down(two_j, mu2[r]) * dmat[r + 1, :]
-        out[r, :] = 0.5 * acc
-    return out

@@ -225,6 +225,16 @@ def test_invalid_argument_exit_codes(capsys):
     assert excinfo.value.code == 2
 
 
+def test_non_finite_phi_exit_code(capsys):
+    assert main(["expectation", "--state", "noon", "--n-min", "4", "--phi", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert main(["sweep", "--state", "coherent", "--n-min", "1", "--n-max", "3",
+                 "--phi", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(state):
         raise NumericalLimitError("ladder did not settle")
@@ -299,6 +309,14 @@ def test_fig3_theta_zero_and_pi_coincide_at_odd_half_n(fig3_rows):
         if int(row["N"]) % 4 == 2:
             zero, pi = float(row["combined_12_0"]), float(row["combined_12_pi"])
             assert zero == pytest.approx(pi, rel=1e-9)
+
+
+def test_fig3_theta_zero_and_pi_agree_exactly_at_odd_half_n(fig3_rows):
+    # the exact limits coincide to roundoff, not only to the 1e-9 above
+    for row in fig3_rows:
+        if int(row["N"]) % 4 == 2:
+            zero, pi = float(row["combined_12_0"]), float(row["combined_12_pi"])
+            assert zero == pytest.approx(pi, rel=1e-12)
 
 
 def test_fig3_theta_zero_and_pi_gap_decays(fig3_rows):

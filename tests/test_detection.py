@@ -32,7 +32,8 @@ from mzparity import (
     yuen_input,
     yurke_input,
 )
-from mzparity.detection import _extrapolate_limit, _phi_ladder
+from mzparity import detection
+from mzparity.detection import _extrapolate_limit, _limit_from_spectrum, _phi_ladder
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -190,6 +191,8 @@ def test_derivative_matches_finite_differences():
         ("noon-internal", 5),
         ("berry-wiseman", 10),
         ("combined", 8),
+        ("coherent", 9),
+        ("noon", 12),
     ]
     for label, n in cases:
         state = make_state(label, n)
@@ -307,3 +310,62 @@ def test_extrapolation_noise_raises():
     values = list(1.0 + 1e-2 * rng.standard_normal(7))
     with pytest.raises(NumericalLimitError):
         _extrapolate_limit(values, "t")
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_rejected(phi):
+    state = noon_input(4)
+    for fn in (parity_expectation, parity_derivative, phase_uncertainty):
+        with pytest.raises(DomainError):
+            fn(state, phi)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_exact_limits_at_large_n(n):
+    dual = phase_uncertainty_limit(dual_fock_input(n // 2))
+    assert dual == pytest.approx(math.sqrt(2.0) / math.sqrt(n * (n + 2.0)), rel=1e-12)
+    assert phase_uncertainty_limit(noon_input(n)) == pytest.approx(1.0 / n, rel=1e-12)
+
+
+def test_phase_blind_states_have_infinite_limit():
+    assert phase_uncertainty_limit(pezze_smerzi_input(2)) == math.inf
+    for n in (1, 5, 21, 101):
+        assert phase_uncertainty_limit(yuen_input(n)) == math.inf
+
+
+# Spectra (weights, frequencies) of <P>(phi) = sum w exp(-2i phi lam) for the
+# leading-order logic alone, without a state behind them.
+COSINE = ([0.5, 0.5], [1.0, -1.0])  # cos 2phi: 1 - f^2 ~ 4 phi^2, f' ~ -4 phi
+FLAT_TOP = ([0.7, 0.2, 0.2, -0.05, -0.05], [0.0, 1.0, -1.0, 2.0, -2.0])  # 1 - 0.8 phi^4
+
+
+def spectrum_limit(spectrum):
+    weights, freqs = spectrum
+    return _limit_from_spectrum(np.array(weights, dtype=complex), np.array(freqs), "t")
+
+
+def test_series_limit_finite():
+    assert spectrum_limit(COSINE) == pytest.approx(0.5, rel=1e-15)
+    # off the extremum: f = 0.6 + 0.4 cos(2 phi - 0.3) has |f(0)| < 1, f'(0) != 0
+    a = 0.2 * np.exp(0.3j)
+    f0 = 0.6 + 0.4 * math.cos(0.3)
+    want = math.sqrt(1.0 - f0**2) / (0.8 * math.sin(0.3))
+    assert spectrum_limit(([0.6, a, np.conj(a)], [0.0, 1.0, -1.0])) == pytest.approx(
+        want, rel=1e-14
+    )
+
+
+def test_series_limit_divergent():
+    assert spectrum_limit(FLAT_TOP) == math.inf
+
+
+def test_series_limit_phase_blind():
+    assert spectrum_limit(([0.3, 0.0, 0.0], [0.0, 1.5, -1.5])) == math.inf
+    assert spectrum_limit(([1.0], [0.0])) == math.inf
+
+
+def test_series_limit_without_leading_order_raises(monkeypatch):
+    # FLAT_TOP needs order 4 to see that 1 - f^2 is not zero
+    monkeypatch.setattr(detection, "_TAYLOR_ORDER", 3)
+    with pytest.raises(NumericalLimitError):
+        spectrum_limit(FLAT_TOP)

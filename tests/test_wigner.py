@@ -9,14 +9,26 @@ series term by term would be hopeless.
 
 import math
 
+from collections import OrderedDict
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mzparity import DomainError, HalfInt, WignerBlock, d_block, d_derivative, d_element
-from mzparity.wigner import _block_derivative, _eigen_d_block, log_factorial
+from mzparity import (
+    DomainError,
+    HalfInt,
+    WignerBlock,
+    apply_mzi,
+    d_block,
+    d_derivative,
+    d_element,
+    noon_input,
+)
+from mzparity import wigner
+from mzparity.wigner import _eigen_d_block, log_factorial
 
 
 def reference_d(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
@@ -206,10 +218,12 @@ def test_derivative_matches_finite_differences(two_j, theta):
 
 def test_derivative_at_zero_is_ladder_bidiagonal():
     for two_j in (1, 2, 7):
-        mat = _block_derivative(two_j, 0.0)
         dim = two_j + 1
         for row in range(dim):
             for col in range(dim):
+                got = d_derivative(
+                    HalfInt(two_j), HalfInt(two_j - 2 * row), HalfInt(two_j - 2 * col), 0.0
+                )
                 mu = (two_j - 2 * col) / 2.0
                 jj = (two_j / 2.0) * (two_j / 2.0 + 1.0)
                 if row == col - 1:  # raising: mu -> mu + 1
@@ -218,18 +232,26 @@ def test_derivative_at_zero_is_ladder_bidiagonal():
                     want = 0.5 * math.sqrt(jj - mu * (mu - 1.0))
                 else:
                     want = 0.0
-                assert mat[row, col] == pytest.approx(want, abs=1e-13)
+                assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_block_derivative_matches_elementwise():
+    """d_derivative equals the tridiagonal -i J_y mix of whole d-block rows."""
     two_j, theta = 9, 0.77
-    mat = _block_derivative(two_j, theta)
+    mat = _eigen_d_block(two_j, theta)
+    jj = (two_j / 2.0) * (two_j / 2.0 + 1.0)
     for row in range(two_j + 1):
+        mu_p = (two_j - 2 * row) / 2.0
+        mixed = np.zeros(two_j + 1)
+        if row > 0:
+            mixed += math.sqrt(jj - mu_p * (mu_p + 1.0)) * mat[row - 1]
+        if row < two_j:
+            mixed -= math.sqrt(jj - mu_p * (mu_p - 1.0)) * mat[row + 1]
         for col in range(two_j + 1):
-            want = d_derivative(
+            got = d_derivative(
                 HalfInt(two_j), HalfInt(two_j - 2 * row), HalfInt(two_j - 2 * col), theta
             )
-            assert mat[row, col] == pytest.approx(want, abs=1e-12)
+            assert got == pytest.approx(0.5 * mixed[col], abs=1e-12)
 
 
 def test_wigner_block_accessor():
@@ -288,3 +310,30 @@ def test_block_row_normalization_property(two_j, theta):
     mat = _eigen_d_block(two_j, theta)
     norms = np.sum(mat * mat, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-11
+
+
+def test_eigensystem_cache_stays_within_byte_budget(monkeypatch):
+    budget = 200_000
+    monkeypatch.setattr(wigner, "_EIGEN_CACHE_BYTES", budget)
+    monkeypatch.setattr(wigner, "_eigen_cache", OrderedDict())
+    for two_j in list(range(1, 160, 3)) + [40, 7, 200, 3]:
+        wigner._jy_eigensystem(two_j)
+        assert wigner._cached_bytes() <= budget
+    assert 200 not in wigner._eigen_cache  # 322 kB alone: returned, never cached
+    assert list(wigner._eigen_cache)[-2:] == [7, 3]  # least recently used goes first
+    # the eigensystem fallback of d_element goes through the same cache
+    d_element(HalfInt(150), HalfInt(0), HalfInt(0), 1.3)
+    assert 150 in wigner._eigen_cache and wigner._cached_bytes() <= budget
+
+
+def test_rotations_at_new_angles_grow_no_cache(monkeypatch):
+    monkeypatch.setattr(wigner, "_eigen_cache", OrderedDict())
+    cached = [name for name, obj in vars(wigner).items() if hasattr(obj, "cache_info")]
+    assert cached == []
+    state = noon_input(60)
+    d_block(HalfInt(60), 0.1)
+    before = (list(wigner._eigen_cache), wigner._cached_bytes())
+    for k in range(40):
+        d_block(HalfInt(60), 0.2 + 0.01 * k)
+        apply_mzi(state, 0.3 + 0.01 * k)
+    assert (list(wigner._eigen_cache), wigner._cached_bytes()) == before
