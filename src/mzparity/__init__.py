@@ -3,9 +3,9 @@
 The package computes photon-parity expectation values at the output of a
 Mach-Zehnder interferometer, the error-propagation phase uncertainty, and
 its small-phase limit, for a catalog of input and internal states.  The
-rotation kernel is a numerically guarded Wigner d-matrix; an independent
-dense Fock-space oracle cross-checks every observable at small photon
-number.
+rotation kernel reads every Wigner d number from one cached J_y
+eigensystem per block; an independent dense Fock-space oracle
+cross-checks every observable at small photon number.
 """
 
 from .detection import (
@@ -40,15 +40,7 @@ from .interferometer import (
     q_apply,
     q_matrix_element,
 )
-from .oracle import (
-    MAX_ORACLE_PHOTONS,
-    DenseOperator,
-    FockBasis,
-    bruteforce_parity_expectation,
-    build_generators,
-    evolve,
-    fock_basis,
-)
+from .oracle import MAX_ORACLE_PHOTONS, bruteforce_parity_expectation
 from .states import (
     STATE_LABELS,
     CombinedStateParams,
@@ -75,10 +67,8 @@ __all__ = [
     "CombinedStateParams",
     "ConsistencyError",
     "DISCREPANT_CLOSED_FORMS",
-    "DenseOperator",
     "DetectionResult",
     "DomainError",
-    "FockBasis",
     "Frame",
     "FrameError",
     "HalfInt",
@@ -95,7 +85,6 @@ __all__ = [
     "benchmark_limits",
     "berry_wiseman_internal",
     "bruteforce_parity_expectation",
-    "build_generators",
     "closed_form_derivative",
     "closed_form_expectation",
     "closed_form_parts",
@@ -107,9 +96,7 @@ __all__ = [
     "d_derivative",
     "d_element",
     "dual_fock_input",
-    "evolve",
     "fidelity",
-    "fock_basis",
     "noon_input",
     "noon_internal",
     "parity_apply",

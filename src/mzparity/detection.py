@@ -340,11 +340,11 @@ def _closed_form_complex(
     label: str, n, phi: float, params: CombinedStateParams | None, derivative: bool
 ) -> complex:
     """Quoted closed forms, literally, with their i^j / i^N factors intact."""
-    phi = float(phi)
+    phi = _finite_phase(phi)
     if label == "coherent":
         nbar = float(n)
-        if nbar <= 0:
-            raise DomainError(f"coherent closed form needs nbar > 0, got {n!r}")
+        if not math.isfinite(nbar) or nbar <= 0:
+            raise DomainError(f"coherent closed form needs finite nbar > 0, got {n!r}")
         envelope = math.sqrt(max(1.0 + math.cos(2.0 * phi), 0.0)) / math.sqrt(2.0)
         value = math.exp(-nbar + nbar * envelope)
         if not derivative:

@@ -178,8 +178,8 @@ def coherent_input(
     is below tail_bound, then renormalized.
     """
     nbar = float(nbar)
-    if nbar < 0:
-        raise DomainError(f"nbar must be non-negative, got {nbar}")
+    if not math.isfinite(nbar) or nbar < 0:
+        raise DomainError(f"nbar must be finite and non-negative, got {nbar}")
     if not 0 < tail_bound <= 1e-6:
         raise DomainError(f"tail_bound must be in (0, 1e-6], got {tail_bound}")
     if nbar == 0.0:
@@ -329,8 +329,9 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
     The state vector is assembled explicitly and renormalized numerically.
     The quoted normalization constant C_N = [1 + 2 sqrt(2) |alpha beta|
     d^j_{j,0}(pi/2) cos(theta - N pi/4)]^(-1/2) is evaluated alongside and
-    any disagreement beyond 1e-8 is logged, never raised: the interference
-    term's sign convention is checked against the construction, not trusted.
+    any disagreement beyond 1e-8 is logged once per parameter set, never
+    raised: the interference term's sign convention is checked against the
+    construction, not trusted.
     """
     n_total = _positive_int(n_total)
     if n_total % 2 != 0:
@@ -350,12 +351,12 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
         )
     quoted = _combined_quoted_norm(n_total, params)
     if quoted is not None and abs(quoted - norm) > 1e-8:
-        key = (n_total, params)
-        if key not in _norm_mismatch_reported:
-            _norm_mismatch_reported.add(key)
+        if params not in _norm_mismatch_reported:
+            _norm_mismatch_reported.add(params)
             logger.warning(
                 "combined-state normalization: numerical %r vs quoted closed form %r "
-                "(N=%d, theta=%r); using the numerical value",
+                "(N=%d, theta=%r); using the numerical value, not reported again "
+                "for these parameters",
                 norm,
                 quoted,
                 n_total,
@@ -366,8 +367,9 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
     )
 
 
-# one report per distinct construction; rebuilding the same state stays quiet
-_norm_mismatch_reported: set[tuple[int, CombinedStateParams]] = set()
+# one report per parameter set: the quoted constant fails the same way for
+# every affected N, and rebuilding the same state stays quiet
+_norm_mismatch_reported: set[CombinedStateParams] = set()
 
 
 def _combined_quoted_norm(n_total: int, params: CombinedStateParams) -> float | None:
@@ -383,6 +385,8 @@ def _combined_quoted_norm(n_total: int, params: CombinedStateParams) -> float | 
 
 
 def _positive_int(value) -> int:
+    if isinstance(value, bool):
+        raise DomainError(f"expected a positive integer, got {value!r}")
     try:
         as_int = int(value)
     except (TypeError, ValueError):

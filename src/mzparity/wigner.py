@@ -5,24 +5,18 @@
 columns are ordered by descending magnetic number mu = j, j-1, ..., -j
 throughout the package.
 
-Everything rests on one cached object per block, the J_y eigensystem.
-The phase rotation diag((-i)^k) turns J_y into a real symmetric
-tridiagonal matrix whose spectrum is exactly mu = -j ... j, so only real
-eigenvectors V are stored (the eigenvalues are snapped to their exact
-values) and the i^k phases are applied on the fly.  From it:
+Every d number comes from one cached object per block, the J_y
+eigensystem.  The phase rotation diag((-i)^k) turns J_y into a real
+symmetric tridiagonal matrix whose spectrum is exactly mu = -j ... j, so
+only real eigenvectors V are stored and the i^k phases are applied on the
+fly.  ``_rotate`` applies exp(-i theta J_y) to a vector in two O(n^2)
+products; ``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L)
+V^T] on demand; ``d_element`` and ``d_derivative`` read one entry of it,
+or of its theta derivative, in O(n).
 
-* ``_rotate`` applies exp(-i theta J_y) to a vector with two O(n^2)
-  products; the interferometer transforms use it.
-* ``d_block`` synthesizes a whole block d = Re[i^(col-row) V exp(-i theta
-  L) V^T] on demand.  It is absolutely accurate (~1e-13) and keeps blocks
-  orthogonal even at 2j = 1000.
-* ``d_element`` prefers the classical factorial sum, evaluated in log
-  domain with per-term sign tracking and compensated (Kahan) summation.
-  It is relatively accurate whenever the alternating sum is well
-  conditioned, which covers small blocks, small angles and far-corner
-  elements below the underflow threshold of naive factorials.  When the
-  tracked condition of the sum is poor it reads the single element from
-  the eigensystem in O(n).
+Accuracy is absolute through 2j = 1000: about 1e-14 per element and
+1e-12 per derivative, so elements below that (far corners of large
+blocks at small angles) come back as roundoff, not relatively accurate.
 
 The eigensystem cache is bounded by bytes (``_EIGEN_CACHE_BYTES``) and
 evicts least-recently-used blocks; no per-angle result is cached.
@@ -48,15 +42,6 @@ __all__ = [
     "log_factorial",
 ]
 
-# Below this fraction of the largest term the alternating sum is pure
-# cancellation noise and is reported as zero.
-_NOISE_GUARD = 1e-13
-
-# The factorial sum result is accepted while max|term| <= cap * |sum|;
-# beyond that the expected relative error (~cap * eps) is no longer safely
-# inside 1e-10 and the eigendecomposition takes over.
-_CONDITION_CAP = 1e4
-
 # Upper bound on the bytes of cached J_y eigensystems.  One block at
 # 2j = 1000 takes 8 MB.  A coherent state touches every block up to about
 # nbar + 7 sqrt(nbar), so the budget holds that whole working set up to
@@ -79,7 +64,8 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _validated_twice(j, mu_p, mu) -> tuple[int, int, int]:
+def _validated_indices(j, mu_p, mu) -> tuple[int, int, int]:
+    """(2j, row, col) of d^j_{mu',mu}, with row = j - mu' and col = j - mu."""
     two_j = HalfInt.coerce(j).twice
     two_mp = HalfInt.coerce(mu_p).twice
     two_m = HalfInt.coerce(mu).twice
@@ -89,62 +75,15 @@ def _validated_twice(j, mu_p, mu) -> tuple[int, int, int]:
         if abs(two_mu) > two_j:
             raise DomainError(f"{name} = {two_mu}/2 outside [-j, j] for j = {two_j}/2")
         if (two_j - two_mu) % 2 != 0:
-            raise DomainError(
-                f"{name} = {two_mu}/2 has wrong parity for j = {two_j}/2"
-            )
-    return two_j, two_mp, two_m
+            raise DomainError(f"{name} = {two_mu}/2 has wrong parity for j = {two_j}/2")
+    return two_j, (two_j - two_mp) // 2, (two_j - two_m) // 2
 
 
-def _factorial_sum(two_j: int, two_mp: int, two_m: int, theta: float):
-    """Alternating factorial sum for one element.
-
-    Returns ``(value, max_term)`` where max_term is the largest term
-    magnitude encountered; the ratio max_term / |value| is the condition
-    of the sum.  Sums whose value sits below the noise floor of the
-    largest term are clamped to exactly zero.
-    """
-    c = math.cos(0.5 * theta)
-    s = -math.sin(0.5 * theta)
-    jpm = (two_j + two_m) // 2
-    jmm = (two_j - two_m) // 2
-    jpp = (two_j + two_mp) // 2
-    jmp = (two_j - two_mp) // 2
-    lgamma = math.lgamma  # log(k!) = lgamma(k + 1); arguments here are valid
-    half_log_norm = 0.5 * (
-        lgamma(jpp + 1) + lgamma(jmp + 1) + lgamma(jpm + 1) + lgamma(jmm + 1)
-    )
-    log_c = math.log(abs(c)) if c != 0.0 else 0.0
-    log_s = math.log(abs(s)) if s != 0.0 else 0.0
-    k_min = max(0, (two_m - two_mp) // 2)
-    k_max = min(jpm, jmp)
-    total = 0.0
-    comp = 0.0
-    max_term = 0.0
-    for k in range(k_min, k_max + 1):
-        a = jpm + jmp - 2 * k          # exponent of cos(theta/2)
-        b = (two_mp - two_m) // 2 + 2 * k  # exponent of -sin(theta/2)
-        if c == 0.0 and a > 0:
-            continue
-        if s == 0.0 and b > 0:
-            continue
-        log_mag = half_log_norm - (
-            lgamma(jpm - k + 1) + lgamma(k + 1) + lgamma(jmp - k + 1) + lgamma(b - k + 1)
-        ) + a * log_c + b * log_s
-        negative = k % 2 == 1
-        if c < 0.0 and a % 2 == 1:
-            negative = not negative
-        if s < 0.0 and b % 2 == 1:
-            negative = not negative
-        term = -math.exp(log_mag) if negative else math.exp(log_mag)
-        if abs(term) > max_term:
-            max_term = abs(term)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if abs(total) < _NOISE_GUARD * max_term:
-        total = 0.0
-    return total, max_term
+def _finite_angle(theta) -> float:
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"rotation angle theta must be finite, got {theta!r}")
+    return theta
 
 
 def _cached_bytes() -> int:
@@ -241,28 +180,26 @@ def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:
     return out
 
 
-def _eigen_element(two_j: int, row: int, col: int, theta: float) -> float:
-    """One d element from the cached eigensystem in O(n)."""
+def _eigen_sum(j, mu_p, mu, theta, order: int) -> float:
+    """Re[i^(col-row) sum_k V[row,k] V[col,k] (-i lam_k)^order exp(-i theta lam_k)].
+
+    Entry (row, col) of d (order 0) or of its theta derivative (order 1)
+    from the cached eigensystem in O(n), after validating the labels.
+    """
+    two_j, row, col = _validated_indices(j, mu_p, mu)
+    theta = _finite_angle(theta)
     lam, vec = _jy_eigensystem(two_j)
-    total = np.dot(vec[row] * vec[col], np.exp(-1j * theta * lam))
-    return float((_I_POWERS[(col - row) % 4] * total).real)
-
-
-def _element_from_twice(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
-    value, max_term = _factorial_sum(two_j, two_mp, two_m, theta)
-    if max_term <= _CONDITION_CAP * abs(value):
-        return value
-    return _eigen_element(two_j, (two_j - two_mp) // 2, (two_j - two_m) // 2, theta)
+    terms = vec[row] * vec[col] * (-1j * lam) ** order * np.exp(-1j * theta * lam)
+    return float((_I_POWERS[(col - row) % 4] * terms.sum()).real)
 
 
 def d_element(j, mu_p, mu, theta) -> float:
     """Single rotation matrix element d^j_{mu',mu}(theta).
 
     j, mu_p and mu accept ints, exact half-integer floats or HalfInt;
-    theta is any real angle in radians.
+    theta is any finite real angle in radians.
     """
-    two_j, two_mp, two_m = _validated_twice(j, mu_p, mu)
-    return _element_from_twice(two_j, two_mp, two_m, float(theta))
+    return _eigen_sum(j, mu_p, mu, theta, 0)
 
 
 @dataclass(frozen=True)
@@ -286,8 +223,8 @@ class WignerBlock:
         return self.two_j + 1
 
     def element(self, mu_p, mu) -> float:
-        two_j, two_mp, two_m = _validated_twice(HalfInt(self.two_j), mu_p, mu)
-        return float(self.elements[(two_j - two_mp) // 2, (two_j - two_m) // 2])
+        _, row, col = _validated_indices(HalfInt(self.two_j), mu_p, mu)
+        return float(self.elements[row, col])
 
 
 def d_block(j, theta) -> WignerBlock:
@@ -295,41 +232,14 @@ def d_block(j, theta) -> WignerBlock:
     two_j = HalfInt.coerce(j).twice
     if two_j < 0:
         raise DomainError(f"j must be non-negative, got {two_j}/2")
-    return WignerBlock(two_j, float(theta), _eigen_d_block(two_j, float(theta)))
-
-
-def _ladder_up(two_j: int, two_m: int) -> float:
-    """A_{m+1} = sqrt(j(j+1) - m(m+1)): coefficient of the raised ket."""
-    jj = 0.25 * two_j * (two_j + 2)
-    return math.sqrt(max(jj - 0.25 * two_m * (two_m + 2), 0.0))
-
-
-def _ladder_down(two_j: int, two_m: int) -> float:
-    """A_m = sqrt(j(j+1) - m(m-1)): coefficient of the lowered ket."""
-    jj = 0.25 * two_j * (two_j + 2)
-    return math.sqrt(max(jj - 0.25 * two_m * (two_m - 2), 0.0))
+    theta = _finite_angle(theta)
+    return WignerBlock(two_j, theta, _eigen_d_block(two_j, theta))
 
 
 def d_derivative(j, mu_p, mu, theta) -> float:
-    """Derivative of d^j_{mu',mu} with respect to theta.
+    """Derivative of d^j_{mu',mu} with respect to theta, to about 1e-12 absolute.
 
-    Uses the ladder identity obtained from d/dtheta exp(-i theta J_y) =
-    -i J_y exp(-i theta J_y), which expresses the derivative through the
-    two row-neighbour elements and avoids differentiating the factorial
-    sum term by term:
-
-        d'_{mu',mu} = (A_{mu'+1} d_{mu'+1,mu} - A_{mu'} d_{mu'-1,mu}) / 2
+    d/dtheta exp(-i theta J_y) = -i J_y exp(-i theta J_y): the ``d_element``
+    eigensystem sum with each term multiplied by -i lambda_k.
     """
-    two_j, two_mp, two_m = _validated_twice(j, mu_p, mu)
-    theta = float(theta)
-    raised = 0.0
-    if two_mp + 2 <= two_j:
-        raised = _ladder_up(two_j, two_mp) * _element_from_twice(
-            two_j, two_mp + 2, two_m, theta
-        )
-    lowered = 0.0
-    if two_mp - 2 >= -two_j:
-        lowered = _ladder_down(two_j, two_mp) * _element_from_twice(
-            two_j, two_mp - 2, two_m, theta
-        )
-    return 0.5 * (raised - lowered)
+    return _eigen_sum(j, mu_p, mu, theta, 1)

@@ -18,6 +18,7 @@ from mzparity import (
     closed_form_expectation,
     closed_form_parts,
     closed_form_uncertainty,
+    closed_form_uncertainty_limit,
     coherent_input,
     combined_input,
     dual_fock_input,
@@ -369,3 +370,29 @@ def test_series_limit_without_leading_order_raises(monkeypatch):
     monkeypatch.setattr(detection, "_TAYLOR_ORDER", 3)
     with pytest.raises(NumericalLimitError):
         spectrum_limit(FLAT_TOP)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_non_finite_inputs(phi):
+    for label, n in (("noon", 4), ("dual-fock", 4), ("coherent", 3.0), ("combined", 4)):
+        for fn in (closed_form_expectation, closed_form_derivative, closed_form_uncertainty):
+            with pytest.raises(DomainError):
+                fn(label, n, phi)
+    with pytest.raises(DomainError):
+        closed_form_expectation("coherent", phi, 0.3)  # nbar
+
+
+def test_dual_fock_closed_form_limit_matches_exact_value():
+    for n in range(2, 201, 2):
+        exact = math.sqrt(2.0) / math.sqrt(n * (n + 2.0))
+        assert closed_form_uncertainty_limit("dual-fock", n) == pytest.approx(exact, rel=2e-8)
+
+
+def test_pezze_smerzi_closed_form_limit_matches_engine():
+    for n in range(2, 201, 2):
+        engine = phase_uncertainty_limit(pezze_smerzi_input(n))
+        quoted = closed_form_uncertainty_limit("pezze-smerzi", n)
+        if math.isinf(engine):
+            assert quoted == math.inf
+        else:
+            assert quoted == pytest.approx(engine, rel=5e-8)

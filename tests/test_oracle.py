@@ -5,17 +5,13 @@ import pytest
 
 from mzparity import (
     ConsistencyError,
-    DenseOperator,
     DomainError,
     Frame,
     MAX_ORACLE_PHOTONS,
     NormalizationError,
     TwoModeState,
     bruteforce_parity_expectation,
-    build_generators,
     dual_fock_input,
-    evolve,
-    fock_basis,
     noon_internal,
     parity_expectation,
     pezze_smerzi_input,
@@ -23,6 +19,7 @@ from mzparity import (
     yuen_input,
     yurke_input,
 )
+from mzparity.oracle import DenseOperator, build_generators, evolve, fock_basis
 
 
 def test_basis_layout():

@@ -1,0 +1,44 @@
+"""The traced benchmark wraps package functions by name.
+
+``perfbench/spans.py`` looks every name in its ``LAYERS`` table up with
+``getattr``, so renaming or removing one of those functions would only
+surface as a crash of a traced benchmark run.  This test installs and
+uninstalls the recorder to catch that in the ordinary test suite.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_recorder_wraps_every_layer_name_and_restores_it():
+    spans = load_spans()
+    callers = [importlib.import_module(name) for name in spans.CALLER_MODULES]
+    names = {name for _, layer_names in spans.LAYERS.values() for name in layer_names}
+    before = {
+        (caller.__name__, name): getattr(caller, name, None)
+        for caller in callers
+        for name in names
+    }
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        for home, layer_names in spans.LAYERS.values():
+            module = importlib.import_module(home)
+            for name in layer_names:
+                wrapped = getattr(module, name)
+                assert wrapped is not before[(home, name)], f"{home}.{name} not patched"
+                assert wrapped.__wrapped__ is before[(home, name)]
+    finally:
+        recorder.uninstall()
+    for (caller, name), original in before.items():
+        assert getattr(importlib.import_module(caller), name, None) is original

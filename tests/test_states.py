@@ -113,8 +113,9 @@ def test_coherent_moments_and_tail():
 
 def test_coherent_vacuum_and_domain():
     assert coherent_input(0.0).fock_terms() == [(0, 0, 1.0 + 0j)]
-    with pytest.raises(DomainError):
-        coherent_input(-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            coherent_input(bad)
     with pytest.raises(DomainError):
         coherent_input(4.0, tail_bound=0.1)
 
@@ -172,6 +173,20 @@ def test_combined_norm_mismatch_logged_once(caplog):
     assert not caplog.records
 
 
+def test_combined_norm_mismatch_logged_once_per_parameter_set(caplog):
+    # N = 2 (mod 4) at theta = pi/4: the quoted constant is wrong for every N
+    params = CombinedStateParams(SQ2, SQ2, math.pi / 4.0)
+    states_module._norm_mismatch_reported.clear()
+    with caplog.at_level(logging.WARNING, logger="mzparity.states"):
+        for n in (6, 10, 14, 50):
+            combined_input(n, params)
+    assert sum("normalization" in rec.message for rec in caplog.records) == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="mzparity.states"):
+        combined_input(6, CombinedStateParams(SQ2, SQ2, 3.0 * math.pi / 4.0))
+    assert sum("normalization" in rec.message for rec in caplog.records) == 1
+
+
 def test_fidelity_basic():
     assert fidelity(single_fock_input(3), single_fock_input(3)) == pytest.approx(1.0)
     assert fidelity(single_fock_input(3), single_fock_input(4)) == 0.0
@@ -211,7 +226,7 @@ def test_mu_values_descending():
 
 
 def test_positive_int_rejections():
-    for bad in (0, -3, 2.5, "4"):
+    for bad in (0, -3, 2.5, "4", True):
         with pytest.raises(DomainError):
             single_fock_input(bad)
 

@@ -1,8 +1,9 @@
 """Rotation-kernel checks against an arbitrary-precision reference.
 
 The reference evaluates the factorial sum for d^j_{mu',mu}(theta) with
-mpmath at 60 digits, so every cancellation the double-precision kernel
-has to survive is exact there.  Kernel-level invariants (orthogonality,
+mpmath, at 60 digits or, for large blocks, at 60 + 0.31 * 2j digits to
+cover the alternating sum's ~2^(2j) cancellation, so the reference is
+exact where the double-precision kernel carries roundoff.  Kernel-level invariants (orthogonality,
 composition, symmetry) close the loop for block sizes where summing the
 series term by term would be hopeless.
 """
@@ -31,30 +32,53 @@ from mzparity import wigner
 from mzparity.wigner import _eigen_d_block, log_factorial
 
 
-def reference_d(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
-    """Factorial-series d-element summed in 60-digit arithmetic."""
-    with mp.workdps(60):
-        th = mp.mpf(theta)
-        c = mp.cos(th / 2)
-        s = -mp.sin(th / 2)
-        jpm = (two_j + two_m) // 2
-        jmm = (two_j - two_m) // 2
-        jpp = (two_j + two_mp) // 2
-        jmp = (two_j - two_mp) // 2
-        prefactor = mp.sqrt(
-            mp.factorial(jpm) * mp.factorial(jmm) * mp.factorial(jpp) * mp.factorial(jmp)
+def _series(two_j: int, two_mp: int, two_m: int, theta: float):
+    """Factorial series for d^j_{mu',mu}(theta) at the working mpmath precision."""
+    th = mp.mpf(theta)
+    c = mp.cos(th / 2)
+    s = -mp.sin(th / 2)
+    jpm = (two_j + two_m) // 2
+    jmm = (two_j - two_m) // 2
+    jpp = (two_j + two_mp) // 2
+    jmp = (two_j - two_mp) // 2
+    prefactor = mp.sqrt(
+        mp.factorial(jpm) * mp.factorial(jmm) * mp.factorial(jpp) * mp.factorial(jmp)
+    )
+    dm = (two_mp - two_m) // 2
+    total = mp.mpf(0)
+    for k in range(max(0, -dm), min(jpm, jmp) + 1):
+        den = (
+            mp.factorial(jpm - k)
+            * mp.factorial(k)
+            * mp.factorial(jmp - k)
+            * mp.factorial(dm + k)
         )
-        dm = (two_mp - two_m) // 2
+        total += (-1) ** k * prefactor / den * c ** (jpm + jmp - 2 * k) * s ** (dm + 2 * k)
+    return total
+
+
+def reference_d(two_j: int, two_mp: int, two_m: int, theta: float, digits: int = 60) -> float:
+    """Factorial-series d-element summed in arbitrary precision (60 digits by default)."""
+    with mp.workdps(digits):
+        return float(_series(two_j, two_mp, two_m, theta))
+
+
+def reference_d_derivative(two_j: int, two_mp: int, two_m: int, theta: float, digits: int) -> float:
+    """d/dtheta d^j_{mu',mu} by the ladder identity on the series.
+
+    -i J_y = (J_- - J_+)/2 gives d' = (A_{mu'+1} d_{mu'+1,mu} - A_{mu'} d_{mu'-1,mu}) / 2
+    with A_{m+1} = sqrt(j(j+1) - m(m+1)), an identity the kernel no longer uses.
+    """
+    with mp.workdps(digits):
+        jj = mp.mpf(two_j) * (two_j + 2) / 4
         total = mp.mpf(0)
-        for k in range(max(0, -dm), min(jpm, jmp) + 1):
-            den = (
-                mp.factorial(jpm - k)
-                * mp.factorial(k)
-                * mp.factorial(jmp - k)
-                * mp.factorial(dm + k)
-            )
-            total += (-1) ** k * prefactor / den * c ** (jpm + jmp - 2 * k) * s ** (dm + 2 * k)
-        return float(total)
+        if two_mp + 2 <= two_j:
+            up = mp.sqrt(jj - mp.mpf(two_mp) * (two_mp + 2) / 4)
+            total += up * _series(two_j, two_mp + 2, two_m, theta)
+        if two_mp - 2 >= -two_j:
+            down = mp.sqrt(jj - mp.mpf(two_mp) * (two_mp - 2) / 4)
+            total -= down * _series(two_j, two_mp - 2, two_m, theta)
+        return float(total / 2)
 
 
 # values frozen from reference_d so a regression cannot hide behind the helper
@@ -337,3 +361,45 @@ def test_rotations_at_new_angles_grow_no_cache(monkeypatch):
         d_block(HalfInt(60), 0.2 + 0.01 * k)
         apply_mzi(state, 0.3 + 0.01 * k)
     assert (list(wigner._eigen_cache), wigner._cached_bytes()) == before
+
+
+def _large_block_samples(two_j):
+    """(row, col, theta) spread over the block: centre, off-diagonal, near corners."""
+    half, quarter = two_j // 2, two_j // 4
+    return [
+        (half, half, 1.3),
+        (quarter, 3 * quarter, 2.9),
+        (two_j // 3, half + 1, -0.4),
+        (0, 1, 0.7),
+        (two_j, 1, 0.05),
+    ]
+
+
+@pytest.mark.parametrize("two_j", [200, 1000])
+def test_large_blocks_match_high_precision_reference(two_j):
+    # absolute accuracy: elements to 1e-13, derivatives to 1e-12 * max(1, |d'|)
+    digits = 60 + int(0.31 * two_j)
+    j = HalfInt(two_j)
+    for row, col, theta in _large_block_samples(two_j):
+        two_mp, two_m = two_j - 2 * row, two_j - 2 * col
+        labels = (j, HalfInt(two_mp), HalfInt(two_m), theta)
+        want = reference_d(two_j, two_mp, two_m, theta, digits)
+        assert abs(d_element(*labels) - want) <= 1e-13
+        slope = reference_d_derivative(two_j, two_mp, two_m, theta, digits)
+        assert abs(d_derivative(*labels) - slope) <= 1e-12 * max(1.0, abs(slope))
+
+
+def test_far_tail_element_is_absolutely_accurate():
+    # the true value is ~7.6e-131; the kernel returns roundoff of order 1e-16
+    want = reference_d(100, 100, -100, 0.1)
+    assert 0.0 < want < 1e-130
+    assert abs(d_element(50, 50, -50, 0.1) - want) <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_rejected(theta):
+    for fn in (d_element, d_derivative):
+        with pytest.raises(DomainError):
+            fn(HalfInt(4), HalfInt(0), HalfInt(2), theta)
+    with pytest.raises(DomainError):
+        d_block(HalfInt(4), theta)
