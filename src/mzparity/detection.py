@@ -5,15 +5,20 @@ frequencies lam such that
 
     <P>(phi) = sum_k w_k exp(-2i phi lam_k).
 
+The frequencies form one grid, lam = -J, -J + 1/2, ..., J for the largest
+block 2J, and every block adds into every other grid point, so at most
+2 * 2J + 1 terms remain however many blocks and amplitudes the state has.
 For at-input states w_k = conj(<e_k|S psi>) <e_k|psi> over the cached J_y
 eigenvectors e_k of each block, with S the diagonal parity sign and lam_k
-the exact eigenvalues.  For states inside the interferometer w = conj(psi)
-(Q psi) and lam = -mu, with no eigensystem at all.  ``parity_expectation``
-and ``parity_derivative`` are O(n) sums over that spectrum,
-``phase_uncertainty`` builds it once for both, and
-``phase_uncertainty_limit`` reads the exact phi -> 0 limit off its Taylor
-coefficients.  The engine is cross-checked against the brute-force Fock
-oracle.
+the exact eigenvalues; the eigensystem's exact parity mirror makes
+<e_k|S psi> the mirror entry of <e_k|psi>, so each block is projected
+once.  For states inside the interferometer w = conj(psi) (Q psi) and
+lam = -mu, with no eigensystem at all.  ``parity_expectation`` and
+``parity_derivative`` are sums over that spectrum, ``phase_uncertainty``
+builds it once for both and takes Delta P from 1 -+ <P> without
+cancellation, and ``phase_uncertainty_limit`` reads the exact phi -> 0
+limit off its Taylor coefficients.  The engine is cross-checked against
+the brute-force Fock oracle.
 
 The commonly quoted per-family closed forms are evaluated verbatim by
 ``closed_form_expectation`` as secondary cross-checks, and their phi -> 0
@@ -110,30 +115,52 @@ def _finite_phase(phi) -> float:
 def _spectrum(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     """Weights w and frequencies lam with <P>(phi) = sum w exp(-2i phi lam).
 
+    The frequencies are the grid lam = -J ... J in steps of 1/2, with
+    2J the largest block, and each block adds its weights into every
+    other grid point, so equal frequencies are merged as they arrive.
     At-input blocks: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y
-    eigenvectors e_k, lam_k their exact eigenvalues; only the nonzero
-    amplitudes are projected.  Inside blocks: w = conj(psi) (Q psi) and
-    lam = -mu, because the phase shifter gives the mu and -mu entries
-    the relative phase exp(2i phi mu).
+    eigenvectors e_k at lam_k.  The eigensystem's exact parity mirror
+    D V = V[:, ::-1] makes <e_k|S psi> the mirror entry of <e_k|psi>, so
+    each block is projected once, and only its nonzero amplitudes.
+    Inside blocks: w = conj(psi) (Q psi) and lam = -mu, because the phase
+    shifter gives the mu and -mu entries the relative phase exp(2i phi mu).
     """
     state.require_normalized()
-    weights, freqs = [], []
+    top = max(state.components)
+    weights = np.zeros(2 * top + 1, dtype=complex)
     for two_j, vec in state.components.items():
+        grid = slice(top - two_j, top + two_j + 1, 2)
         if state.frame is Frame.AT_INPUT:
             rows = np.flatnonzero(vec)
             if rows.size == 0:
                 continue
-            lam, basis = _jy_eigensystem(two_j)
-            coeffs = _I_POWERS[rows % 4] * vec[rows]
-            signed = np.where(rows % 2 == 0, coeffs, -coeffs)
-            # <e_k|psi> = sum_r i^r V[r, k] psi_r, and likewise for S psi
-            plain, parity = _times_real(np.stack([coeffs, signed]), basis[rows])
-            weights.append(np.conj(parity) * plain)
-            freqs.append(lam)
+            _, basis = _jy_eigensystem(two_j)
+            # <e_k|psi> = sum_r i^r V[r, k] psi_r
+            plain = _times_real(_I_POWERS[rows % 4] * vec[rows], basis[rows])
+            weights[grid] += np.conj(plain[::-1]) * plain
         else:
-            weights.append(np.conj(vec) * q_apply(two_j, vec))
-            freqs.append((2.0 * np.arange(two_j + 1) - two_j) / 2.0)
-    return np.concatenate(weights), np.concatenate(freqs)
+            weights[grid] += np.conj(vec) * q_apply(two_j, vec)
+    return weights, (np.arange(2 * top + 1) - top) / 2.0
+
+
+def _parity_gaps(state: TwoModeState) -> tuple[float, float]:
+    """||psi - P psi||^2 / 2 and ||psi + P psi||^2 / 2, that is 1 -+ <P>(0).
+
+    P is S at input and Q inside.  Both are sums of squares, so they keep
+    full relative accuracy where 1 - <P> itself would cancel.
+    """
+    vecs = state.components.values()
+    if state.frame is Frame.AT_INPUT:
+        # psi - S psi is twice the odd rows, psi + S psi twice the even rows
+        odd = np.concatenate([vec[1::2] for vec in vecs])
+        even = np.concatenate([vec[0::2] for vec in vecs])
+        return 2.0 * np.vdot(odd, odd).real, 2.0 * np.vdot(even, even).real
+    minus = plus = 0.0
+    for two_j, vec in state.components.items():
+        image = q_apply(two_j, vec)
+        minus += np.vdot(vec - image, vec - image).real
+        plus += np.vdot(vec + image, vec + image).real
+    return 0.5 * minus, 0.5 * plus
 
 
 def _expectation_at(spectrum, phi: float) -> complex:
@@ -160,12 +187,15 @@ def parity_derivative(state: TwoModeState, phi: float) -> float:
     return _real_with_residue_check(value, f"parity derivative for {state.label!r}")
 
 
-def _bundle(phi: float, expectation: float, derivative: float) -> DetectionResult:
+def _bundle(
+    phi: float, expectation: float, derivative: float, spread: float
+) -> DetectionResult:
+    """Result at one phase point; spread is 1 - <P>^2, Delta P its square root."""
     if abs(expectation) > 1.0 + 1e-10:
         raise ConsistencyError(
             f"expectation {expectation!r} leaves [-1, 1] beyond tolerance"
         )
-    variance = math.sqrt(max(1.0 - expectation * expectation, 0.0))
+    variance = math.sqrt(max(spread, 0.0))
     if abs(derivative) < _DERIVATIVE_FLOOR:
         delta_phi = math.inf
     else:
@@ -176,19 +206,32 @@ def _bundle(phi: float, expectation: float, derivative: float) -> DetectionResul
 def phase_uncertainty(state: TwoModeState, phi: float) -> DetectionResult:
     """Error-propagation uncertainty delta phi = Delta P / |d<P>/dphi|.
 
-    Delta P = sqrt(1 - <P>^2) because P^2 = 1.  Points where the
-    derivative vanishes (below 1e-14) report +infinity; the phi -> 0
-    operating point is handled by phase_uncertainty_limit instead.  A
-    non-finite phi raises DomainError.
+    Delta P = sqrt((1 - <P>)(1 + <P>)) because P^2 = 1.  Near phi = 0,
+    while every phase 2 phi lam of the spectrum stays below one radian,
+    each factor is taken as 1 -+ <P>(0) from _parity_gaps -+ the change
+    sum w expm1(-2i phi lam) of <P> since phi = 0, so Delta P keeps full
+    relative accuracy as <P> -> +-1 there.  Further out Delta P is
+    sqrt(1 - <P>^2).  Points where the derivative vanishes (below 1e-14)
+    report +infinity; the phi -> 0 operating point is handled by
+    phase_uncertainty_limit instead.  A non-finite phi raises DomainError.
     """
     phi = _finite_phase(phi)
     spectrum = _spectrum(state)
+    weights, freqs = spectrum
     context = f"for {state.label!r}"
-    return _bundle(
-        phi,
-        _real_with_residue_check(_expectation_at(spectrum, phi), f"parity expectation {context}"),
-        _real_with_residue_check(_derivative_at(spectrum, phi), f"parity derivative {context}"),
+    expectation = _real_with_residue_check(
+        _expectation_at(spectrum, phi), f"parity expectation {context}"
     )
+    derivative = _real_with_residue_check(
+        _derivative_at(spectrum, phi), f"parity derivative {context}"
+    )
+    if 2.0 * abs(phi) * freqs[-1] < 1.0:
+        shift = float(np.sum(weights * np.expm1(-2j * phi * freqs)).real)
+        below, above = _parity_gaps(state)
+        spread = (below - shift) * (above + shift)
+    else:
+        spread = 1.0 - expectation * expectation
+    return _bundle(phi, expectation, derivative, spread)
 
 
 def _phi_ladder(two_j_max: int) -> list[float]:
@@ -252,8 +295,9 @@ def _leading_order(coeffs: np.ndarray, bounds: np.ndarray) -> int | None:
 def _limit_from_spectrum(weights: np.ndarray, freqs: np.ndarray, context: str) -> float:
     """Exact phi -> 0 limit of sqrt(1 - f^2) / |f'| for f = sum w exp(-2i phi lam).
 
-    Weights sharing a frequency are merged first.  If no weight is left at
-    a nonzero frequency, f does not depend on phi and the limit is +inf.
+    The frequencies must be distinct, as on the grid ``_spectrum``
+    returns.  If no weight sits at a nonzero frequency, f does not depend
+    on phi and the limit is +inf.
     Otherwise f = sum_m F_m phi^m with F_m = sum w (-2i lam)^m / m!, and
     with p and q the leading orders of 1 - f^2 and f' the uncertainty
     behaves as phi^(p/2 - q): finite when p = 2q, +inf when p < 2q.  A
@@ -262,18 +306,12 @@ def _limit_from_spectrum(weights: np.ndarray, freqs: np.ndarray, context: str) -
     No leading order within _TAYLOR_ORDER terms, or orders no state can
     have, raise NumericalLimitError.
     """
-    twice = np.rint(2.0 * freqs).astype(np.int64)
-    low = int(twice.min())
-    merged = np.bincount(twice - low, weights.real) + 1j * np.bincount(
-        twice - low, weights.imag
-    )
-    freqs = (np.arange(merged.size) + low) / 2.0
-    if np.all(np.abs(merged[freqs != 0.0]) <= _ZERO_TOL):
+    if np.all(np.abs(weights[freqs != 0.0]) <= _ZERO_TOL):
         return math.inf
     span = 2.0 * float(np.max(np.abs(freqs)))
     series = np.empty(_TAYLOR_ORDER + 1, dtype=complex)
     bounds = np.empty(_TAYLOR_ORDER + 1)
-    term, bound = merged, 1.0
+    term, bound = weights, 1.0
     for m in range(_TAYLOR_ORDER + 1):
         series[m], bounds[m] = term.sum(), bound
         term = term * (-2j * freqs) / (m + 1)
@@ -315,11 +353,20 @@ def phase_uncertainty_limit(state: TwoModeState) -> float:
     )
 
 
+def _positive_count(n, what: str) -> int:
+    """n as a positive int; bools, non-finite and fractional values raise DomainError."""
+    try:
+        valid = not isinstance(n, bool) and math.isfinite(n) and n == int(n) and n >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise DomainError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def benchmark_limits(n_total: int) -> BenchmarkLimits:
     """Shot-noise, Heisenberg, and optimal-POVM reference scales."""
-    if n_total != int(n_total) or n_total < 1:
-        raise DomainError(f"n_total must be a positive integer, got {n_total!r}")
-    n_total = int(n_total)
+    n_total = _positive_count(n_total, "n_total")
     # tan(pi/4) rounds just below 1 in floats; the N = 2 value is exactly 1
     povm = 1.0 if n_total == 2 else math.tan(math.pi / (n_total + 2))
     return BenchmarkLimits(
@@ -336,15 +383,27 @@ def _require_parity(label: str, n: int, even: bool) -> None:
         raise DomainError(f"{label} closed form needs {need} N, got {n}")
 
 
+def _closed_form_size(label: str, n) -> float | int:
+    """The closed forms' photon number N, or nbar for ``coherent``, validated."""
+    if label != "coherent":
+        return _positive_count(n, f"{label} closed form N")
+    try:
+        nbar = math.nan if isinstance(n, bool) else float(n)
+    except (TypeError, ValueError, OverflowError):
+        nbar = math.nan
+    if not math.isfinite(nbar) or nbar <= 0:
+        raise DomainError(f"coherent closed form needs finite nbar > 0, got {n!r}")
+    return nbar
+
+
 def _closed_form_complex(
     label: str, n, phi: float, params: CombinedStateParams | None, derivative: bool
 ) -> complex:
     """Quoted closed forms, literally, with their i^j / i^N factors intact."""
     phi = _finite_phase(phi)
+    n = _closed_form_size(label, n)
     if label == "coherent":
-        nbar = float(n)
-        if not math.isfinite(nbar) or nbar <= 0:
-            raise DomainError(f"coherent closed form needs finite nbar > 0, got {n!r}")
+        nbar = n
         envelope = math.sqrt(max(1.0 + math.cos(2.0 * phi), 0.0)) / math.sqrt(2.0)
         value = math.exp(-nbar + nbar * envelope)
         if not derivative:
@@ -355,9 +414,6 @@ def _closed_form_complex(
             )
         return complex(value * nbar * (-math.sin(2.0 * phi)) / (2.0 * envelope))
 
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"closed forms need positive N, got {n}")
     j = 0.5 * n
     half = HalfInt(n)
 
@@ -507,10 +563,12 @@ def closed_form_uncertainty(
 ) -> DetectionResult:
     """Error-propagation uncertainty computed from the quoted closed form."""
     phi = float(phi)
+    expectation = closed_form_expectation(label, n, phi, params)
     return _bundle(
         phi,
-        closed_form_expectation(label, n, phi, params),
+        expectation,
         closed_form_derivative(label, n, phi, params),
+        1.0 - expectation * expectation,
     )
 
 
@@ -524,7 +582,8 @@ def closed_form_uncertainty_limit(
     extrapolated; this is the reference the engine's exact limit is
     checked against.
     """
-    two_j_max = int(n) if label != "coherent" else max(int(math.ceil(float(n))), 1)
+    size = _closed_form_size(label, n)
+    two_j_max = size if label != "coherent" else max(math.ceil(size), 1)
     ladder = _phi_ladder(two_j_max)
     values = [closed_form_uncertainty(label, n, phi, params).delta_phi for phi in ladder]
     return _extrapolate_limit(values, f"closed-form uncertainty limit for {label!r}")

@@ -9,10 +9,16 @@ Every d number comes from one cached object per block, the J_y
 eigensystem.  The phase rotation diag((-i)^k) turns J_y into a real
 symmetric tridiagonal matrix whose spectrum is exactly mu = -j ... j, so
 only real eigenvectors V are stored and the i^k phases are applied on the
-fly.  ``_rotate`` applies exp(-i theta J_y) to a vector in two O(n^2)
-products; ``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L)
-V^T] on demand; ``d_element`` and ``d_derivative`` read one entry of it,
-or of its theta derivative, in O(n).
+fly.  That matrix has a zero diagonal, so it only links even rows to odd
+rows, and V is built from the SVD of the half-size even-odd coupling
+block instead of a full eigendecomposition.  The eigenvectors then come
+in exact parity mirror pairs: D V = V[:, ::-1] with D = diag((-1)^r),
+which the detection layer uses to project each block once.
+
+``_rotate`` applies exp(-i theta J_y) to a vector in two O(n^2) products;
+``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L) V^T] on
+demand; ``d_element`` and ``d_derivative`` read one entry of it, or of
+its theta derivative, in O(n).
 
 Accuracy is absolute through 2j = 1000: about 1e-14 per element and
 1e-12 per derivative, so elements below that (far corners of large
@@ -94,10 +100,17 @@ def _jy_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and real eigenvectors of J_y for one block, cached.
 
     J_y conjugated by diag((-i)^index) is the real symmetric tridiagonal
-    matrix with off-diagonal -A(mu_i)/2, A(m) = sqrt(j(j+1) - m(m-1)).
-    Its exact spectrum is mu = -j ... j; ``numpy.linalg.eigh`` returns it
-    in that (ascending) order and the computed eigenvalues are replaced
-    by the exact ones.  The eigenvectors of J_y itself are
+    matrix T with zero diagonal and off-diagonal -A(mu_i)/2,
+    A(m) = sqrt(j(j+1) - m(m-1)).  T couples each row only to its
+    neighbours, so it maps even rows to odd rows: T = [[0, B], [B^T, 0]]
+    with the lower-bidiagonal B = T[0::2, 1::2] of shape
+    ceil(n/2) x floor(n/2).  Each singular triple (s, u, w) of B gives the
+    eigenvectors (u, +-w)/sqrt2 at +-s; for odd n the extra left singular
+    vector is the eigenvector (u, 0) at 0.  The singular values must be
+    j, j-1, ... > 0, and the exact spectrum mu = -j ... j is stored in
+    ascending order.  Building the pairs from one SVD makes the parity
+    mirror exact: D V = V[:, ::-1] with D = diag((-1)^r), because
+    S J_y S = -J_y.  The eigenvectors of J_y itself are
     e_k[r] = (-i)^r vec[r, k]; callers apply those phases on the fly.
 
     Entries are evicted least recently used first so the cached arrays
@@ -109,18 +122,27 @@ def _jy_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
         _eigen_cache.move_to_end(two_j)
         return hit
     n = two_j + 1
+    half = n // 2  # eigenvalue pairs +-s
     mu = (two_j - 2.0 * np.arange(n)) / 2.0
     jj = 0.5 * two_j * (0.5 * two_j + 1.0)
-    tri = np.zeros((n, n))
-    if n > 1:
-        off = -0.5 * np.sqrt(jj - mu[:-1] * (mu[:-1] - 1.0))
-        rows = np.arange(n - 1)
-        tri[rows, rows + 1] = off
-        tri[rows + 1, rows] = off
-    w, vec = np.linalg.eigh(tri)
-    lam = (2.0 * np.arange(n) - two_j) / 2.0
-    if np.max(np.abs(w - lam)) > 1e-8 * (0.5 * two_j + 1.0):
+    off = -0.5 * np.sqrt(jj - mu[:-1] * (mu[:-1] - 1.0))  # T[r, r + 1]
+    bipartite = np.zeros((n - half, half))
+    cols = np.arange(half)
+    bipartite[cols, cols] = off[0::2]  # T[2a, 2a + 1]
+    rows = np.arange(1, n - half)
+    bipartite[rows, rows - 1] = off[1::2]  # T[2a, 2a - 1]
+    left, sing, right_t = np.linalg.svd(bipartite)
+    if np.max(np.abs(sing - mu[:half]), initial=0.0) > 1e-8 * (0.5 * two_j + 1.0):
         raise ConsistencyError(f"J_y spectrum for 2j = {two_j} failed to snap")
+    vec = np.zeros((n, n))
+    negative = vec[:, :half]  # eigenvalues -j, -j+1, ... < 0
+    negative[0::2] = math.sqrt(0.5) * left[:, :half]
+    negative[1::2] = -math.sqrt(0.5) * right_t.T
+    if n % 2:
+        vec[0::2, half] = left[:, half]
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    vec[:, n - half :] = (signs[:, None] * negative)[:, ::-1]
+    lam = (2.0 * np.arange(n) - two_j) / 2.0
     vec.flags.writeable = False
     lam.flags.writeable = False
     entry = (lam, vec)

@@ -396,3 +396,121 @@ def test_pezze_smerzi_closed_form_limit_matches_engine():
             assert quoted == math.inf
         else:
             assert quoted == pytest.approx(engine, rel=5e-8)
+
+
+def _parity_image(state, two_j, vec):
+    if state.frame is Frame.AT_INPUT:
+        return np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0) * vec
+    return (1j**two_j) * np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0) * vec[::-1]
+
+
+@pytest.mark.parametrize(
+    "label,n",
+    [("coherent", 30), ("noon", 41), ("dual-fock", 60), ("noon-internal", 9),
+     ("berry-wiseman", 12), ("combined", 10), ("modified-yuen", 15)],
+)
+def test_spectrum_weights_sum_to_parity_at_zero(label, n):
+    state = make_state(label, n)
+    weights, freqs = detection._spectrum(state)
+    top = max(state.components)
+    assert np.array_equal(freqs, (np.arange(2 * top + 1) - top) / 2.0)
+    want = sum(
+        np.vdot(vec, _parity_image(state, two_j, vec))
+        for two_j, vec in state.components.items()
+    )
+    assert abs(weights.sum() - want) <= 1e-13
+
+
+def _jy_dense(two_j):
+    """Complex J_y = (J_+ - J_-)/(2i) on one block, rows by descending mu."""
+    n = two_j + 1
+    mu = (two_j - 2.0 * np.arange(n)) / 2.0
+    jj = (two_j / 2.0) * (two_j / 2.0 + 1.0)
+    raise_ = np.zeros((n, n))
+    for col in range(1, n):  # J_+ |mu> = sqrt(jj - mu(mu+1)) |mu+1>
+        raise_[col - 1, col] = math.sqrt(jj - mu[col] * (mu[col] + 1.0))
+    return (raise_ - raise_.T) / 2j
+
+
+@pytest.mark.parametrize("frame", [Frame.AT_INPUT, Frame.INSIDE_INTERFEROMETER])
+def test_spectrum_matches_per_amplitude_sum(frame):
+    # blocks of both parities of 2j, random amplitudes, some exact zeros
+    rng = np.random.default_rng(7)
+    blocks = {}
+    for two_j in (0, 1, 2, 3, 4, 7):
+        vec = rng.standard_normal(two_j + 1) + 1j * rng.standard_normal(two_j + 1)
+        vec[rng.random(two_j + 1) < 0.3] = 0.0
+        blocks[two_j] = vec
+    norm = math.sqrt(sum(np.vdot(v, v).real for v in blocks.values()))
+    state = TwoModeState({k: v / norm for k, v in blocks.items()}, frame, "mixed")
+    top = max(state.components)
+    want = np.zeros(2 * top + 1, dtype=complex)
+    for two_j, vec in state.components.items():
+        image = _parity_image(state, two_j, vec)
+        if frame is Frame.AT_INPUT:
+            lam, basis = np.linalg.eigh(_jy_dense(two_j))
+            terms = [(lam[k], np.vdot(basis[:, k], image).conjugate() * np.vdot(basis[:, k], vec))
+                     for k in range(two_j + 1)]
+        else:
+            terms = [(-(two_j - 2.0 * r) / 2.0, np.conj(vec[r]) * image[r])
+                     for r in range(two_j + 1)]
+        for freq, weight in terms:
+            want[top + int(round(2.0 * freq))] += weight
+    weights, _ = detection._spectrum(state)
+    assert np.abs(weights - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("phi", [1e-4, 1e-3, 0.02])
+def test_noon_uncertainty_is_exact_near_zero_phase(phi):
+    for n in range(1, 13):
+        for state in (noon_input(n), noon_internal(n)):
+            result = phase_uncertainty(state, phi)
+            assert result.delta_phi * n == pytest.approx(1.0, rel=2e-15, abs=0.0)
+    # <P> = -cos 2phi for the two-photon internal NOON state
+    assert phase_uncertainty(noon_internal(2), phi).variance == pytest.approx(
+        math.sin(2.0 * phi), rel=2e-15, abs=0.0
+    )
+
+
+def test_variance_away_from_zero_phase_is_one_minus_square():
+    # 8 phi is pi - 2.3e-4 here: <P> is near -1 away from phi = 0, where the
+    # expm1 route would only trade one roundoff for another
+    result = phase_uncertainty(noon_input(8), 0.3926707666874683)
+    assert result.variance == math.sqrt(1.0 - result.expectation**2)
+
+
+def test_coherent_uncertainty_near_zero_phase_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for nbar in (1.0, 16.0, 50.0):
+            for phi in (1e-4, 1e-3):
+                x, p = mp.mpf(nbar), mp.mpf(phi)
+                envelope = mp.cos(p)  # sqrt((1 + cos 2phi)/2) for |phi| < pi/2
+                value = mp.exp(-x + x * envelope)
+                slope = value * x * mp.sin(2 * p) / (2 * envelope)
+                want = float(mp.sqrt(1 - value**2) / slope)
+                got = phase_uncertainty(coherent_input(nbar), phi).delta_phi
+                # the 1e-12 truncation tail of coherent_input is the floor
+                assert got == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("nbar", [math.nan, math.inf])
+def test_coherent_closed_form_limit_rejects_non_finite_nbar(nbar):
+    with pytest.raises(DomainError):
+        closed_form_uncertainty_limit("coherent", nbar)
+
+
+def test_benchmark_limits_rejects_infinity():
+    with pytest.raises(DomainError):
+        benchmark_limits(math.inf)
+
+
+def test_bool_is_not_a_photon_number():
+    with pytest.raises(DomainError):
+        benchmark_limits(True)
+    for label in ("noon", "single-fock", "coherent"):
+        for fn in (closed_form_expectation, closed_form_derivative, closed_form_uncertainty):
+            with pytest.raises(DomainError):
+                fn(label, True, 0.1)
+        with pytest.raises(DomainError):
+            closed_form_uncertainty_limit(label, True)

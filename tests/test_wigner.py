@@ -403,3 +403,26 @@ def test_non_finite_angle_rejected(theta):
             fn(HalfInt(4), HalfInt(0), HalfInt(2), theta)
     with pytest.raises(DomainError):
         d_block(HalfInt(4), theta)
+
+
+def _jy_tridiagonal(two_j):
+    """J_y in the phase-rotated basis: real, zero diagonal, off-diagonal -A/2."""
+    n = two_j + 1
+    mu = (two_j - 2.0 * np.arange(n)) / 2.0
+    jj = (two_j / 2.0) * (two_j / 2.0 + 1.0)
+    off = -0.5 * np.sqrt(jj - mu[:-1] * (mu[:-1] - 1.0))
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 51, 200, 1000])
+def test_eigensystem_contract(two_j):
+    lam, vec = wigner._jy_eigensystem(two_j)
+    n = two_j + 1
+    assert np.array_equal(lam, (2.0 * np.arange(n) - two_j) / 2.0)
+    tri = _jy_tridiagonal(two_j)
+    assert np.abs(tri @ vec - vec * lam).max() <= 1e-12 * (two_j / 2.0 + 1.0)
+    assert np.abs(vec.T @ vec - np.eye(n)).max() <= 1e-13
+    # S J_y S = -J_y: the parity sign maps the eigenvector at lam to the one at -lam
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    assert np.array_equal(signs[:, None] * vec, vec[:, ::-1])
+    assert not lam.flags.writeable and not vec.flags.writeable
