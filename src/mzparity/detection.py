@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, NumericalLimitError
 from .halfint import HalfInt
-from .interferometer import q_apply
+from .interferometer import _finite_phase, q_apply
 from .states import CombinedStateParams, Frame, TwoModeState
 from .wigner import _I_POWERS, _jy_eigensystem, _times_real, d_derivative, d_element
 
@@ -103,13 +103,6 @@ def _real_with_residue_check(value: complex, context: str) -> float:
             f"{context}: imaginary residue {value.imag!r} exceeds {_RESIDUE_TOL}"
         )
     return value.real
-
-
-def _finite_phase(phi) -> float:
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise DomainError(f"phase phi must be finite, got {phi!r}")
-    return phi
 
 
 def _spectrum(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,13 @@ def _rebuild(state: TwoModeState, blocks: dict[int, np.ndarray], frame: Frame) -
     return TwoModeState(blocks, frame, state.label, state.truncation_tail)
 
 
+def _finite_phase(phi) -> float:
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise DomainError(f"phase phi must be finite, got {phi!r}")
+    return phi
+
+
 def apply_mzi(state: TwoModeState, phi: float) -> TwoModeState:
     """Full interferometer exp(-i phi J_y), block by block."""
     if state.frame is not Frame.AT_INPUT:
@@ -53,7 +60,7 @@ def apply_mzi(state: TwoModeState, phi: float) -> TwoModeState:
             "apply_mzi needs an at-input state; use apply_phase_shifter for "
             "inside-interferometer states"
         )
-    phi = float(phi)
+    phi = _finite_phase(phi)
     blocks = {
         two_j: _rotate(two_j, vec, phi) for two_j, vec in state.components.items()
     }
@@ -80,7 +87,7 @@ def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
     """Phase accumulation exp(-i phi J_z) between the beam splitters."""
     if state.frame is not Frame.INSIDE_INTERFEROMETER:
         raise FrameError("apply_phase_shifter needs an inside-interferometer state")
-    phi = float(phi)
+    phi = _finite_phase(phi)
     blocks = {
         two_j: np.exp(-1j * phi * state.mu_values(two_j)) * vec
         for two_j, vec in state.components.items()

@@ -9,11 +9,14 @@ Every d number comes from one cached object per block, the J_y
 eigensystem.  The phase rotation diag((-i)^k) turns J_y into a real
 symmetric tridiagonal matrix whose spectrum is exactly mu = -j ... j, so
 only real eigenvectors V are stored and the i^k phases are applied on the
-fly.  That matrix has a zero diagonal, so it only links even rows to odd
-rows, and V is built from the SVD of the half-size even-odd coupling
-block instead of a full eigendecomposition.  The eigenvectors then come
-in exact parity mirror pairs: D V = V[:, ::-1] with D = diag((-1)^r),
-which the detection layer uses to project each block once.
+fly.  Because every eigenvalue is known, V follows in O(n^2) from the
+matrix's three-term recurrence, run over the upper half of the rows in
+its stable, dominant direction (Gautschi, SIAM Rev. 9, 24 (1967)) and
+completed by exact mirrors; this is the J_y-diagonalization route to
+Wigner d (Feng, Wang, Yang, Jin, PRE 92, 043307 (2015)).  The
+eigenvectors come in exact parity mirror pairs: D V = V[:, ::-1] with
+D = diag((-1)^r), which the detection layer uses to project each block
+once.
 
 ``_rotate`` applies exp(-i theta J_y) to a vector in two O(n^2) products;
 ``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L) V^T] on
@@ -23,6 +26,7 @@ its theta derivative, in O(n).
 Accuracy is absolute through 2j = 1000: about 1e-14 per element and
 1e-12 per derivative, so elements below that (far corners of large
 blocks at small angles) come back as roundoff, not relatively accurate.
+The eigenvectors stay orthonormal within 2e-14 through 2j = 3000.
 
 The eigensystem cache is bounded by bytes (``_EIGEN_CACHE_BYTES``) and
 evicts least-recently-used blocks; no per-angle result is cached.
@@ -53,8 +57,6 @@ __all__ = [
 # nbar + 7 sqrt(nbar), so the budget holds that whole working set up to
 # nbar ~ 250 while large-N sweeps stay far from the GB range.
 _EIGEN_CACHE_BYTES = 128 * 2**20
-
-_eigen_cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4
 
@@ -92,66 +94,84 @@ def _finite_angle(theta) -> float:
     return theta
 
 
-def _cached_bytes() -> int:
-    return sum(lam.nbytes + vec.nbytes for lam, vec in _eigen_cache.values())
+class _EigenCache(OrderedDict):
+    """LRU map 2j -> (lam, vec) with a running byte total of its arrays."""
+
+    nbytes = 0
+
+
+_eigen_cache = _EigenCache()
 
 
 def _jy_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and real eigenvectors of J_y for one block, cached.
 
     J_y conjugated by diag((-i)^index) is the real symmetric tridiagonal
-    matrix T with zero diagonal and off-diagonal -A(mu_i)/2,
-    A(m) = sqrt(j(j+1) - m(m-1)).  T couples each row only to its
-    neighbours, so it maps even rows to odd rows: T = [[0, B], [B^T, 0]]
-    with the lower-bidiagonal B = T[0::2, 1::2] of shape
-    ceil(n/2) x floor(n/2).  Each singular triple (s, u, w) of B gives the
-    eigenvectors (u, +-w)/sqrt2 at +-s; for odd n the extra left singular
-    vector is the eigenvector (u, 0) at 0.  The singular values must be
-    j, j-1, ... > 0, and the exact spectrum mu = -j ... j is stored in
-    ascending order.  Building the pairs from one SVD makes the parity
-    mirror exact: D V = V[:, ::-1] with D = diag((-1)^r), because
-    S J_y S = -J_y.  The eigenvectors of J_y itself are
-    e_k[r] = (-i)^r vec[r, k]; callers apply those phases on the fly.
+    matrix T with zero diagonal and off-diagonal T[r, r+1] = -A(mu_r)/2,
+    A(m) = sqrt(j(j+1) - m(m-1)).  Its spectrum is exactly
+    lam = -j ... j, stored in ascending order, so each eigenvector follows
+    from the three-term recurrence
+    v[r+1] = (lam v[r] - T[r,r-1] v[r-1]) / T[r,r+1] started at v[0] = 1.
+    The columns with lam <= 0 advance together, one row operation per
+    step, over the upper rows 0 .. ceil(n/2)-1 only: there each column
+    grows out of its classically forbidden edge or oscillates, so the
+    recurrence runs in its stable, dominant direction (Gautschi, SIAM Rev.
+    9, 24 (1967)).  A column that grows past 1e150 is scaled back (checked
+    every 32 rows), so blocks whose exact row 0, sqrt(C(2j,k))/2^j, would
+    underflow (2j > ~2100) stay finite.
+
+    T is persymmetric, so the lower rows are the exact row mirror
+    V[n-1-r, k] = (-1)^k V[r, k] (for odd n the middle row of each odd-k
+    column is 0).  The columns are then normalized, and the lam > 0 half
+    is D V[:, :half] reversed, D = diag((-1)^r), which makes the parity
+    mirror D V = V[:, ::-1] exact because S J_y S = -J_y.  The
+    eigenvectors of J_y itself are e_k[r] = (-i)^r vec[r, k]; callers
+    apply those phases on the fly.  This is the J_y-diagonalization route
+    to Wigner d (Feng, Wang, Yang, Jin, PRE 92, 043307 (2015)) in O(n^2).
+    A residual check on T V - V lam, applied through the tridiagonal,
+    raises ConsistencyError if the construction ever fails.
 
     Entries are evicted least recently used first so the cached arrays
     never exceed ``_EIGEN_CACHE_BYTES``; a block too large for the budget
     is computed and returned without being cached.
     """
-    hit = _eigen_cache.get(two_j)
-    if hit is not None:
+    if two_j in _eigen_cache:
         _eigen_cache.move_to_end(two_j)
-        return hit
+        return _eigen_cache[two_j]
     n = two_j + 1
-    half = n // 2  # eigenvalue pairs +-s
-    mu = (two_j - 2.0 * np.arange(n)) / 2.0
-    jj = 0.5 * two_j * (0.5 * two_j + 1.0)
-    off = -0.5 * np.sqrt(jj - mu[:-1] * (mu[:-1] - 1.0))  # T[r, r + 1]
-    bipartite = np.zeros((n - half, half))
-    cols = np.arange(half)
-    bipartite[cols, cols] = off[0::2]  # T[2a, 2a + 1]
-    rows = np.arange(1, n - half)
-    bipartite[rows, rows - 1] = off[1::2]  # T[2a, 2a - 1]
-    left, sing, right_t = np.linalg.svd(bipartite)
-    if np.max(np.abs(sing - mu[:half]), initial=0.0) > 1e-8 * (0.5 * two_j + 1.0):
-        raise ConsistencyError(f"J_y spectrum for 2j = {two_j} failed to snap")
-    vec = np.zeros((n, n))
-    negative = vec[:, :half]  # eigenvalues -j, -j+1, ... < 0
-    negative[0::2] = math.sqrt(0.5) * left[:, :half]
-    negative[1::2] = -math.sqrt(0.5) * right_t.T
-    if n % 2:
-        vec[0::2, half] = left[:, half]
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    vec[:, n - half :] = (signs[:, None] * negative)[:, ::-1]
+    half = n // 2  # eigenvalue pairs +-lam
+    rows = n - half  # upper rows, and the columns with lam <= 0
     lam = (2.0 * np.arange(n) - two_j) / 2.0
+    # T[r, r+1] = -A(mu_r)/2 with mu_r = j - r = -lam_r
+    off = -0.5 * np.sqrt(0.5 * two_j * (0.5 * two_j + 1.0) - lam[:-1] * (lam[:-1] + 1.0))
+    vec = np.empty((n, n))
+    upper, low = vec[:rows, :rows], lam[:rows]
+    upper[0] = 1.0
+    for r in range(rows - 1):  # row r of T v = lam v, solved for v[r + 1]
+        upper[r + 1] = (low * upper[r] - (off[r - 1] * upper[r - 1] if r else 0.0)) / off[r]
+        if r % 32 == 0 or r == rows - 2:  # scale back columns grown past 1e150
+            peak = np.maximum(np.abs(upper[r]), np.abs(upper[r + 1]))
+            upper[: r + 2, peak > 1e150] /= peak[peak > 1e150]
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    upper[half:, 1::2] = 0.0  # the middle row (odd n only), odd under the row mirror
+    upper /= np.sqrt(np.where(np.arange(rows) < half, 2.0, 1.0) @ upper**2)  # mirrored rows twice
+    np.multiply(upper[:half][::-1], signs[:rows], out=vec[rows:, :rows])
+    np.multiply(signs[:, None], vec[:, :half][:, ::-1], out=vec[:, rows:])
+    # T V - V lam on the computed quarter (its last row meets the mirror)
+    resid = low * upper
+    resid[1:] -= off[: rows - 1, None] * upper[:-1]
+    resid[: n - 1] -= off[:rows, None] * vec[1 : rows + 1, :rows]
+    if not np.abs(resid, out=resid).max() <= 1e-10 * (0.5 * two_j + 1.0):
+        raise ConsistencyError(f"J_y eigenvectors for 2j = {two_j} fail T v = lam v")
     vec.flags.writeable = False
     lam.flags.writeable = False
-    entry = (lam, vec)
     size = lam.nbytes + vec.nbytes
     if size <= _EIGEN_CACHE_BYTES:
-        while _eigen_cache and _cached_bytes() + size > _EIGEN_CACHE_BYTES:
-            _eigen_cache.popitem(last=False)
-        _eigen_cache[two_j] = entry
-    return entry
+        while _eigen_cache and _eigen_cache.nbytes + size > _EIGEN_CACHE_BYTES:
+            _eigen_cache.nbytes -= sum(a.nbytes for a in _eigen_cache.popitem(last=False)[1])
+        _eigen_cache[two_j] = (lam, vec)
+        _eigen_cache.nbytes += size
+    return lam, vec
 
 
 def _times_real(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -193,11 +213,7 @@ def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:
         sin_part = (vec * np.sin(theta * lam)) @ vec.T
         idx = np.arange(n)
         delta = (idx[None, :] - idx[:, None]) % 4
-        out = np.where(
-            delta == 0,
-            cos_part,
-            np.where(delta == 1, sin_part, np.where(delta == 2, -cos_part, -sin_part)),
-        )
+        out = np.choose(delta, (cos_part, sin_part, -cos_part, -sin_part))
     out.flags.writeable = False
     return out
 

@@ -494,6 +494,26 @@ def test_coherent_uncertainty_near_zero_phase_matches_mpmath():
                 assert got == pytest.approx(want, rel=1e-11)
 
 
+def test_dual_fock_matches_legendre_on_middle_rows():
+    # |N/2, N/2> reads the middle row of each eigenvector, the far end of
+    # the eigenvector recurrence: <P> = (-1)^(N/2) P_{N/2}(cos 2 phi)
+    mp = pytest.importorskip("mpmath")
+    for n_total in range(100, 301, 4):
+        state = dual_fock_input(n_total // 2)
+        order = n_total // 2
+        for phi in (0.05, 0.3, 0.7, 1.1):
+            with mp.workdps(30):
+                x = mp.cos(2 * mp.mpf(phi))
+                sign = (-1) ** order
+                value = mp.legendre(order, x)
+                slope = order * (x * value - mp.legendre(order - 1, x)) / (x * x - 1)
+                want = float(sign * value)
+                want_slope = float(sign * slope * -2 * mp.sin(2 * mp.mpf(phi)))
+            assert abs(parity_expectation(state, phi) - want) <= 4e-15
+            error = abs(parity_derivative(state, phi) - want_slope)
+            assert error <= 5e-13 * max(1.0, abs(want_slope))
+
+
 @pytest.mark.parametrize("nbar", [math.nan, math.inf])
 def test_coherent_closed_form_limit_rejects_non_finite_nbar(nbar):
     with pytest.raises(DomainError):

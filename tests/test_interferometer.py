@@ -58,6 +58,14 @@ def test_phase_shifter_requires_internal_frame():
         apply_phase_shifter(single_fock_input(2), 0.4)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_rejected_before_rotating(phi):
+    with pytest.raises(DomainError, match="phase phi must be finite"):
+        apply_mzi(single_fock_input(2), phi)
+    with pytest.raises(DomainError, match="phase phi must be finite"):
+        apply_phase_shifter(noon_internal(2), phi)
+
+
 def test_phase_shifter_phases():
     state = apply_phase_shifter(noon_internal(3), 0.5)
     vec = state.block(3)

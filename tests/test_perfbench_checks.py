@@ -3,7 +3,7 @@
 ``perfbench/workloads.py`` checks every pass against independent
 references (exact limits, closed forms, Legendre series, the oracle).  A
 kernel change that breaks one of those checks would otherwise surface
-only when the benchmark runs; this test runs one pass of three workloads
+only when the benchmark runs; this test runs one pass of four workloads
 at a fixed seed and requires every check to pass.
 """
 
@@ -31,7 +31,7 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("workload", ["layers", "noon_limit", "figures"])
+@pytest.mark.parametrize("workload", ["layers", "noon_limit", "figures", "point_sweeps"])
 def test_benchmark_pass_checks_clean(workloads, workload, tmp_path):
     bench_pass = workloads.Pass(workload, 1, str(tmp_path))
     outputs = bench_pass.run()

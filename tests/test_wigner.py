@@ -10,8 +10,6 @@ series term by term would be hopeless.
 
 import math
 
-from collections import OrderedDict
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -336,31 +334,38 @@ def test_block_row_normalization_property(two_j, theta):
     assert np.abs(norms - 1.0).max() < 1e-11
 
 
+def _cached_bytes():
+    """The real byte sum of the cached arrays, checked against the running total."""
+    total = sum(lam.nbytes + vec.nbytes for lam, vec in wigner._eigen_cache.values())
+    assert wigner._eigen_cache.nbytes == total
+    return total
+
+
 def test_eigensystem_cache_stays_within_byte_budget(monkeypatch):
     budget = 200_000
     monkeypatch.setattr(wigner, "_EIGEN_CACHE_BYTES", budget)
-    monkeypatch.setattr(wigner, "_eigen_cache", OrderedDict())
+    monkeypatch.setattr(wigner, "_eigen_cache", wigner._EigenCache())
     for two_j in list(range(1, 160, 3)) + [40, 7, 200, 3]:
         wigner._jy_eigensystem(two_j)
-        assert wigner._cached_bytes() <= budget
+        assert _cached_bytes() <= budget
     assert 200 not in wigner._eigen_cache  # 322 kB alone: returned, never cached
     assert list(wigner._eigen_cache)[-2:] == [7, 3]  # least recently used goes first
     # the eigensystem fallback of d_element goes through the same cache
     d_element(HalfInt(150), HalfInt(0), HalfInt(0), 1.3)
-    assert 150 in wigner._eigen_cache and wigner._cached_bytes() <= budget
+    assert 150 in wigner._eigen_cache and _cached_bytes() <= budget
 
 
 def test_rotations_at_new_angles_grow_no_cache(monkeypatch):
-    monkeypatch.setattr(wigner, "_eigen_cache", OrderedDict())
+    monkeypatch.setattr(wigner, "_eigen_cache", wigner._EigenCache())
     cached = [name for name, obj in vars(wigner).items() if hasattr(obj, "cache_info")]
     assert cached == []
     state = noon_input(60)
     d_block(HalfInt(60), 0.1)
-    before = (list(wigner._eigen_cache), wigner._cached_bytes())
+    before = (list(wigner._eigen_cache), _cached_bytes())
     for k in range(40):
         d_block(HalfInt(60), 0.2 + 0.01 * k)
         apply_mzi(state, 0.3 + 0.01 * k)
-    assert (list(wigner._eigen_cache), wigner._cached_bytes()) == before
+    assert (list(wigner._eigen_cache), _cached_bytes()) == before
 
 
 def _large_block_samples(two_j):
@@ -405,24 +410,46 @@ def test_non_finite_angle_rejected(theta):
         d_block(HalfInt(4), theta)
 
 
-def _jy_tridiagonal(two_j):
-    """J_y in the phase-rotated basis: real, zero diagonal, off-diagonal -A/2."""
+def _jy_tridiagonal_times(two_j, vec):
+    """T @ vec for J_y in the phase-rotated basis: zero diagonal, off-diagonal -A/2."""
     n = two_j + 1
     mu = (two_j - 2.0 * np.arange(n)) / 2.0
     jj = (two_j / 2.0) * (two_j / 2.0 + 1.0)
     off = -0.5 * np.sqrt(jj - mu[:-1] * (mu[:-1] - 1.0))
-    return np.diag(off, 1) + np.diag(off, -1)
+    out = np.zeros_like(vec)
+    out[:-1] += off[:, None] * vec[1:]
+    out[1:] += off[:, None] * vec[:-1]
+    return out
 
 
-@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 51, 200, 1000])
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 51, 200, 1000, 2000, 2200])
 def test_eigensystem_contract(two_j):
     lam, vec = wigner._jy_eigensystem(two_j)
     n = two_j + 1
     assert np.array_equal(lam, (2.0 * np.arange(n) - two_j) / 2.0)
-    tri = _jy_tridiagonal(two_j)
-    assert np.abs(tri @ vec - vec * lam).max() <= 1e-12 * (two_j / 2.0 + 1.0)
-    assert np.abs(vec.T @ vec - np.eye(n)).max() <= 1e-13
+    residual = _jy_tridiagonal_times(two_j, vec) - vec * lam
+    assert np.abs(residual).max() <= 1e-12 * (two_j / 2.0 + 1.0)
+    # past 2j = 2000 a strided subset of columns keeps the Gram product cheap
+    cols = vec if two_j <= 2000 else vec[:, ::7]
+    assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max() <= 1e-13
     # S J_y S = -J_y: the parity sign maps the eigenvector at lam to the one at -lam
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     assert np.array_equal(signs[:, None] * vec, vec[:, ::-1])
+    # T is persymmetric: reversing the rows multiplies column k by (-1)^k,
+    # which for odd n makes the middle row of every odd column exactly 0
+    assert np.array_equal(vec[::-1], vec * signs)
+    if n % 2:
+        assert not vec[n // 2, 1::2].any()
     assert not lam.flags.writeable and not vec.flags.writeable
+
+
+@pytest.mark.parametrize("two_j", [400, 2200])
+def test_eigensystem_first_row_is_binomial(two_j):
+    # V[0, k]^2 = C(2j, k) / 4^j; at 2j = 2200 the smallest values underflow
+    _, vec = wigner._jy_eigensystem(two_j)
+    log_binom = [
+        math.lgamma(two_j + 1) - math.lgamma(k + 1) - math.lgamma(two_j - k + 1)
+        for k in range(two_j + 1)
+    ]
+    want = np.exp(np.array(log_binom) - two_j * math.log(2.0))
+    assert np.abs(vec[0] ** 2 - want).max() <= 1e-13
