@@ -36,7 +36,6 @@ from .interferometer import (
     apply_beam_splitter,
     apply_mzi,
     apply_phase_shifter,
-    parity_apply,
     q_apply,
     q_matrix_element,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "fidelity",
     "noon_input",
     "noon_internal",
-    "parity_apply",
     "parity_derivative",
     "parity_expectation",
     "pezze_smerzi_input",

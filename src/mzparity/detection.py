@@ -12,8 +12,13 @@ For at-input states w_k = conj(<e_k|S psi>) <e_k|psi> over the cached J_y
 eigenvectors e_k of each block, with S the diagonal parity sign and lam_k
 the exact eigenvalues; the eigensystem's exact parity mirror makes
 <e_k|S psi> the mirror entry of <e_k|psi>, so each block is projected
-once.  For states inside the interferometer w = conj(psi) (Q psi) and
-lam = -mu, with no eigensystem at all.  ``parity_expectation`` and
+once.  A block whose only nonzero amplitude is row 0 (mu = +j, mode b
+empty: every coherent and single-Fock block) needs no eigensystem, because
+row 0 of the eigenvectors squared is binomial; its weights are
+|psi_0|^2 C(2j, k) / 4^j at lam_k = k - j, and all such blocks join the
+grid in one pass.  For states inside the interferometer
+w = conj(psi) (Q psi) and lam = -mu, with no eigensystem at all.
+``parity_expectation`` and
 ``parity_derivative`` are sums over that spectrum, ``phase_uncertainty``
 builds it once for both and takes Delta P from 1 -+ <P> without
 cancellation, and ``phase_uncertainty_limit`` reads the exact phi -> 0
@@ -105,6 +110,27 @@ def _real_with_residue_check(value: complex, context: str) -> float:
     return value.real
 
 
+def _binomial_mixture(probs: np.ndarray) -> np.ndarray:
+    """Binomial rows weighted by probs: sum_n probs[n] C(n, k) / 2^n at 2 lam = 2k - n.
+
+    The result lies on the grid 2 lam = -top ... top, top = probs.size - 1.
+    Horner's scheme over Pascal's rule: one averaging step
+    a[i] <- (a[i-1] + a[i+1]) / 2 turns binomial row n - 1 into row n, so
+    acc <- step(acc) + probs[n] delta_0, run from the top row down to 0,
+    leaves sum_n probs[n] step^n(delta_0).  O(top) memory, no factorials,
+    and weights too small for a float flush to 0 instead of NaN.
+    """
+    top = probs.size - 1
+    acc = np.zeros(2 * top + 3)  # one zero guard at each end
+    centre = top + 1
+    acc[centre] = probs[top]
+    for reach, prob in enumerate(probs[:top][::-1].tolist(), start=1):
+        left, right = centre - reach, centre + reach + 1
+        acc[left:right] = 0.5 * (acc[left - 1 : right - 1] + acc[left + 1 : right + 1])
+        acc[centre] += prob
+    return acc[1:-1]
+
+
 def _spectrum(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     """Weights w and frequencies lam with <P>(phi) = sum w exp(-2i phi lam).
 
@@ -114,25 +140,38 @@ def _spectrum(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     At-input blocks: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y
     eigenvectors e_k at lam_k.  The eigensystem's exact parity mirror
     D V = V[:, ::-1] makes <e_k|S psi> the mirror entry of <e_k|psi>, so
-    each block is projected once, and only its nonzero amplitudes.
+    each block is projected once, and only its nonzero amplitudes.  A
+    block whose only nonzero amplitude is row 0 (mu = +j, mode b empty,
+    as in every coherent and single-Fock block) needs no eigensystem:
+    row 0 of V squared is binomial, V[0, k]^2 = C(2j, k) / 4^j, and
+    V[0, n-1-k] = V[0, k], so its weights are |psi_0|^2 C(2j, k) / 4^j at
+    lam_k = k - j.  Those blocks only record |psi_0|^2, and all of them
+    join the grid in one binomial pass (_binomial_mixture).
     Inside blocks: w = conj(psi) (Q psi) and lam = -mu, because the phase
     shifter gives the mu and -mu entries the relative phase exp(2i phi mu).
     """
     state.require_normalized()
     top = max(state.components)
     weights = np.zeros(2 * top + 1, dtype=complex)
+    at_input = state.frame is Frame.AT_INPUT
+    row_zero = np.zeros(top + 1)  # |psi_0|^2 of the row-0 blocks, by 2j
     for two_j, vec in state.components.items():
         grid = slice(top - two_j, top + two_j + 1, 2)
-        if state.frame is Frame.AT_INPUT:
-            rows = np.flatnonzero(vec)
-            if rows.size == 0:
+        if at_input:
+            if not np.count_nonzero(vec[1:]):
+                row_zero[two_j] = abs(vec[0]) ** 2
                 continue
+            rows = np.flatnonzero(vec)
             _, basis = _jy_eigensystem(two_j)
             # <e_k|psi> = sum_r i^r V[r, k] psi_r
             plain = _times_real(_I_POWERS[rows % 4] * vec[rows], basis[rows])
             weights[grid] += np.conj(plain[::-1]) * plain
         else:
             weights[grid] += np.conj(vec) * q_apply(two_j, vec)
+    occupied = np.flatnonzero(row_zero)
+    if occupied.size:
+        reach = int(occupied[-1])
+        weights[top - reach : top + reach + 1] += _binomial_mixture(row_zero[: reach + 1])
     return weights, (np.arange(2 * top + 1) - top) / 2.0
 
 

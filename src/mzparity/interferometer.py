@@ -36,7 +36,6 @@ __all__ = [
     "apply_beam_splitter",
     "apply_mzi",
     "apply_phase_shifter",
-    "parity_apply",
     "q_apply",
     "q_matrix_element",
 ]
@@ -93,12 +92,6 @@ def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
         for two_j, vec in state.components.items()
     }
     return _rebuild(state, blocks, state.frame)
-
-
-def parity_apply(two_j: int, vec: np.ndarray) -> np.ndarray:
-    """P = (-1)^(j - J_z) on one block: sign (-1)^index, diagonal."""
-    signs = np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0)
-    return signs * vec
 
 
 def q_apply(two_j: int, vec: np.ndarray) -> np.ndarray:

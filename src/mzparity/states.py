@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NormalizationError
 from .halfint import HalfInt
-from .wigner import d_element, log_factorial
+from .wigner import d_element
 
 __all__ = [
     "CombinedStateParams",
@@ -64,16 +64,6 @@ class Frame(enum.Enum):
     INSIDE_INTERFEROMETER = "inside-interferometer"
 
 
-def _frozen_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if arr.ndim != 1:
-        raise DomainError("amplitude vectors must be one-dimensional")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise DomainError("amplitude vectors must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class TwoModeState:
     """Pure two-mode state over Schwinger labels (j, mu).
@@ -86,6 +76,7 @@ class TwoModeState:
     frame: Frame
     label: str
     truncation_tail: float = 0.0
+    _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cleaned: dict[int, np.ndarray] = {}
@@ -93,22 +84,31 @@ class TwoModeState:
             two_j = int(two_j)
             if two_j < 0:
                 raise DomainError(f"negative twoJ key {two_j}")
-            arr = _frozen_vector(vec)
+            arr = np.array(vec, dtype=complex)
+            if arr.ndim != 1:
+                raise DomainError("amplitude vectors must be one-dimensional")
             if arr.shape[0] != two_j + 1:
                 raise DomainError(
                     f"block twoJ={two_j} needs {two_j + 1} amplitudes, got {arr.shape[0]}"
                 )
+            arr.flags.writeable = False
             cleaned[two_j] = arr
         if not cleaned:
             raise DomainError("state needs at least one (j, mu) block")
-        object.__setattr__(self, "components", MappingProxyType(cleaned))
         if not isinstance(self.frame, Frame):
             raise DomainError(f"frame must be a Frame, got {self.frame!r}")
+        # one pass over all blocks: a NaN or inf anywhere makes the sum of
+        # squares non-finite, and only then are the entries themselves checked
+        flat = np.concatenate(list(cleaned.values()))
+        norm_sq = float(np.vdot(flat, flat).real)
+        if not math.isfinite(norm_sq) and not np.isfinite(flat.view(float)).all():
+            raise DomainError("amplitude vectors must be finite (NaN or inf amplitude)")
+        object.__setattr__(self, "components", MappingProxyType(cleaned))
+        object.__setattr__(self, "_norm", math.sqrt(norm_sq))
 
     def norm(self) -> float:
-        return math.sqrt(
-            sum(float(np.sum(np.abs(vec) ** 2)) for vec in self.components.values())
-        )
+        """sqrt(sum |psi|^2) over every block, computed once at construction."""
+        return self._norm
 
     def require_normalized(self, tol: float = 1e-8) -> None:
         norm = self.norm()
@@ -167,6 +167,17 @@ def _single_block(two_j: int, entries: dict[int, complex], frame: Frame, label: 
     return TwoModeState({two_j: vec}, frame, label)
 
 
+# Amplitudes one coherent state may hold: 128 MiB of complex128 at 16 bytes
+# each, the same budget as the J_y eigensystem cache.  Building a state holds
+# at most three copies of them at once (the vectors built here, the validated
+# copies and the concatenation that checks them), so a state at the budget
+# peaks near 384 MiB.  Detection builds no eigensystem for its row-0 blocks
+# and copies the amplitudes at most once more (the parity gaps near
+# phi = 0).  The two-sided window keeps about 14 sqrt(nbar) blocks of about
+# nbar amplitudes each, so the budget admits nbar up to 7011.
+_MAX_AMPLITUDES = 2**23
+
+
 def coherent_input(
     nbar: float, coherent_phase: float = 0.0, tail_bound: float = 1e-12
 ) -> TwoModeState:
@@ -174,8 +185,13 @@ def coherent_input(
 
     The Poisson weight over the total photon number n = 2j puts amplitude
     e^{-|alpha|^2/2} alpha^n / sqrt(n!) on |j, j>, with nbar = |alpha|^2.
-    The expansion is cut at the smallest n whose discarded tail probability
-    is below tail_bound, then renormalized.
+    The expansion keeps one window of photon numbers around nbar: the
+    smallest weights are dropped, from either side, while the discarded
+    mass of both tails together stays below tail_bound, and the rest is
+    renormalized.  ``truncation_tail`` reports the discarded mass.  A
+    window holding more than ``_MAX_AMPLITUDES`` amplitudes, the sum of
+    n + 1 over its blocks, raises DomainError before any of them is
+    allocated.
     """
     nbar = float(nbar)
     if not math.isfinite(nbar) or nbar < 0:
@@ -184,29 +200,46 @@ def coherent_input(
         raise DomainError(f"tail_bound must be in (0, 1e-6], got {tail_bound}")
     if nbar == 0.0:
         return _single_block(0, {0: 1.0 + 0j}, Frame.AT_INPUT, "coherent")
-    horizon = int(nbar + 20.0 * math.sqrt(nbar + 1.0) + 40.0)
-    ns = np.arange(horizon + 1)
-    log_weights = -nbar + ns * math.log(nbar) - np.array(
-        [log_factorial(int(n)) for n in ns]
-    )
-    probs = np.exp(log_weights)
-    tail_beyond_horizon = max(0.0, 1.0 - float(probs.sum()))
-    tails = probs[::-1].cumsum()[::-1] + tail_beyond_horizon
-    # tails[n] is the probability mass at photon numbers >= n
-    keep = int(np.argmax(tails < tail_bound)) - 1 if np.any(tails < tail_bound) else horizon
-    if keep < 0:
-        keep = 0
-    amps = np.exp(0.5 * log_weights[: keep + 1]) * np.exp(
-        1j * coherent_phase * ns[: keep + 1]
-    )
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    tail = float(tails[keep + 1]) if keep + 1 <= horizon else tail_beyond_horizon
+    mode = int(nbar)  # the largest weight, which every window keeps
+    if mode + 1 > _MAX_AMPLITUDES:
+        raise DomainError(_over_budget(nbar, mode + 1))
+    reach = 20.0 * math.sqrt(nbar + 1.0) + 40.0
+    lo, hi = max(0, int(nbar - reach)), int(nbar + reach)
+    ns = np.arange(lo, hi + 1)
+    # Poisson weights relative to the mode, summed outward from it:
+    # log p_n - log p_(n-1) = log(nbar / n).  Beyond 20 standard deviations
+    # the mass is below e^-200, so normalizing over the window is exact.
+    steps = np.log(nbar / ns[1:])
+    at = mode - lo
+    log_probs = np.zeros(ns.size)
+    log_probs[at + 1 :] = np.cumsum(steps[at:])
+    log_probs[:at] = -np.cumsum(steps[:at][::-1])[::-1]
+    probs = np.exp(log_probs)
+    probs /= probs.sum()
+    # drop the smallest weights while the discarded mass stays below the bound
+    order = np.argsort(probs, kind="stable")
+    kept = order[int(np.searchsorted(np.cumsum(probs[order]), tail_bound)) :]
+    first, last = int(kept.min()), int(kept.max())
+    tail = float(probs[:first].sum() + probs[last + 1 :].sum())
+    kept_ns = ns[first : last + 1]
+    amplitudes = int(kept_ns.sum()) + kept_ns.size  # n + 1 per block
+    if amplitudes > _MAX_AMPLITUDES:
+        raise DomainError(_over_budget(nbar, amplitudes))
+    amps = np.sqrt(probs[first : last + 1]) * np.exp(1j * coherent_phase * kept_ns)
+    amps /= math.sqrt(float(np.vdot(amps, amps).real))
     components = {}
-    for n in range(keep + 1):
+    for n, amp in zip(kept_ns.tolist(), amps):
         vec = np.zeros(n + 1, dtype=complex)
-        vec[0] = amps[n]
+        vec[0] = amp
         components[n] = vec
     return TwoModeState(components, Frame.AT_INPUT, "coherent", truncation_tail=tail)
+
+
+def _over_budget(nbar: float, amplitudes: int) -> str:
+    return (
+        f"coherent state at nbar = {nbar!r} needs {amplitudes} amplitudes, "
+        f"over the budget of {_MAX_AMPLITUDES}"
+    )
 
 
 def single_fock_input(n_total: int) -> TwoModeState:

@@ -53,9 +53,10 @@ __all__ = [
 ]
 
 # Upper bound on the bytes of cached J_y eigensystems.  One block at
-# 2j = 1000 takes 8 MB.  A coherent state touches every block up to about
-# nbar + 7 sqrt(nbar), so the budget holds that whole working set up to
-# nbar ~ 250 while large-N sweeps stay far from the GB range.
+# 2j = 1000 takes 8 MB, so the budget holds every block up to 2j ~ 360, or
+# about 16 blocks at 2j = 1000, while large-N sweeps stay far from the GB
+# range.  Coherent and single-Fock states build no eigensystem: detection
+# reads their row-0 blocks from the binomial closed form.
 _EIGEN_CACHE_BYTES = 128 * 2**20
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import math
+import tracemalloc
 
 import pytest
 
@@ -243,6 +244,21 @@ def test_non_finite_phi_exit_code(capsys):
     captured = capsys.readouterr()
     assert "finite" in captured.err
     assert captured.out == ""
+
+
+def test_oversized_coherent_state_exit_code(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--state", "coherent", "--n-min", "1000000",
+                     "--n-max", "1000000", "--phi", "0.1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "budget" in captured.err
+    assert captured.out == ""
+    assert peak < 8 * 2**20
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

@@ -33,7 +33,7 @@ from mzparity import (
     yuen_input,
     yurke_input,
 )
-from mzparity import detection
+from mzparity import detection, wigner
 from mzparity.detection import _extrapolate_limit, _limit_from_spectrum, _phi_ladder
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -534,3 +534,75 @@ def test_bool_is_not_a_photon_number():
                 fn(label, True, 0.1)
         with pytest.raises(DomainError):
             closed_form_uncertainty_limit(label, True)
+
+
+def _eigen_projection(state):
+    """At-input weights with every block projected on its J_y eigensystem."""
+    top = max(state.components)
+    weights = np.zeros(2 * top + 1, dtype=complex)
+    for two_j, vec in state.components.items():
+        _, basis = wigner._jy_eigensystem(two_j)
+        plain = (wigner._I_POWERS[np.arange(two_j + 1) % 4] * vec) @ basis
+        weights[top - two_j : top + two_j + 1 : 2] += np.conj(plain[::-1]) * plain
+    return weights
+
+
+@pytest.mark.parametrize(
+    "label,n",
+    [("coherent", nbar) for nbar in (0.5, 9, 150, 400)]
+    + [("single-fock", n) for n in (1, 2, 7, 300, 2200)],
+)
+def test_row_zero_blocks_match_eigensystem_projection(label, n):
+    state = make_state(label, n)
+    weights, _ = detection._spectrum(state)
+    assert np.abs(weights - _eigen_projection(state)).max() <= 1e-15
+
+
+def test_row_zero_rule_in_a_mixed_state(monkeypatch):
+    rng = np.random.default_rng(11)
+    blocks = {}
+    for two_j in (0, 3, 5, 6, 8, 9):
+        blocks[two_j] = np.zeros(two_j + 1, dtype=complex)
+        blocks[two_j][0] = rng.standard_normal() + 1j * rng.standard_normal()
+    for two_j in (5, 8):  # general blocks, one with row 0 occupied too
+        blocks[two_j][2:] = rng.standard_normal(two_j - 1)
+    blocks[5][0] = 0.0
+    norm = math.sqrt(sum(np.vdot(v, v).real for v in blocks.values()))
+    state = TwoModeState({k: v / norm for k, v in blocks.items()}, Frame.AT_INPUT, "mixed")
+    want = _eigen_projection(state)
+    built = []
+    original = detection._jy_eigensystem
+
+    def counting(two_j):
+        built.append(two_j)
+        return original(two_j)
+
+    monkeypatch.setattr(detection, "_jy_eigensystem", counting)
+    weights, _ = detection._spectrum(state)
+    assert sorted(built) == [5, 8]
+    assert np.abs(weights - want).max() <= 1e-15
+
+
+def test_coherent_and_single_fock_need_no_eigensystem(monkeypatch):
+    def refuse(two_j):
+        raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
+
+    monkeypatch.setattr(detection, "_jy_eigensystem", refuse)
+    monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
+    coherent = coherent_input(1000.0)
+    assert phase_uncertainty_limit(coherent) * math.sqrt(1000.0) == pytest.approx(
+        1.0, rel=0.0, abs=1e-12
+    )
+    single = single_fock_input(2000)
+    assert phase_uncertainty_limit(single) * math.sqrt(2000.0) == pytest.approx(
+        1.0, rel=0.0, abs=1e-12
+    )
+    for state, size in ((coherent, 1000.0), (single, 2000)):
+        label = state.label
+        result = phase_uncertainty(state, 0.01)
+        assert result.expectation == pytest.approx(
+            closed_form_expectation(label, size, 0.01), rel=1e-11
+        )
+        assert result.derivative == pytest.approx(
+            closed_form_derivative(label, size, 0.01), rel=1e-11
+        )

