@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 
 from . import detection
 from .detection import benchmark_limits
-from .errors import DomainError, MzParityError, NumericalLimitError
+from .errors import DomainError, MzParityError
+from .interferometer import apply_phase_shifter
 from .states import (
     STATE_LABELS,
     CombinedStateParams,
@@ -162,13 +163,31 @@ def build_state(
     raise DomainError(f"unknown state label {label!r}")
 
 
-def _limit_for(label: str, n: int, state: TwoModeState) -> float:
-    # The true phi -> 0 limit of the sign-definite parity observable
-    # diverges for the berry-wiseman family; the quoted finite limit
-    # belongs to the sign-adjusted readout, so that route is used here.
+def _limit_for(label: str, state: TwoModeState) -> float:
+    # The berry-wiseman state gives a flat parity signal at phi = 0, so its
+    # phi -> 0 limit diverges.  Its finite limit belongs to parity
+    # detection behind a pi/2 bias, where it equals 1/(2 Delta J_z), the
+    # quantum Cramer-Rao bound; the engine computes it there.
     if label == "berry-wiseman":
-        return detection.closed_form_uncertainty_limit(label, n)
+        state = apply_phase_shifter(state, math.pi / 2.0)
     return detection.phase_uncertainty_limit(state)
+
+
+def _point_record(n: int, state: TwoModeState, phi: float) -> SweepRecord:
+    """The fixed-phi observables of one state, with the reference scales at N."""
+    result = detection.phase_uncertainty(state, phi)
+    limits = benchmark_limits(n)
+    return SweepRecord(
+        n_total=n,
+        delta_phi=result.delta_phi,
+        shot_noise=limits.shot_noise,
+        heisenberg=limits.heisenberg,
+        bw_povm=limits.bw_povm,
+        phi=result.phi,
+        expectation_at_phi=result.expectation,
+        derivative=result.derivative,
+        variance=result.variance,
+    )
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -180,32 +199,19 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         except _ParityMismatch as exc:
             print(f"warning: {exc}", file=sys.stderr)
             continue
-        limits = benchmark_limits(n)
         if config.phi_mode == "limit":
+            limits = benchmark_limits(n)
             records.append(
                 SweepRecord(
                     n_total=n,
-                    delta_phi=_limit_for(config.state_label, n, state),
+                    delta_phi=_limit_for(config.state_label, state),
                     shot_noise=limits.shot_noise,
                     heisenberg=limits.heisenberg,
                     bw_povm=limits.bw_povm,
                 )
             )
         else:
-            result = detection.phase_uncertainty(state, config.phi)
-            records.append(
-                SweepRecord(
-                    n_total=n,
-                    delta_phi=result.delta_phi,
-                    shot_noise=limits.shot_noise,
-                    heisenberg=limits.heisenberg,
-                    bw_povm=limits.bw_povm,
-                    phi=result.phi,
-                    expectation_at_phi=result.expectation,
-                    derivative=result.derivative,
-                    variance=result.variance,
-                )
-            )
+            records.append(_point_record(n, state, config.phi))
     return records
 
 
@@ -292,7 +298,7 @@ def reproduce_table(output_path: str) -> list[dict]:
     rows = []
     for index, label, fock, n_row, closed, note in plan:
         state = build_state(label, n_row)
-        computed = _limit_for(label, n_row, state)
+        computed = _limit_for(label, state)
         rows.append(
             {
                 "row": index,
@@ -373,7 +379,7 @@ def _fig4_payload() -> str:
             "N": n,
             "modified_yuen": None,
             "pezze_smerzi": None,
-            "berry_wiseman": detection.closed_form_uncertainty_limit("berry-wiseman", n),
+            "berry_wiseman": _limit_for("berry-wiseman", berry_wiseman_internal(n)),
             "shot_noise": limits.shot_noise,
             "heisenberg": limits.heisenberg,
             "bw_povm": limits.bw_povm,
@@ -556,19 +562,7 @@ def _cmd_expectation(args: argparse.Namespace) -> int:
     if config.phi_mode == "limit":
         raise DomainError("expectation reports a fixed-phi point; use sweep --limit")
     state = build_state(config.state_label, config.n_min, config.combined_params)
-    result = detection.phase_uncertainty(state, config.phi)
-    limits = benchmark_limits(config.n_min)
-    record = SweepRecord(
-        n_total=config.n_min,
-        delta_phi=result.delta_phi,
-        shot_noise=limits.shot_noise,
-        heisenberg=limits.heisenberg,
-        bw_povm=limits.bw_povm,
-        phi=result.phi,
-        expectation_at_phi=result.expectation,
-        derivative=result.derivative,
-        variance=result.variance,
-    )
+    record = _point_record(config.n_min, state, config.phi)
     _write_records([record], config.output_path, config.format)
     return 0
 
@@ -588,9 +582,6 @@ def main(argv: list[str] | None = None) -> int:
             emit_figure_data(args.figure_id, args.out)
             return 0
         parser.error(f"unknown command {args.command!r}")
-    except NumericalLimitError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -47,7 +47,7 @@ from .errors import ConsistencyError, DomainError, NumericalLimitError
 from .halfint import HalfInt
 from .interferometer import _finite_phase, q_apply
 from .states import CombinedStateParams, Frame, TwoModeState
-from .wigner import _I_POWERS, _jy_eigensystem, _times_real, d_derivative, d_element
+from .wigner import _project, d_derivative, d_element
 
 __all__ = [
     "BenchmarkLimits",
@@ -72,12 +72,13 @@ _DERIVATIVE_FLOOR = 1e-14
 _TAYLOR_ORDER = 8
 _ZERO_TOL = 1e-11
 
-# Families whose quoted closed form is known to deviate from the engine
-# (and from the oracle) by more than roundoff: the optimal-state formula
-# flips the sign of every odd-nu term, and the combined-state cross term
-# freezes the rotation argument and drops the N pi/4 phase offset.  The
-# engine is authoritative for both; the quoted forms are still evaluated
-# verbatim for comparison and figure reproduction.
+# Families whose quoted closed form deviates from the engine (and from the
+# oracle) at equal phi by more than roundoff.  The optimal-state formula
+# flips the sign of every odd-nu term, which is the engine's <P> at
+# phi + pi/2: parity detection behind a pi/2 bias, the readout the CLI
+# limits use.  The combined-state cross term freezes the rotation argument
+# and drops the N pi/4 phase offset.  The engine is authoritative for
+# both; the quoted forms are still evaluated verbatim for comparison.
 DISCREPANT_CLOSED_FORMS = frozenset({"berry-wiseman", "combined"})
 
 
@@ -161,10 +162,7 @@ def _spectrum(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
             if not np.count_nonzero(vec[1:]):
                 row_zero[two_j] = abs(vec[0]) ** 2
                 continue
-            rows = np.flatnonzero(vec)
-            _, basis = _jy_eigensystem(two_j)
-            # <e_k|psi> = sum_r i^r V[r, k] psi_r
-            plain = _times_real(_I_POWERS[rows % 4] * vec[rows], basis[rows])
+            plain = _project(two_j, vec)
             weights[grid] += np.conj(plain[::-1]) * plain
         else:
             weights[grid] += np.conj(vec) * q_apply(two_j, vec)

@@ -9,8 +9,7 @@ class DomainError(MzParityError, ValueError):
     """An argument is outside its physical or numerical domain.
 
     Raised for wrong photon-number parity, magnetic numbers outside
-    [-j, j], negative factorial arguments, malformed half-integers and
-    similar contract violations.
+    [-j, j], malformed half-integers and similar contract violations.
     """
 
 

@@ -18,10 +18,11 @@ eigenvectors come in exact parity mirror pairs: D V = V[:, ::-1] with
 D = diag((-1)^r), which the detection layer uses to project each block
 once.
 
-``_rotate`` applies exp(-i theta J_y) to a vector in two O(n^2) products;
-``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L) V^T] on
-demand; ``d_element`` and ``d_derivative`` read one entry of it, or of
-its theta derivative, in O(n).
+``_project`` reads a vector's components on the J_y eigenvectors from its
+nonzero rows; ``_rotate`` applies exp(-i theta J_y) to a vector in two
+products; ``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L)
+V^T] on demand; ``d_element`` and ``d_derivative`` read one entry of it,
+or of its theta derivative, in O(n).
 
 Accuracy is absolute through 2j = 1000: about 1e-14 per element and
 1e-12 per derivative, so elements below that (far corners of large
@@ -35,7 +36,6 @@ evicts least-recently-used blocks; no per-angle result is cached.
 from __future__ import annotations
 
 import math
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -49,7 +49,6 @@ __all__ = [
     "d_block",
     "d_derivative",
     "d_element",
-    "log_factorial",
 ]
 
 # Upper bound on the bytes of cached J_y eigensystems.  One block at
@@ -60,17 +59,6 @@ __all__ = [
 _EIGEN_CACHE_BYTES = 128 * 2**20
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4
-
-
-def log_factorial(n: int) -> float:
-    """Natural log of n! for non-negative integer n."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"log_factorial needs an integer, got {n!r}") from None
-    if n < 0:
-        raise DomainError(f"log_factorial undefined for negative n = {n}")
-    return math.lgamma(n + 1)
 
 
 def _validated_indices(j, mu_p, mu) -> tuple[int, int, int]:
@@ -186,17 +174,29 @@ def _times_real(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left @ right.real + 1j * (left @ right.imag)
 
 
+def _project(two_j: int, vec: np.ndarray) -> np.ndarray:
+    """<e_k|psi> = sum_r i^r V[r, k] psi_r over the J_y eigenvectors e_k.
+
+    Only the nonzero rows of vec are read, so a block with a few occupied
+    rows costs a few rows of V, not all of it.
+    """
+    _, basis = _jy_eigensystem(two_j)
+    rows = np.flatnonzero(vec)
+    if rows.size < basis.shape[0]:  # a dense block reads V in place, not a copy
+        basis = basis[rows]
+    return _times_real(_I_POWERS[rows % 4] * vec[rows], basis)
+
+
 def _rotate(two_j: int, vec: np.ndarray, theta: float) -> np.ndarray:
     """exp(-i theta J_y) applied to one block vector.
 
-    Two O(n^2) products against the cached eigensystem: project onto the
-    J_y eigenbasis, advance each component by exp(-i theta lambda_k), and
-    map back.
+    Two products against the cached eigensystem: project onto the J_y
+    eigenbasis, advance each component by exp(-i theta lambda_k), and map
+    back.
     """
     lam, basis = _jy_eigensystem(two_j)
-    phases = _I_POWERS[np.arange(two_j + 1) % 4]
-    coeffs = _times_real(phases * vec, basis) * np.exp(-1j * theta * lam)
-    return np.conj(phases) * _times_real(basis, coeffs)
+    coeffs = _project(two_j, vec) * np.exp(-1j * theta * lam)
+    return np.conj(_I_POWERS[np.arange(two_j + 1) % 4]) * _times_real(basis, coeffs)
 
 
 def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:

@@ -5,16 +5,19 @@ import logging
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mzparity import (
     CombinedStateParams,
     NumericalLimitError,
+    berry_wiseman_internal,
     combined_input,
     dual_fock_input,
     phase_uncertainty,
     phase_uncertainty_limit,
 )
+from mzparity import detection
 from mzparity import states as states_module
 from mzparity.cli import (
     DEFAULT_PHI,
@@ -280,6 +283,45 @@ def test_run_sweep_api_matches_library():
     (record,) = run_sweep(config)
     assert record.delta_phi == phase_uncertainty_limit(dual_fock_input(2))
     assert record.phi is None
+
+
+def _berry_wiseman_bound(n):
+    """1/(2 Delta J_z) from the state's amplitudes C_mu, mu = N/2 ... -N/2."""
+    probs = np.abs(berry_wiseman_internal(n).block(n)) ** 2
+    mu = 0.5 * n - np.arange(n + 1)
+    return 0.5 / math.sqrt(probs @ mu**2 - (probs @ mu) ** 2)
+
+
+def test_berry_wiseman_limit_is_the_quantum_cramer_rao_bound():
+    records = run_sweep(SweepConfig("berry-wiseman", 1, 200, phi_mode="limit"))
+    records += run_sweep(SweepConfig("berry-wiseman", 1000, 1000, phi_mode="limit"))
+    assert [record.n_total for record in records] == list(range(1, 201)) + [1000]
+    for record in records:
+        bound = _berry_wiseman_bound(record.n_total)
+        assert record.delta_phi == pytest.approx(bound, rel=1e-13, abs=0.0)
+
+
+def test_cli_outputs_need_no_closed_form(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI evaluated a quoted closed form")
+
+    patched = [name for name in dir(detection) if name.startswith("closed_form_")]
+    assert len(patched) >= 5
+    for name in patched:
+        monkeypatch.setattr(detection, name, refuse)
+    fig4, table, sweep = (tmp_path / name for name in ("fig4.csv", "table.csv", "bw.csv"))
+    assert main(["figure", "fig4", "--out", str(fig4)]) == 0
+    assert main(["table", "--out", str(table)]) == 0
+    assert main(
+        ["sweep", "--state", "berry-wiseman", "--n-min", "1", "--n-max", "60",
+         "--limit", "--out", str(sweep)]
+    ) == 0
+    for row in parse_csv(fig4.read_text()):
+        want = _berry_wiseman_bound(int(row["N"]))
+        assert float(row["berry_wiseman"]) == pytest.approx(want, rel=1e-13, abs=0.0)
+    (row,) = [row for row in parse_csv(table.read_text()) if row["state_label"] == "berry-wiseman"]
+    assert float(row["computed"]) == pytest.approx(_berry_wiseman_bound(8), rel=1e-13, abs=0.0)
+    assert len(parse_csv(sweep.read_text())) == 60
 
 
 def test_table_contents(tmp_path):

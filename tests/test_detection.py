@@ -166,6 +166,16 @@ def test_berry_wiseman_quoted_form_disagrees_with_engine():
     assert engine == pytest.approx(bruteforce_parity_expectation(state, phi), abs=1e-12)
 
 
+def test_berry_wiseman_quoted_form_is_parity_at_a_quarter_turn_bias():
+    # flipping the sign of every odd-nu term is a pi/2 phase bias
+    for n in range(1, 101):
+        state = berry_wiseman_internal(n)
+        for phi in (0.0, 1e-3, 0.3, 1.3):
+            quoted = closed_form_expectation("berry-wiseman", n, phi)
+            engine = parity_expectation(state, phi + math.pi / 2.0)
+            assert engine == pytest.approx(quoted, rel=0.0, abs=1e-14)
+
+
 def test_combined_quoted_form_disagrees_with_engine():
     params = CombinedStateParams(SQ2, SQ2, 0.0)
     state = combined_input(8, params)
@@ -571,13 +581,13 @@ def test_row_zero_rule_in_a_mixed_state(monkeypatch):
     state = TwoModeState({k: v / norm for k, v in blocks.items()}, Frame.AT_INPUT, "mixed")
     want = _eigen_projection(state)
     built = []
-    original = detection._jy_eigensystem
+    original = wigner._jy_eigensystem
 
     def counting(two_j):
         built.append(two_j)
         return original(two_j)
 
-    monkeypatch.setattr(detection, "_jy_eigensystem", counting)
+    monkeypatch.setattr(wigner, "_jy_eigensystem", counting)
     weights, _ = detection._spectrum(state)
     assert sorted(built) == [5, 8]
     assert np.abs(weights - want).max() <= 1e-15
@@ -587,7 +597,6 @@ def test_coherent_and_single_fock_need_no_eigensystem(monkeypatch):
     def refuse(two_j):
         raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
 
-    monkeypatch.setattr(detection, "_jy_eigensystem", refuse)
     monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
     coherent = coherent_input(1000.0)
     assert phase_uncertainty_limit(coherent) * math.sqrt(1000.0) == pytest.approx(

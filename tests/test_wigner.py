@@ -27,7 +27,7 @@ from mzparity import (
     noon_input,
 )
 from mzparity import wigner
-from mzparity.wigner import _eigen_d_block, log_factorial
+from mzparity.wigner import _eigen_d_block
 
 
 def _series(two_j: int, two_mp: int, two_m: int, theta: float):
@@ -298,13 +298,6 @@ def test_domain_validation():
         d_element(-1, 0, 0, 0.5)
     with pytest.raises(DomainError):
         d_element(0.3, 0.3, 0.3, 0.5)  # not half-integers
-    with pytest.raises(DomainError):
-        log_factorial(-1)
-
-
-def test_log_factorial_agrees_with_lgamma():
-    for n in (0, 1, 2, 17, 120, 400):
-        assert log_factorial(n) == pytest.approx(math.lgamma(n + 1), rel=1e-15)
 
 
 @given(
