@@ -1,5 +1,14 @@
 """Command-line surface: sweeps, reference-table and figure-data emission.
 
+Every number takes one route.  ``build_state`` looks the family label up
+in one label -> constructor table, after the parity check that
+``states.parity_needed`` gives; then ``_limit_for`` yields the phi -> 0
+limit, or ``_record`` yields one output row at N, the limit when phi is
+None and the fixed-phi observables otherwise.  Sweeps and ``expectation``
+write those records; the table and the fig3/fig4 curves are limits, where
+a family outside its parity class leaves an empty cell (a warning and a
+skipped row in a sweep).
+
 Output is deterministic: a fixed config produces byte-identical files.
 Floats are written with 17 significant digits so CSV round-trips exactly;
 infinities appear as "inf" and absent optional fields as empty cells.
@@ -31,6 +40,7 @@ from .states import (
     dual_fock_input,
     noon_input,
     noon_internal,
+    parity_needed,
     pezze_smerzi_input,
     single_fock_input,
     yuen_input,
@@ -48,9 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_PHI = 1e-4
-
-_EVEN_FAMILIES = frozenset({"dual-fock", "yurke", "pezze-smerzi", "combined"})
-_ODD_FAMILIES = frozenset({"yuen", "modified-yuen"})
 
 _CSV_COLUMNS = (
     "N",
@@ -126,41 +133,34 @@ class SweepRecord:
         }
 
 
+# label -> constructor at total photon number n.  Each entry looks its
+# constructor up when called, so a traced run that patches these module
+# globals sees every call.
+_FAMILIES = {
+    "coherent": lambda n, params: coherent_input(float(n)),
+    "single-fock": lambda n, params: single_fock_input(n),
+    "dual-fock": lambda n, params: dual_fock_input(n // 2),
+    "yurke": lambda n, params: yurke_input(n),
+    "yuen": lambda n, params: yuen_input(n, modified=False),
+    "modified-yuen": lambda n, params: yuen_input(n, modified=True),
+    "pezze-smerzi": lambda n, params: pezze_smerzi_input(n),
+    "noon": lambda n, params: noon_input(n),
+    "noon-internal": lambda n, params: noon_internal(n),
+    "berry-wiseman": lambda n, params: berry_wiseman_internal(n),
+    "combined": lambda n, params: combined_input(n, params or CombinedStateParams()),
+}
+
+
 def build_state(
     label: str, n: int, params: CombinedStateParams | None = None
 ) -> TwoModeState:
     """Construct the named family at total photon number n."""
-    if label in _EVEN_FAMILIES and n % 2 != 0:
-        raise _ParityMismatch(f"{label} is defined for even N; N={n} skipped")
-    if label in _ODD_FAMILIES and n % 2 != 1:
-        raise _ParityMismatch(f"{label} is defined for odd N; N={n} skipped")
-    if label == "coherent":
-        return coherent_input(float(n))
-    if label == "single-fock":
-        return single_fock_input(n)
-    if label == "dual-fock":
-        return dual_fock_input(n // 2)
-    if label == "yurke":
-        return yurke_input(n)
-    if label == "yuen":
-        return yuen_input(n, modified=False)
-    if label == "modified-yuen":
-        return yuen_input(n, modified=True)
-    if label == "pezze-smerzi":
-        return pezze_smerzi_input(n)
-    if label == "noon":
-        return noon_input(n)
-    if label == "noon-internal":
-        return noon_internal(n)
-    if label == "berry-wiseman":
-        return berry_wiseman_internal(n)
-    if label == "combined":
-        if params is None:
-            params = CombinedStateParams(
-                1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0
-            )
-        return combined_input(n, params)
-    raise DomainError(f"unknown state label {label!r}")
+    need = parity_needed(label, n)
+    if need is not None:
+        raise _ParityMismatch(f"{label} is defined for {need} N; N={n} skipped")
+    if label not in _FAMILIES:
+        raise DomainError(f"unknown state label {label!r}")
+    return _FAMILIES[label](n, params)
 
 
 def _limit_for(label: str, state: TwoModeState) -> float:
@@ -173,45 +173,43 @@ def _limit_for(label: str, state: TwoModeState) -> float:
     return detection.phase_uncertainty_limit(state)
 
 
-def _point_record(n: int, state: TwoModeState, phi: float) -> SweepRecord:
-    """The fixed-phi observables of one state, with the reference scales at N."""
-    result = detection.phase_uncertainty(state, phi)
+def _record(
+    label: str, n: int, params: CombinedStateParams | None, phi: float | None
+) -> SweepRecord:
+    """One output row at N: the phi -> 0 limit if phi is None, else the fixed-phi point."""
+    state = build_state(label, n, params)
+    point = {}
+    if phi is None:
+        delta_phi = _limit_for(label, state)
+    else:
+        result = detection.phase_uncertainty(state, phi)
+        delta_phi = result.delta_phi
+        point = {
+            "phi": result.phi,
+            "expectation_at_phi": result.expectation,
+            "derivative": result.derivative,
+            "variance": result.variance,
+        }
     limits = benchmark_limits(n)
     return SweepRecord(
         n_total=n,
-        delta_phi=result.delta_phi,
+        delta_phi=delta_phi,
         shot_noise=limits.shot_noise,
         heisenberg=limits.heisenberg,
         bw_povm=limits.bw_povm,
-        phi=result.phi,
-        expectation_at_phi=result.expectation,
-        derivative=result.derivative,
-        variance=result.variance,
+        **point,
     )
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per valid N; invalid parity class is skipped with a warning."""
+    phi = None if config.phi_mode == "limit" else config.phi
     records: list[SweepRecord] = []
     for n in range(config.n_min, config.n_max + 1):
         try:
-            state = build_state(config.state_label, n, config.combined_params)
+            records.append(_record(config.state_label, n, config.combined_params, phi))
         except _ParityMismatch as exc:
             print(f"warning: {exc}", file=sys.stderr)
-            continue
-        if config.phi_mode == "limit":
-            limits = benchmark_limits(n)
-            records.append(
-                SweepRecord(
-                    n_total=n,
-                    delta_phi=_limit_for(config.state_label, state),
-                    shot_noise=limits.shot_noise,
-                    heisenberg=limits.heisenberg,
-                    bw_povm=limits.bw_povm,
-                )
-            )
-        else:
-            records.append(_point_record(n, state, config.phi))
     return records
 
 
@@ -254,11 +252,8 @@ def _emit(payload: str, output_path: str) -> None:
 
 
 def _write_records(records: list[SweepRecord], output_path: str, fmt: str) -> None:
-    rows = [record.row() for record in records]
-    if fmt == "json":
-        _emit(_json_payload(_CSV_COLUMNS, rows), output_path)
-    else:
-        _emit(_csv_payload(_CSV_COLUMNS, rows), output_path)
+    payload = _json_payload if fmt == "json" else _csv_payload
+    _emit(payload(_CSV_COLUMNS, [record.row() for record in records]), output_path)
 
 
 _TABLE_HEADER = (
@@ -331,69 +326,53 @@ def _fig2_payload() -> str:
     return _csv_payload(("two_mu", "re", "im", "abs"), rows)
 
 
-_FIG3_COMBOS = (
-    ("combined_23_0", 2.0 / 3.0, 0.0),
-    ("combined_13_0", 1.0 / 3.0, 0.0),
-    ("combined_12_0", 0.5, 0.0),
-    ("combined_12_pi", 0.5, math.pi),
-    ("combined_12_pi4", 0.5, math.pi / 4.0),
-)
+def _limit_curves(ns: range, curves: list[tuple], references: tuple[str, ...]) -> str:
+    """CSV of phi -> 0 limits, one row per N and one column per curve.
+
+    Each curve is (column, label, params); the named ``benchmark_limits``
+    fields follow.  A family outside its parity class at N leaves its cell
+    empty.
+    """
+    header = ("N",) + tuple(column for column, _, _ in curves) + references
+    rows = []
+    for n in ns:
+        row: dict = {"N": n}
+        for column, label, params in curves:
+            try:
+                row[column] = _limit_for(label, build_state(label, n, params))
+            except _ParityMismatch:
+                pass
+        limits = benchmark_limits(n)
+        row.update((name, getattr(limits, name)) for name in references)
+        rows.append(row)
+    return _csv_payload(header, rows)
+
+
+def _combined_curve(column: str, alpha_sq: float, theta: float) -> tuple:
+    params = CombinedStateParams(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq), theta)
+    return column, "combined", params
 
 
 def _fig3_payload() -> str:
-    header = (
-        ("N", "dual_fock")
-        + tuple(name for name, _, _ in _FIG3_COMBOS)
-        + ("shot_noise", "heisenberg")
-    )
-    rows = []
-    for n in range(2, 101, 2):
-        limits = benchmark_limits(n)
-        row: dict = {"N": n}
-        row["dual_fock"] = detection.phase_uncertainty_limit(dual_fock_input(n // 2))
-        for name, alpha_sq, theta in _FIG3_COMBOS:
-            params = CombinedStateParams(
-                math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq), theta
-            )
-            row[name] = detection.phase_uncertainty_limit(combined_input(n, params))
-        row["shot_noise"] = limits.shot_noise
-        row["heisenberg"] = limits.heisenberg
-        rows.append(row)
-    return _csv_payload(header, rows)
+    curves = [
+        ("dual_fock", "dual-fock", None),
+        _combined_curve("combined_23_0", 2.0 / 3.0, 0.0),
+        _combined_curve("combined_13_0", 1.0 / 3.0, 0.0),
+        _combined_curve("combined_12_0", 0.5, 0.0),
+        _combined_curve("combined_12_pi", 0.5, math.pi),
+        _combined_curve("combined_12_pi4", 0.5, math.pi / 4.0),
+    ]
+    return _limit_curves(range(2, 101, 2), curves, ("shot_noise", "heisenberg"))
 
 
 def _fig4_payload() -> str:
-    header = (
-        "N",
-        "modified_yuen",
-        "pezze_smerzi",
-        "berry_wiseman",
-        "shot_noise",
-        "heisenberg",
-        "bw_povm",
-    )
-    rows = []
-    for n in range(2, 101):
-        limits = benchmark_limits(n)
-        row: dict = {
-            "N": n,
-            "modified_yuen": None,
-            "pezze_smerzi": None,
-            "berry_wiseman": _limit_for("berry-wiseman", berry_wiseman_internal(n)),
-            "shot_noise": limits.shot_noise,
-            "heisenberg": limits.heisenberg,
-            "bw_povm": limits.bw_povm,
-        }
-        if n % 2 == 1:
-            row["modified_yuen"] = detection.phase_uncertainty_limit(
-                yuen_input(n, modified=True)
-            )
-        else:
-            row["pezze_smerzi"] = detection.phase_uncertainty_limit(
-                pezze_smerzi_input(n)
-            )
-        rows.append(row)
-    return _csv_payload(header, rows)
+    curves = [
+        ("modified_yuen", "modified-yuen", None),
+        ("pezze_smerzi", "pezze-smerzi", None),
+        ("berry_wiseman", "berry-wiseman", None),
+    ]
+    references = ("shot_noise", "heisenberg", "bw_povm")
+    return _limit_curves(range(2, 101), curves, references)
 
 
 def emit_figure_data(figure_id: str, output_path: str) -> None:
@@ -431,16 +410,38 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# config key -> type; the other keys stay strings
+_CONFIG_TYPES = {
+    "n_min": int,
+    "n_max": int,
+    "phi": float,
+    "alpha": float,
+    "beta": float,
+    "theta": float,
+}
+
+# sweep flag -> config key; --limit sets phi_mode, and so does --phi
+_FLAG_KEYS = {
+    "state": "state_label",
+    "n_min": "n_min",
+    "n_max": "n_max",
+    "phi": "phi",
+    "out": "output_path",
+    "format": "format",
+    "alpha": "alpha",
+    "beta": "beta",
+    "theta": "theta",
+}
+
+# combined-state config key -> CombinedStateParams field
+_COMBINED_FIELDS = {"alpha": "alpha_mag", "beta": "beta_mag", "theta": "theta"}
+
+
 def _coerce_config(values: dict[str, str]) -> dict:
     out: dict = {}
     for key, value in values.items():
         try:
-            if key in ("n_min", "n_max"):
-                out[key] = int(value)
-            elif key in ("phi", "alpha", "beta", "theta"):
-                out[key] = float(value)
-            else:
-                out[key] = value
+            out[key] = _CONFIG_TYPES.get(key, str)(value)
         except ValueError as exc:
             raise DomainError(f"config key {key!r}: bad value {value!r}") from exc
     return out
@@ -450,27 +451,13 @@ def _merge_sweep_config(args: argparse.Namespace) -> SweepConfig:
     settings: dict = {}
     if args.config:
         settings.update(_coerce_config(_parse_config_file(args.config)))
-    if args.state is not None:
-        settings["state_label"] = args.state
-    if args.n_min is not None:
-        settings["n_min"] = args.n_min
-    if args.n_max is not None:
-        settings["n_max"] = args.n_max
     if args.phi is not None and args.limit:
         raise DomainError("--phi and --limit are mutually exclusive")
-    if args.limit:
-        settings["phi_mode"] = "limit"
-    elif args.phi is not None:
-        settings["phi_mode"] = "fixed"
-        settings["phi"] = args.phi
-    if args.out is not None:
-        settings["output_path"] = args.out
-    if args.format is not None:
-        settings["format"] = args.format
-    for key in ("alpha", "beta", "theta"):
-        flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = flag
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag) is not None:
+            settings[key] = getattr(args, flag)
+    if args.limit or args.phi is not None:
+        settings["phi_mode"] = "limit" if args.limit else "fixed"
 
     if "state_label" not in settings:
         raise DomainError("missing state label (use --state or a config file)")
@@ -478,24 +465,20 @@ def _merge_sweep_config(args: argparse.Namespace) -> SweepConfig:
         raise DomainError("missing --n-min")
     settings.setdefault("n_max", settings["n_min"])
 
-    alpha = settings.pop("alpha", None)
-    beta = settings.pop("beta", None)
-    theta = settings.pop("theta", None)
-    params = None
-    if settings["state_label"] == "combined":
-        root_half = 1.0 / math.sqrt(2.0)
-        if alpha is None and beta is not None:
-            alpha = math.sqrt(max(1.0 - beta * beta, 0.0))
-        if beta is None and alpha is not None:
-            beta = math.sqrt(max(1.0 - alpha * alpha, 0.0))
-        params = CombinedStateParams(
-            alpha if alpha is not None else root_half,
-            beta if beta is not None else root_half,
-            theta if theta is not None else 0.0,
-        )
-    elif alpha is not None or beta is not None or theta is not None:
-        raise DomainError("--alpha/--beta/--theta apply only to the combined state")
-    return SweepConfig(combined_params=params, **settings)
+    given = {
+        field: settings.pop(key)
+        for key, field in _COMBINED_FIELDS.items()
+        if key in settings
+    }
+    if settings["state_label"] != "combined":
+        if given:
+            raise DomainError("--alpha/--beta/--theta apply only to the combined state")
+        return SweepConfig(**settings)
+    # one magnitude given: the other completes alpha^2 + beta^2 = 1
+    for known, other in (("beta_mag", "alpha_mag"), ("alpha_mag", "beta_mag")):
+        if known in given and other not in given:
+            given[other] = math.sqrt(max(1.0 - given[known] * given[known], 0.0))
+    return SweepConfig(combined_params=CombinedStateParams(**given), **settings)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -548,47 +531,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     config = _merge_sweep_config(args)
-    records = run_sweep(config)
-    _write_records(records, config.output_path, config.format)
-    return 0
+    _write_records(run_sweep(config), config.output_path, config.format)
 
 
-def _cmd_expectation(args: argparse.Namespace) -> int:
+def _cmd_expectation(args: argparse.Namespace) -> None:
     config = _merge_sweep_config(args)
     if config.n_min != config.n_max:
         raise DomainError("expectation takes a single N (n-min must equal n-max)")
     if config.phi_mode == "limit":
         raise DomainError("expectation reports a fixed-phi point; use sweep --limit")
-    state = build_state(config.state_label, config.n_min, config.combined_params)
-    record = _point_record(config.n_min, state, config.phi)
+    record = _record(config.state_label, config.n_min, config.combined_params, config.phi)
     _write_records([record], config.output_path, config.format)
-    return 0
+
+
+_COMMANDS = {
+    "sweep": _cmd_sweep,
+    "expectation": _cmd_expectation,
+    "table": lambda args: reproduce_table(args.out),
+    "figure": lambda args: emit_figure_data(args.figure_id, args.out),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "expectation":
-            return _cmd_expectation(args)
-        if args.command == "table":
-            reproduce_table(args.out)
-            return 0
-        if args.command == "figure":
-            emit_figure_data(args.figure_id, args.out)
-            return 0
-        parser.error(f"unknown command {args.command!r}")
+        _COMMANDS[args.command](args)
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except MzParityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MzParityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

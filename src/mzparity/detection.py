@@ -46,7 +46,13 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, NumericalLimitError
 from .halfint import HalfInt
 from .interferometer import _finite_phase, q_apply
-from .states import CombinedStateParams, Frame, TwoModeState
+from .states import (
+    CombinedStateParams,
+    Frame,
+    TwoModeState,
+    _positive_int,
+    parity_needed,
+)
 from .wigner import _project, d_derivative, d_element
 
 __all__ = [
@@ -179,14 +185,15 @@ def _parity_gaps(state: TwoModeState) -> tuple[float, float]:
     P is S at input and Q inside.  Both are sums of squares, so they keep
     full relative accuracy where 1 - <P> itself would cancel.
     """
-    vecs = state.components.values()
-    if state.frame is Frame.AT_INPUT:
-        # psi - S psi is twice the odd rows, psi + S psi twice the even rows
-        odd = np.concatenate([vec[1::2] for vec in vecs])
-        even = np.concatenate([vec[0::2] for vec in vecs])
-        return 2.0 * np.vdot(odd, odd).real, 2.0 * np.vdot(even, even).real
+    at_input = state.frame is Frame.AT_INPUT
     minus = plus = 0.0
     for two_j, vec in state.components.items():
+        if at_input:
+            # psi - S psi is twice the odd rows, psi + S psi twice the even rows
+            odd, even = vec[1::2], vec[0::2]
+            minus += 4.0 * np.vdot(odd, odd).real
+            plus += 4.0 * np.vdot(even, even).real
+            continue
         image = q_apply(two_j, vec)
         minus += np.vdot(vec - image, vec - image).real
         plus += np.vdot(vec + image, vec + image).real
@@ -383,20 +390,9 @@ def phase_uncertainty_limit(state: TwoModeState) -> float:
     )
 
 
-def _positive_count(n, what: str) -> int:
-    """n as a positive int; bools, non-finite and fractional values raise DomainError."""
-    try:
-        valid = not isinstance(n, bool) and math.isfinite(n) and n == int(n) and n >= 1
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise DomainError(f"{what} must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def benchmark_limits(n_total: int) -> BenchmarkLimits:
     """Shot-noise, Heisenberg, and optimal-POVM reference scales."""
-    n_total = _positive_count(n_total, "n_total")
+    n_total = _positive_int(n_total, "n_total")
     # tan(pi/4) rounds just below 1 in floats; the N = 2 value is exactly 1
     povm = 1.0 if n_total == 2 else math.tan(math.pi / (n_total + 2))
     return BenchmarkLimits(
@@ -407,16 +403,10 @@ def benchmark_limits(n_total: int) -> BenchmarkLimits:
     )
 
 
-def _require_parity(label: str, n: int, even: bool) -> None:
-    if n % 2 != (0 if even else 1):
-        need = "even" if even else "odd"
-        raise DomainError(f"{label} closed form needs {need} N, got {n}")
-
-
 def _closed_form_size(label: str, n) -> float | int:
     """The closed forms' photon number N, or nbar for ``coherent``, validated."""
     if label != "coherent":
-        return _positive_count(n, f"{label} closed form N")
+        return _positive_int(n, f"{label} closed form N")
     try:
         nbar = math.nan if isinstance(n, bool) else float(n)
     except (TypeError, ValueError, OverflowError):
@@ -444,6 +434,9 @@ def _closed_form_complex(
             )
         return complex(value * nbar * (-math.sin(2.0 * phi)) / (2.0 * envelope))
 
+    need = parity_needed(label, n)
+    if need is not None:
+        raise DomainError(f"{label} closed form needs {need} N, got {n}")
     j = 0.5 * n
     half = HalfInt(n)
 
@@ -454,7 +447,6 @@ def _closed_form_complex(
         return complex(j * u ** (j - 1.0) * (-math.sin(2.0 * phi)))
 
     if label == "dual-fock":
-        _require_parity(label, n, even=True)
         sign = (-1.0) ** (n // 2)
         zero = HalfInt(0)
         if not derivative:
@@ -462,7 +454,6 @@ def _closed_form_complex(
         return complex(sign * 2.0 * d_derivative(half, zero, zero, 2.0 * phi))
 
     if label == "yurke":
-        _require_parity(label, n, even=True)
         sign = (-1.0) ** (n // 2)
         zero, one = HalfInt(0), HalfInt(2)
         fn = d_derivative if derivative else d_element
@@ -475,11 +466,9 @@ def _closed_form_complex(
         return complex(0.5 * sign * scale * combo)
 
     if label == "yuen":
-        _require_parity(label, n, even=False)
         return 0j
 
     if label == "modified-yuen":
-        _require_parity(label, n, even=False)
         # i (-1)^j for half-integer j needs a branch; exp(-i pi j) makes
         # the prefactor real and matches both the engine and the oracle.
         prefactor = 1j * cmath.exp(-1j * math.pi * j)
@@ -489,7 +478,6 @@ def _closed_form_complex(
         return prefactor * scale * fn(half, up, down, 2.0 * phi)
 
     if label == "pezze-smerzi":
-        _require_parity(label, n, even=True)
         sign = (-1.0) ** (n // 2 + 1)
         one, minus = HalfInt(2), HalfInt(-2)
         fn = d_derivative if derivative else d_element
@@ -518,9 +506,7 @@ def _closed_form_complex(
         return complex(np.sum(terms))
 
     if label == "combined":
-        _require_parity(label, n, even=True)
-        if params is None:
-            params = CombinedStateParams(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
+        params = params or CombinedStateParams()
         sign = (-1.0) ** (n // 2)
         corner = d_element(half, half, HalfInt(0), 0.5 * math.pi)
         cross_weight = (

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .states import Frame, TwoModeState
+from .states import Frame, TwoModeState, _positive_int
 
 __all__ = [
     "DenseOperator",
@@ -62,9 +62,7 @@ class DenseOperator:
 
 
 def _validated_total(n_total: int) -> int:
-    if n_total != int(n_total) or n_total < 1:
-        raise DomainError(f"n_total must be a positive integer, got {n_total!r}")
-    n_total = int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     if n_total > MAX_ORACLE_PHOTONS:
         raise DomainError(
             f"oracle is capped at {MAX_ORACLE_PHOTONS} photons, got {n_total}"

@@ -24,6 +24,7 @@ from .wigner import d_element
 
 __all__ = [
     "CombinedStateParams",
+    "FAMILY_PARITY",
     "Frame",
     "STATE_LABELS",
     "TwoModeState",
@@ -34,6 +35,7 @@ __all__ = [
     "fidelity",
     "noon_input",
     "noon_internal",
+    "parity_needed",
     "pezze_smerzi_input",
     "single_fock_input",
     "yuen_input",
@@ -55,6 +57,26 @@ STATE_LABELS = (
     "berry-wiseman",
     "combined",
 )
+
+# The parity of N each family is defined for; families not listed take any N.
+FAMILY_PARITY = MappingProxyType(
+    {
+        "dual-fock": "even",
+        "yurke": "even",
+        "pezze-smerzi": "even",
+        "combined": "even",
+        "yuen": "odd",
+        "modified-yuen": "odd",
+    }
+)
+
+
+def parity_needed(label: str, n: int) -> str | None:
+    """The parity ("even" or "odd") family label needs if n lies outside it, else None."""
+    need = FAMILY_PARITY.get(label)
+    if need is None or n % 2 == (need == "odd"):
+        return None
+    return need
 
 
 class Frame(enum.Enum):
@@ -172,9 +194,9 @@ def _single_block(two_j: int, entries: dict[int, complex], frame: Frame, label: 
 # at most three copies of them at once (the vectors built here, the validated
 # copies and the concatenation that checks them), so a state at the budget
 # peaks near 384 MiB.  Detection builds no eigensystem for its row-0 blocks
-# and copies the amplitudes at most once more (the parity gaps near
-# phi = 0).  The two-sided window keeps about 14 sqrt(nbar) blocks of about
-# nbar amplitudes each, so the budget admits nbar up to 7011.
+# and copies no more than one block at a time.  The two-sided window keeps
+# about 14 sqrt(nbar) blocks of about nbar amplitudes each, so the budget
+# admits nbar up to 7011.
 _MAX_AMPLITUDES = 2**23
 
 
@@ -244,20 +266,20 @@ def _over_budget(nbar: float, amplitudes: int) -> str:
 
 def single_fock_input(n_total: int) -> TwoModeState:
     """|N>_a |0>_b: all photons in mode a, so mu = +j."""
-    n_total = _positive_int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     return _single_block(n_total, {0: 1.0 + 0j}, Frame.AT_INPUT, "single-fock")
 
 
 def dual_fock_input(n_per_mode: int) -> TwoModeState:
     """|N>_a |N>_b: equal occupation, mu = 0, total photon number 2N."""
-    n_per_mode = _positive_int(n_per_mode)
+    n_per_mode = _positive_int(n_per_mode, "n_per_mode")
     two_j = 2 * n_per_mode
     return _single_block(two_j, {n_per_mode: 1.0 + 0j}, Frame.AT_INPUT, "dual-fock")
 
 
 def noon_internal(n_total: int) -> TwoModeState:
     """(|N,0> + |0,N>)/sqrt(2) on the internal modes: mu = +j and -j."""
-    n_total = _positive_int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     amp = 1.0 / math.sqrt(2.0)
     return _single_block(
         n_total,
@@ -275,14 +297,14 @@ def noon_input(n_total: int) -> TwoModeState:
     """
     from .interferometer import apply_beam_splitter
 
-    n_total = _positive_int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     transformed = apply_beam_splitter(noon_internal(n_total), inverse=False)
     return TwoModeState(dict(transformed.components), Frame.AT_INPUT, "noon")
 
 
 def yurke_input(n_total: int) -> TwoModeState:
     """(|j,0> + |j,1>)/sqrt(2); needs integer j, so even N."""
-    n_total = _positive_int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 0:
         raise DomainError(f"yurke state needs even N (integer j), got {n_total}")
     j_index = n_total // 2
@@ -297,7 +319,7 @@ def yuen_input(n_total: int, modified: bool = False) -> TwoModeState:
 
     Needs half-integer j, so odd N.
     """
-    n_total = _positive_int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 1:
         raise DomainError(f"yuen state needs odd N (half-integer mu), got {n_total}")
     upper = (n_total - 1) // 2  # index of mu = +1/2
@@ -309,7 +331,7 @@ def yuen_input(n_total: int, modified: bool = False) -> TwoModeState:
 
 def pezze_smerzi_input(n_total: int) -> TwoModeState:
     """(|j,1> + |j,-1>)/sqrt(2); needs integer j >= 1, so even N >= 2."""
-    n_total = _positive_int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 0:
         raise DomainError(f"pezze-smerzi state needs even N, got {n_total}")
     j_index = n_total // 2
@@ -321,7 +343,7 @@ def pezze_smerzi_input(n_total: int) -> TwoModeState:
 
 def berry_wiseman_internal(n_total: int) -> TwoModeState:
     """Optimal internal state with C_mu = sin((mu+j+1)pi/(2j+2))/sqrt(j+1)."""
-    n_total = _positive_int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     i = np.arange(n_total + 1)
     # mu = j - i, so mu + j + 1 = N - i + 1 and 2j + 2 = N + 2
     amps = np.sin((n_total - i + 1.0) * math.pi / (n_total + 2.0)) / math.sqrt(
@@ -339,11 +361,12 @@ class CombinedStateParams:
     """Superposition weights for the combined NOON / dual-Fock input.
 
     theta is the relative phase theta_alpha - theta_beta; the magnitudes
-    must satisfy alpha_mag^2 + beta_mag^2 = 1.
+    must satisfy alpha_mag^2 + beta_mag^2 = 1.  The defaults are the even
+    superposition, 1/sqrt(2) each, at theta = 0.
     """
 
-    alpha_mag: float
-    beta_mag: float
+    alpha_mag: float = 1.0 / math.sqrt(2.0)
+    beta_mag: float = 1.0 / math.sqrt(2.0)
     theta: float = 0.0
 
     def __post_init__(self) -> None:
@@ -366,7 +389,7 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
     raised: the interference term's sign convention is checked against the
     construction, not trusted.
     """
-    n_total = _positive_int(n_total)
+    n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 0:
         raise DomainError(f"combined state needs even N (mu = 0 exists), got {n_total}")
     if not isinstance(params, CombinedStateParams):
@@ -417,13 +440,12 @@ def _combined_quoted_norm(n_total: int, params: CombinedStateParams) -> float | 
     return math.sqrt(radicand)
 
 
-def _positive_int(value) -> int:
-    if isinstance(value, bool):
-        raise DomainError(f"expected a positive integer, got {value!r}")
+def _positive_int(n, what: str) -> int:
+    """n as a positive int; bools, non-finite and fractional values raise DomainError."""
     try:
-        as_int = int(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"expected a positive integer, got {value!r}") from None
-    if as_int != value or as_int < 1:
-        raise DomainError(f"expected a positive integer, got {value!r}")
-    return as_int
+        valid = not isinstance(n, bool) and math.isfinite(n) and n == int(n) and n >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise DomainError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -615,3 +616,19 @@ def test_coherent_and_single_fock_need_no_eigensystem(monkeypatch):
         assert result.derivative == pytest.approx(
             closed_form_derivative(label, size, 0.01), rel=1e-11
         )
+
+
+def test_parity_gaps_copy_one_block_at_a_time():
+    # near phi = 0 the uncertainty reads 1 -+ <P>(0) off the odd and even
+    # rows; summing them block by block keeps the peak far below the
+    # 3.5M amplitudes of this state
+    state = coherent_input(4000.0)
+    tracemalloc.start()
+    try:
+        result = phase_uncertainty(state, 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # shot noise, up to the finite-phi correction of about nbar phi^2 / 4
+    assert result.delta_phi * math.sqrt(4000.0) == pytest.approx(1.0, abs=1e-6)
+    assert peak < 2 * 2**20

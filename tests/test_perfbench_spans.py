@@ -42,3 +42,25 @@ def test_recorder_wraps_every_layer_name_and_restores_it():
         recorder.uninstall()
     for (caller, name), original in before.items():
         assert getattr(importlib.import_module(caller), name, None) is original
+
+
+def test_traced_cli_sees_every_constructor_call(tmp_path):
+    # The CLI's family table must look each constructor up when it is
+    # called; a table that bound them at import time would hide every
+    # state construction from the traced benchmark.
+    from mzparity.cli import main
+
+    spans = load_spans()
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        code = main(["sweep", "--state", "noon", "--limit", "--n-min", "1",
+                     "--n-max", "5", "--out", str(tmp_path / "noon.csv")])
+    finally:
+        recorder.uninstall()
+    assert code == 0
+    metrics = spans.layer_metrics(recorder.spans)
+    # noon_input builds noon_internal and sends it through one beam splitter
+    assert metrics["states.calls"] == 10
+    assert metrics["interferometer.calls"] == 5
+    assert metrics["detection.limit.calls"] == 5

@@ -228,9 +228,13 @@ def test_mu_values_descending():
 
 
 def test_positive_int_rejections():
-    for bad in (0, -3, 2.5, "4", True):
+    for bad in (0, -3, 2.5, "4", True, math.inf, math.nan):
         with pytest.raises(DomainError):
             single_fock_input(bad)
+
+
+def test_combined_params_default_to_the_even_superposition():
+    assert CombinedStateParams() == CombinedStateParams(SQ2, SQ2, 0.0)
 
 
 def test_mean_photon_number_simple():
