@@ -157,7 +157,7 @@ def build_state(
     """Construct the named family at total photon number n."""
     need = parity_needed(label, n)
     if need is not None:
-        raise _ParityMismatch(f"{label} is defined for {need} N; N={n} skipped")
+        raise _ParityMismatch(f"{label} is defined for {need} N; N={n}")
     if label not in _FAMILIES:
         raise DomainError(f"unknown state label {label!r}")
     return _FAMILIES[label](n, params)
@@ -209,7 +209,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         try:
             records.append(_record(config.state_label, n, config.combined_params, phi))
         except _ParityMismatch as exc:
-            print(f"warning: {exc}", file=sys.stderr)
+            print(f"warning: {exc} skipped", file=sys.stderr)
     return records
 
 

@@ -1,6 +1,6 @@
 """Parity-detection observables and the error-propagation phase uncertainty.
 
-Every engine observable comes from one spectrum per state: weights w and
+Fixed-phi observables come from one spectrum per state: weights w and
 frequencies lam such that
 
     <P>(phi) = sum_k w_k exp(-2i phi lam_k).
@@ -18,12 +18,17 @@ row 0 of the eigenvectors squared is binomial; its weights are
 |psi_0|^2 C(2j, k) / 4^j at lam_k = k - j, and all such blocks join the
 grid in one pass.  For states inside the interferometer
 w = conj(psi) (Q psi) and lam = -mu, with no eigensystem at all.
-``parity_expectation`` and
-``parity_derivative`` are sums over that spectrum, ``phase_uncertainty``
-builds it once for both and takes Delta P from 1 -+ <P> without
-cancellation, and ``phase_uncertainty_limit`` reads the exact phi -> 0
-limit off its Taylor coefficients.  The engine is cross-checked against
-the brute-force Fock oracle.
+``parity_expectation`` and ``parity_derivative`` are sums over that
+spectrum, and ``phase_uncertainty`` builds it once for both and takes
+Delta P from 1 -+ <P> without cancellation.
+
+``phase_uncertainty_limit`` needs no spectrum.  Since P G P = -G for the
+phase generator G (J_y at input, J_z inside), <P>(phi) =
+<psi| exp(2i phi G) P |psi>, so its Taylor coefficients at phi = 0 are the
+moments F_m = <psi|(2iG)^m P psi> / m!: products with the tridiagonal J_y
+over a few rows around each block's nonzero amplitudes, or with the
+diagonal J_z.  The exact phi -> 0 limit is read off their leading orders.
+The engine is cross-checked against the brute-force Fock oracle.
 
 The commonly quoted per-family closed forms are evaluated verbatim by
 ``closed_form_expectation`` as secondary cross-checks, and their phi -> 0
@@ -329,38 +334,92 @@ def _leading_order(coeffs: np.ndarray, bounds: np.ndarray) -> int | None:
     return int(above[0]) if above.size else None
 
 
-def _limit_from_spectrum(weights: np.ndarray, freqs: np.ndarray, context: str) -> float:
-    """Exact phi -> 0 limit of sqrt(1 - f^2) / |f'| for f = sum w exp(-2i phi lam).
+def _taylor_series(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients F_m of <P>(phi) at phi = 0, m <= _TAYLOR_ORDER, and their bounds.
 
-    The frequencies must be distinct, as on the grid ``_spectrum``
-    returns.  If no weight sits at a nonzero frequency, f does not depend
-    on phi and the limit is +inf.
-    Otherwise f = sum_m F_m phi^m with F_m = sum w (-2i lam)^m / m!, and
-    with p and q the leading orders of 1 - f^2 and f' the uncertainty
-    behaves as phi^(p/2 - q): finite when p = 2q, +inf when p < 2q.  A
-    coefficient counts as zero below _ZERO_TOL times its bound
-    (2 max|lam|)^m / m!, which |F_m| cannot exceed because |sum w| <= 1.
-    No leading order within _TAYLOR_ORDER terms, or orders no state can
-    have, raise NumericalLimitError.
+    <P>(phi) = <psi| exp(2i phi G) P |psi>, so F_m = <psi|(2iG)^m P psi> / m!.
+    Inside the interferometer G = J_z and P = Q, and each power is a
+    diagonal product.  At input G = J_y and P = S, and 2i J_y = J_+ - J_-
+    is the real tridiagonal matrix with <mu_r|J_+|mu_(r+1)> =
+    sqrt((r+1)(2j-r)) above the diagonal and its negative below.  Its
+    m-th power reaches m rows beyond the nonzero amplitudes, so each block
+    keeps only the rows within _TAYLOR_ORDER of its first and last nonzero
+    amplitude, which is exact for every m kept; all blocks share one flat
+    array whose coupling is zero at block edges.  A row-0 block (coherent,
+    single-Fock) costs O(_TAYLOR_ORDER), and no block needs an
+    eigensystem.  |F_m| <= (2J)^m / m! for a normalized state, with 2J
+    the largest block; those are the bounds.
     """
-    if np.all(np.abs(weights[freqs != 0.0]) <= _ZERO_TOL):
+    state.require_normalized()
+    order = _TAYLOR_ORDER
+    factorials = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
+    if state.frame is Frame.AT_INPUT:
+        pieces, two_js, firsts = [], [], []
+        for two_j, vec in state.components.items():
+            rows = np.flatnonzero(vec)
+            if not rows.size:
+                continue
+            first = max(int(rows[0]) - order, 0)
+            pieces.append(vec[first : min(int(rows[-1]) + order, two_j) + 1])
+            two_js.append(two_j)
+            firsts.append(first)
+        sizes = np.array([piece.size for piece in pieces])
+        ends = np.cumsum(sizes)
+        # block size and row index of every entry of the flat array
+        block = np.repeat(two_js, sizes)
+        row = np.arange(ends[-1]) - np.repeat(ends - sizes - firsts, sizes)
+        raising = np.sqrt((row[:-1] + 1.0) * (block[:-1] - row[:-1]))
+        raising[ends[:-1] - 1] = 0.0  # no coupling from one block into the next
+        # u_k = A^k psi for A = J_+ - J_-, k <= order/2 rounded up.  A is
+        # real and antisymmetric, and S A S = -A, so
+        # <psi|A^m S psi> = (-1)^m <u_a|S u_b> for any a + b = m.
+        powers = np.zeros((order - order // 2 + 1, ends[-1]), dtype=complex)
+        powers[0] = np.concatenate(pieces)
+        for k in range(order - order // 2):
+            np.multiply(raising, powers[k, 1:], out=powers[k + 1, :-1])
+            powers[k + 1, 1:] -= raising * powers[k, :-1]
+        left = powers * np.where(row % 2, -1.0, 1.0)
+        gram = np.conj(left, out=left) @ powers.T  # <u_a|S u_b>
+        m = np.arange(order + 1)
+        series = np.where(m % 2, -1.0, 1.0) * gram[m // 2, m - m // 2]
+    else:
+        term = np.concatenate(
+            [np.conj(vec) * q_apply(two_j, vec) for two_j, vec in state.components.items()]
+        )
+        generator = 2.0j * np.concatenate([state.mu_values(two_j) for two_j in state.components])
+        series = np.empty(order + 1, dtype=complex)
+        for m in range(order + 1):
+            series[m] = term.sum()
+            term *= generator
+    top = max(state.components)
+    return series / factorials, np.array([float(top**m) for m in range(order + 1)]) / factorials
+
+
+def _limit_from_series(series: np.ndarray, bounds: np.ndarray, context: str) -> float:
+    """Exact phi -> 0 limit of sqrt(1 - f^2) / |f'| for f = sum_m series[m] phi^m.
+
+    bounds[m] bounds |series[m]|, and a coefficient counts as zero below
+    _ZERO_TOL times its bound.  If every coefficient past the constant is
+    zero, f does not depend on phi and the limit is +inf: for a
+    normalized state with |F_0| < 1 the limit diverges anyway, and with
+    |F_0| = 1, P psi = +-psi, so F_2 = 0 forces G psi = 0 and the state
+    is phase-blind.  Otherwise, with p and q the leading orders of
+    1 - f^2 and f', the uncertainty behaves as phi^(p/2 - q): finite when
+    p = 2q, +inf when p < 2q.  No leading order within the coefficients
+    given, or orders no state can have, raise NumericalLimitError;
+    coefficients that are not real raise ConsistencyError.
+    """
+    if np.all(np.abs(series[1:]) <= _ZERO_TOL * bounds[1:]):
         return math.inf
-    span = 2.0 * float(np.max(np.abs(freqs)))
-    series = np.empty(_TAYLOR_ORDER + 1, dtype=complex)
-    bounds = np.empty(_TAYLOR_ORDER + 1)
-    term, bound = weights, 1.0
-    for m in range(_TAYLOR_ORDER + 1):
-        series[m], bounds[m] = term.sum(), bound
-        term = term * (-2j * freqs) / (m + 1)
-        bound *= span / (m + 1)
     if np.any(np.abs(series.imag) > _ZERO_TOL * bounds):
         raise ConsistencyError(f"{context}: Taylor coefficients {series!r} are not real")
     series = series.real
+    order = series.size - 1
     # 1 - f^2 and f' as power series; the bounds propagate the same way
-    spread = -np.convolve(series, series)[: _TAYLOR_ORDER + 1]
+    spread = -np.convolve(series, series)[: order + 1]
     spread[0] += 1.0
-    spread_bounds = np.convolve(bounds, bounds)[: _TAYLOR_ORDER + 1]
-    orders = np.arange(1, _TAYLOR_ORDER + 1)
+    spread_bounds = np.convolve(bounds, bounds)[: order + 1]
+    orders = np.arange(1, order + 1)
     slope, slope_bounds = series[1:] * orders, bounds[1:] * orders
     p = _leading_order(spread, spread_bounds)
     q = _leading_order(slope, slope_bounds)
@@ -369,7 +428,7 @@ def _limit_from_spectrum(weights: np.ndarray, freqs: np.ndarray, context: str) -
     if p is not None and (q is None or p < 2 * q):
         return math.inf
     raise NumericalLimitError(
-        f"{context}: no consistent leading orders within {_TAYLOR_ORDER} Taylor terms "
+        f"{context}: no consistent leading orders within {order} Taylor terms "
         f"(1 - <P>^2 starts at order {p}, d<P>/dphi at order {q}; coefficients {series!r})"
     )
 
@@ -378,15 +437,16 @@ def phase_uncertainty_limit(state: TwoModeState) -> float:
     """The phi -> 0 operating-point uncertainty, from Taylor coefficients.
 
     Exact: the leading orders of 1 - <P>^2 and d<P>/dphi at phi = 0 come
-    from the state's parity spectrum, so no phase point is evaluated.
-    Returns +infinity for states with no phase information (for example
-    the plain Yuen state) and for divergent limits; raises
+    from the moments <psi|(2iG)^m P psi> of the phase generator G, so no
+    phase point is evaluated and no eigensystem is built.  Returns
+    +infinity for states with no phase information (for example the
+    plain Yuen state) and for divergent limits; raises
     NumericalLimitError if no leading order appears within the Taylor
     terms kept.
     """
-    weights, freqs = _spectrum(state)
-    return _limit_from_spectrum(
-        weights, freqs, f"phase uncertainty limit for {state.label!r}"
+    series, bounds = _taylor_series(state)
+    return _limit_from_series(
+        series, bounds, f"phase uncertainty limit for {state.label!r}"
     )
 
 

@@ -10,7 +10,9 @@ Conventions, fixed once and cross-checked against the brute-force oracle:
 * the phase shifter multiplies |j,mu> by exp(-i mu phi) and acts only on
   inside-interferometer states.
 * the full interferometer is exp(-i phi J_y), applied block by block
-  through the cached J_y eigensystem (no d-block is formed);
+  through the cached J_y eigensystem, or through the closed-form edge
+  columns of d for a block whose only nonzero rows are mu = +-j (no
+  d-block is formed);
   the composition beam splitter -> phase shifter -> inverse beam splitter
   reproduces it exactly (not merely up to phase), which the tests check.
 
@@ -66,14 +68,27 @@ def apply_mzi(state: TwoModeState, phi: float) -> TwoModeState:
     return _rebuild(state, blocks, state.frame)
 
 
+# exp(i pi k / 4) for k = 0 .. 7, exact to the last bit
+_HALF = math.sqrt(0.5)
+_EIGHTH_TURNS = np.array(
+    [1, _HALF + _HALF * 1j, 1j, -_HALF + _HALF * 1j,
+     -1, -_HALF - _HALF * 1j, -1j, _HALF - _HALF * 1j]
+)
+
+
 def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeState:
-    """50:50 beam splitter exp(-+ i pi/2 J_x); toggles the frame tag."""
+    """50:50 beam splitter exp(-+ i pi/2 J_x); toggles the frame tag.
+
+    The phases exp(-+ i pi mu / 2) around the J_y rotation are read from
+    the eight values exp(i pi k / 4) at k = -+2mu mod 8, so they carry no
+    rounding that grows with mu.
+    """
     middle = -0.5 * math.pi if inverse else 0.5 * math.pi
     blocks: dict[int, np.ndarray] = {}
     for two_j, vec in state.components.items():
-        mu = state.mu_values(two_j)
-        inner = np.exp(-0.5j * math.pi * mu) * vec
-        blocks[two_j] = np.exp(0.5j * math.pi * mu) * _rotate(two_j, inner, middle)
+        two_mu = two_j - 2 * np.arange(two_j + 1)
+        inner = _EIGHTH_TURNS[-two_mu % 8] * vec
+        blocks[two_j] = _EIGHTH_TURNS[two_mu % 8] * _rotate(two_j, inner, middle)
     flipped = (
         Frame.INSIDE_INTERFEROMETER
         if state.frame is Frame.AT_INPUT

@@ -24,13 +24,23 @@ products; ``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L)
 V^T] on demand; ``d_element`` and ``d_derivative`` read one entry of it,
 or of its theta derivative, in O(n).
 
+One case needs no eigensystem: a vector whose only nonzero rows are 0
+and n-1 (mu = +-j, as in the NOON state and every coherent block) only
+reads the two edge columns of d, which are closed-form binomials,
+d[r, 0] = sqrt(C(2j, r)) c^(2j-r) s^r with c, s = cos, sin(theta/2), and
+their mirror.  ``_rotate`` builds them in O(n) (``_edge_column``), so
+``noon_input`` and the beam splitter on such blocks never diagonalize.
+
 Accuracy is absolute through 2j = 1000: about 1e-14 per element and
 1e-12 per derivative, so elements below that (far corners of large
 blocks at small angles) come back as roundoff, not relatively accurate.
-The eigenvectors stay orthonormal within 2e-14 through 2j = 3000.
+The eigenvectors stay orthonormal within 2e-14 through 2j = 3000, and
+the edge columns agree with a 40-digit reference within 1e-15.
 
 The eigensystem cache is bounded by bytes (``_EIGEN_CACHE_BYTES``) and
-evicts least-recently-used blocks; no per-angle result is cached.
+evicts least-recently-used blocks; a block whose eigensystem alone
+would exceed the budget raises DomainError before anything is
+allocated.  No per-angle result is cached.
 """
 
 from __future__ import annotations
@@ -51,11 +61,14 @@ __all__ = [
     "d_element",
 ]
 
-# Upper bound on the bytes of cached J_y eigensystems.  One block at
-# 2j = 1000 takes 8 MB, so the budget holds every block up to 2j ~ 360, or
-# about 16 blocks at 2j = 1000, while large-N sweeps stay far from the GB
-# range.  Coherent and single-Fock states build no eigensystem: detection
-# reads their row-0 blocks from the binomial closed form.
+# Upper bound on the bytes of cached J_y eigensystems, and on the size of
+# any one of them: 2j >= 4095 raises DomainError instead of allocating.
+# One block at 2j = 1000 takes 8 MB, so the budget holds every block up to
+# 2j ~ 360, or about 16 blocks at 2j = 1000, while large-N work stays far
+# from the GB range.  Only fixed-phi points of blocks with rows other
+# than 0 and n-1, apply_mzi on such blocks and the d_* kernels build one:
+# every phi -> 0 limit comes from generator moments, edge-row blocks
+# rotate in closed form, and row-0 blocks read binomial weights.
 _EIGEN_CACHE_BYTES = 128 * 2**20
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4
@@ -121,13 +134,19 @@ def _jy_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     raises ConsistencyError if the construction ever fails.
 
     Entries are evicted least recently used first so the cached arrays
-    never exceed ``_EIGEN_CACHE_BYTES``; a block too large for the budget
-    is computed and returned without being cached.
+    never exceed ``_EIGEN_CACHE_BYTES``; a block whose lam and vec alone
+    would exceed it (2j >= 4095) raises DomainError before allocating.
     """
     if two_j in _eigen_cache:
         _eigen_cache.move_to_end(two_j)
         return _eigen_cache[two_j]
     n = two_j + 1
+    size = 8 * n * (n + 1)  # float64 lam and vec
+    if size > _EIGEN_CACHE_BYTES:
+        raise DomainError(
+            f"J_y eigensystem for 2j = {two_j} needs {size} bytes, "
+            f"over the budget of {_EIGEN_CACHE_BYTES}"
+        )
     half = n // 2  # eigenvalue pairs +-lam
     rows = n - half  # upper rows, and the columns with lam <= 0
     lam = (2.0 * np.arange(n) - two_j) / 2.0
@@ -154,12 +173,10 @@ def _jy_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
         raise ConsistencyError(f"J_y eigenvectors for 2j = {two_j} fail T v = lam v")
     vec.flags.writeable = False
     lam.flags.writeable = False
-    size = lam.nbytes + vec.nbytes
-    if size <= _EIGEN_CACHE_BYTES:
-        while _eigen_cache and _eigen_cache.nbytes + size > _EIGEN_CACHE_BYTES:
-            _eigen_cache.nbytes -= sum(a.nbytes for a in _eigen_cache.popitem(last=False)[1])
-        _eigen_cache[two_j] = (lam, vec)
-        _eigen_cache.nbytes += size
+    while _eigen_cache and _eigen_cache.nbytes + size > _EIGEN_CACHE_BYTES:
+        _eigen_cache.nbytes -= sum(a.nbytes for a in _eigen_cache.popitem(last=False)[1])
+    _eigen_cache[two_j] = (lam, vec)
+    _eigen_cache.nbytes += size
     return lam, vec
 
 
@@ -187,13 +204,52 @@ def _project(two_j: int, vec: np.ndarray) -> np.ndarray:
     return _times_real(_I_POWERS[rows % 4] * vec[rows], basis)
 
 
+def _edge_column(two_j: int, theta: float) -> np.ndarray:
+    """Column 0 of d^j(theta): d[r, 0] = sqrt(C(2j, r)) c^(2j-r) s^r.
+
+    c = cos(theta/2) and s = sin(theta/2).  Consecutive magnitudes differ
+    by the factor sqrt((2j-r)/(r+1)) |s/c|, which falls with r, so the
+    largest entry sits after the last factor above 1.  The log-magnitudes
+    are summed outward from that peak, which keeps the entries near it,
+    the ones that carry the norm, accurate to a few ulps at any 2j, and
+    lets the far tails flush to 0 instead of overflowing.  The column is
+    then scaled to unit norm, which it has exactly because
+    (c^2 + s^2)^(2j) = 1, and the signs of c^(2j-r) s^r are applied.
+    """
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    r = np.arange(two_j + 1)
+    with np.errstate(divide="ignore"):  # s = 0 at theta = 0: only row 0 survives
+        steps = 0.5 * np.log((two_j - r[:-1]) / (r[:-1] + 1.0)) + (
+            np.log(abs(s)) - np.log(abs(c))
+        )
+    peak = int(np.count_nonzero(steps > 0.0))
+    logs = np.zeros(two_j + 1)
+    logs[peak + 1 :] = np.cumsum(steps[peak:])
+    logs[:peak] = -np.cumsum(steps[:peak][::-1])[::-1]
+    column = np.exp(logs)
+    column /= math.sqrt(column @ column)
+    flips = (two_j - r) * (c < 0.0) + r * (s < 0.0)
+    column[flips % 2 == 1] *= -1.0
+    return column
+
+
 def _rotate(two_j: int, vec: np.ndarray, theta: float) -> np.ndarray:
     """exp(-i theta J_y) applied to one block vector.
 
-    Two products against the cached eigensystem: project onto the J_y
-    eigenbasis, advance each component by exp(-i theta lambda_k), and map
-    back.
+    A vector whose only nonzero rows are 0 and n-1 reads the two edge
+    columns of d, d[:, 0] from ``_edge_column`` and its mirror
+    d[r, n-1] = (-1)^(n-1-r) d[n-1-r, 0], with no eigensystem.  Any other
+    vector takes two products against the cached eigensystem: project
+    onto the J_y eigenbasis, advance each component by
+    exp(-i theta lambda_k), and map back.
     """
+    if not np.count_nonzero(vec[1:-1]):
+        column = _edge_column(two_j, theta)
+        out = vec[0] * column
+        if two_j:
+            mirror = np.where(np.arange(two_j, -1, -1) % 2, -1.0, 1.0) * column[::-1]
+            out = out + vec[-1] * mirror
+        return out
     lam, basis = _jy_eigensystem(two_j)
     coeffs = _project(two_j, vec) * np.exp(-1j * theta * lam)
     return np.conj(_I_POWERS[np.arange(two_j + 1) % 4]) * _times_real(basis, coeffs)

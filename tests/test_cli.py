@@ -17,7 +17,7 @@ from mzparity import (
     phase_uncertainty,
     phase_uncertainty_limit,
 )
-from mzparity import detection
+from mzparity import detection, wigner
 from mzparity import states as states_module
 from mzparity.cli import (
     DEFAULT_PHI,
@@ -239,6 +239,11 @@ def test_invalid_argument_exit_codes(capsys):
     assert excinfo.value.code == 2
 
 
+def test_wrong_parity_outside_a_sweep_is_not_called_skipped(capsys):
+    assert main(["expectation", "--state", "yuen", "--n-min", "8"]) == 2
+    assert capsys.readouterr().err == "error: yuen is defined for odd N; N=8\n"
+
+
 def test_non_finite_phi_exit_code(capsys):
     assert main(["expectation", "--state", "noon", "--n-min", "4", "--phi", "nan"]) == 2
     assert "finite" in capsys.readouterr().err
@@ -262,6 +267,37 @@ def test_oversized_coherent_state_exit_code(capsys):
     assert "budget" in captured.err
     assert captured.out == ""
     assert peak < 8 * 2**20
+
+
+def test_oversized_eigensystem_exit_code(capsys):
+    # the NOON state itself is cheap; its fixed-phi spectrum would need an
+    # 80 GB J_y eigensystem, which is refused before anything is allocated
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--state", "noon", "--n-min", "100000", "--phi", "0.1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "budget" in captured.err
+    assert captured.out == ""
+    assert peak < 32 * 2**20
+
+
+def test_limits_and_noon_states_need_no_eigensystem(monkeypatch, tmp_path):
+    def refuse(two_j):
+        raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
+
+    monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
+    for lo, hi in ((1, 200), (400, 420)):
+        out = tmp_path / f"noon_{lo}.csv"
+        assert main(["sweep", "--state", "noon", "--n-min", str(lo), "--n-max", str(hi),
+                     "--limit", "--out", str(out)]) == 0
+        rows = parse_csv(out.read_text())
+        assert [int(row["N"]) for row in rows] == list(range(lo, hi + 1))
+    assert main(["figure", "fig4", "--out", str(tmp_path / "fig4.csv")]) == 0
+    assert main(["table", "--out", str(tmp_path / "table.csv")]) == 0
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

@@ -35,7 +35,7 @@ from mzparity import (
     yurke_input,
 )
 from mzparity import detection, wigner
-from mzparity.detection import _extrapolate_limit, _limit_from_spectrum, _phi_ladder
+from mzparity.detection import _extrapolate_limit, _limit_from_series, _phi_ladder
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -351,9 +351,22 @@ COSINE = ([0.5, 0.5], [1.0, -1.0])  # cos 2phi: 1 - f^2 ~ 4 phi^2, f' ~ -4 phi
 FLAT_TOP = ([0.7, 0.2, 0.2, -0.05, -0.05], [0.0, 1.0, -1.0, 2.0, -2.0])  # 1 - 0.8 phi^4
 
 
+def spectrum_series(weights, freqs):
+    """F_m = sum w (-2i lam)^m / m! and bounds (2 max|lam|)^m / m!, m <= _TAYLOR_ORDER."""
+    order = detection._TAYLOR_ORDER
+    weights, freqs = np.asarray(weights, dtype=complex), np.asarray(freqs, dtype=float)
+    span = 2.0 * float(np.max(np.abs(freqs)))
+    series, bounds = np.empty(order + 1, dtype=complex), np.empty(order + 1)
+    term, bound = weights, 1.0
+    for m in range(order + 1):
+        series[m], bounds[m] = term.sum(), bound
+        term = term * (-2j * freqs) / (m + 1)
+        bound *= span / (m + 1)
+    return series, bounds
+
+
 def spectrum_limit(spectrum):
-    weights, freqs = spectrum
-    return _limit_from_spectrum(np.array(weights, dtype=complex), np.array(freqs), "t")
+    return _limit_from_series(*spectrum_series(*spectrum), "t")
 
 
 def test_series_limit_finite():
@@ -376,11 +389,60 @@ def test_series_limit_phase_blind():
     assert spectrum_limit(([1.0], [0.0])) == math.inf
 
 
-def test_series_limit_without_leading_order_raises(monkeypatch):
-    # FLAT_TOP needs order 4 to see that 1 - f^2 is not zero
-    monkeypatch.setattr(detection, "_TAYLOR_ORDER", 3)
+def test_series_limit_without_leading_order_raises():
+    # f = 1 + 0.1 phi: 1 - f^2 starts at order 1 and f' at order 0, which
+    # no state can have
+    series = np.zeros(detection._TAYLOR_ORDER + 1, dtype=complex)
+    series[:2] = 1.0, 0.1
+    bounds = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, detection._TAYLOR_ORDER + 1)])
     with pytest.raises(NumericalLimitError):
-        spectrum_limit(FLAT_TOP)
+        _limit_from_series(series, bounds, "t")
+
+
+def _mixed_state(frame, seed):
+    """Random amplitudes on blocks of both parities of 2j, some rows exactly 0."""
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for two_j in (0, 1, 2, 3, 4, 7, 30, 31):
+        vec = rng.standard_normal(two_j + 1) + 1j * rng.standard_normal(two_j + 1)
+        vec[rng.random(two_j + 1) < 0.3] = 0.0
+        blocks[two_j] = vec
+    blocks[30][:12] = blocks[30][20:] = 0.0  # a window away from both edges
+    norm = math.sqrt(sum(np.vdot(v, v).real for v in blocks.values()))
+    return TwoModeState({k: v / norm for k, v in blocks.items()}, frame, "mixed")
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [(make_state, case) for case in (
+        ("coherent", 30), ("coherent", 0.4), ("single-fock", 17), ("dual-fock", 60),
+        ("noon", 41), ("noon", 2), ("noon-internal", 9), ("yurke", 40), ("yuen", 21),
+        ("modified-yuen", 15), ("pezze-smerzi", 50), ("berry-wiseman", 12),
+        ("combined", 10), ("combined", 2),
+    )]
+    + [(_mixed_state, (frame, seed)) for frame in Frame for seed in (3, 4, 5)],
+    ids=lambda arg: "-".join(str(a.value if isinstance(a, Frame) else a) for a in arg)
+    if isinstance(arg, tuple) else None,
+)
+def test_moment_series_matches_spectrum(build, args):
+    state = build(*args)
+    series, bounds = detection._taylor_series(state)
+    want, want_bounds = spectrum_series(*detection._spectrum(state))
+    assert np.allclose(bounds, want_bounds, rtol=1e-15, atol=0.0)
+    assert np.all(np.abs(series - want) <= 1e-13 * bounds)
+
+
+def test_noon_limits_are_exact_and_take_bounded_memory():
+    for n in range(1, 1001):
+        assert abs(phase_uncertainty_limit(noon_input(n)) * n - 1.0) <= 1e-12
+    tracemalloc.start()
+    try:
+        limit = phase_uncertainty_limit(noon_input(10**5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(limit * 10**5 - 1.0) <= 1e-12
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])

@@ -338,11 +338,15 @@ def test_eigensystem_cache_stays_within_byte_budget(monkeypatch):
     budget = 200_000
     monkeypatch.setattr(wigner, "_EIGEN_CACHE_BYTES", budget)
     monkeypatch.setattr(wigner, "_eigen_cache", wigner._EigenCache())
-    for two_j in list(range(1, 160, 3)) + [40, 7, 200, 3]:
+    for two_j in list(range(1, 157, 3)) + [40, 7, 3]:
         wigner._jy_eigensystem(two_j)
         assert _cached_bytes() <= budget
-    assert 200 not in wigner._eigen_cache  # 322 kB alone: returned, never cached
-    assert list(wigner._eigen_cache)[-2:] == [7, 3]  # least recently used goes first
+    before = list(wigner._eigen_cache)
+    for two_j in (157, 200):  # 201 kB and 322 kB alone: refused, nothing evicted
+        with pytest.raises(DomainError, match="budget"):
+            wigner._jy_eigensystem(two_j)
+    assert list(wigner._eigen_cache) == before
+    assert before[-2:] == [7, 3]  # least recently used goes first
     # the eigensystem fallback of d_element goes through the same cache
     d_element(HalfInt(150), HalfInt(0), HalfInt(0), 1.3)
     assert 150 in wigner._eigen_cache and _cached_bytes() <= budget
@@ -446,3 +450,37 @@ def test_eigensystem_first_row_is_binomial(two_j):
     ]
     want = np.exp(np.array(log_binom) - two_j * math.log(2.0))
     assert np.abs(vec[0] ** 2 - want).max() <= 1e-13
+
+
+def _edge_reference(two_j, theta):
+    """d[:, 0] = sqrt(C(2j, r)) c^(2j-r) s^r at 40 digits, by the ratio of consecutive rows."""
+    with mp.workdps(40):
+        half = mp.mpf(theta) / 2
+        c, s = mp.cos(half), mp.sin(half)
+        term, column = c**two_j, []
+        for r in range(two_j + 1):
+            column.append(float(term))
+            term *= mp.sqrt(mp.mpf(two_j - r) / (r + 1)) * s / c
+    return np.array(column)
+
+
+EDGE_THETAS = [0.0, math.pi / 2, -math.pi / 2, 0.3, 2.5, math.pi, -math.pi]
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 50, 1000, 2200, 3000])
+def test_edge_rotation_matches_reference_and_eigen_route(monkeypatch, two_j):
+    # a private cache, so the large eigensystems go when the test ends
+    monkeypatch.setattr(wigner, "_eigen_cache", wigner._EigenCache())
+    n = two_j + 1
+    lam, vec = wigner._jy_eigensystem(two_j)
+    mirror_signs = np.where(np.arange(two_j, -1, -1) % 2, -1.0, 1.0)
+    edge = np.zeros(n, dtype=complex)
+    edge[0], edge[-1] = 0.6, 0.8j
+    for theta in EDGE_THETAS:
+        first = _edge_reference(two_j, theta)
+        last = mirror_signs * first[::-1]  # d[r, n-1] = (-1)^(n-1-r) d[n-1-r, 0]
+        want = edge[0] * first + (edge[-1] * last if two_j else 0.0)
+        assert np.abs(wigner._rotate(two_j, edge, theta) - want).max() <= 1e-15
+        # the eigen route: d[:, 0] = Re[i^(-row) V exp(-i theta L) V[0]]
+        eigen = (wigner._I_POWERS[-np.arange(n) % 4] * (vec @ (np.exp(-1j * theta * lam) * vec[0]))).real
+        assert np.abs(wigner._edge_column(two_j, theta) - eigen).max() <= 2e-15
