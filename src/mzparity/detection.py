@@ -1,26 +1,25 @@
 """Parity-detection observables and the error-propagation phase uncertainty.
 
 Fixed-phi observables come from one spectrum per state: weights w and
-frequencies lam such that
+frequencies lam, plus the at-input blocks stored on row 0 alone, such that
 
-    <P>(phi) = sum_k w_k exp(-2i phi lam_k).
+    <P>(phi) = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b).
 
-The frequencies form one grid, lam = -J, -J + 1/2, ..., J for the largest
-block 2J, and every block adds into every other grid point, so at most
-2 * 2J + 1 terms remain however many blocks and amplitudes the state has.
-For at-input states w_k = conj(<e_k|S psi>) <e_k|psi> over the cached J_y
-eigenvectors e_k of each block, with S the diagonal parity sign and lam_k
-the exact eigenvalues; the eigensystem's exact parity mirror makes
-<e_k|S psi> the mirror entry of <e_k|psi>, so each block is projected
-once.  A block whose only nonzero amplitude is row 0 (mu = +j, mode b
-empty: every coherent and single-Fock block) needs no eigensystem, because
-row 0 of the eigenvectors squared is binomial; its weights are
-|psi_0|^2 C(2j, k) / 4^j at lam_k = k - j, and all such blocks join the
-grid in one pass.  For states inside the interferometer
-w = conj(psi) (Q psi) and lam = -mu, with no eigensystem at all.
-``parity_expectation`` and ``parity_derivative`` are sums over that
-spectrum, and ``phase_uncertainty`` builds it once for both and takes
-Delta P from 1 -+ <P> without cancellation.
+A block whose only stored row is 0 (mu = +j, mode b empty: every coherent
+and single-Fock block) is |psi_0|^2 times d[0, 0](2 phi) = cos(phi)^(2j),
+so it keeps only n_b = 2j and p_b = |psi_0|^2 and is read in closed form,
+with no eigensystem and no grid: a coherent state costs O(blocks).  Every
+other block adds into one grid, lam = -J, -J + 1/2, ..., J for the largest
+such block 2J, so at most 2 * 2J + 1 terms remain however many blocks and
+amplitudes the state has.  For at-input states w_k = conj(<e_k|S psi>)
+<e_k|psi> over the cached J_y eigenvectors e_k of each block, with S the
+diagonal parity sign and lam_k the exact eigenvalues; the eigensystem's
+exact parity mirror makes <e_k|S psi> the mirror entry of <e_k|psi>, so
+each block is projected once, from its stored rows.  For states inside
+the interferometer w = conj(psi) (Q psi) and lam = -mu, with no
+eigensystem at all.  ``parity_expectation`` and ``parity_derivative`` are
+sums over that spectrum, and ``phase_uncertainty`` builds it once for
+both and takes Delta P from 1 -+ <P> without cancellation.
 
 ``phase_uncertainty_limit`` needs no spectrum.  Since P G P = -G for the
 phase generator G (J_y at input, J_z inside), <P>(phi) =
@@ -45,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,66 +122,87 @@ def _real_with_residue_check(value: complex, context: str) -> float:
     return value.real
 
 
-def _binomial_mixture(probs: np.ndarray) -> np.ndarray:
-    """Binomial rows weighted by probs: sum_n probs[n] C(n, k) / 2^n at 2 lam = 2k - n.
+class _Spectrum(NamedTuple):
+    """<P>(phi) = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b).
 
-    The result lies on the grid 2 lam = -top ... top, top = probs.size - 1.
-    Horner's scheme over Pascal's rule: one averaging step
-    a[i] <- (a[i-1] + a[i+1]) / 2 turns binomial row n - 1 into row n, so
-    acc <- step(acc) + probs[n] delta_0, run from the top row down to 0,
-    leaves sum_n probs[n] step^n(delta_0).  O(top) memory, no factorials,
-    and weights too small for a float flush to 0 instead of NaN.
+    weights and freqs form the grid of the blocks read through an
+    eigensystem (at input) or through Q (inside); powers n_b = 2j and probs
+    p_b = |psi_0|^2 describe the at-input blocks stored on row 0 alone.
     """
-    top = probs.size - 1
-    acc = np.zeros(2 * top + 3)  # one zero guard at each end
-    centre = top + 1
-    acc[centre] = probs[top]
-    for reach, prob in enumerate(probs[:top][::-1].tolist(), start=1):
-        left, right = centre - reach, centre + reach + 1
-        acc[left:right] = 0.5 * (acc[left - 1 : right - 1] + acc[left + 1 : right + 1])
-        acc[centre] += prob
-    return acc[1:-1]
+
+    weights: np.ndarray
+    freqs: np.ndarray
+    powers: np.ndarray
+    probs: np.ndarray
 
 
-def _spectrum(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w and frequencies lam with <P>(phi) = sum w exp(-2i phi lam).
+def _mirror_closed(two_j: int, rows: np.ndarray, amplitudes: np.ndarray):
+    """The rows closed under r -> 2j - r, with psi and Q psi on them."""
+    closed, vec = rows, amplitudes
+    mirror = two_j - rows[::-1]
+    if not np.array_equal(mirror, rows):
+        closed = np.sort(np.concatenate((rows, mirror)))
+        closed = closed[np.r_[True, closed[1:] != closed[:-1]]]
+        vec = np.zeros(closed.size, dtype=complex)
+        vec[np.searchsorted(closed, rows)] = amplitudes
+    return closed, vec, q_apply(two_j, vec, closed)
 
-    The frequencies are the grid lam = -J ... J in steps of 1/2, with
-    2J the largest block, and each block adds its weights into every
-    other grid point, so equal frequencies are merged as they arrive.
-    At-input blocks: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y
-    eigenvectors e_k at lam_k.  The eigensystem's exact parity mirror
-    D V = V[:, ::-1] makes <e_k|S psi> the mirror entry of <e_k|psi>, so
-    each block is projected once, and only its nonzero amplitudes.  A
-    block whose only nonzero amplitude is row 0 (mu = +j, mode b empty,
-    as in every coherent and single-Fock block) needs no eigensystem:
-    row 0 of V squared is binomial, V[0, k]^2 = C(2j, k) / 4^j, and
-    V[0, n-1-k] = V[0, k], so its weights are |psi_0|^2 C(2j, k) / 4^j at
-    lam_k = k - j.  Those blocks only record |psi_0|^2, and all of them
-    join the grid in one binomial pass (_binomial_mixture).
-    Inside blocks: w = conj(psi) (Q psi) and lam = -mu, because the phase
-    shifter gives the mu and -mu entries the relative phase exp(2i phi mu).
+
+def _spectrum(state: TwoModeState) -> _Spectrum:
+    """The terms of <P>(phi): a frequency grid, and the row-0 blocks apart.
+
+    An at-input block stored on row 0 alone (mu = +j, mode b empty, as in
+    every coherent and single-Fock block) is |psi_0|^2 times
+    d[0, 0](2 phi) = cos(phi)^(2j), so it keeps only its 2j and |psi_0|^2
+    and needs no eigensystem and no grid.  Every other block adds into
+    the grid lam = -J ... J in steps of 1/2, with 2J the largest such
+    block, so equal frequencies are merged as they arrive.  At-input
+    blocks: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors
+    e_k at lam_k.  The eigensystem's exact parity mirror D V = V[:, ::-1]
+    makes <e_k|S psi> the mirror entry of <e_k|psi>, so each block is
+    projected once, and only its stored rows.  Inside blocks:
+    w = conj(psi) (Q psi) and lam = -mu, because the phase shifter gives
+    the mu and -mu entries the relative phase exp(2i phi mu).
     """
     state.require_normalized()
-    top = max(state.components)
-    weights = np.zeros(2 * top + 1, dtype=complex)
     at_input = state.frame is Frame.AT_INPUT
-    row_zero = np.zeros(top + 1)  # |psi_0|^2 of the row-0 blocks, by 2j
-    for two_j, vec in state.components.items():
-        grid = slice(top - two_j, top + two_j + 1, 2)
+    starts = state.offsets[:-1]
+    on_row0 = state.sizes == 1
+    on_row0[on_row0] = at_input & (state.rows[starts[on_row0]] == 0)
+    gridded = np.flatnonzero(~on_row0)
+    top = int(state.two_js[gridded].max(initial=0))
+    weights = np.zeros(2 * top + 1 if gridded.size else 0, dtype=complex)
+    for two_j, rows, amps in state.stored_blocks(gridded.tolist()):
         if at_input:
-            if not np.count_nonzero(vec[1:]):
-                row_zero[two_j] = abs(vec[0]) ** 2
-                continue
-            plain = _project(two_j, vec)
-            weights[grid] += np.conj(plain[::-1]) * plain
+            plain = _project(two_j, rows, amps)
+            weights[top - two_j : top + two_j + 1 : 2] += np.conj(plain[::-1]) * plain
         else:
-            weights[grid] += np.conj(vec) * q_apply(two_j, vec)
-    occupied = np.flatnonzero(row_zero)
-    if occupied.size:
-        reach = int(occupied[-1])
-        weights[top - reach : top + reach + 1] += _binomial_mixture(row_zero[: reach + 1])
-    return weights, (np.arange(2 * top + 1) - top) / 2.0
+            closed, vec, image = _mirror_closed(two_j, rows, amps)
+            weights[top - two_j + 2 * closed] += np.conj(vec) * image
+    return _Spectrum(
+        weights,
+        (np.arange(weights.size) - top) / 2.0,
+        state.two_js[on_row0],
+        np.abs(state.amplitudes[starts[on_row0]]) ** 2,
+    )
+
+
+def _cos_powers(phi: float, powers: np.ndarray) -> np.ndarray:
+    """cos(phi)^n for integer n, accurate where it stays near +-1 at large n.
+
+    Where |cos phi| >= 1/2, log|cos phi| is log1p(-2 sin^2(phi/2)) or
+    log1p(-2 cos^2(phi/2)), both free of cancellation, so the powers keep
+    full relative accuracy near phi = 0 and pi.  The double nearest a zero
+    of cos is never one, so negative n stay finite.
+    """
+    cosine = math.cos(phi)
+    if abs(cosine) < 0.5:
+        return cosine ** powers.astype(float)
+    half = math.sin(0.5 * phi) if cosine > 0.0 else math.cos(0.5 * phi)
+    values = np.exp(powers * math.log1p(-2.0 * half * half))
+    if cosine < 0.0:
+        values[powers % 2 == 1] *= -1.0
+    return values
 
 
 def _parity_gaps(state: TwoModeState) -> tuple[float, float]:
@@ -190,29 +211,58 @@ def _parity_gaps(state: TwoModeState) -> tuple[float, float]:
     P is S at input and Q inside.  Both are sums of squares, so they keep
     full relative accuracy where 1 - <P> itself would cancel.
     """
-    at_input = state.frame is Frame.AT_INPUT
+    if state.frame is Frame.AT_INPUT:
+        # psi - S psi is twice the odd rows, psi + S psi twice the even rows.
+        # Blocks of one stored row (coherent, single-Fock) take one masked
+        # pass; a block stored on every row is read through strided views.
+        sizes = state.sizes
+        single = state.offsets[:-1][sizes == 1]
+        amps, odd = state.amplitudes[single], state.rows[single] % 2 == 1
+        minus, plus = np.vdot(amps[odd], amps[odd]).real, np.vdot(amps[~odd], amps[~odd]).real
+        for two_j, rows, amps in state.stored_blocks(np.flatnonzero(sizes > 1).tolist()):
+            if rows.size == two_j + 1:
+                odd_amps, even_amps = amps[1::2], amps[0::2]
+            else:
+                odd_amps, even_amps = amps[rows % 2 == 1], amps[rows % 2 == 0]
+            minus += np.vdot(odd_amps, odd_amps).real
+            plus += np.vdot(even_amps, even_amps).real
+        return 2.0 * minus, 2.0 * plus
     minus = plus = 0.0
-    for two_j, vec in state.components.items():
-        if at_input:
-            # psi - S psi is twice the odd rows, psi + S psi twice the even rows
-            odd, even = vec[1::2], vec[0::2]
-            minus += 4.0 * np.vdot(odd, odd).real
-            plus += 4.0 * np.vdot(even, even).real
-            continue
-        image = q_apply(two_j, vec)
+    for two_j, rows, amps in state.stored_blocks():
+        _, vec, image = _mirror_closed(two_j, rows, amps)
         minus += np.vdot(vec - image, vec - image).real
         plus += np.vdot(vec + image, vec + image).real
     return 0.5 * minus, 0.5 * plus
 
 
-def _expectation_at(spectrum, phi: float) -> complex:
-    weights, freqs = spectrum
-    return complex(np.sum(weights * np.exp(-2j * phi * freqs)))
+def _expectation_at(spectrum: _Spectrum, phi: float) -> complex:
+    weights, freqs, powers, probs = spectrum
+    value = complex(np.sum(weights * np.exp(-2j * phi * freqs)))
+    if powers.size:
+        value += probs @ _cos_powers(phi, powers)
+    return value
 
 
-def _derivative_at(spectrum, phi: float) -> complex:
-    weights, freqs = spectrum
-    return complex(np.sum(weights * (-2j * freqs) * np.exp(-2j * phi * freqs)))
+def _derivative_at(spectrum: _Spectrum, phi: float) -> complex:
+    weights, freqs, powers, probs = spectrum
+    value = complex(np.sum(weights * (-2j * freqs) * np.exp(-2j * phi * freqs)))
+    if powers.size:
+        # d/dphi cos^n = -n sin cos^(n-1); the factor n makes the 2j = 0 term exactly 0
+        value -= math.sin(phi) * ((probs * powers) @ _cos_powers(phi, powers - 1))
+    return value
+
+
+def _shift_at(spectrum: _Spectrum, phi: float) -> float:
+    """<P>(phi) - <P>(0) without cancellation, for |phi| 2J < 1 (so cos(phi) > 0).
+
+    Grid terms take w expm1(-2i phi lam), and a row-0 block
+    p expm1(n log1p(-2 sin^2(phi/2))), since cos phi = 1 - 2 sin^2(phi/2).
+    """
+    weights, freqs, powers, probs = spectrum
+    shift = float(np.sum(weights * np.expm1(-2j * phi * freqs)).real)
+    if powers.size and powers.max() > 0:  # a block 2j = 0 alone never moves
+        shift += float(probs @ np.expm1(powers * math.log1p(-2.0 * math.sin(0.5 * phi) ** 2)))
+    return shift
 
 
 def parity_expectation(state: TwoModeState, phi: float) -> float:
@@ -259,7 +309,6 @@ def phase_uncertainty(state: TwoModeState, phi: float) -> DetectionResult:
     """
     phi = _finite_phase(phi)
     spectrum = _spectrum(state)
-    weights, freqs = spectrum
     context = f"for {state.label!r}"
     expectation = _real_with_residue_check(
         _expectation_at(spectrum, phi), f"parity expectation {context}"
@@ -267,8 +316,8 @@ def phase_uncertainty(state: TwoModeState, phi: float) -> DetectionResult:
     derivative = _real_with_residue_check(
         _derivative_at(spectrum, phi), f"parity derivative {context}"
     )
-    if 2.0 * abs(phi) * freqs[-1] < 1.0:
-        shift = float(np.sum(weights * np.expm1(-2j * phi * freqs)).real)
+    if abs(phi) * state.max_two_j < 1.0:
+        shift = _shift_at(spectrum, phi)
         below, above = _parity_gaps(state)
         spread = (below - shift) * (above + shift)
     else:
@@ -342,10 +391,11 @@ def _taylor_series(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     diagonal product.  At input G = J_y and P = S, and 2i J_y = J_+ - J_-
     is the real tridiagonal matrix with <mu_r|J_+|mu_(r+1)> =
     sqrt((r+1)(2j-r)) above the diagonal and its negative below.  Its
-    m-th power reaches m rows beyond the nonzero amplitudes, so each block
-    keeps only the rows within _TAYLOR_ORDER of its first and last nonzero
-    amplitude, which is exact for every m kept; all blocks share one flat
-    array whose coupling is zero at block edges.  A row-0 block (coherent,
+    m-th power reaches m rows beyond the stored ones, so each block keeps
+    only the rows within _TAYLOR_ORDER of its first and last stored row,
+    which is exact for every m kept; all blocks share one flat array,
+    built from the stored rows in one pass, whose coupling is zero at
+    block edges.  A row-0 block (coherent,
     single-Fock) costs O(_TAYLOR_ORDER), and no block needs an
     eigensystem.  |F_m| <= (2J)^m / m! for a normalized state, with 2J
     the largest block; those are the bounds.
@@ -354,27 +404,21 @@ def _taylor_series(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     order = _TAYLOR_ORDER
     factorials = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
     if state.frame is Frame.AT_INPUT:
-        pieces, two_js, firsts = [], [], []
-        for two_j, vec in state.components.items():
-            rows = np.flatnonzero(vec)
-            if not rows.size:
-                continue
-            first = max(int(rows[0]) - order, 0)
-            pieces.append(vec[first : min(int(rows[-1]) + order, two_j) + 1])
-            two_js.append(two_j)
-            firsts.append(first)
-        sizes = np.array([piece.size for piece in pieces])
-        ends = np.cumsum(sizes)
+        offsets, two_js = state.offsets, state.two_js
+        firsts = np.maximum(state.rows[offsets[:-1]] - order, 0)
+        widths = np.minimum(state.rows[offsets[1:] - 1] + order, two_js) - firsts + 1
+        ends = np.cumsum(widths)
+        row_zero_at = ends - widths - firsts  # flat index of each block's row 0
         # block size and row index of every entry of the flat array
-        block = np.repeat(two_js, sizes)
-        row = np.arange(ends[-1]) - np.repeat(ends - sizes - firsts, sizes)
+        block = np.repeat(two_js, widths)
+        row = np.arange(ends[-1]) - np.repeat(row_zero_at, widths)
         raising = np.sqrt((row[:-1] + 1.0) * (block[:-1] - row[:-1]))
         raising[ends[:-1] - 1] = 0.0  # no coupling from one block into the next
         # u_k = A^k psi for A = J_+ - J_-, k <= order/2 rounded up.  A is
         # real and antisymmetric, and S A S = -A, so
         # <psi|A^m S psi> = (-1)^m <u_a|S u_b> for any a + b = m.
         powers = np.zeros((order - order // 2 + 1, ends[-1]), dtype=complex)
-        powers[0] = np.concatenate(pieces)
+        powers[0, np.repeat(row_zero_at, state.sizes) + state.rows] = state.amplitudes
         for k in range(order - order // 2):
             np.multiply(raising, powers[k, 1:], out=powers[k + 1, :-1])
             powers[k + 1, 1:] -= raising * powers[k, :-1]
@@ -383,15 +427,17 @@ def _taylor_series(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
         m = np.arange(order + 1)
         series = np.where(m % 2, -1.0, 1.0) * gram[m // 2, m - m // 2]
     else:
-        term = np.concatenate(
-            [np.conj(vec) * q_apply(two_j, vec) for two_j, vec in state.components.items()]
-        )
-        generator = 2.0j * np.concatenate([state.mu_values(two_j) for two_j in state.components])
+        terms, generators = [], []
+        for two_j, rows, amps in state.stored_blocks():
+            closed, vec, image = _mirror_closed(two_j, rows, amps)
+            terms.append(np.conj(vec) * image)
+            generators.append(2.0j * ((two_j - 2.0 * closed) / 2.0))  # 2i mu
+        term, generator = np.concatenate(terms), np.concatenate(generators)
         series = np.empty(order + 1, dtype=complex)
         for m in range(order + 1):
             series[m] = term.sum()
             term *= generator
-    top = max(state.components)
+    top = state.max_two_j
     return series / factorials, np.array([float(top**m) for m in range(order + 1)]) / factorials
 
 

@@ -63,7 +63,7 @@ def apply_mzi(state: TwoModeState, phi: float) -> TwoModeState:
         )
     phi = _finite_phase(phi)
     blocks = {
-        two_j: _rotate(two_j, vec, phi) for two_j, vec in state.components.items()
+        two_j: _rotate(two_j, rows, amps, phi) for two_j, rows, amps in state.stored_blocks()
     }
     return _rebuild(state, blocks, state.frame)
 
@@ -85,10 +85,10 @@ def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeSt
     """
     middle = -0.5 * math.pi if inverse else 0.5 * math.pi
     blocks: dict[int, np.ndarray] = {}
-    for two_j, vec in state.components.items():
+    for two_j, rows, amps in state.stored_blocks():
+        inner = _EIGHTH_TURNS[(2 * rows - two_j) % 8] * amps
         two_mu = two_j - 2 * np.arange(two_j + 1)
-        inner = _EIGHTH_TURNS[-two_mu % 8] * vec
-        blocks[two_j] = _EIGHTH_TURNS[two_mu % 8] * _rotate(two_j, inner, middle)
+        blocks[two_j] = _EIGHTH_TURNS[two_mu % 8] * _rotate(two_j, rows, inner, middle)
     flipped = (
         Frame.INSIDE_INTERFEROMETER
         if state.frame is Frame.AT_INPUT
@@ -102,21 +102,30 @@ def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
     if state.frame is not Frame.INSIDE_INTERFEROMETER:
         raise FrameError("apply_phase_shifter needs an inside-interferometer state")
     phi = _finite_phase(phi)
-    blocks = {
-        two_j: np.exp(-1j * phi * state.mu_values(two_j)) * vec
-        for two_j, vec in state.components.items()
-    }
-    return _rebuild(state, blocks, state.frame)
+    owner = np.repeat(state.two_js, state.sizes)
+    mu = (owner - 2.0 * state.rows) / 2.0
+    return TwoModeState._from_rows(
+        state.two_js,
+        state.offsets,
+        state.rows,
+        np.exp(-1j * phi * mu) * state.amplitudes,
+        state.frame,
+        state.label,
+        state.truncation_tail,
+    )
 
 
-def q_apply(two_j: int, vec: np.ndarray) -> np.ndarray:
+def q_apply(two_j: int, vec: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Q = exp(-i pi/2 J_x) P exp(+i pi/2 J_x) on one block.
 
-    (Q v)_i = i^N (-1)^i v_(n-1-i): an anti-diagonal with alternating
-    signs and a global i^N.
+    (Q v)_i = i^N (-1)^i v_(N-i): an anti-diagonal with alternating
+    signs and a global i^N.  vec holds the amplitudes on the sorted
+    ``rows`` (all 2j + 1 rows by default); the image is returned on the
+    mirrored rows 2j - rows, in ascending order, which are ``rows`` again
+    whenever that set is closed under the mirror.
     """
-    n = two_j + 1
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    image_rows = two_j - (np.arange(two_j + 1) if rows is None else rows)[::-1]
+    signs = np.where(image_rows % 2 == 0, 1.0, -1.0)
     return (1j**two_j) * signs * vec[::-1]
 
 

@@ -1,7 +1,9 @@
 """Input and internal states of the interferometer in the Schwinger basis.
 
 A two-mode pure state with amplitudes psi_{mu,j} over |j, mu> kets is kept
-as a map from twoJ = 2j to a complex vector indexed by descending mu.  The
+block by block, twoJ = 2j, as the sorted nonzero rows of each block (row i
+is mu = j - i) and their amplitudes, laid end to end in flat arrays; the
+dense vector of a block is built only when it is asked for.  The
 frame tag records whether the amplitudes describe the external input ports
 or the modes between the two beam splitters; detection and transform
 operations dispatch on it.
@@ -10,17 +12,16 @@ operations dispatch on it.
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, NormalizationError
-from .halfint import HalfInt
-from .wigner import d_element
 
 __all__ = [
     "CombinedStateParams",
@@ -86,47 +87,107 @@ class Frame(enum.Enum):
     INSIDE_INTERFEROMETER = "inside-interferometer"
 
 
-@dataclass(frozen=True)
 class TwoModeState:
-    """Pure two-mode state over Schwinger labels (j, mu).
+    """Pure two-mode state over Schwinger labels (j, mu), stored as nonzero rows.
 
-    ``components[twoJ][i]`` is the amplitude on |j, mu> with mu = j - i,
-    so index 0 carries mu = +j and the last index mu = -j.
+    Row i of block 2j is the ket |j, mu> with mu = j - i, so row 0 carries
+    mu = +j and row 2j carries mu = -j.  Each block keeps only its sorted
+    nonzero rows and their amplitudes, and the blocks lie end to end in
+    flat read-only arrays: block b has size ``two_js[b]`` and holds the
+    amplitudes ``amplitudes[offsets[b]:offsets[b + 1]]`` on the rows
+    ``rows[offsets[b]:offsets[b + 1]]``.  A coherent block thus stores one
+    amplitude, not 2j + 1.
+
+    ``TwoModeState(components, frame, label)`` takes a mapping from 2j to a
+    dense vector of 2j + 1 amplitudes and keeps its nonzero entries; a
+    block with none is not stored.
+    ``components`` and ``block`` give dense vectors back, built on demand
+    under the ``_MAX_AMPLITUDES`` budget.  States are immutable.
     """
 
-    components: Mapping[int, np.ndarray]
-    frame: Frame
-    label: str
-    truncation_tail: float = 0.0
-    _norm: float = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "two_js", "offsets", "rows", "amplitudes", "frame", "label", "truncation_tail", "_norm"
+    )
 
-    def __post_init__(self) -> None:
-        cleaned: dict[int, np.ndarray] = {}
-        for two_j, vec in self.components.items():
+    def __init__(
+        self,
+        components: Mapping[int, np.ndarray],
+        frame: Frame,
+        label: str,
+        truncation_tail: float = 0.0,
+    ) -> None:
+        blocks: dict[int, np.ndarray] = {}
+        for two_j, vec in components.items():
             two_j = int(two_j)
             if two_j < 0:
                 raise DomainError(f"negative twoJ key {two_j}")
-            arr = np.array(vec, dtype=complex)
+            arr = np.asarray(vec, dtype=complex)
             if arr.ndim != 1:
                 raise DomainError("amplitude vectors must be one-dimensional")
             if arr.shape[0] != two_j + 1:
                 raise DomainError(
                     f"block twoJ={two_j} needs {two_j + 1} amplitudes, got {arr.shape[0]}"
                 )
-            arr.flags.writeable = False
-            cleaned[two_j] = arr
-        if not cleaned:
+            blocks[two_j] = arr
+        rows = {two_j: arr.nonzero()[0] for two_j, arr in blocks.items()}
+        rows = {two_j: kept for two_j, kept in rows.items() if kept.size}
+        self._store(
+            list(rows),
+            list(itertools.accumulate((kept.size for kept in rows.values()), initial=0)),
+            np.concatenate(list(rows.values())) if rows else [],
+            np.concatenate([blocks[two_j][kept] for two_j, kept in rows.items()]) if rows else [],
+            frame,
+            label,
+            truncation_tail,
+        )
+
+    @classmethod
+    def _from_rows(
+        cls, two_js, offsets, rows, amplitudes, frame: Frame, label: str, truncation_tail=0.0
+    ) -> "TwoModeState":
+        """A state from its stored form: 2j of each block, block offsets, flat rows and amplitudes.
+
+        The caller provides 2j >= 0 and at least one row rising within
+        0 .. 2j in each block; the checks every state gets (blocks, frame, finite
+        amplitudes) are made here.
+        """
+        state = cls.__new__(cls)
+        state._store(two_js, offsets, rows, amplitudes, frame, label, truncation_tail)
+        return state
+
+    def _store(self, two_js, offsets, rows, amplitudes, frame, label, truncation_tail) -> None:
+        # arrays are taken over, not copied, and made read-only
+        two_js = np.array(two_js, dtype=np.int64, copy=None, ndmin=1)
+        offsets = np.array(offsets, dtype=np.int64, copy=None)
+        rows = np.array(rows, dtype=np.int64, copy=None, ndmin=1)
+        amplitudes = np.array(amplitudes, dtype=complex, copy=None, ndmin=1)
+        if not two_js.size:
             raise DomainError("state needs at least one (j, mu) block")
-        if not isinstance(self.frame, Frame):
-            raise DomainError(f"frame must be a Frame, got {self.frame!r}")
-        # one pass over all blocks: a NaN or inf anywhere makes the sum of
-        # squares non-finite, and only then are the entries themselves checked
-        flat = np.concatenate(list(cleaned.values()))
-        norm_sq = float(np.vdot(flat, flat).real)
-        if not math.isfinite(norm_sq) and not np.isfinite(flat.view(float)).all():
+        if not isinstance(frame, Frame):
+            raise DomainError(f"frame must be a Frame, got {frame!r}")
+        # a NaN or inf anywhere makes the sum of squares non-finite, and
+        # only then are the entries themselves checked
+        norm_sq = float(np.vdot(amplitudes, amplitudes).real)
+        if not math.isfinite(norm_sq) and not np.isfinite(amplitudes.view(float)).all():
             raise DomainError("amplitude vectors must be finite (NaN or inf amplitude)")
-        object.__setattr__(self, "components", MappingProxyType(cleaned))
+        for name, value in (
+            ("two_js", two_js), ("offsets", offsets), ("rows", rows), ("amplitudes", amplitudes)
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "truncation_tail", truncation_tail)
         object.__setattr__(self, "_norm", math.sqrt(norm_sq))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"TwoModeState is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"TwoModeState(label={self.label!r}, frame={self.frame}, "
+            f"blocks={self.two_js.size}, stored={self.rows.size})"
+        )
 
     def norm(self) -> float:
         """sqrt(sum |psi|^2) over every block, computed once at construction."""
@@ -141,16 +202,46 @@ class TwoModeState:
 
     @property
     def max_two_j(self) -> int:
-        return max(self.components)
+        return int(self.two_js.max())
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Stored rows of each block."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    def stored_blocks(self, which=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(2j, rows, amplitudes) of each block, or of the block indices ``which``, as views."""
+        bounds, two_js = self.offsets.tolist(), self.two_js.tolist()
+        for b in range(len(two_js)) if which is None else which:
+            lo, hi = bounds[b], bounds[b + 1]
+            yield two_js[b], self.rows[lo:hi], self.amplitudes[lo:hi]
+
+    @property
+    def components(self) -> Mapping[int, np.ndarray]:
+        """Read-only map 2j -> read-only dense vector of the block, built on each access.
+
+        Raises DomainError, before any vector is built, if the dense
+        vectors together would exceed ``_MAX_AMPLITUDES``.
+        """
+        needed = int(self.two_js.sum()) + self.two_js.size
+        if needed > _MAX_AMPLITUDES:
+            raise DomainError(
+                f"dense vectors of state {self.label!r} need {needed} amplitudes, "
+                f"over the budget of {_MAX_AMPLITUDES}"
+            )
+        dense = {}
+        for two_j, rows, amps in self.stored_blocks():
+            dense[two_j] = np.zeros(two_j + 1, dtype=complex)
+            dense[two_j][rows] = amps
+            dense[two_j].flags.writeable = False
+        return MappingProxyType(dense)
 
     def block(self, two_j: int) -> np.ndarray:
         return self.components[two_j]
 
     def mean_photon_number(self) -> float:
-        return sum(
-            two_j * float(np.sum(np.abs(vec) ** 2))
-            for two_j, vec in self.components.items()
-        )
+        weights = np.abs(self.amplitudes) ** 2
+        return float(np.repeat(self.two_js, self.sizes) @ weights)
 
     def fock_terms(self) -> list[tuple[int, int, complex]]:
         """Nonzero amplitudes as (n_a, n_b, amplitude) occupation triples.
@@ -159,11 +250,10 @@ class TwoModeState:
         occupations refer to the internal (primed) modes.
         """
         terms = []
-        for two_j in sorted(self.components):
-            vec = self.components[two_j]
-            for i, amp in enumerate(vec):
+        for two_j, rows, amps in sorted(self.stored_blocks(), key=lambda block: block[0]):
+            for row, amp in zip(rows.tolist(), amps.tolist()):
                 if amp != 0:
-                    terms.append((two_j - i, i, complex(amp)))
+                    terms.append((two_j - row, row, amp))
         return terms
 
     def mu_values(self, two_j: int) -> np.ndarray:
@@ -173,31 +263,36 @@ class TwoModeState:
 
 def fidelity(first: TwoModeState, second: TwoModeState) -> float:
     """|<first|second>| over the shared blocks; global-phase invariant."""
+    theirs = second.components
     overlap = 0j
     for two_j, vec in first.components.items():
-        other = second.components.get(two_j)
+        other = theirs.get(two_j)
         if other is not None:
             overlap += np.vdot(vec, other)
     return abs(overlap)
 
 
 def _single_block(two_j: int, entries: dict[int, complex], frame: Frame, label: str) -> TwoModeState:
-    """State with one j block and amplitudes at the given indices."""
-    vec = np.zeros(two_j + 1, dtype=complex)
-    for idx, amp in entries.items():
-        vec[idx] = amp
-    return TwoModeState({two_j: vec}, frame, label)
+    """State with one j block and amplitudes at the given rows."""
+    rows = sorted(entries)
+    return TwoModeState._from_rows(
+        [two_j], [0, len(rows)], rows, [entries[row] for row in rows], frame, label
+    )
 
 
-# Amplitudes one coherent state may hold: 128 MiB of complex128 at 16 bytes
-# each, the same budget as the J_y eigensystem cache.  Building a state holds
-# at most three copies of them at once (the vectors built here, the validated
-# copies and the concatenation that checks them), so a state at the budget
-# peaks near 384 MiB.  Detection builds no eigensystem for its row-0 blocks
-# and copies no more than one block at a time.  The two-sided window keeps
-# about 14 sqrt(nbar) blocks of about nbar amplitudes each, so the budget
-# admits nbar up to 7011.
+# Amplitudes a coherent state may store, and the most any state's dense
+# ``components`` may hold: 128 MiB of complex128 at 16 bytes each, the
+# same budget as the J_y eigensystem cache.  A coherent state stores one
+# amplitude per block, about 14 sqrt(nbar) of them, so the budget would
+# admit nbar near 3.6e11; the Poisson window scanned to choose them binds
+# first.  Detection reads the stored rows and builds no dense vector.
 _MAX_AMPLITUDES = 2**23
+
+# Photon numbers coherent_input may scan, 20 standard deviations on either
+# side of nbar.  The scan's arrays take 32 MiB each at the cap, which nbar
+# near 1.1e10 reaches; building that state peaks near 280 MiB and keeps
+# about 1.5M blocks.
+_MAX_WINDOW = 2**22
 
 
 def coherent_input(
@@ -210,10 +305,11 @@ def coherent_input(
     The expansion keeps one window of photon numbers around nbar: the
     smallest weights are dropped, from either side, while the discarded
     mass of both tails together stays below tail_bound, and the rest is
-    renormalized.  ``truncation_tail`` reports the discarded mass.  A
-    window holding more than ``_MAX_AMPLITUDES`` amplitudes, the sum of
-    n + 1 over its blocks, raises DomainError before any of them is
-    allocated.
+    renormalized.  ``truncation_tail`` reports the discarded mass.  Each
+    kept block stores its one amplitude on row 0, with no zero padding.
+    A scan wider than ``_MAX_WINDOW`` photon numbers raises DomainError
+    before it is allocated, and so does a kept window of more than
+    ``_MAX_AMPLITUDES`` blocks before the state is built.
     """
     nbar = float(nbar)
     if not math.isfinite(nbar) or nbar < 0:
@@ -223,9 +319,13 @@ def coherent_input(
     if nbar == 0.0:
         return _single_block(0, {0: 1.0 + 0j}, Frame.AT_INPUT, "coherent")
     mode = int(nbar)  # the largest weight, which every window keeps
-    if mode + 1 > _MAX_AMPLITUDES:
-        raise DomainError(_over_budget(nbar, mode + 1))
     reach = 20.0 * math.sqrt(nbar + 1.0) + 40.0
+    scan = min(nbar, reach) + reach + 1.0  # the window below, sized before nbar +- reach round
+    if scan > _MAX_WINDOW:
+        raise DomainError(
+            f"coherent state at nbar = {nbar!r} needs a scan of {scan:.6g} photon "
+            f"numbers, over the budget of {_MAX_WINDOW}"
+        )
     lo, hi = max(0, int(nbar - reach)), int(nbar + reach)
     ns = np.arange(lo, hi + 1)
     # Poisson weights relative to the mode, summed outward from it:
@@ -244,23 +344,21 @@ def coherent_input(
     first, last = int(kept.min()), int(kept.max())
     tail = float(probs[:first].sum() + probs[last + 1 :].sum())
     kept_ns = ns[first : last + 1]
-    amplitudes = int(kept_ns.sum()) + kept_ns.size  # n + 1 per block
-    if amplitudes > _MAX_AMPLITUDES:
-        raise DomainError(_over_budget(nbar, amplitudes))
+    if kept_ns.size > _MAX_AMPLITUDES:
+        raise DomainError(
+            f"coherent state at nbar = {nbar!r} needs {kept_ns.size} amplitudes, "
+            f"over the budget of {_MAX_AMPLITUDES}"
+        )
     amps = np.sqrt(probs[first : last + 1]) * np.exp(1j * coherent_phase * kept_ns)
     amps /= math.sqrt(float(np.vdot(amps, amps).real))
-    components = {}
-    for n, amp in zip(kept_ns.tolist(), amps):
-        vec = np.zeros(n + 1, dtype=complex)
-        vec[0] = amp
-        components[n] = vec
-    return TwoModeState(components, Frame.AT_INPUT, "coherent", truncation_tail=tail)
-
-
-def _over_budget(nbar: float, amplitudes: int) -> str:
-    return (
-        f"coherent state at nbar = {nbar!r} needs {amplitudes} amplitudes, "
-        f"over the budget of {_MAX_AMPLITUDES}"
+    return TwoModeState._from_rows(
+        kept_ns,
+        np.arange(kept_ns.size + 1),
+        np.zeros(kept_ns.size, dtype=np.int64),
+        amps,
+        Frame.AT_INPUT,
+        "coherent",
+        tail,
     )
 
 
@@ -279,27 +377,25 @@ def dual_fock_input(n_per_mode: int) -> TwoModeState:
 
 def noon_internal(n_total: int) -> TwoModeState:
     """(|N,0> + |0,N>)/sqrt(2) on the internal modes: mu = +j and -j."""
-    n_total = _positive_int(n_total, "n_total")
+    return _noon(_positive_int(n_total, "n_total"), "noon-internal")
+
+
+def _noon(n_total: int, label: str) -> TwoModeState:
     amp = 1.0 / math.sqrt(2.0)
-    return _single_block(
-        n_total,
-        {0: amp, n_total: amp},
-        Frame.INSIDE_INTERFEROMETER,
-        "noon-internal",
-    )
+    return _single_block(n_total, {0: amp, n_total: amp}, Frame.INSIDE_INTERFEROMETER, label)
 
 
 def noon_input(n_total: int) -> TwoModeState:
     """The input state whose image after the first beam splitter is NOON.
 
-    Built by sending noon_internal through the beam-splitter transform
-    (the z-y-z product), not by the closed-form coefficients.
+    Built by sending the internal NOON state, labelled "noon", through the
+    beam-splitter transform (the z-y-z product), not by the closed-form
+    coefficients.
     """
     from .interferometer import apply_beam_splitter
 
     n_total = _positive_int(n_total, "n_total")
-    transformed = apply_beam_splitter(noon_internal(n_total), inverse=False)
-    return TwoModeState(dict(transformed.components), Frame.AT_INPUT, "noon")
+    return apply_beam_splitter(_noon(n_total, "noon"), inverse=False)
 
 
 def yurke_input(n_total: int) -> TwoModeState:
@@ -349,10 +445,9 @@ def berry_wiseman_internal(n_total: int) -> TwoModeState:
     amps = np.sin((n_total - i + 1.0) * math.pi / (n_total + 2.0)) / math.sqrt(
         0.5 * n_total + 1.0
     )
-    return TwoModeState(
-        {n_total: amps.astype(complex)},
-        Frame.INSIDE_INTERFEROMETER,
-        "berry-wiseman",
+    # every amplitude is nonzero: the sine's argument stays inside (0, pi)
+    return TwoModeState._from_rows(
+        [n_total], [0, n_total + 1], i, amps, Frame.INSIDE_INTERFEROMETER, "berry-wiseman"
     )
 
 
@@ -429,9 +524,14 @@ _norm_mismatch_reported: set[CombinedStateParams] = set()
 
 
 def _combined_quoted_norm(n_total: int, params: CombinedStateParams) -> float | None:
-    """1/C_N per the quoted closed form; None if it is not a real number."""
-    j = HalfInt(n_total)
-    corner = d_element(j, j, HalfInt(0), math.pi / 2.0)
+    """1/C_N per the quoted closed form; None if it is not a real number.
+
+    The corner d^j_{j,0}(pi/2) = (-1)^j sqrt(C(2j, j)) / 2^j is an entry
+    of the binomial edge column of d, so no eigensystem is built; the
+    integer ratio C(2j, j) / 4^j rounds once, and its square root once.
+    """
+    half = n_total // 2
+    corner = (-1.0) ** half * math.sqrt(math.comb(n_total, half) / 4**half)
     radicand = 1.0 + 2.0 * math.sqrt(2.0) * params.alpha_mag * params.beta_mag * (
         corner * math.cos(params.theta - n_total * math.pi / 4.0)
     )

@@ -18,18 +18,20 @@ eigenvectors come in exact parity mirror pairs: D V = V[:, ::-1] with
 D = diag((-1)^r), which the detection layer uses to project each block
 once.
 
-``_project`` reads a vector's components on the J_y eigenvectors from its
-nonzero rows; ``_rotate`` applies exp(-i theta J_y) to a vector in two
+``_project`` reads a block's components on the J_y eigenvectors from its
+stored rows; ``_rotate`` applies exp(-i theta J_y) to a block in two
 products; ``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L)
 V^T] on demand; ``d_element`` and ``d_derivative`` read one entry of it,
 or of its theta derivative, in O(n).
 
-One case needs no eigensystem: a vector whose only nonzero rows are 0
-and n-1 (mu = +-j, as in the NOON state and every coherent block) only
-reads the two edge columns of d, which are closed-form binomials,
+One case needs no eigensystem: a block stored on no rows but 0 and n-1
+(mu = +-j, as in the internal NOON state) only reads the two edge
+columns of d, which are closed-form binomials,
 d[r, 0] = sqrt(C(2j, r)) c^(2j-r) s^r with c, s = cos, sin(theta/2), and
 their mirror.  ``_rotate`` builds them in O(n) (``_edge_column``), so
 ``noon_input`` and the beam splitter on such blocks never diagonalize.
+Detection rotates no block at all for its row-0 blocks (coherent and
+single-Fock): it reads them as d[0, 0](2 phi) = cos(phi)^(2j).
 
 Accuracy is absolute through 2j = 1000: about 1e-14 per element and
 1e-12 per derivative, so elements below that (far corners of large
@@ -68,7 +70,7 @@ __all__ = [
 # from the GB range.  Only fixed-phi points of blocks with rows other
 # than 0 and n-1, apply_mzi on such blocks and the d_* kernels build one:
 # every phi -> 0 limit comes from generator moments, edge-row blocks
-# rotate in closed form, and row-0 blocks read binomial weights.
+# rotate in closed form, and a row-0 block is read as cos(phi)^(2j).
 _EIGEN_CACHE_BYTES = 128 * 2**20
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4
@@ -191,17 +193,16 @@ def _times_real(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left @ right.real + 1j * (left @ right.imag)
 
 
-def _project(two_j: int, vec: np.ndarray) -> np.ndarray:
+def _project(two_j: int, rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """<e_k|psi> = sum_r i^r V[r, k] psi_r over the J_y eigenvectors e_k.
 
-    Only the nonzero rows of vec are read, so a block with a few occupied
-    rows costs a few rows of V, not all of it.
+    psi is given by its stored rows and their amplitudes, so a block with
+    a few occupied rows costs a few rows of V, not all of it.
     """
     _, basis = _jy_eigensystem(two_j)
-    rows = np.flatnonzero(vec)
     if rows.size < basis.shape[0]:  # a dense block reads V in place, not a copy
         basis = basis[rows]
-    return _times_real(_I_POWERS[rows % 4] * vec[rows], basis)
+    return _times_real(_I_POWERS[rows % 4] * amplitudes, basis)
 
 
 def _edge_column(two_j: int, theta: float) -> np.ndarray:
@@ -233,25 +234,25 @@ def _edge_column(two_j: int, theta: float) -> np.ndarray:
     return column
 
 
-def _rotate(two_j: int, vec: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-i theta J_y) applied to one block vector.
+def _rotate(two_j: int, rows: np.ndarray, amplitudes: np.ndarray, theta: float) -> np.ndarray:
+    """exp(-i theta J_y) applied to one block, given by its stored rows.
 
-    A vector whose only nonzero rows are 0 and n-1 reads the two edge
-    columns of d, d[:, 0] from ``_edge_column`` and its mirror
-    d[r, n-1] = (-1)^(n-1-r) d[n-1-r, 0], with no eigensystem.  Any other
-    vector takes two products against the cached eigensystem: project
-    onto the J_y eigenbasis, advance each component by
-    exp(-i theta lambda_k), and map back.
+    Returns the dense vector of 2j + 1 amplitudes.  A block stored on no
+    rows but 0 and n-1 reads the two edge columns of d, d[:, 0] from
+    ``_edge_column`` and its mirror d[r, n-1] = (-1)^(n-1-r) d[n-1-r, 0],
+    with no eigensystem.  Any other block takes two products against the
+    cached eigensystem: project onto the J_y eigenbasis, advance each
+    component by exp(-i theta lambda_k), and map back.
     """
-    if not np.count_nonzero(vec[1:-1]):
+    if rows.size <= 2 and all(row in (0, two_j) for row in rows.tolist()):
         column = _edge_column(two_j, theta)
-        out = vec[0] * column
+        out = (amplitudes[0] if rows.size and rows[0] == 0 else 0j) * column
         if two_j:
             mirror = np.where(np.arange(two_j, -1, -1) % 2, -1.0, 1.0) * column[::-1]
-            out = out + vec[-1] * mirror
+            out = out + (amplitudes[-1] if rows.size and rows[-1] == two_j else 0j) * mirror
         return out
     lam, basis = _jy_eigensystem(two_j)
-    coeffs = _project(two_j, vec) * np.exp(-1j * theta * lam)
+    coeffs = _project(two_j, rows, amplitudes) * np.exp(-1j * theta * lam)
     return np.conj(_I_POWERS[np.arange(two_j + 1) % 4]) * _times_real(basis, coeffs)
 
 

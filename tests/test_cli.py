@@ -12,6 +12,7 @@ from mzparity import (
     CombinedStateParams,
     NumericalLimitError,
     berry_wiseman_internal,
+    closed_form_expectation,
     combined_input,
     dual_fock_input,
     phase_uncertainty,
@@ -255,10 +256,12 @@ def test_non_finite_phi_exit_code(capsys):
 
 
 def test_oversized_coherent_state_exit_code(capsys):
+    # nbar = 1e300 would need a Poisson scan of 4e151 photon numbers
+    nbar = str(10**300)
     tracemalloc.start()
     try:
-        code = main(["sweep", "--state", "coherent", "--n-min", "1000000",
-                     "--n-max", "1000000", "--phi", "0.1"])
+        code = main(["sweep", "--state", "coherent", "--n-min", nbar,
+                     "--n-max", nbar, "--phi", "0.1"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -298,6 +301,33 @@ def test_limits_and_noon_states_need_no_eigensystem(monkeypatch, tmp_path):
         assert [int(row["N"]) for row in rows] == list(range(lo, hi + 1))
     assert main(["figure", "fig4", "--out", str(tmp_path / "fig4.csv")]) == 0
     assert main(["table", "--out", str(tmp_path / "table.csv")]) == 0
+
+
+def test_fig3_and_row_zero_sweeps_need_no_eigensystem(monkeypatch, tmp_path):
+    # fig3's quoted-norm corner is an edge-column entry, and every coherent
+    # and single-Fock block is read as cos(phi)^(2j) at a fixed phi
+    def refuse(two_j):
+        raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
+
+    monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
+    assert main(["figure", "fig3", "--out", str(tmp_path / "fig3.csv")]) == 0
+    for label, phi, hi in (("coherent", "0.3", 150), ("single-fock", "1.3", 300)):
+        out = tmp_path / f"{label}.csv"
+        assert main(["sweep", "--state", label, "--phi", phi, "--n-min", "1",
+                     "--n-max", str(hi), "--out", str(out)]) == 0
+        rows = parse_csv(out.read_text())
+        assert [int(row["N"]) for row in rows] == list(range(1, hi + 1))
+
+
+def test_coherent_point_past_the_old_padded_budget(tmp_path):
+    # nbar = 7012 needed 2^23 + 1487 zero-padded amplitudes; it stores 1195
+    out = tmp_path / "coherent.csv"
+    assert main(["sweep", "--state", "coherent", "--n-min", "7012", "--phi", "0.01",
+                 "--out", str(out)]) == 0
+    (row,) = parse_csv(out.read_text())
+    assert float(row["expectation"]) == pytest.approx(
+        closed_form_expectation("coherent", 7012.0, 0.01), rel=1e-10
+    )
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

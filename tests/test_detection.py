@@ -427,7 +427,7 @@ def _mixed_state(frame, seed):
 def test_moment_series_matches_spectrum(build, args):
     state = build(*args)
     series, bounds = detection._taylor_series(state)
-    want, want_bounds = spectrum_series(*detection._spectrum(state))
+    want, want_bounds = spectrum_series(*full_spectrum(state))
     assert np.allclose(bounds, want_bounds, rtol=1e-15, atol=0.0)
     assert np.all(np.abs(series - want) <= 1e-13 * bounds)
 
@@ -477,21 +477,56 @@ def _parity_image(state, two_j, vec):
     return (1j**two_j) * np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0) * vec[::-1]
 
 
+def _on_row_zero(state, vec):
+    """An at-input block whose only nonzero amplitude is row 0 (mu = +j)."""
+    return state.frame is Frame.AT_INPUT and vec[0] != 0 and not np.any(vec[1:])
+
+
+def full_spectrum(state):
+    """The engine's grid, with the exact binomial weights of each row-0 block added.
+
+    Row 0 of the J_y eigenvectors squared is C(2j, k) / 4^j at lam_k = k - j,
+    so a row-0 block adds |psi_0|^2 C(2j, k) / 2^(2j) there: the weights the
+    engine no longer forms, since it reads those blocks as cos(phi)^(2j).
+    """
+    spectrum = detection._spectrum(state)
+    top = max(state.components)
+    weights = np.zeros(2 * top + 1, dtype=complex)
+    inner = (spectrum.weights.size - 1) // 2
+    if spectrum.weights.size:
+        weights[top - inner : top + inner + 1] += spectrum.weights
+    row_zero = {
+        two_j: vec[0] for two_j, vec in state.components.items() if _on_row_zero(state, vec)
+    }
+    row = np.ones(1)  # C(n, k) / 2^n, advanced by Pascal's rule
+    for n in range(max(row_zero, default=-1) + 1):
+        if n:
+            row = 0.5 * (np.r_[row, 0.0] + np.r_[0.0, row])
+        if n in row_zero:
+            weights[top - n : top + n + 1 : 2] += abs(row_zero[n]) ** 2 * row
+    return weights, (np.arange(2 * top + 1) - top) / 2.0
+
+
 @pytest.mark.parametrize(
     "label,n",
     [("coherent", 30), ("noon", 41), ("dual-fock", 60), ("noon-internal", 9),
      ("berry-wiseman", 12), ("combined", 10), ("modified-yuen", 15)],
 )
 def test_spectrum_weights_sum_to_parity_at_zero(label, n):
+    # the grid spans the largest block that is not on row 0 alone, and
+    # each row-0 block is cos(0)^(2j) = 1 times its weight
     state = make_state(label, n)
-    weights, freqs = detection._spectrum(state)
-    top = max(state.components)
-    assert np.array_equal(freqs, (np.arange(2 * top + 1) - top) / 2.0)
+    spectrum = detection._spectrum(state)
+    gridded = [
+        two_j for two_j, vec in state.components.items() if not _on_row_zero(state, vec)
+    ]
+    top = max(gridded, default=-0.5)
+    assert np.array_equal(spectrum.freqs, (np.arange(int(2 * top + 1)) - top) / 2.0)
     want = sum(
         np.vdot(vec, _parity_image(state, two_j, vec))
         for two_j, vec in state.components.items()
     )
-    assert abs(weights.sum() - want) <= 1e-13
+    assert abs(spectrum.weights.sum() + spectrum.probs.sum() - want) <= 1e-13
 
 
 def _jy_dense(two_j):
@@ -529,7 +564,7 @@ def test_spectrum_matches_per_amplitude_sum(frame):
                      for r in range(two_j + 1)]
         for freq, weight in terms:
             want[top + int(round(2.0 * freq))] += weight
-    weights, _ = detection._spectrum(state)
+    weights, _ = full_spectrum(state)
     assert np.abs(weights - want).max() <= 1e-14
 
 
@@ -620,18 +655,67 @@ def _eigen_projection(state):
     return weights
 
 
+ROW_ZERO_PHIS = (0.0, 1e-6, 1e-3, 0.3, math.pi / 2, 2.0, 3.0, -0.7)
+
+
+def _check_against_eigen_projection(state, weights=None):
+    """<P>, d<P>/dphi and delta_phi against every block projected on its eigensystem.
+
+    The reference takes 1 -+ <P> the way the engine does, from the odd and
+    even rows and an expm1 shift, so delta_phi keeps its accuracy near
+    phi = 0 on both sides.  Its own derivative error grows with the block,
+    to about 1.2e-14 at 2j = 2200.  Other reference weights on the same
+    grid may be passed instead.
+    """
+    if weights is None:
+        weights = _eigen_projection(state)
+    top = max(state.components)
+    freqs = (np.arange(2 * top + 1) - top) / 2.0
+    below = above = 0.0
+    for vec in state.components.values():
+        below += 2.0 * np.vdot(vec[1::2], vec[1::2]).real
+        above += 2.0 * np.vdot(vec[0::2], vec[0::2]).real
+    slope_tol = 1e-14 * max(1.0, top / 1000.0)
+    for phi in ROW_ZERO_PHIS:
+        phase = np.exp(-2j * phi * freqs)
+        want = np.sum(weights * phase).real
+        want_slope = np.sum(weights * (-2j * freqs) * phase).real
+        result = phase_uncertainty(state, phi)
+        assert abs(result.expectation - want) <= 1e-14
+        assert abs(result.derivative - want_slope) <= slope_tol
+        assert parity_expectation(state, phi) == result.expectation
+        assert parity_derivative(state, phi) == result.derivative
+        if abs(phi) * top < 1.0:
+            shift = np.sum(weights * np.expm1(-2j * phi * freqs)).real
+            spread = (below - shift) * (above + shift)
+        else:
+            spread = 1.0 - want * want
+        if abs(want_slope) >= 1e-12:
+            # errors of 1e-14 in <P> and slope_tol in the slope, propagated
+            rel = 1e-12 + slope_tol / abs(want_slope) + 1e-14 / spread
+            want_delta = math.sqrt(spread) / abs(want_slope)
+            assert result.delta_phi == pytest.approx(want_delta, rel=rel, abs=0.0)
+        elif abs(want_slope) < 1e-15:
+            assert result.delta_phi == math.inf
+
+
 @pytest.mark.parametrize(
     "label,n",
-    [("coherent", nbar) for nbar in (0.5, 9, 150, 400)]
+    [("coherent", nbar) for nbar in (0.5, 9, 30, 150, 400, 1000)]
     + [("single-fock", n) for n in (1, 2, 7, 300, 2200)],
 )
 def test_row_zero_blocks_match_eigensystem_projection(label, n):
+    # every block sits on row 0 alone, so <P> is sum p_n cos(phi)^n: no grid
     state = make_state(label, n)
-    weights, _ = detection._spectrum(state)
-    assert np.abs(weights - _eigen_projection(state)).max() <= 1e-15
+    spectrum = detection._spectrum(state)
+    assert spectrum.weights.size == 0 and spectrum.powers.size == len(state.components)
+    # at nbar = 1000 the ~450 eigensystems take 10 s; their row 0, squared,
+    # is the binomial C(2j, k) / 4^j that full_spectrum adds instead
+    _check_against_eigen_projection(state, full_spectrum(state)[0] if n == 1000 else None)
 
 
-def test_row_zero_rule_in_a_mixed_state(monkeypatch):
+def _row_zero_mixed_state():
+    """Row-0 blocks 0, 3, 6 and 9 beside general blocks 5 and 8 (8 with row 0 too)."""
     rng = np.random.default_rng(11)
     blocks = {}
     for two_j in (0, 3, 5, 6, 8, 9):
@@ -641,8 +725,11 @@ def test_row_zero_rule_in_a_mixed_state(monkeypatch):
         blocks[two_j][2:] = rng.standard_normal(two_j - 1)
     blocks[5][0] = 0.0
     norm = math.sqrt(sum(np.vdot(v, v).real for v in blocks.values()))
-    state = TwoModeState({k: v / norm for k, v in blocks.items()}, Frame.AT_INPUT, "mixed")
-    want = _eigen_projection(state)
+    return TwoModeState({k: v / norm for k, v in blocks.items()}, Frame.AT_INPUT, "mixed")
+
+
+def test_row_zero_rule_in_a_mixed_state(monkeypatch):
+    state = _row_zero_mixed_state()
     built = []
     original = wigner._jy_eigensystem
 
@@ -651,9 +738,34 @@ def test_row_zero_rule_in_a_mixed_state(monkeypatch):
         return original(two_j)
 
     monkeypatch.setattr(wigner, "_jy_eigensystem", counting)
-    weights, _ = detection._spectrum(state)
+    spectrum = detection._spectrum(state)
     assert sorted(built) == [5, 8]
-    assert np.abs(weights - want).max() <= 1e-15
+    assert spectrum.powers.tolist() == [0, 3, 6, 9]
+    assert spectrum.weights.size == 2 * 8 + 1
+    _check_against_eigen_projection(state)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [coherent_input(0.5), single_fock_input(1), single_fock_input(7), _row_zero_mixed_state()],
+    ids=["coherent-0.5", "single-fock-1", "single-fock-7", "mixed"],
+)
+def test_row_zero_closed_form_matches_oracle(state):
+    assert max(state.components) <= 12
+    for phi in ROW_ZERO_PHIS:
+        want = bruteforce_parity_expectation(state, phi)
+        assert parity_expectation(state, phi) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nbar", [0.5, 30.0, 1000.0])
+def test_coherent_parity_deficit_keeps_relative_accuracy_near_zero_phase(nbar):
+    # 1 - <P> is about nbar phi^2 / 2 here, far below the roundoff of <P>
+    # itself; the engine's spread (1 - <P>)(1 + <P>) must carry it to 1e-10
+    phi = 1e-6
+    result = phase_uncertainty(coherent_input(nbar), phi)
+    got = result.variance**2 / (1.0 + result.expectation)
+    want = -math.expm1(-2.0 * nbar * math.sin(0.5 * phi) ** 2)  # 1 - exp(-nbar (1 - cos phi))
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_coherent_and_single_fock_need_no_eigensystem(monkeypatch):

@@ -60,7 +60,29 @@ def test_traced_cli_sees_every_constructor_call(tmp_path):
         recorder.uninstall()
     assert code == 0
     metrics = spans.layer_metrics(recorder.spans)
-    # noon_input builds noon_internal and sends it through one beam splitter
-    assert metrics["states.calls"] == 10
+    # noon_input builds its internal state privately, under the label
+    # "noon", and sends it through one beam splitter
+    assert metrics["states.calls"] == 5
     assert metrics["interferometer.calls"] == 5
     assert metrics["detection.limit.calls"] == 5
+
+
+def test_traced_expectation_counts_the_dense_blocks_of_a_stored_state():
+    # A coherent block stores one amplitude, but the recorder counts
+    # blocks and amplitudes through the dense ``components`` built on
+    # demand, so the layer counters keep their meaning.
+    from mzparity import coherent_input, detection
+
+    spans = load_spans()
+    state = coherent_input(100.0)
+    assert state.amplitudes.size == len(state.two_js)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        detection.parity_expectation(state, 0.3)
+    finally:
+        recorder.uninstall()
+    metrics = spans.layer_metrics(recorder.spans)
+    assert metrics["detection.expectation.calls"] == 1
+    assert metrics["detection.blocks_visited"] == len(state.two_js)
+    assert metrics["detection.amplitudes_visited"] == int(sum(state.two_js + 1))

@@ -26,6 +26,7 @@ from mzparity import (
     yurke_input,
 )
 from mzparity.cli import build_state
+from mzparity.detection import closed_form_expectation, parity_expectation
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -270,7 +271,10 @@ def test_coherent_window_drops_both_tails_below_bound(nbar):
 
 
 def test_coherent_budget_counts_kept_amplitudes(monkeypatch):
-    needed = sum(n + 1 for n in coherent_input(100.0).components)
+    # one stored amplitude per kept block, with no zero padding
+    state = coherent_input(100.0)
+    needed = state.amplitudes.size
+    assert needed == len(state.components) and np.all(state.rows == 0)
     monkeypatch.setattr(states_module, "_MAX_AMPLITUDES", needed)
     coherent_input(100.0)
     monkeypatch.setattr(states_module, "_MAX_AMPLITUDES", needed - 1)
@@ -279,7 +283,10 @@ def test_coherent_budget_counts_kept_amplitudes(monkeypatch):
 
 
 @pytest.mark.parametrize("nbar", [7012.0, 1e6, 1e300])
-def test_coherent_over_budget_raises_before_allocating(nbar):
+def test_coherent_over_budget_raises_before_allocating(monkeypatch, nbar):
+    # under a budget of 1000 stored amplitudes (7012 keeps 1195, 1e6 about
+    # 14000); 1e300 is refused by its Poisson scan before that is sized
+    monkeypatch.setattr(states_module, "_MAX_AMPLITUDES", 1000)
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="budget"):
@@ -288,6 +295,42 @@ def test_coherent_over_budget_raises_before_allocating(nbar):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("nbar", [7012.0, 1e6])
+def test_coherent_states_past_the_padded_budget_build(nbar):
+    # both needed more than 2^23 amplitudes while every block was zero-padded
+    state = coherent_input(nbar)
+    assert int(np.sum(state.two_js + 1)) > 2**23
+    phi = 1.0 / math.sqrt(2.0 * nbar)  # <P> near e^(-1/4)
+    want = closed_form_expectation("coherent", nbar, phi)
+    assert parity_expectation(state, phi) == pytest.approx(want, rel=1e-10, abs=0.0)
+    # below 1e-100 here, where the dropped Poisson tail sets the relative error
+    want = closed_form_expectation("coherent", nbar, 0.3)
+    assert abs(parity_expectation(state, 0.3) - want) <= 1e-10
+    with pytest.raises(DomainError, match="budget"):
+        state.components
+
+
+@pytest.mark.parametrize(
+    "build",
+    [single_fock_input, lambda n: dual_fock_input(n // 2), noon_internal, yurke_input,
+     lambda n: yuen_input(n + 1), pezze_smerzi_input],
+)
+def test_single_block_constructors_store_no_padding(build):
+    n = 10**7
+    tracemalloc.start()
+    try:
+        state = build(n)
+        with pytest.raises(DomainError, match="budget"):
+            state.components
+        with pytest.raises(DomainError, match="budget"):
+            state.block(state.max_two_j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert state.amplitudes.size <= 2 and state.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("where", [0, 2, -1])

@@ -480,7 +480,8 @@ def test_edge_rotation_matches_reference_and_eigen_route(monkeypatch, two_j):
         first = _edge_reference(two_j, theta)
         last = mirror_signs * first[::-1]  # d[r, n-1] = (-1)^(n-1-r) d[n-1-r, 0]
         want = edge[0] * first + (edge[-1] * last if two_j else 0.0)
-        assert np.abs(wigner._rotate(two_j, edge, theta) - want).max() <= 1e-15
+        rows = np.flatnonzero(edge)
+        assert np.abs(wigner._rotate(two_j, rows, edge[rows], theta) - want).max() <= 1e-15
         # the eigen route: d[:, 0] = Re[i^(-row) V exp(-i theta L) V[0]]
         eigen = (wigner._I_POWERS[-np.arange(n) % 4] * (vec @ (np.exp(-1j * theta * lam) * vec[0]))).real
         assert np.abs(wigner._edge_column(two_j, theta) - eigen).max() <= 2e-15
