@@ -17,7 +17,11 @@ diagonal parity sign and lam_k the exact eigenvalues; the eigensystem's
 exact parity mirror makes <e_k|S psi> the mirror entry of <e_k|psi>, so
 each block is projected once, from its stored rows.  For states inside
 the interferometer w = conj(psi) (Q psi) and lam = -mu, with no
-eigensystem at all.  ``parity_expectation`` and ``parity_derivative`` are
+eigensystem at all: Q maps row r of block 2j to row 2j - r, so Q psi is
+read on every stored row at once, by one lookup of each row's mirror in
+the flat stored arrays, and the grid, the parity gaps and the phi -> 0
+moments of an inside state all come from that one image with no loop
+over blocks.  ``parity_expectation`` and ``parity_derivative`` are
 sums over that spectrum, and ``phase_uncertainty`` builds it once for
 both and takes Delta P from 1 -+ <P> without cancellation.
 
@@ -50,7 +54,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, NumericalLimitError
 from .halfint import HalfInt
-from .interferometer import _finite_phase, q_apply
+from .interferometer import _finite_phase
 from .states import (
     CombinedStateParams,
     Frame,
@@ -58,7 +62,7 @@ from .states import (
     _positive_int,
     parity_needed,
 )
-from .wigner import _project, d_derivative, d_element
+from .wigner import _I_POWERS, _project, d_derivative, d_element
 
 __all__ = [
     "BenchmarkLimits",
@@ -136,16 +140,20 @@ class _Spectrum(NamedTuple):
     probs: np.ndarray
 
 
-def _mirror_closed(two_j: int, rows: np.ndarray, amplitudes: np.ndarray):
-    """The rows closed under r -> 2j - r, with psi and Q psi on them."""
-    closed, vec = rows, amplitudes
-    mirror = two_j - rows[::-1]
-    if not np.array_equal(mirror, rows):
-        closed = np.sort(np.concatenate((rows, mirror)))
-        closed = closed[np.r_[True, closed[1:] != closed[:-1]]]
-        vec = np.zeros(closed.size, dtype=complex)
-        vec[np.searchsorted(closed, rows)] = amplitudes
-    return closed, vec, q_apply(two_j, vec, closed)
+def _q_image(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """(Q psi)_r = i^(2j) (-1)^r psi_(2j - r) on every stored row r of an inside state.
+
+    Each row's mirror 2j - r is found among the stored rows of its block
+    by one searchsorted over keys that rise through the flat arrays.  Also
+    returns which rows have their mirror stored; the image is 0 on the rest.
+    """
+    owner = np.repeat(state.two_js, state.sizes)
+    base = np.repeat(np.cumsum(state.two_js + 1) - (state.two_js + 1), state.sizes)
+    keys, mirrors = base + state.rows, base + owner - state.rows
+    at = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
+    paired = keys[at] == mirrors
+    image = np.where(paired, _I_POWERS[(owner + 2 * state.rows) % 4] * state.amplitudes[at], 0.0)
+    return image, paired
 
 
 def _spectrum(state: TwoModeState) -> _Spectrum:
@@ -160,25 +168,30 @@ def _spectrum(state: TwoModeState) -> _Spectrum:
     blocks: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors
     e_k at lam_k.  The eigensystem's exact parity mirror D V = V[:, ::-1]
     makes <e_k|S psi> the mirror entry of <e_k|psi>, so each block is
-    projected once, and only its stored rows.  Inside blocks:
-    w = conj(psi) (Q psi) and lam = -mu, because the phase shifter gives
-    the mu and -mu entries the relative phase exp(2i phi mu).
+    projected once, and only its stored rows.  Inside states:
+    w = conj(psi) (Q psi) and lam = -mu on every stored row, because the
+    phase shifter gives the mu and -mu entries the relative phase
+    exp(2i phi mu); one bincount over the flat rows fills the grid.
     """
     state.require_normalized()
     at_input = state.frame is Frame.AT_INPUT
     starts = state.offsets[:-1]
-    on_row0 = state.sizes == 1
-    on_row0[on_row0] = at_input & (state.rows[starts[on_row0]] == 0)
-    gridded = np.flatnonzero(~on_row0)
-    top = int(state.two_js[gridded].max(initial=0))
-    weights = np.zeros(2 * top + 1 if gridded.size else 0, dtype=complex)
-    for two_j, rows, amps in state.stored_blocks(gridded.tolist()):
-        if at_input:
+    on_row0 = (state.sizes == 1) & at_input
+    on_row0[on_row0] = state.rows[starts[on_row0]] == 0
+    if at_input:
+        gridded = np.flatnonzero(~on_row0)
+        top = int(state.two_js[gridded].max(initial=0))
+        weights = np.zeros(2 * top + 1 if gridded.size else 0, dtype=complex)
+        for two_j, rows, amps in state.stored_blocks(gridded.tolist()):
             plain = _project(two_j, rows, amps)
             weights[top - two_j : top + two_j + 1 : 2] += np.conj(plain[::-1]) * plain
-        else:
-            closed, vec, image = _mirror_closed(two_j, rows, amps)
-            weights[top - two_j + 2 * closed] += np.conj(vec) * image
+    else:
+        top = state.max_two_j
+        slots = top - np.repeat(state.two_js, state.sizes) + 2 * state.rows
+        terms = np.conj(state.amplitudes) * _q_image(state)[0]
+        weights = np.bincount(slots, terms.real, 2 * top + 1) + 1j * np.bincount(
+            slots, terms.imag, 2 * top + 1
+        )
     return _Spectrum(
         weights,
         (np.arange(weights.size) - top) / 2.0,
@@ -209,30 +222,23 @@ def _parity_gaps(state: TwoModeState) -> tuple[float, float]:
     """||psi - P psi||^2 / 2 and ||psi + P psi||^2 / 2, that is 1 -+ <P>(0).
 
     P is S at input and Q inside.  Both are sums of squares, so they keep
-    full relative accuracy where 1 - <P> itself would cancel.
+    full relative accuracy where 1 - <P> itself would cancel.  At input
+    they are twice the mass of the odd and of the even stored rows.
+    Inside, psi -+ Q psi is taken on the stored rows; a row whose mirror
+    is not stored adds its |psi|^2 once more, for the mirror row, where
+    psi is 0 and Q psi is not.
     """
+    amps = state.amplitudes
     if state.frame is Frame.AT_INPUT:
-        # psi - S psi is twice the odd rows, psi + S psi twice the even rows.
-        # Blocks of one stored row (coherent, single-Fock) take one masked
-        # pass; a block stored on every row is read through strided views.
-        sizes = state.sizes
-        single = state.offsets[:-1][sizes == 1]
-        amps, odd = state.amplitudes[single], state.rows[single] % 2 == 1
-        minus, plus = np.vdot(amps[odd], amps[odd]).real, np.vdot(amps[~odd], amps[~odd]).real
-        for two_j, rows, amps in state.stored_blocks(np.flatnonzero(sizes > 1).tolist()):
-            if rows.size == two_j + 1:
-                odd_amps, even_amps = amps[1::2], amps[0::2]
-            else:
-                odd_amps, even_amps = amps[rows % 2 == 1], amps[rows % 2 == 0]
-            minus += np.vdot(odd_amps, odd_amps).real
-            plus += np.vdot(even_amps, even_amps).real
-        return 2.0 * minus, 2.0 * plus
-    minus = plus = 0.0
-    for two_j, rows, amps in state.stored_blocks():
-        _, vec, image = _mirror_closed(two_j, rows, amps)
-        minus += np.vdot(vec - image, vec - image).real
-        plus += np.vdot(vec + image, vec + image).real
-    return 0.5 * minus, 0.5 * plus
+        odd = state.rows % 2 == 1
+        return 2.0 * np.vdot(amps[odd], amps[odd]).real, 2.0 * np.vdot(amps[~odd], amps[~odd]).real
+    image, paired = _q_image(state)
+    minus, plus = amps - image, amps + image
+    unpaired = np.vdot(amps[~paired], amps[~paired]).real
+    return (
+        0.5 * (np.vdot(minus, minus).real + unpaired),
+        0.5 * (np.vdot(plus, plus).real + unpaired),
+    )
 
 
 def _expectation_at(spectrum: _Spectrum, phi: float) -> complex:
@@ -387,8 +393,9 @@ def _taylor_series(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients F_m of <P>(phi) at phi = 0, m <= _TAYLOR_ORDER, and their bounds.
 
     <P>(phi) = <psi| exp(2i phi G) P |psi>, so F_m = <psi|(2iG)^m P psi> / m!.
-    Inside the interferometer G = J_z and P = Q, and each power is a
-    diagonal product.  At input G = J_y and P = S, and 2i J_y = J_+ - J_-
+    Inside the interferometer G = J_z and P = Q, so the moments are one
+    product of conj(psi) (Q psi) on the stored rows with the Vandermonde
+    matrix of 2i mu.  At input G = J_y and P = S, and 2i J_y = J_+ - J_-
     is the real tridiagonal matrix with <mu_r|J_+|mu_(r+1)> =
     sqrt((r+1)(2j-r)) above the diagonal and its negative below.  Its
     m-th power reaches m rows beyond the stored ones, so each block keeps
@@ -427,16 +434,9 @@ def _taylor_series(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
         m = np.arange(order + 1)
         series = np.where(m % 2, -1.0, 1.0) * gram[m // 2, m - m // 2]
     else:
-        terms, generators = [], []
-        for two_j, rows, amps in state.stored_blocks():
-            closed, vec, image = _mirror_closed(two_j, rows, amps)
-            terms.append(np.conj(vec) * image)
-            generators.append(2.0j * ((two_j - 2.0 * closed) / 2.0))  # 2i mu
-        term, generator = np.concatenate(terms), np.concatenate(generators)
-        series = np.empty(order + 1, dtype=complex)
-        for m in range(order + 1):
-            series[m] = term.sum()
-            term *= generator
+        generator = 1j * (np.repeat(state.two_js, state.sizes) - 2.0 * state.rows)
+        term = np.conj(state.amplitudes) * _q_image(state)[0]
+        series = term @ np.vander(generator, order + 1, increasing=True)
     top = state.max_two_j
     return series / factorials, np.array([float(top**m) for m in range(order + 1)]) / factorials
 

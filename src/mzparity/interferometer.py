@@ -115,17 +115,15 @@ def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
     )
 
 
-def q_apply(two_j: int, vec: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Q = exp(-i pi/2 J_x) P exp(+i pi/2 J_x) on one block.
+def q_apply(two_j: int, vec: np.ndarray) -> np.ndarray:
+    """Q = exp(-i pi/2 J_x) P exp(+i pi/2 J_x) on one dense block.
 
     (Q v)_i = i^N (-1)^i v_(N-i): an anti-diagonal with alternating
-    signs and a global i^N.  vec holds the amplitudes on the sorted
-    ``rows`` (all 2j + 1 rows by default); the image is returned on the
-    mirrored rows 2j - rows, in ascending order, which are ``rows`` again
-    whenever that set is closed under the mirror.
+    signs and a global i^N.  The detection engine applies the same map to
+    the stored rows of a state directly; this dense form is the reference
+    the tests hold it to.
     """
-    image_rows = two_j - (np.arange(two_j + 1) if rows is None else rows)[::-1]
-    signs = np.where(image_rows % 2 == 0, 1.0, -1.0)
+    signs = np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0)
     return (1j**two_j) * signs * vec[::-1]
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import logging
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -42,8 +41,6 @@ __all__ = [
     "yuen_input",
     "yurke_input",
 ]
-
-logger = logging.getLogger(__name__)
 
 STATE_LABELS = (
     "coherent",
@@ -229,15 +226,30 @@ class TwoModeState:
                 f"dense vectors of state {self.label!r} need {needed} amplitudes, "
                 f"over the budget of {_MAX_AMPLITUDES}"
             )
-        dense = {}
-        for two_j, rows, amps in self.stored_blocks():
-            dense[two_j] = np.zeros(two_j + 1, dtype=complex)
-            dense[two_j][rows] = amps
-            dense[two_j].flags.writeable = False
-        return MappingProxyType(dense)
+        two_js = self.two_js.tolist()
+        return MappingProxyType({two_j: self._dense(b) for b, two_j in enumerate(two_js)})
 
     def block(self, two_j: int) -> np.ndarray:
-        return self.components[two_j]
+        """Read-only dense vector of block 2j, built alone; KeyError if it is not stored.
+
+        Raises DomainError if the block has more than ``_MAX_AMPLITUDES`` rows.
+        """
+        where = np.flatnonzero(self.two_js == two_j)
+        if not where.size:
+            raise KeyError(two_j)
+        if two_j + 1 > _MAX_AMPLITUDES:
+            raise DomainError(
+                f"dense block 2j={two_j} of state {self.label!r} needs {two_j + 1} "
+                f"amplitudes, over the budget of {_MAX_AMPLITUDES}"
+            )
+        return self._dense(int(where[0]))
+
+    def _dense(self, b: int) -> np.ndarray:
+        lo, hi = self.offsets[b], self.offsets[b + 1]
+        vec = np.zeros(int(self.two_js[b]) + 1, dtype=complex)
+        vec[self.rows[lo:hi]] = self.amplitudes[lo:hi]
+        vec.flags.writeable = False
+        return vec
 
     def mean_photon_number(self) -> float:
         weights = np.abs(self.amplitudes) ** 2
@@ -262,14 +274,17 @@ class TwoModeState:
 
 
 def fidelity(first: TwoModeState, second: TwoModeState) -> float:
-    """|<first|second>| over the shared blocks; global-phase invariant."""
-    theirs = second.components
-    overlap = 0j
-    for two_j, vec in first.components.items():
-        other = theirs.get(two_j)
-        if other is not None:
-            overlap += np.vdot(vec, other)
-    return abs(overlap)
+    """|<first|second>| over the rows both store; global-phase invariant.
+
+    The shared rows are one intersection of the keys (2j, r) of both
+    states, so no dense vector is built.  Each key is the complex number
+    2j + i r: exact in floats for any 2j a state can hold, where an integer
+    key such as 2j(2j+1)/2 + r would overflow int64 past 2j ~ 4.3e9, and
+    numpy orders complex numbers by real part, then imaginary part.
+    """
+    keys = [np.repeat(state.two_js, state.sizes) + 1j * state.rows for state in (first, second)]
+    _, mine, theirs = np.intersect1d(*keys, assume_unique=True, return_indices=True)
+    return abs(np.vdot(first.amplitudes[mine], second.amplitudes[theirs]))
 
 
 def _single_block(two_j: int, entries: dict[int, complex], frame: Frame, label: str) -> TwoModeState:
@@ -479,10 +494,9 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
 
     The state vector is assembled explicitly and renormalized numerically.
     The quoted normalization constant C_N = [1 + 2 sqrt(2) |alpha beta|
-    d^j_{j,0}(pi/2) cos(theta - N pi/4)]^(-1/2) is evaluated alongside and
-    any disagreement beyond 1e-8 is logged once per parameter set, never
-    raised: the interference term's sign convention is checked against the
-    construction, not trusted.
+    d^j_{j,0}(pi/2) cos(theta - N pi/4)]^(-1/2) is not used: its
+    interference term disagrees with this construction whenever
+    N = 2 (mod 4) and sin(theta) != 0, which the tests pin.
     """
     n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 0:
@@ -500,44 +514,9 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
         raise NormalizationError(
             f"combined state degenerates (norm {norm:.3e}) for N={n_total}, {params}"
         )
-    quoted = _combined_quoted_norm(n_total, params)
-    if quoted is not None and abs(quoted - norm) > 1e-8:
-        if params not in _norm_mismatch_reported:
-            _norm_mismatch_reported.add(params)
-            logger.warning(
-                "combined-state normalization: numerical %r vs quoted closed form %r "
-                "(N=%d, theta=%r); using the numerical value, not reported again "
-                "for these parameters",
-                norm,
-                quoted,
-                n_total,
-                params.theta,
-            )
     return TwoModeState(
         {n_total: vec / norm}, Frame.AT_INPUT, "combined"
     )
-
-
-# one report per parameter set: the quoted constant fails the same way for
-# every affected N, and rebuilding the same state stays quiet
-_norm_mismatch_reported: set[CombinedStateParams] = set()
-
-
-def _combined_quoted_norm(n_total: int, params: CombinedStateParams) -> float | None:
-    """1/C_N per the quoted closed form; None if it is not a real number.
-
-    The corner d^j_{j,0}(pi/2) = (-1)^j sqrt(C(2j, j)) / 2^j is an entry
-    of the binomial edge column of d, so no eigensystem is built; the
-    integer ratio C(2j, j) / 4^j rounds once, and its square root once.
-    """
-    half = n_total // 2
-    corner = (-1.0) ** half * math.sqrt(math.comb(n_total, half) / 4**half)
-    radicand = 1.0 + 2.0 * math.sqrt(2.0) * params.alpha_mag * params.beta_mag * (
-        corner * math.cos(params.theta - n_total * math.pi / 4.0)
-    )
-    if radicand <= 0.0:
-        return None
-    return math.sqrt(radicand)
 
 
 def _positive_int(n, what: str) -> int:

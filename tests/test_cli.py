@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import logging
 import math
 import tracemalloc
 
@@ -19,7 +18,6 @@ from mzparity import (
     phase_uncertainty_limit,
 )
 from mzparity import detection, wigner
-from mzparity import states as states_module
 from mzparity.cli import (
     DEFAULT_PHI,
     SweepConfig,
@@ -41,14 +39,6 @@ def fig3_rows(tmp_path_factory):
     path = tmp_path_factory.mktemp("fig") / "fig3.csv"
     assert main(["figure", "fig3", "--out", str(path)]) == 0
     return parse_csv(path.read_text())
-
-
-def test_fig3_logs_one_normalization_warning(tmp_path, caplog):
-    # 25 values of N share the failing quoted constant at theta = pi/4
-    states_module._norm_mismatch_reported.clear()
-    with caplog.at_level(logging.WARNING, logger="mzparity.states"):
-        assert main(["figure", "fig3", "--out", str(tmp_path / "fig3.csv")]) == 0
-    assert sum("normalization" in rec.message for rec in caplog.records) == 1
 
 
 @pytest.fixture(scope="module")

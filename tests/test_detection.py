@@ -10,8 +10,10 @@ from mzparity import (
     DomainError,
     NormalizationError,
     NumericalLimitError,
+    STATE_LABELS,
     TwoModeState,
     Frame,
+    apply_beam_splitter,
     benchmark_limits,
     berry_wiseman_internal,
     bruteforce_parity_expectation,
@@ -23,6 +25,7 @@ from mzparity import (
     coherent_input,
     combined_input,
     dual_fock_input,
+    fidelity,
     noon_input,
     noon_internal,
     parity_derivative,
@@ -30,11 +33,13 @@ from mzparity import (
     pezze_smerzi_input,
     phase_uncertainty,
     phase_uncertainty_limit,
+    q_apply,
     single_fock_input,
     yuen_input,
     yurke_input,
 )
 from mzparity import detection, wigner
+from mzparity.cli import build_state
 from mzparity.detection import _extrapolate_limit, _limit_from_series, _phi_ladder
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -794,8 +799,8 @@ def test_coherent_and_single_fock_need_no_eigensystem(monkeypatch):
 
 def test_parity_gaps_copy_one_block_at_a_time():
     # near phi = 0 the uncertainty reads 1 -+ <P>(0) off the odd and even
-    # rows; summing them block by block keeps the peak far below the
-    # 3.5M amplitudes of this state
+    # stored rows, which keeps the peak far below the 3.5M dense
+    # amplitudes of this state
     state = coherent_input(4000.0)
     tracemalloc.start()
     try:
@@ -806,3 +811,46 @@ def test_parity_gaps_copy_one_block_at_a_time():
     # shot noise, up to the finite-phi correction of about nbar phi^2 / 4
     assert result.delta_phi * math.sqrt(4000.0) == pytest.approx(1.0, abs=1e-6)
     assert peak < 2 * 2**20
+
+
+def test_inside_parity_gaps_count_rows_whose_mirror_is_not_stored():
+    # block 5 stores rows 0 and 1 without their mirrors 5 and 4, block 4 the
+    # mirror pair 1, 3, and block 2 row 0 without row 2
+    entries = {5: {0: 0.5, 1: 0.3j}, 4: {1: 0.4 - 0.2j, 3: -0.35}, 2: {0: 0.25 + 0.1j}}
+    blocks = {two_j: np.zeros(two_j + 1, dtype=complex) for two_j in entries}
+    for two_j, rows in entries.items():
+        blocks[two_j][list(rows)] = list(rows.values())
+    norm = math.sqrt(sum(np.vdot(v, v).real for v in blocks.values()))
+    state = TwoModeState(
+        {k: v / norm for k, v in blocks.items()}, Frame.INSIDE_INTERFEROMETER, "unpaired"
+    )
+    image, paired = detection._q_image(state)
+    want = [q_apply(two_j, state.block(two_j))[rows] for two_j, rows, _ in state.stored_blocks()]
+    np.testing.assert_array_equal(image, np.concatenate(want))
+    assert paired.tolist() == [False, False, True, True, False]
+    for phi in (1e-3, 0.05):
+        p = bruteforce_parity_expectation(state, phi)
+        variance = phase_uncertainty(state, phi).variance
+        assert abs(variance**2 - (1.0 - p) * (1.0 + p)) <= 1e-14
+
+
+def test_engine_reads_build_no_dense_vector(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"dense components of {self.label!r} built")
+
+    monkeypatch.setattr(TwoModeState, "components", property(refuse))
+    states = []
+    for label in STATE_LABELS:
+        for n in (5, 9) if label in ("yuen", "modified-yuen") else (6, 10):
+            state = build_state(label, n)
+            states.append(state)
+            if state.frame is Frame.AT_INPUT:
+                states.append(apply_beam_splitter(state))
+    assert sum(s.frame is Frame.INSIDE_INTERFEROMETER for s in states) == 22
+    for state in states:
+        for phi in (0.05, 0.7):
+            phase_uncertainty(state, phi)
+            parity_expectation(state, phi)
+            parity_derivative(state, phi)
+        phase_uncertainty_limit(state)
+        assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)

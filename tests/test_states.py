@@ -1,4 +1,3 @@
-import logging
 import math
 import tracemalloc
 
@@ -164,36 +163,56 @@ def test_combined_pure_noon_limit():
     assert fidelity(state, noon_input(4)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_combined_norm_mismatch_logged_once(caplog):
-    params = CombinedStateParams(SQ2, SQ2, math.pi / 4.0)
-    states_module._norm_mismatch_reported.clear()
-    with caplog.at_level(logging.WARNING, logger="mzparity.states"):
-        combined_input(6, params)
-    assert any("normalization" in rec.message for rec in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="mzparity.states"):
-        combined_input(6, params)
-    assert not caplog.records
-
-
-def test_combined_norm_mismatch_logged_once_per_parameter_set(caplog):
-    # N = 2 (mod 4) at theta = pi/4: the quoted constant is wrong for every N
-    params = CombinedStateParams(SQ2, SQ2, math.pi / 4.0)
-    states_module._norm_mismatch_reported.clear()
-    with caplog.at_level(logging.WARNING, logger="mzparity.states"):
-        for n in (6, 10, 14, 50):
-            combined_input(n, params)
-    assert sum("normalization" in rec.message for rec in caplog.records) == 1
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="mzparity.states"):
-        combined_input(6, CombinedStateParams(SQ2, SQ2, 3.0 * math.pi / 4.0))
-    assert sum("normalization" in rec.message for rec in caplog.records) == 1
+def test_quoted_combined_norm_fails_exactly_at_n_2_mod_4_off_the_real_axis():
+    # 1/C_N as quoted, with the corner d^j_{j,0}(pi/2) = (-1)^j sqrt(C(2j, j) / 4^j)
+    # exact; the state's own norm comes from the assembled vector
+    failing, agreeing = 0, 0
+    for n in range(2, 101, 2):
+        noon = noon_input(n).block(n)
+        half = n // 2
+        corner = (-1.0) ** half * math.sqrt(math.comb(n, half) / 4**half)
+        for alpha_sq in (0.1, 0.25, 0.6, 0.9):
+            alpha, beta = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
+            for k in (0, 1, 2, 3, 4, 6):  # theta = k pi / 4
+                theta = k * math.pi / 4.0
+                vec = alpha * complex(math.cos(theta), math.sin(theta)) * noon
+                vec[half] += beta
+                norm = math.sqrt(float(np.vdot(vec, vec).real))
+                quoted = math.sqrt(
+                    1.0 + 2.0 * math.sqrt(2.0) * alpha * beta * corner * math.cos(theta - n * math.pi / 4.0)
+                )
+                expect_failure = n % 4 == 2 and k % 4 != 0
+                assert (abs(quoted - norm) > 1e-8) == expect_failure, (n, alpha_sq, k)
+                failing += expect_failure
+                agreeing += not expect_failure
+    assert (failing, agreeing) == (400, 800)
 
 
 def test_fidelity_basic():
     assert fidelity(single_fock_input(3), single_fock_input(3)) == pytest.approx(1.0)
     assert fidelity(single_fock_input(3), single_fock_input(4)) == 0.0
     assert fidelity(yurke_input(4), dual_fock_input(2)) == pytest.approx(SQ2)
+
+
+def test_fidelity_reads_stored_rows_of_a_wide_coherent_state():
+    # the dense vectors would need 1.4e10 amplitudes; about 14,000 are stored
+    state = coherent_input(1e6)
+    assert fidelity(state, coherent_input(1e6)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_block_builds_only_the_requested_block():
+    state = coherent_input(3000.0)
+    two_j = int(state.two_js[state.two_js.size // 2])
+    tracemalloc.start()
+    try:
+        vec = state.block(two_j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert vec.size == two_j + 1 and np.count_nonzero(vec) == 1 and not vec.flags.writeable
+    with pytest.raises(KeyError):
+        state.block(1)
 
 
 def test_state_validation():
