@@ -3,9 +3,10 @@
 The package computes photon-parity expectation values at the output of a
 Mach-Zehnder interferometer, the error-propagation phase uncertainty, and
 its small-phase limit, for a catalog of input and internal states.  The
-rotation kernel reads every Wigner d number from one cached J_y
-eigensystem per block; an independent dense Fock-space oracle
-cross-checks every observable at small photon number.
+rotation kernel reads every Wigner d number from the J_y eigenvectors it
+needs, built per call by a three-term recurrence with nothing cached; an
+independent dense Fock-space oracle cross-checks every observable at
+small photon number.
 """
 
 from .detection import (

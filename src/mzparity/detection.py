@@ -12,11 +12,13 @@ with no eigensystem and no grid: a coherent state costs O(blocks).  Every
 other block adds into one grid, lam = -J, -J + 1/2, ..., J for the largest
 such block 2J, so at most 2 * 2J + 1 terms remain however many blocks and
 amplitudes the state has.  For at-input states w_k = conj(<e_k|S psi>)
-<e_k|psi> over the cached J_y eigenvectors e_k of each block, with S the
+<e_k|psi> over the J_y eigenvectors e_k of each block, with S the
 diagonal parity sign and lam_k the exact eigenvalues; the eigensystem's
 exact parity mirror makes <e_k|S psi> the mirror entry of <e_k|psi>, so
-each block is projected once, from its stored rows.  For states inside
-the interferometer w = conj(psi) (Q psi) and lam = -mu, with no
+each block is projected once, from its stored rows, on the eigenvectors
+at those rows alone (the eigenvector matrix is symmetric): a dual-Fock
+block builds one eigenvector at any 2j.  For states inside the
+interferometer w = conj(psi) (Q psi) and lam = -mu, with no
 eigensystem at all: Q maps row r of block 2j to row 2j - r, so Q psi is
 read on every stored row at once, by one lookup of each row's mirror in
 the flat stored arrays, and the grid, the parity gaps and the phi -> 0
@@ -168,10 +170,11 @@ def _spectrum(state: TwoModeState) -> _Spectrum:
     blocks: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors
     e_k at lam_k.  The eigensystem's exact parity mirror D V = V[:, ::-1]
     makes <e_k|S psi> the mirror entry of <e_k|psi>, so each block is
-    projected once, and only its stored rows.  Inside states:
-    w = conj(psi) (Q psi) and lam = -mu on every stored row, because the
-    phase shifter gives the mu and -mu entries the relative phase
-    exp(2i phi mu); one bincount over the flat rows fills the grid.
+    projected once, and only on the eigenvectors at its stored rows.
+    Inside states: w = conj(psi) (Q psi) and lam = -mu on every stored
+    row, because the phase shifter gives the mu and -mu entries the
+    relative phase exp(2i phi mu); one bincount over the flat rows fills
+    the grid.
     """
     state.require_normalized()
     at_input = state.frame is Frame.AT_INPUT
@@ -594,11 +597,11 @@ def _closed_form_complex(
     if label in ("noon", "noon-internal"):
         if n % 2 == 0:
             if not derivative:
-                return (1j**n) * math.cos(n * phi)
-            return (1j**n) * (-n * math.sin(n * phi))
+                return complex(_I_POWERS[n % 4]) * math.cos(n * phi)
+            return complex(_I_POWERS[n % 4]) * (-n * math.sin(n * phi))
         if not derivative:
-            return (1j ** (n + 1)) * math.sin(n * phi)
-        return (1j ** (n + 1)) * (n * math.cos(n * phi))
+            return complex(_I_POWERS[(n + 1) % 4]) * math.sin(n * phi)
+        return complex(_I_POWERS[(n + 1) % 4]) * (n * math.cos(n * phi))
 
     if label == "berry-wiseman":
         i = np.arange(n + 1)
@@ -631,7 +634,7 @@ def _closed_form_complex(
         c_sq = 1.0 / radicand
         zero = HalfInt(0)
         d00 = d_element(half, zero, zero, 2.0 * phi)
-        ij = 1j ** (n // 2)
+        ij = complex(_I_POWERS[n // 2 % 4])
         if not derivative:
             noon_part = sign * math.cos(n * phi)
             dual_part = sign * d00

@@ -10,7 +10,7 @@ Conventions, fixed once and cross-checked against the brute-force oracle:
 * the phase shifter multiplies |j,mu> by exp(-i mu phi) and acts only on
   inside-interferometer states.
 * the full interferometer is exp(-i phi J_y), applied block by block
-  through the cached J_y eigensystem, or through the closed-form edge
+  through the block's J_y eigensystem, or through the closed-form edge
   columns of d for a block whose only nonzero rows are mu = +-j (no
   d-block is formed);
   the composition beam splitter -> phase shifter -> inverse beam splitter
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, FrameError
 from .states import Frame, TwoModeState
-from .wigner import _rotate
+from .wigner import _I_POWERS, _rotate
 
 __all__ = [
     "apply_beam_splitter",
@@ -124,7 +124,7 @@ def q_apply(two_j: int, vec: np.ndarray) -> np.ndarray:
     the tests hold it to.
     """
     signs = np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0)
-    return (1j**two_j) * signs * vec[::-1]
+    return _I_POWERS[two_j % 4] * signs * vec[::-1]
 
 
 def q_matrix_element(n_total: int, k: int, k_p: int) -> complex:
@@ -149,4 +149,4 @@ def q_matrix_element(n_total: int, k: int, k_p: int) -> complex:
         )
     if k_p != n_total - k:
         return 0j
-    return (1j**n_total) * ((-1) ** k)
+    return complex(_I_POWERS[n_total % 4]) * (-1) ** k

@@ -297,7 +297,7 @@ def _single_block(two_j: int, entries: dict[int, complex], frame: Frame, label: 
 
 # Amplitudes a coherent state may store, and the most any state's dense
 # ``components`` may hold: 128 MiB of complex128 at 16 bytes each, the
-# same budget as the J_y eigensystem cache.  A coherent state stores one
+# same budget as one J_y eigensystem build.  A coherent state stores one
 # amplitude per block, about 14 sqrt(nbar) of them, so the budget would
 # admit nbar near 3.6e11; the Poisson window scanned to choose them binds
 # first.  Detection reads the stored rows and builds no dense vector.

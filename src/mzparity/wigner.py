@@ -5,24 +5,26 @@
 columns are ordered by descending magnetic number mu = j, j-1, ..., -j
 throughout the package.
 
-Every d number comes from one cached object per block, the J_y
-eigensystem.  The phase rotation diag((-i)^k) turns J_y into a real
+Every d number comes from the J_y eigensystem of its block, built for
+each call.  The phase rotation diag((-i)^k) turns J_y into a real
 symmetric tridiagonal matrix whose spectrum is exactly mu = -j ... j, so
-only real eigenvectors V are stored and the i^k phases are applied on the
-fly.  Because every eigenvalue is known, V follows in O(n^2) from the
-matrix's three-term recurrence, run over the upper half of the rows in
-its stable, dominant direction (Gautschi, SIAM Rev. 9, 24 (1967)) and
-completed by exact mirrors; this is the J_y-diagonalization route to
+only real eigenvectors V are built and the i^k phases are applied on the
+fly.  Because every eigenvalue is known, each column of V follows in O(n)
+from the matrix's three-term recurrence, run over the upper half of the
+rows in its stable, dominant direction (Gautschi, SIAM Rev. 9, 24 (1967))
+and completed by exact mirrors; this is the J_y-diagonalization route to
 Wigner d (Feng, Wang, Yang, Jin, PRE 92, 043307 (2015)).  The
 eigenvectors come in exact parity mirror pairs: D V = V[:, ::-1] with
 D = diag((-1)^r), which the detection layer uses to project each block
-once.
+once.  V is symmetric, so a caller that reads k rows of V builds only
+the k columns at those rows.
 
-``_project`` reads a block's components on the J_y eigenvectors from its
-stored rows; ``_rotate`` applies exp(-i theta J_y) to a block in two
-products; ``d_block`` synthesizes d = Re[i^(col-row) V exp(-i theta L)
-V^T] on demand; ``d_element`` and ``d_derivative`` read one entry of it,
-or of its theta derivative, in O(n).
+``_project`` reads a block's components on the J_y eigenvectors from the
+eigenvectors at its stored rows; ``_rotate`` applies exp(-i theta J_y) to
+a block in two products; ``d_block`` synthesizes
+d = Re[i^(col-row) V exp(-i theta L) V^T] on demand; ``d_element`` and
+``d_derivative`` read one entry of it, or of its theta derivative, from
+two eigenvectors in O(n).
 
 One case needs no eigensystem: a block stored on no rows but 0 and n-1
 (mu = +-j, as in the internal NOON state) only reads the two edge
@@ -39,16 +41,15 @@ blocks at small angles) come back as roundoff, not relatively accurate.
 The eigenvectors stay orthonormal within 2e-14 through 2j = 3000, and
 the edge columns agree with a 40-digit reference within 1e-15.
 
-The eigensystem cache is bounded by bytes (``_EIGEN_CACHE_BYTES``) and
-evicts least-recently-used blocks; a block whose eigensystem alone
-would exceed the budget raises DomainError before anything is
-allocated.  No per-angle result is cached.
+Nothing is cached.  One build is bounded by bytes (``_EIGEN_BYTES``):
+a build whose columns would exceed it (every column at 2j >= 4095)
+raises DomainError before anything is allocated, while a block read on
+a few stored rows builds at any 2j.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +64,15 @@ __all__ = [
     "d_element",
 ]
 
-# Upper bound on the bytes of cached J_y eigensystems, and on the size of
-# any one of them: 2j >= 4095 raises DomainError instead of allocating.
-# One block at 2j = 1000 takes 8 MB, so the budget holds every block up to
-# 2j ~ 360, or about 16 blocks at 2j = 1000, while large-N work stays far
-# from the GB range.  Only fixed-phi points of blocks with rows other
-# than 0 and n-1, apply_mzi on such blocks and the d_* kernels build one:
+# Upper bound on the bytes of one J_y eigensystem build, lam and the
+# requested columns, checked before anything is allocated.  All columns at
+# 2j = 1000 take 8 MB, and 2j >= 4095 needs more than the budget; one
+# column takes 8 (2j + 1) bytes, so a block read on a few stored rows
+# builds at any 2j.  Only fixed-phi points of blocks with rows other than
+# 0 and n-1, apply_mzi on such blocks and the d_* kernels build one:
 # every phi -> 0 limit comes from generator moments, edge-row blocks
 # rotate in closed form, and a row-0 block is read as cos(phi)^(2j).
-_EIGEN_CACHE_BYTES = 128 * 2**20
+_EIGEN_BYTES = 128 * 2**20
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4
 
@@ -98,17 +99,8 @@ def _finite_angle(theta) -> float:
     return theta
 
 
-class _EigenCache(OrderedDict):
-    """LRU map 2j -> (lam, vec) with a running byte total of its arrays."""
-
-    nbytes = 0
-
-
-_eigen_cache = _EigenCache()
-
-
-def _jy_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and real eigenvectors of J_y for one block, cached.
+def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and the real eigenvectors ``cols`` (all if None) of J_y for one block.
 
     J_y conjugated by diag((-i)^index) is the real symmetric tridiagonal
     matrix T with zero diagonal and off-diagonal T[r, r+1] = -A(mu_r)/2,
@@ -116,69 +108,78 @@ def _jy_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     lam = -j ... j, stored in ascending order, so each eigenvector follows
     from the three-term recurrence
     v[r+1] = (lam v[r] - T[r,r-1] v[r-1]) / T[r,r+1] started at v[0] = 1.
-    The columns with lam <= 0 advance together, one row operation per
-    step, over the upper rows 0 .. ceil(n/2)-1 only: there each column
-    grows out of its classically forbidden edge or oscillates, so the
-    recurrence runs in its stable, dominant direction (Gautschi, SIAM Rev.
-    9, 24 (1967)).  A column that grows past 1e150 is scaled back (checked
-    every 32 rows), so blocks whose exact row 0, sqrt(C(2j,k))/2^j, would
-    underflow (2j > ~2100) stay finite.
+    It runs over the upper rows 0 .. ceil(n/2)-1 only, for the columns
+    with lam <= 0: there each column grows out of its classically
+    forbidden edge or oscillates, so the recurrence runs in its stable,
+    dominant direction (Gautschi, SIAM Rev. 9, 24 (1967)).  A column that
+    grows past 1e150 is scaled back (checked every 32 rows), so blocks
+    whose exact row 0, sqrt(C(2j,k))/2^j, would underflow (2j > ~2100)
+    stay finite.  The columns advance together, one row operation per
+    step, or as Python floats when only one is needed.
 
     T is persymmetric, so the lower rows are the exact row mirror
     V[n-1-r, k] = (-1)^k V[r, k] (for odd n the middle row of each odd-k
-    column is 0).  The columns are then normalized, and the lam > 0 half
-    is D V[:, :half] reversed, D = diag((-1)^r), which makes the parity
-    mirror D V = V[:, ::-1] exact because S J_y S = -J_y.  The
-    eigenvectors of J_y itself are e_k[r] = (-i)^r vec[r, k]; callers
+    column is 0).  The columns are then normalized, and a column with
+    lam > 0 is D V[:, n-1-k], D = diag((-1)^r), which makes the parity
+    mirror D V = V[:, ::-1] exact because S J_y S = -J_y.  Every step acts
+    on each column alone, so a column comes out bitwise the same whatever
+    else is built with it.  V is also symmetric, to roundoff, so the
+    columns at a block's stored rows are the rows of V that project it.
+    The eigenvectors of J_y itself are e_k[r] = (-i)^r vec[r, k]; callers
     apply those phases on the fly.  This is the J_y-diagonalization route
-    to Wigner d (Feng, Wang, Yang, Jin, PRE 92, 043307 (2015)) in O(n^2).
-    A residual check on T V - V lam, applied through the tridiagonal,
-    raises ConsistencyError if the construction ever fails.
+    to Wigner d (Feng, Wang, Yang, Jin, PRE 92, 043307 (2015)), in O(n)
+    per column.  A residual check on T V - V lam, applied through the
+    tridiagonal, raises ConsistencyError if the construction ever fails.
 
-    Entries are evicted least recently used first so the cached arrays
-    never exceed ``_EIGEN_CACHE_BYTES``; a block whose lam and vec alone
-    would exceed it (2j >= 4095) raises DomainError before allocating.
+    Nothing is kept between calls.  A build whose lam and columns would
+    exceed ``_EIGEN_BYTES`` (all columns at 2j >= 4095) raises DomainError
+    before allocating.
     """
-    if two_j in _eigen_cache:
-        _eigen_cache.move_to_end(two_j)
-        return _eigen_cache[two_j]
     n = two_j + 1
-    size = 8 * n * (n + 1)  # float64 lam and vec
-    if size > _EIGEN_CACHE_BYTES:
+    cols = np.arange(n) if cols is None else np.asarray(cols)
+    size = 8 * n * (cols.size + 1)  # float64 lam and vec
+    if size > _EIGEN_BYTES:
         raise DomainError(
             f"J_y eigensystem for 2j = {two_j} needs {size} bytes, "
-            f"over the budget of {_EIGEN_CACHE_BYTES}"
+            f"over the budget of {_EIGEN_BYTES}"
         )
     half = n // 2  # eigenvalue pairs +-lam
     rows = n - half  # upper rows, and the columns with lam <= 0
     lam = (2.0 * np.arange(n) - two_j) / 2.0
-    # T[r, r+1] = -A(mu_r)/2 with mu_r = j - r = -lam_r
-    off = -0.5 * np.sqrt(0.5 * two_j * (0.5 * two_j + 1.0) - lam[:-1] * (lam[:-1] + 1.0))
-    vec = np.empty((n, n))
-    upper, low = vec[:rows, :rows], lam[:rows]
-    upper[0] = 1.0
+    # T[r, r+1] = -A(mu_r)/2 with mu_r = j - r = -lam_r; off[n-1] = 0 couples to no row
+    off = -0.5 * np.sqrt(0.5 * two_j * (0.5 * two_j + 1.0) - lam * (lam + 1.0))
+    mirrored = np.minimum(cols, two_j - cols)  # the lam <= 0 column each one mirrors
+    seeds = np.flatnonzero(np.bincount(mirrored))  # each of those once, ascending
+    low = lam[seeds] if seeds.size > 1 else float(lam[seeds[0]])  # one column: Python floats
+    upper, steps, prev, row = [low**0], off.tolist(), 0.0, low**0  # v[0] = 1
     for r in range(rows - 1):  # row r of T v = lam v, solved for v[r + 1]
-        upper[r + 1] = (low * upper[r] - (off[r - 1] * upper[r - 1] if r else 0.0)) / off[r]
+        prev, row = row, (low * row - (steps[r - 1] * prev if r else 0.0)) / steps[r]
+        upper.append(row)
         if r % 32 == 0 or r == rows - 2:  # scale back columns grown past 1e150
-            peak = np.maximum(np.abs(upper[r]), np.abs(upper[r + 1]))
-            upper[: r + 2, peak > 1e150] /= peak[peak > 1e150]
+            peak = np.maximum(np.abs(prev), np.abs(row))
+            if np.any(peak > 1e150):
+                scale = np.where(peak > 1e150, peak, 1.0)
+                upper = [v / scale for v in upper]
+                prev, row = upper[-2:]
+    upper = np.array(upper).reshape(rows, -1)
     signs = np.where(np.arange(n) % 2, -1.0, 1.0)
-    upper[half:, 1::2] = 0.0  # the middle row (odd n only), odd under the row mirror
-    upper /= np.sqrt(np.where(np.arange(rows) < half, 2.0, 1.0) @ upper**2)  # mirrored rows twice
-    np.multiply(upper[:half][::-1], signs[:rows], out=vec[rows:, :rows])
-    np.multiply(signs[:, None], vec[:, :half][:, ::-1], out=vec[:, rows:])
-    # T V - V lam on the computed quarter (its last row meets the mirror)
+    upper[half:, seeds % 2 == 1] = 0.0  # the middle row (odd n only), odd under the row mirror
+    norms = upper * upper
+    norms[:half] *= 2.0  # mirrored rows twice
+    # a running sum adds each column's rows in order, however many columns there are
+    upper /= np.sqrt(np.cumsum(norms, axis=0, out=norms)[-1])
+    # T V - V lam on the built upper rows (the last of them meets the mirror row)
     resid = low * upper
     resid[1:] -= off[: rows - 1, None] * upper[:-1]
-    resid[: n - 1] -= off[:rows, None] * vec[1 : rows + 1, :rows]
+    resid[:-1] -= off[: rows - 1, None] * upper[1:]
+    resid[-1] -= off[rows - 1] * (upper[half - 1] * signs[seeds])
     if not np.abs(resid, out=resid).max() <= 1e-10 * (0.5 * two_j + 1.0):
         raise ConsistencyError(f"J_y eigenvectors for 2j = {two_j} fail T v = lam v")
-    vec.flags.writeable = False
-    lam.flags.writeable = False
-    while _eigen_cache and _eigen_cache.nbytes + size > _EIGEN_CACHE_BYTES:
-        _eigen_cache.nbytes -= sum(a.nbytes for a in _eigen_cache.popitem(last=False)[1])
-    _eigen_cache[two_j] = (lam, vec)
-    _eigen_cache.nbytes += size
+    vec = np.empty((n, cols.size))
+    # each requested column from the built one it mirrors ("clip" takes unbuffered)
+    np.take(upper, np.searchsorted(seeds, mirrored), axis=1, out=vec[:rows], mode="clip")
+    np.multiply(vec[:rows], signs[:rows, None], out=vec[:rows], where=cols > mirrored)
+    np.multiply(vec[:half][::-1], signs[cols], out=vec[rows:])  # (-1)^k for every column k
     return lam, vec
 
 
@@ -196,13 +197,17 @@ def _times_real(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _project(two_j: int, rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """<e_k|psi> = sum_r i^r V[r, k] psi_r over the J_y eigenvectors e_k.
 
-    psi is given by its stored rows and their amplitudes, so a block with
-    a few occupied rows costs a few rows of V, not all of it.
+    psi is given by its stored rows and their amplitudes.  V is symmetric,
+    so a block with k < n stored rows reads rows of V as the k eigenvectors
+    at those rows, built in O(kn).  A dense block builds all of V and reads
+    the eigenvectors' own entries: the symmetric stand-in would move <P>
+    by up to about 1e-15, which near <P> = +-1 is 2e-10 of delta_phi
+    (NOON at N = 58, phi = 1.3).
     """
-    _, basis = _jy_eigensystem(two_j)
-    if rows.size < basis.shape[0]:  # a dense block reads V in place, not a copy
-        basis = basis[rows]
-    return _times_real(_I_POWERS[rows % 4] * amplitudes, basis)
+    phased = _I_POWERS[rows % 4] * amplitudes
+    if rows.size <= two_j:
+        return _times_real(_jy_eigensystem(two_j, rows)[1], phased)
+    return _times_real(phased, _jy_eigensystem(two_j)[1])
 
 
 def _edge_column(two_j: int, theta: float) -> np.ndarray:
@@ -240,8 +245,8 @@ def _rotate(two_j: int, rows: np.ndarray, amplitudes: np.ndarray, theta: float) 
     Returns the dense vector of 2j + 1 amplitudes.  A block stored on no
     rows but 0 and n-1 reads the two edge columns of d, d[:, 0] from
     ``_edge_column`` and its mirror d[r, n-1] = (-1)^(n-1-r) d[n-1-r, 0],
-    with no eigensystem.  Any other block takes two products against the
-    cached eigensystem: project onto the J_y eigenbasis, advance each
+    with no eigensystem.  Any other block takes two products against its
+    full eigensystem: project onto the J_y eigenbasis, advance each
     component by exp(-i theta lambda_k), and map back.
     """
     if rows.size <= 2 and all(row in (0, two_j) for row in rows.tolist()):
@@ -252,12 +257,12 @@ def _rotate(two_j: int, rows: np.ndarray, amplitudes: np.ndarray, theta: float) 
             out = out + (amplitudes[-1] if rows.size and rows[-1] == two_j else 0j) * mirror
         return out
     lam, basis = _jy_eigensystem(two_j)
-    coeffs = _project(two_j, rows, amplitudes) * np.exp(-1j * theta * lam)
+    coeffs = _times_real(_I_POWERS[rows % 4] * amplitudes, basis[rows]) * np.exp(-1j * theta * lam)
     return np.conj(_I_POWERS[np.arange(two_j + 1) % 4]) * _times_real(basis, coeffs)
 
 
 def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:
-    """Full d block via the J_y eigendecomposition; read-only, not cached.
+    """Full d block via the J_y eigendecomposition; read-only.
 
     d = Re[i^(col-row) V exp(-i theta L) V^T], split into its cosine and
     sine parts.
@@ -280,12 +285,13 @@ def _eigen_sum(j, mu_p, mu, theta, order: int) -> float:
     """Re[i^(col-row) sum_k V[row,k] V[col,k] (-i lam_k)^order exp(-i theta lam_k)].
 
     Entry (row, col) of d (order 0) or of its theta derivative (order 1)
-    from the cached eigensystem in O(n), after validating the labels.
+    from the two eigenvectors at row and col (V is symmetric) in O(n),
+    after validating the labels.
     """
     two_j, row, col = _validated_indices(j, mu_p, mu)
     theta = _finite_angle(theta)
-    lam, vec = _jy_eigensystem(two_j)
-    terms = vec[row] * vec[col] * (-1j * lam) ** order * np.exp(-1j * theta * lam)
+    lam, vec = _jy_eigensystem(two_j, [row, col])
+    terms = vec[:, 0] * vec[:, 1] * (-1j * lam) ** order * np.exp(-1j * theta * lam)
     return float((_I_POWERS[(col - row) % 4] * terms.sum()).real)
 
 

@@ -263,8 +263,9 @@ def test_oversized_coherent_state_exit_code(capsys):
 
 
 def test_oversized_eigensystem_exit_code(capsys):
-    # the NOON state itself is cheap; its fixed-phi spectrum would need an
-    # 80 GB J_y eigensystem, which is refused before anything is allocated
+    # the NOON state itself is cheap; its fixed-phi spectrum would need the
+    # J_y eigenvectors at its 17,033 stored rows, 14 GB, which are refused
+    # before anything is allocated
     tracemalloc.start()
     try:
         code = main(["sweep", "--state", "noon", "--n-min", "100000", "--phi", "0.1"])
@@ -278,8 +279,17 @@ def test_oversized_eigensystem_exit_code(capsys):
     assert peak < 32 * 2**20
 
 
+def test_dual_fock_point_past_the_dense_eigensystem_budget(tmp_path):
+    # every column at 2j = 4100 would take 134 MB; the one stored row needs one
+    out = tmp_path / "dual.csv"
+    assert main(["sweep", "--state", "dual-fock", "--n-min", "4100", "--phi", "0.3",
+                 "--out", str(out)]) == 0
+    (row,) = parse_csv(out.read_text())
+    assert int(row["N"]) == 4100 and abs(float(row["expectation"])) <= 1.0
+
+
 def test_limits_and_noon_states_need_no_eigensystem(monkeypatch, tmp_path):
-    def refuse(two_j):
+    def refuse(two_j, cols=None):
         raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
 
     monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
@@ -296,7 +306,7 @@ def test_limits_and_noon_states_need_no_eigensystem(monkeypatch, tmp_path):
 def test_fig3_and_row_zero_sweeps_need_no_eigensystem(monkeypatch, tmp_path):
     # fig3's quoted-norm corner is an edge-column entry, and every coherent
     # and single-Fock block is read as cos(phi)^(2j) at a fixed phi
-    def refuse(two_j):
+    def refuse(two_j, cols=None):
         raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
 
     monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)

@@ -267,6 +267,9 @@ def test_closed_form_residues_small_for_standard_families():
         for phi in (0.2, 0.9):
             _, imag = closed_form_parts(label, n, phi)
             assert abs(imag) < 1e-12
+    # i^N is exact past N = 100 too, where 1j**N is not
+    for n in range(95, 141):
+        assert closed_form_parts("noon", n, 0.3)[1] == 0.0
 
 
 def test_closed_form_domain_errors():
@@ -477,9 +480,10 @@ def test_pezze_smerzi_closed_form_limit_matches_engine():
 
 
 def _parity_image(state, two_j, vec):
+    signs = np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0)
     if state.frame is Frame.AT_INPUT:
-        return np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0) * vec
-    return (1j**two_j) * np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0) * vec[::-1]
+        return signs * vec
+    return wigner._I_POWERS[two_j % 4] * signs * vec[::-1]
 
 
 def _on_row_zero(state, vec):
@@ -627,6 +631,21 @@ def test_dual_fock_matches_legendre_on_middle_rows():
             assert error <= 5e-13 * max(1.0, abs(want_slope))
 
 
+@pytest.mark.parametrize("order", [2500, 10000])
+def test_dual_fock_points_past_the_dense_eigensystem_budget(order):
+    # 2j = 5000 and 20000: the one stored row builds one J_y eigenvector,
+    # where every column would take 0.2 GB and 3.2 GB
+    want = (-1) ** order * np.polynomial.legendre.legval(math.cos(0.6), [0.0] * order + [1.0])
+    tracemalloc.start()
+    try:
+        result = phase_uncertainty(dual_fock_input(order), 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(result.expectation - want) <= 1e-13
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("nbar", [math.nan, math.inf])
 def test_coherent_closed_form_limit_rejects_non_finite_nbar(nbar):
     with pytest.raises(DomainError):
@@ -738,9 +757,9 @@ def test_row_zero_rule_in_a_mixed_state(monkeypatch):
     built = []
     original = wigner._jy_eigensystem
 
-    def counting(two_j):
+    def counting(two_j, cols=None):
         built.append(two_j)
-        return original(two_j)
+        return original(two_j, cols)
 
     monkeypatch.setattr(wigner, "_jy_eigensystem", counting)
     spectrum = detection._spectrum(state)
@@ -774,7 +793,7 @@ def test_coherent_parity_deficit_keeps_relative_accuracy_near_zero_phase(nbar):
 
 
 def test_coherent_and_single_fock_need_no_eigensystem(monkeypatch):
-    def refuse(two_j):
+    def refuse(two_j, cols=None):
         raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
 
     monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
@@ -832,6 +851,18 @@ def test_inside_parity_gaps_count_rows_whose_mirror_is_not_stored():
         p = bruteforce_parity_expectation(state, phi)
         variance = phase_uncertainty(state, phi).variance
         assert abs(variance**2 - (1.0 - p) * (1.0 + p)) <= 1e-14
+
+
+@pytest.mark.parametrize("two_j", [101, 102, 103, 140])
+def test_q_image_equals_dense_q_apply_exactly(two_j):
+    rng = np.random.default_rng(two_j)
+    vec = rng.standard_normal(two_j + 1) + 1j * rng.standard_normal(two_j + 1)
+    state = TwoModeState(
+        {two_j: vec / np.linalg.norm(vec)}, Frame.INSIDE_INTERFEROMETER, "dense"
+    )
+    image, paired = detection._q_image(state)
+    assert paired.all()
+    np.testing.assert_array_equal(image, q_apply(two_j, state.block(two_j)))
 
 
 def test_engine_reads_build_no_dense_vector(monkeypatch):

@@ -9,6 +9,7 @@ series term by term would be hopeless.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -20,11 +21,9 @@ from mzparity import (
     DomainError,
     HalfInt,
     WignerBlock,
-    apply_mzi,
     d_block,
     d_derivative,
     d_element,
-    noon_input,
 )
 from mzparity import wigner
 from mzparity.wigner import _eigen_d_block
@@ -327,42 +326,33 @@ def test_block_row_normalization_property(two_j, theta):
     assert np.abs(norms - 1.0).max() < 1e-11
 
 
-def _cached_bytes():
-    """The real byte sum of the cached arrays, checked against the running total."""
-    total = sum(lam.nbytes + vec.nbytes for lam, vec in wigner._eigen_cache.values())
-    assert wigner._eigen_cache.nbytes == total
-    return total
+def test_eigensystem_build_over_budget_is_refused(monkeypatch):
+    # 201 kB and 325 kB for every column: refused before anything is allocated
+    monkeypatch.setattr(wigner, "_EIGEN_BYTES", 200_000)
+    for two_j in (157, 200):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="budget"):
+                wigner._jy_eigensystem(two_j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000
+    # one column fits the same budget, and so does d_element's pair
+    assert wigner._jy_eigensystem(200, [100])[1].shape == (201, 1)
+    d_element(HalfInt(200), HalfInt(0), HalfInt(2), 1.3)
 
 
-def test_eigensystem_cache_stays_within_byte_budget(monkeypatch):
-    budget = 200_000
-    monkeypatch.setattr(wigner, "_EIGEN_CACHE_BYTES", budget)
-    monkeypatch.setattr(wigner, "_eigen_cache", wigner._EigenCache())
-    for two_j in list(range(1, 157, 3)) + [40, 7, 3]:
-        wigner._jy_eigensystem(two_j)
-        assert _cached_bytes() <= budget
-    before = list(wigner._eigen_cache)
-    for two_j in (157, 200):  # 201 kB and 322 kB alone: refused, nothing evicted
-        with pytest.raises(DomainError, match="budget"):
-            wigner._jy_eigensystem(two_j)
-    assert list(wigner._eigen_cache) == before
-    assert before[-2:] == [7, 3]  # least recently used goes first
-    # the eigensystem fallback of d_element goes through the same cache
-    d_element(HalfInt(150), HalfInt(0), HalfInt(0), 1.3)
-    assert 150 in wigner._eigen_cache and _cached_bytes() <= budget
-
-
-def test_rotations_at_new_angles_grow_no_cache(monkeypatch):
-    monkeypatch.setattr(wigner, "_eigen_cache", wigner._EigenCache())
+def test_rotations_at_new_angles_grow_no_cache():
     cached = [name for name, obj in vars(wigner).items() if hasattr(obj, "cache_info")]
     assert cached == []
-    state = noon_input(60)
-    d_block(HalfInt(60), 0.1)
-    before = (list(wigner._eigen_cache), _cached_bytes())
-    for k in range(40):
-        d_block(HalfInt(60), 0.2 + 0.01 * k)
-        apply_mzi(state, 0.3 + 0.01 * k)
-    assert (list(wigner._eigen_cache), _cached_bytes()) == before
+    # no module-level container that a call could fill
+    mutable = [
+        name
+        for name, obj in vars(wigner).items()
+        if not name.startswith("__") and isinstance(obj, (dict, list, set))
+    ]
+    assert mutable == []
 
 
 def _large_block_samples(two_j):
@@ -437,7 +427,16 @@ def test_eigensystem_contract(two_j):
     assert np.array_equal(vec[::-1], vec * signs)
     if n % 2:
         assert not vec[n // 2, 1::2].any()
-    assert not lam.flags.writeable and not vec.flags.writeable
+    # V is symmetric, so column k holds row k; past 2j ~ 2100, where
+    # columns are rescaled on the way, the two copies part by a few ulps more
+    assert np.abs(vec - vec.T).max() <= (2e-15 if two_j <= 2000 else 5e-15)
+    # a column is built bitwise the same whatever else is asked for:
+    # single, scattered, repeated, lam > 0 (parity mirrored) and middle ones
+    rng = np.random.default_rng(two_j)
+    for cols in ([0], [two_j], [two_j // 2], [n - 1 - two_j // 3, two_j // 3],
+                 [two_j // 2, 0, two_j, two_j // 2], rng.integers(0, n, 7)):
+        sub_lam, sub = wigner._jy_eigensystem(two_j, cols)
+        assert np.array_equal(sub_lam, lam) and np.array_equal(sub, vec[:, cols])
 
 
 @pytest.mark.parametrize("two_j", [400, 2200])
@@ -468,9 +467,7 @@ EDGE_THETAS = [0.0, math.pi / 2, -math.pi / 2, 0.3, 2.5, math.pi, -math.pi]
 
 
 @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 50, 1000, 2200, 3000])
-def test_edge_rotation_matches_reference_and_eigen_route(monkeypatch, two_j):
-    # a private cache, so the large eigensystems go when the test ends
-    monkeypatch.setattr(wigner, "_eigen_cache", wigner._EigenCache())
+def test_edge_rotation_matches_reference_and_eigen_route(two_j):
     n = two_j + 1
     lam, vec = wigner._jy_eigensystem(two_j)
     mirror_signs = np.where(np.arange(two_j, -1, -1) % 2, -1.0, 1.0)
