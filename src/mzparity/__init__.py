@@ -23,6 +23,7 @@ from .detection import (
     parity_expectation,
     phase_uncertainty,
     phase_uncertainty_limit,
+    phase_uncertainty_limits,
 )
 from .errors import (
     ConsistencyError,
@@ -104,6 +105,7 @@ __all__ = [
     "pezze_smerzi_input",
     "phase_uncertainty",
     "phase_uncertainty_limit",
+    "phase_uncertainty_limits",
     "q_apply",
     "q_matrix_element",
     "single_fock_input",

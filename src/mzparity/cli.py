@@ -2,12 +2,15 @@
 
 Every number takes one route.  ``build_state`` looks the family label up
 in one label -> constructor table, after the parity check that
-``states.parity_needed`` gives; then ``_limit_for`` yields the phi -> 0
-limit, or ``_record`` yields one output row at N, the limit when phi is
-None and the fixed-phi observables otherwise.  Sweeps and ``expectation``
-write those records; the table and the fig3/fig4 curves are limits, where
-a family outside its parity class leaves an empty cell (a warning and a
-skipped row in a sweep).
+``states.parity_needed`` gives.  A fixed-phi row at N comes from
+``detection.phase_uncertainty``.  Phi -> 0 limits are taken in batches:
+every figure, the table and each chunk of a ``--limit`` sweep build their
+states in N order and make one ``detection.phase_uncertainty_limits``
+call (``_limits``), with chunks held to ``_LIMIT_CHUNK_ENTRIES`` flat
+Taylor-array entries so memory stays bounded at any N.  Sweeps and
+``expectation`` write one record per N; the table and the fig3/fig4
+curves are limits, where a family outside its parity class leaves an
+empty cell (a warning and a skipped row in a sweep).
 
 Output is deterministic: a fixed config produces byte-identical files.
 Floats are written with 17 significant digits so CSV round-trips exactly;
@@ -24,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 from . import detection
@@ -163,33 +167,49 @@ def build_state(
     return _FAMILIES[label](n, params)
 
 
-def _limit_for(label: str, state: TwoModeState) -> float:
-    # The berry-wiseman state gives a flat parity signal at phi = 0, so its
-    # phi -> 0 limit diverges.  Its finite limit belongs to parity
-    # detection behind a pi/2 bias, where it equals 1/(2 Delta J_z), the
-    # quantum Cramer-Rao bound; the engine computes it there.
-    if label == "berry-wiseman":
-        state = apply_phase_shifter(state, math.pi / 2.0)
-    return detection.phase_uncertainty_limit(state)
+# Chunk bound of the batched phi -> 0 limits, in flat Taylor-array entries:
+# a state counts its stored rows plus the window of _TAYLOR_ORDER rows on
+# each side of every block.  A chunk of 2^13 entries peaks near 1 MiB of
+# arrays; larger chunks save no measurable time and cost peak RSS.
+_LIMIT_CHUNK_ENTRIES = 2**13
 
 
-def _record(
-    label: str, n: int, params: CombinedStateParams | None, phi: float | None
-) -> SweepRecord:
-    """One output row at N: the phi -> 0 limit if phi is None, else the fixed-phi point."""
-    state = build_state(label, n, params)
-    point = {}
-    if phi is None:
-        delta_phi = _limit_for(label, state)
-    else:
-        result = detection.phase_uncertainty(state, phi)
-        delta_phi = result.delta_phi
-        point = {
-            "phi": result.phi,
-            "expectation_at_phi": result.expectation,
-            "derivative": result.derivative,
-            "variance": result.variance,
-        }
+def _limit_chunks(cases: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """The (key, label, state) cases in order, cut into chunks of at most _LIMIT_CHUNK_ENTRIES."""
+    window = 2 * detection._TAYLOR_ORDER
+    chunk, entries = [], 0
+    for case in cases:
+        state = case[2]
+        size = state.rows.size + window * state.two_js.size
+        if chunk and entries + size > _LIMIT_CHUNK_ENTRIES:
+            yield chunk
+            chunk, entries = [], 0
+        chunk.append(case)
+        entries += size
+    if chunk:
+        yield chunk
+
+
+def _limits(cases: Iterable[tuple]) -> Iterator[tuple]:
+    """(key, phi -> 0 limit) for each (key, label, state), one batched call per chunk.
+
+    The cases are consumed lazily, so at most one chunk of states is held.
+    """
+    for chunk in _limit_chunks(cases):
+        keys = [key for key, _, _ in chunk]
+        # The berry-wiseman state gives a flat parity signal at phi = 0, so
+        # its phi -> 0 limit diverges.  Its finite limit belongs to parity
+        # detection behind a pi/2 bias, where it equals 1/(2 Delta J_z), the
+        # quantum Cramer-Rao bound; the engine computes it there.
+        states = [
+            apply_phase_shifter(state, math.pi / 2.0) if label == "berry-wiseman" else state
+            for _, label, state in chunk
+        ]
+        yield from zip(keys, detection.phase_uncertainty_limits(states))
+
+
+def _record(n: int, delta_phi: float, **point) -> SweepRecord:
+    """One output row at N; point holds the fixed-phi columns, absent for a limit."""
     limits = benchmark_limits(n)
     return SweepRecord(
         n_total=n,
@@ -201,16 +221,33 @@ def _record(
     )
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """One record per valid N; invalid parity class is skipped with a warning."""
-    phi = None if config.phi_mode == "limit" else config.phi
-    records: list[SweepRecord] = []
+def _point_record(n: int, state: TwoModeState, phi: float) -> SweepRecord:
+    result = detection.phase_uncertainty(state, phi)
+    return _record(
+        n,
+        result.delta_phi,
+        phi=result.phi,
+        expectation_at_phi=result.expectation,
+        derivative=result.derivative,
+        variance=result.variance,
+    )
+
+
+def _sweep_states(config: SweepConfig) -> Iterator[tuple[int, str, TwoModeState]]:
+    """(N, label, state) for each N of the sweep; an N outside the parity class is skipped with a warning."""
     for n in range(config.n_min, config.n_max + 1):
         try:
-            records.append(_record(config.state_label, n, config.combined_params, phi))
+            yield n, config.state_label, build_state(config.state_label, n, config.combined_params)
         except _ParityMismatch as exc:
             print(f"warning: {exc} skipped", file=sys.stderr)
-    return records
+
+
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+    """One record per valid N; invalid parity class is skipped with a warning."""
+    cases = _sweep_states(config)
+    if config.phi_mode == "limit":
+        return [_record(n, delta_phi) for n, delta_phi in _limits(cases)]
+    return [_point_record(n, state, config.phi) for n, _, state in cases]
 
 
 def _format_value(value) -> str:
@@ -290,10 +327,11 @@ def reproduce_table(output_path: str) -> list[dict]:
         ),
         (8, "noon", "(|8,0>+|0,8>)/sqrt2 (internal)", 8, 1.0 / n, "Heisenberg reference"),
     ]
+    cases = ((index, label, build_state(label, n_row)) for index, label, _, n_row, _, _ in plan)
+    computed_at = dict(_limits(cases))
     rows = []
     for index, label, fock, n_row, closed, note in plan:
-        state = build_state(label, n_row)
-        computed = _limit_for(label, state)
+        computed = computed_at[index]
         rows.append(
             {
                 "row": index,
@@ -334,17 +372,18 @@ def _limit_curves(ns: range, curves: list[tuple], references: tuple[str, ...]) -
     empty.
     """
     header = ("N",) + tuple(column for column, _, _ in curves) + references
-    rows = []
-    for n in ns:
-        row: dict = {"N": n}
-        for column, label, params in curves:
-            try:
-                row[column] = _limit_for(label, build_state(label, n, params))
-            except _ParityMismatch:
-                pass
-        limits = benchmark_limits(n)
+    rows = [{"N": n} for n in ns]
+    cases = (
+        ((row, column), label, build_state(label, row["N"], params))
+        for row in rows
+        for column, label, params in curves
+        if parity_needed(label, row["N"]) is None
+    )
+    for (row, column), delta_phi in _limits(cases):
+        row[column] = delta_phi
+    for row in rows:
+        limits = benchmark_limits(row["N"])
         row.update((name, getattr(limits, name)) for name in references)
-        rows.append(row)
     return _csv_payload(header, rows)
 
 
@@ -542,7 +581,8 @@ def _cmd_expectation(args: argparse.Namespace) -> None:
         raise DomainError("expectation takes a single N (n-min must equal n-max)")
     if config.phi_mode == "limit":
         raise DomainError("expectation reports a fixed-phi point; use sweep --limit")
-    record = _record(config.state_label, config.n_min, config.combined_params, config.phi)
+    state = build_state(config.state_label, config.n_min, config.combined_params)
+    record = _point_record(config.n_min, state, config.phi)
     _write_records([record], config.output_path, config.format)
 
 

@@ -27,13 +27,19 @@ over blocks.  ``parity_expectation`` and ``parity_derivative`` are
 sums over that spectrum, and ``phase_uncertainty`` builds it once for
 both and takes Delta P from 1 -+ <P> without cancellation.
 
-``phase_uncertainty_limit`` needs no spectrum.  Since P G P = -G for the
-phase generator G (J_y at input, J_z inside), <P>(phi) =
+``phase_uncertainty_limits`` needs no spectrum.  Since P G P = -G for
+the phase generator G (J_y at input, J_z inside), <P>(phi) =
 <psi| exp(2i phi G) P |psi>, so its Taylor coefficients at phi = 0 are the
 moments F_m = <psi|(2iG)^m P psi> / m!: products with the tridiagonal J_y
 over a few rows around each block's nonzero amplitudes, or with the
 diagonal J_z.  The exact phi -> 0 limit is read off their leading orders.
-The engine is cross-checked against the brute-force Fock oracle.
+It takes a batch of states: their blocks lie end to end in one flat array
+per frame, each product runs once over all of them, each state's moments
+are summed over its own segment, and the leading orders of every state
+are read in one vectorized step.  ``phase_uncertainty_limit`` is the same
+call on one state, and every CLI figure, the table and each chunk of a
+``--limit`` sweep make one batched call.  The engine is cross-checked
+against the brute-force Fock oracle.
 
 The commonly quoted per-family closed forms are evaluated verbatim by
 ``closed_form_expectation`` as secondary cross-checks, and their phi -> 0
@@ -80,12 +86,14 @@ __all__ = [
     "parity_expectation",
     "phase_uncertainty",
     "phase_uncertainty_limit",
+    "phase_uncertainty_limits",
 ]
 
 _RESIDUE_TOL = 1e-10
 _DERIVATIVE_FLOOR = 1e-14
-# Taylor terms the phi -> 0 limit looks at, and the relative size (against
-# each coefficient's bound) below which a coefficient is roundoff.
+# Taylor terms the phi -> 0 limit looks at (even: the at-input pass makes
+# the orders in pairs 2k - 1, 2k), and the relative size (against each
+# coefficient's bound) below which a coefficient is roundoff.
 _TAYLOR_ORDER = 8
 _ZERO_TOL = 1e-11
 
@@ -142,12 +150,14 @@ class _Spectrum(NamedTuple):
     probs: np.ndarray
 
 
-def _q_image(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
     """(Q psi)_r = i^(2j) (-1)^r psi_(2j - r) on every stored row r of an inside state.
 
-    Each row's mirror 2j - r is found among the stored rows of its block
-    by one searchsorted over keys that rise through the flat arrays.  Also
-    returns which rows have their mirror stored; the image is 0 on the rest.
+    state is a TwoModeState or a ``_Stored`` batch of them.  Each row's
+    mirror 2j - r is found among the stored rows of its block by one
+    searchsorted over keys that rise through the flat arrays, across
+    states too, since the block bases keep rising.  Also returns which
+    rows have their mirror stored; the image is 0 on the rest.
     """
     owner = np.repeat(state.two_js, state.sizes)
     base = np.repeat(np.cumsum(state.two_js + 1) - (state.two_js + 1), state.sizes)
@@ -386,117 +396,208 @@ def _extrapolate_limit(values: list[float], context: str) -> float:
     )
 
 
-def _leading_order(coeffs: np.ndarray, bounds: np.ndarray) -> int | None:
-    """Index of the first coefficient that is not roundoff, or None."""
-    above = np.flatnonzero(np.abs(coeffs) > _ZERO_TOL * bounds)
-    return int(above[0]) if above.size else None
+class _Stored(NamedTuple):
+    """The stored form of several states end to end.
 
-
-def _taylor_series(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients F_m of <P>(phi) at phi = 0, m <= _TAYLOR_ORDER, and their bounds.
-
-    <P>(phi) = <psi| exp(2i phi G) P |psi>, so F_m = <psi|(2iG)^m P psi> / m!.
-    Inside the interferometer G = J_z and P = Q, so the moments are one
-    product of conj(psi) (Q psi) on the stored rows with the Vandermonde
-    matrix of 2i mu.  At input G = J_y and P = S, and 2i J_y = J_+ - J_-
-    is the real tridiagonal matrix with <mu_r|J_+|mu_(r+1)> =
-    sqrt((r+1)(2j-r)) above the diagonal and its negative below.  Its
-    m-th power reaches m rows beyond the stored ones, so each block keeps
-    only the rows within _TAYLOR_ORDER of its first and last stored row,
-    which is exact for every m kept; all blocks share one flat array,
-    built from the stored rows in one pass, whose coupling is zero at
-    block edges.  A row-0 block (coherent,
-    single-Fock) costs O(_TAYLOR_ORDER), and no block needs an
-    eigensystem.  |F_m| <= (2J)^m / m! for a normalized state, with 2J
-    the largest block; those are the bounds.
+    Each block's 2j and its number of stored rows, then the flat rows and
+    amplitudes of every block in turn: what ``_q_image`` reads from a
+    TwoModeState, for a whole batch.
     """
-    state.require_normalized()
+
+    two_js: np.ndarray
+    sizes: np.ndarray
+    rows: np.ndarray
+    amplitudes: np.ndarray
+
+
+def _input_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
+    """m! F_m of at-input states, one row per state, m <= _TAYLOR_ORDER.
+
+    first_blocks indexes the first block of each state in ``stored``.
+    2i J_y = J_+ - J_- is the real tridiagonal matrix with
+    <mu_r|J_+|mu_(r+1)> = sqrt((r+1)(2j-r)) above the diagonal and its
+    negative below.  Its m-th power reaches m rows beyond the stored ones,
+    so each block keeps only the rows within _TAYLOR_ORDER of its first
+    and last stored row, which is exact for every m kept.  The blocks of
+    every state share one flat array, built from the stored rows in one
+    pass, whose coupling is zero at block edges; a row-0 block (coherent,
+    single-Fock) costs O(_TAYLOR_ORDER).
+    """
     order = _TAYLOR_ORDER
+    two_js, sizes, rows = stored.two_js, stored.sizes, stored.rows
+    stored_ends = np.cumsum(sizes)
+    firsts = np.maximum(rows[stored_ends - sizes] - order, 0)
+    widths = np.minimum(rows[stored_ends - 1] + order, two_js) - firsts + 1
+    ends = np.cumsum(widths)
+    row_zero_at = ends - widths - firsts  # flat index of each block's row 0
+    # block size and row index of every entry of the flat array
+    block = np.repeat(two_js, widths)
+    row = np.arange(ends[-1]) - np.repeat(row_zero_at, widths)
+    raising = np.sqrt((row[:-1] + 1.0) * (block[:-1] - row[:-1]))
+    raising[ends[:-1] - 1] = 0.0  # no coupling from one block into the next
+    sign = np.where(row % 2, -1.0, 1.0)  # the diagonal of S
+    starts = (ends - widths)[first_blocks]
+    # u_k = A^k psi for A = J_+ - J_-.  A is real and antisymmetric, and
+    # S A S = -A, so <psi|A^m S psi> = (-1)^m <u_a|S u_b> for any a + b = m;
+    # a = m // 2 and b = m - a differ by at most 1, so each step keeps
+    # only u_(k-1) and u_k, for orders 2k - 1 and 2k.
+    moments = np.empty((first_blocks.size, order + 1), dtype=complex)
+    current = np.zeros(ends[-1], dtype=complex)
+    current[np.repeat(row_zero_at, sizes) + rows] = stored.amplitudes
+    moments[:, 0] = np.add.reduceat(np.conj(current) * (sign * current), starts)
+    for k in range(1, order // 2 + 1):
+        following = np.empty_like(current)
+        np.multiply(raising, current[1:], out=following[:-1])
+        following[-1] = 0.0
+        following[1:] -= raising * current[:-1]
+        signed = sign * following
+        moments[:, 2 * k - 1] = np.add.reduceat(np.conj(current) * signed, starts)
+        moments[:, 2 * k] = np.add.reduceat(np.conj(following) * signed, starts)
+        current = following
+    moments[:, 1::2] *= -1.0
+    return moments
+
+
+def _inside_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
+    """m! F_m of inside states, one row per state, m <= _TAYLOR_ORDER.
+
+    G = J_z and P = Q, so the moments are the sums of conj(psi) (Q psi)
+    times the powers of 2i mu over each state's stored rows.
+    """
+    generator = 1j * (np.repeat(stored.two_js, stored.sizes) - 2.0 * stored.rows)
+    terms = np.conj(stored.amplitudes) * _q_image(stored)[0]
+    starts = (np.cumsum(stored.sizes) - stored.sizes)[first_blocks]
+    vander = np.vander(generator, _TAYLOR_ORDER + 1, increasing=True)
+    return np.add.reduceat(terms[:, None] * vander, starts, axis=0)
+
+
+def _taylor_series(states: list[TwoModeState]) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients F_m of each state's <P>(phi) at phi = 0, and their bounds.
+
+    Rows are states, columns m = 0 .. _TAYLOR_ORDER.  <P>(phi) =
+    <psi| exp(2i phi G) P |psi>, so F_m = <psi|(2iG)^m P psi> / m!.  The
+    states of each frame are laid end to end, their block offsets
+    continuing from state to state, and take one flat pass
+    (``_input_moments``, ``_inside_moments``) that needs no eigensystem;
+    each state's moments are summed over its own segment of the flat
+    arrays.  |F_m| <= (2J)^m / m! for a normalized state, with 2J its
+    largest block; those are the bounds.
+    """
+    for state in states:
+        state.require_normalized()
+    order = _TAYLOR_ORDER
+    series = np.empty((len(states), order + 1), dtype=complex)
+    tops = np.empty(len(states))
+    for frame, moments in (
+        (Frame.AT_INPUT, _input_moments),
+        (Frame.INSIDE_INTERFEROMETER, _inside_moments),
+    ):
+        picked = [s for s, state in enumerate(states) if state.frame is frame]
+        if not picked:
+            continue
+        group = [states[s] for s in picked]
+        counts = np.array([state.two_js.size for state in group])
+        first_blocks = np.cumsum(counts) - counts
+        offsets = [state.offsets for state in group]
+        stored = _Stored(
+            np.concatenate([state.two_js for state in group]),
+            np.concatenate([o[1:] for o in offsets]) - np.concatenate([o[:-1] for o in offsets]),
+            np.concatenate([state.rows for state in group]),
+            np.concatenate([state.amplitudes for state in group]),
+        )
+        series[picked] = moments(stored, first_blocks)
+        tops[picked] = np.maximum.reduceat(stored.two_js, first_blocks)
     factorials = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
-    if state.frame is Frame.AT_INPUT:
-        offsets, two_js = state.offsets, state.two_js
-        firsts = np.maximum(state.rows[offsets[:-1]] - order, 0)
-        widths = np.minimum(state.rows[offsets[1:] - 1] + order, two_js) - firsts + 1
-        ends = np.cumsum(widths)
-        row_zero_at = ends - widths - firsts  # flat index of each block's row 0
-        # block size and row index of every entry of the flat array
-        block = np.repeat(two_js, widths)
-        row = np.arange(ends[-1]) - np.repeat(row_zero_at, widths)
-        raising = np.sqrt((row[:-1] + 1.0) * (block[:-1] - row[:-1]))
-        raising[ends[:-1] - 1] = 0.0  # no coupling from one block into the next
-        # u_k = A^k psi for A = J_+ - J_-, k <= order/2 rounded up.  A is
-        # real and antisymmetric, and S A S = -A, so
-        # <psi|A^m S psi> = (-1)^m <u_a|S u_b> for any a + b = m.
-        powers = np.zeros((order - order // 2 + 1, ends[-1]), dtype=complex)
-        powers[0, np.repeat(row_zero_at, state.sizes) + state.rows] = state.amplitudes
-        for k in range(order - order // 2):
-            np.multiply(raising, powers[k, 1:], out=powers[k + 1, :-1])
-            powers[k + 1, 1:] -= raising * powers[k, :-1]
-        left = powers * np.where(row % 2, -1.0, 1.0)
-        gram = np.conj(left, out=left) @ powers.T  # <u_a|S u_b>
-        m = np.arange(order + 1)
-        series = np.where(m % 2, -1.0, 1.0) * gram[m // 2, m - m // 2]
-    else:
-        generator = 1j * (np.repeat(state.two_js, state.sizes) - 2.0 * state.rows)
-        term = np.conj(state.amplitudes) * _q_image(state)[0]
-        series = term @ np.vander(generator, order + 1, increasing=True)
-    top = state.max_two_j
-    return series / factorials, np.array([float(top**m) for m in range(order + 1)]) / factorials
+    return series / factorials, tops[:, None] ** np.arange(order + 1) / factorials
 
 
-def _limit_from_series(series: np.ndarray, bounds: np.ndarray, context: str) -> float:
-    """Exact phi -> 0 limit of sqrt(1 - f^2) / |f'| for f = sum_m series[m] phi^m.
+def _square_series(coeffs: np.ndarray) -> np.ndarray:
+    """Each row's power series squared and cut at its length: column k is sum_i c_i c_(k-i).
 
-    bounds[m] bounds |series[m]|, and a coefficient counts as zero below
-    _ZERO_TOL times its bound.  If every coefficient past the constant is
-    zero, f does not depend on phi and the limit is +inf: for a
-    normalized state with |F_0| < 1 the limit diverges anyway, and with
+    The products are summed in order of i, the same in every row.
+    """
+    size = coeffs.shape[1]
+    shift = np.arange(size)[None, :] - np.arange(size)[:, None]  # k - i at row i, column k
+    shifted = np.where(shift >= 0, coeffs[:, np.maximum(shift, 0)], 0.0)
+    return (coeffs[:, :, None] * shifted).sum(axis=1)
+
+
+def _leading_orders(coeffs: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the index of the first coefficient that is not roundoff, and whether there is one."""
+    above = np.abs(coeffs) > _ZERO_TOL * bounds
+    return above.argmax(axis=1), above.any(axis=1)
+
+
+def _limit_from_series(series: np.ndarray, bounds: np.ndarray, labels: list[str]) -> np.ndarray:
+    """Exact phi -> 0 limit of sqrt(1 - f^2) / |f'| for f = sum_m series[s, m] phi^m, per row s.
+
+    bounds[s, m] bounds |series[s, m]|, and a coefficient counts as zero
+    below _ZERO_TOL times its bound.  If every coefficient past the
+    constant is zero, f does not depend on phi and the limit is +inf: for
+    a normalized state with |F_0| < 1 the limit diverges anyway, and with
     |F_0| = 1, P psi = +-psi, so F_2 = 0 forces G psi = 0 and the state
     is phase-blind.  Otherwise, with p and q the leading orders of
     1 - f^2 and f', the uncertainty behaves as phi^(p/2 - q): finite when
-    p = 2q, +inf when p < 2q.  No leading order within the coefficients
-    given, or orders no state can have, raise NumericalLimitError;
-    coefficients that are not real raise ConsistencyError.
+    p = 2q, +inf when p < 2q.  Every row is read at once.  A row with no
+    leading order within the coefficients given, or with orders no state
+    can have, raises NumericalLimitError, and one whose coefficients are
+    not real raises ConsistencyError; the first such row raises, and the
+    message names its label.
     """
-    if np.all(np.abs(series[1:]) <= _ZERO_TOL * bounds[1:]):
-        return math.inf
-    if np.any(np.abs(series.imag) > _ZERO_TOL * bounds):
-        raise ConsistencyError(f"{context}: Taylor coefficients {series!r} are not real")
-    series = series.real
-    order = series.size - 1
+    order = series.shape[1] - 1
+    blind = np.all(np.abs(series[:, 1:]) <= _ZERO_TOL * bounds[:, 1:], axis=1)
+    unreal = ~blind & np.any(np.abs(series.imag) > _ZERO_TOL * bounds, axis=1)
+    real = series.real
     # 1 - f^2 and f' as power series; the bounds propagate the same way
-    spread = -np.convolve(series, series)[: order + 1]
-    spread[0] += 1.0
-    spread_bounds = np.convolve(bounds, bounds)[: order + 1]
+    spread = -_square_series(real)
+    spread[:, 0] += 1.0
+    spread_bounds = _square_series(bounds)
     orders = np.arange(1, order + 1)
-    slope, slope_bounds = series[1:] * orders, bounds[1:] * orders
-    p = _leading_order(spread, spread_bounds)
-    q = _leading_order(slope, slope_bounds)
-    if p is not None and q is not None and p == 2 * q and spread[p] > 0.0:
-        return math.sqrt(spread[p]) / abs(slope[q])
-    if p is not None and (q is None or p < 2 * q):
-        return math.inf
-    raise NumericalLimitError(
-        f"{context}: no consistent leading orders within {order} Taylor terms "
-        f"(1 - <P>^2 starts at order {p}, d<P>/dphi at order {q}; coefficients {series!r})"
-    )
+    slope, slope_bounds = real[:, 1:] * orders, bounds[:, 1:] * orders
+    p, has_p = _leading_orders(spread, spread_bounds)
+    q, has_q = _leading_orders(slope, slope_bounds)
+    every = np.arange(series.shape[0])
+    lead, rate = spread[every, p], slope[every, q]
+    finite = ~blind & ~unreal & has_p & has_q & (p == 2 * q) & (lead > 0.0)
+    divergent = blind | (~unreal & ~finite & has_p & (~has_q | (p < 2 * q)))
+    failed = np.flatnonzero(~finite & ~divergent)
+    if failed.size:
+        s = failed[0]
+        context = f"phase uncertainty limit for {labels[s]!r}"
+        if unreal[s]:
+            raise ConsistencyError(f"{context}: Taylor coefficients {series[s]!r} are not real")
+        raise NumericalLimitError(
+            f"{context}: no consistent leading orders within {order} Taylor terms "
+            f"(1 - <P>^2 starts at order {int(p[s]) if has_p[s] else None}, d<P>/dphi at "
+            f"order {int(q[s]) if has_q[s] else None}; coefficients {real[s]!r})"
+        )
+    limits = np.full(series.shape[0], math.inf)
+    limits[finite] = np.sqrt(lead[finite]) / np.abs(rate[finite])
+    return limits
 
 
-def phase_uncertainty_limit(state: TwoModeState) -> float:
-    """The phi -> 0 operating-point uncertainty, from Taylor coefficients.
+def phase_uncertainty_limits(states) -> list[float]:
+    """The phi -> 0 operating-point uncertainty of each state, in input order.
 
     Exact: the leading orders of 1 - <P>^2 and d<P>/dphi at phi = 0 come
     from the moments <psi|(2iG)^m P psi> of the phase generator G, so no
-    phase point is evaluated and no eigensystem is built.  Returns
-    +infinity for states with no phase information (for example the
-    plain Yuen state) and for divergent limits; raises
-    NumericalLimitError if no leading order appears within the Taylor
-    terms kept.
+    phase point is evaluated and no eigensystem is built.  All states
+    take one flat Taylor pass per frame and one vectorized read of the
+    leading orders, so a batch costs a few numpy calls, not a few per
+    state.  A state with no phase information (for example the plain
+    Yuen state) or a divergent limit gives +infinity.  If any state has
+    no leading order within the Taylor terms kept, NumericalLimitError
+    names the first such state; an unnormalized state raises
+    NormalizationError.
     """
-    series, bounds = _taylor_series(state)
-    return _limit_from_series(
-        series, bounds, f"phase uncertainty limit for {state.label!r}"
-    )
+    states = list(states)
+    series, bounds = _taylor_series(states)
+    return _limit_from_series(series, bounds, [state.label for state in states]).tolist()
+
+
+def phase_uncertainty_limit(state: TwoModeState) -> float:
+    """The phi -> 0 operating-point uncertainty of one state: ``phase_uncertainty_limits([state])``."""
+    return phase_uncertainty_limits([state])[0]
 
 
 def benchmark_limits(n_total: int) -> BenchmarkLimits:

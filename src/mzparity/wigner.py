@@ -99,6 +99,29 @@ def _finite_angle(theta) -> float:
     return theta
 
 
+def _upper_rows(low, steps: list[float], rows: int) -> list:
+    """Rows 0 .. rows-1 of the J_y recurrence columns at eigenvalues low.
+
+    low is one eigenvalue as a Python float, or an array of them to
+    advance several columns together; steps[r] = T[r, r+1].  v[0] = 1,
+    and row r of T v = lam v is solved for v[r + 1].  A column that grows
+    past 1e150 is scaled back (checked every 32 rows).
+    """
+    upper, prev, row = [low**0], 0.0, low**0
+    for r in range(rows - 1):
+        prev, row = row, (low * row - (steps[r - 1] * prev if r else 0.0)) / steps[r]
+        upper.append(row)
+        if r % 32 == 0 or r == rows - 2:
+            peak = np.maximum(np.abs(prev), np.abs(row))
+            if np.any(peak > 1e150):
+                scale = np.where(peak > 1e150, peak, 1.0)
+                if scale.ndim == 0:  # one column stays on Python floats
+                    scale = float(scale)
+                upper = [v / scale for v in upper]
+                prev, row = upper[-2:]
+    return upper
+
+
 def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and the real eigenvectors ``cols`` (all if None) of J_y for one block.
 
@@ -114,8 +137,9 @@ def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
     dominant direction (Gautschi, SIAM Rev. 9, 24 (1967)).  A column that
     grows past 1e150 is scaled back (checked every 32 rows), so blocks
     whose exact row 0, sqrt(C(2j,k))/2^j, would underflow (2j > ~2100)
-    stay finite.  The columns advance together, one row operation per
-    step, or as Python floats when only one is needed.
+    stay finite.  Up to two distinct columns each run alone on Python
+    floats (``_upper_rows``); more advance together, one row operation
+    per step.
 
     T is persymmetric, so the lower rows are the exact row mirror
     V[n-1-r, k] = (-1)^k V[r, k] (for odd n the middle row of each odd-k
@@ -150,18 +174,11 @@ def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
     off = -0.5 * np.sqrt(0.5 * two_j * (0.5 * two_j + 1.0) - lam * (lam + 1.0))
     mirrored = np.minimum(cols, two_j - cols)  # the lam <= 0 column each one mirrors
     seeds = np.flatnonzero(np.bincount(mirrored))  # each of those once, ascending
-    low = lam[seeds] if seeds.size > 1 else float(lam[seeds[0]])  # one column: Python floats
-    upper, steps, prev, row = [low**0], off.tolist(), 0.0, low**0  # v[0] = 1
-    for r in range(rows - 1):  # row r of T v = lam v, solved for v[r + 1]
-        prev, row = row, (low * row - (steps[r - 1] * prev if r else 0.0)) / steps[r]
-        upper.append(row)
-        if r % 32 == 0 or r == rows - 2:  # scale back columns grown past 1e150
-            peak = np.maximum(np.abs(prev), np.abs(row))
-            if np.any(peak > 1e150):
-                scale = np.where(peak > 1e150, peak, 1.0)
-                upper = [v / scale for v in upper]
-                prev, row = upper[-2:]
-    upper = np.array(upper).reshape(rows, -1)
+    steps = off.tolist()
+    if seeds.size <= 2:  # each column alone, on Python floats
+        upper = np.array([_upper_rows(low, steps, rows) for low in lam[seeds].tolist()]).T
+    else:
+        upper = np.array(_upper_rows(lam[seeds], steps, rows))
     signs = np.where(np.arange(n) % 2, -1.0, 1.0)
     upper[half:, seeds % 2 == 1] = 0.0  # the middle row (odd n only), odd under the row mirror
     norms = upper * upper
@@ -169,7 +186,7 @@ def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
     # a running sum adds each column's rows in order, however many columns there are
     upper /= np.sqrt(np.cumsum(norms, axis=0, out=norms)[-1])
     # T V - V lam on the built upper rows (the last of them meets the mirror row)
-    resid = low * upper
+    resid = lam[seeds] * upper
     resid[1:] -= off[: rows - 1, None] * upper[:-1]
     resid[:-1] -= off[: rows - 1, None] * upper[1:]
     resid[-1] -= off[rows - 1] * (upper[half - 1] * signs[seeds])

@@ -331,12 +331,49 @@ def test_coherent_point_past_the_old_padded_budget(tmp_path):
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
-    def explode(state):
+    def explode(states):
         raise NumericalLimitError("ladder did not settle")
 
-    monkeypatch.setattr("mzparity.cli.detection.phase_uncertainty_limit", explode)
+    monkeypatch.setattr("mzparity.cli.detection.phase_uncertainty_limits", explode)
     assert main(["sweep", "--state", "noon", "--n-min", "2", "--limit"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_numerical_failure_mid_batch_exit_code(monkeypatch, capsys):
+    # fig3 takes its limits in batches; one state with no consistent
+    # leading orders in the middle of a batch still fails the command
+    taylor_series = detection._taylor_series
+    batches = []
+
+    def corrupt(states):
+        series, bounds = taylor_series(states)
+        middle = len(states) // 2
+        batches.append((len(states), states[middle].label))
+        series[middle] = 0.0
+        series[middle, :2] = 1.0, 0.1  # 1 - f^2 starts at order 1, f' at order 0
+        return series, bounds
+
+    monkeypatch.setattr(detection, "_taylor_series", corrupt)
+    assert main(["figure", "fig3"]) == 3
+    err = capsys.readouterr().err
+    assert len(batches) == 1 and batches[0][0] > 2
+    assert "numerical failure" in err
+    assert f"phase uncertainty limit for {batches[0][1]!r}: no consistent leading orders" in err
+
+
+def test_limit_sweep_memory_is_bounded_by_its_chunks():
+    # The NOON states N = 1..3000 hold 4.5 million amplitudes in all; the
+    # sweep takes their limits in chunks of _LIMIT_CHUNK_ENTRIES flat
+    # Taylor entries and peaks near 2.1 MiB.
+    tracemalloc.start()
+    try:
+        records = run_sweep(SweepConfig("noon", 1, 3000, phi_mode="limit"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [record.n_total for record in records] == list(range(1, 3001))
+    assert all(abs(record.delta_phi * record.n_total - 1.0) <= 1e-12 for record in records)
+    assert peak < 3 * 2**20
 
 
 def test_unwritable_output_path(tmp_path, capsys):

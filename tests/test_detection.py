@@ -14,6 +14,7 @@ from mzparity import (
     TwoModeState,
     Frame,
     apply_beam_splitter,
+    apply_phase_shifter,
     benchmark_limits,
     berry_wiseman_internal,
     bruteforce_parity_expectation,
@@ -33,6 +34,7 @@ from mzparity import (
     pezze_smerzi_input,
     phase_uncertainty,
     phase_uncertainty_limit,
+    phase_uncertainty_limits,
     q_apply,
     single_fock_input,
     yuen_input,
@@ -40,6 +42,7 @@ from mzparity import (
 )
 from mzparity import detection, wigner
 from mzparity.cli import build_state
+from mzparity.states import parity_needed
 from mzparity.detection import _extrapolate_limit, _limit_from_series, _phi_ladder
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -374,7 +377,8 @@ def spectrum_series(weights, freqs):
 
 
 def spectrum_limit(spectrum):
-    return _limit_from_series(*spectrum_series(*spectrum), "t")
+    series, bounds = spectrum_series(*spectrum)
+    return _limit_from_series(series[None], bounds[None], ["t"])[0]
 
 
 def test_series_limit_finite():
@@ -404,7 +408,7 @@ def test_series_limit_without_leading_order_raises():
     series[:2] = 1.0, 0.1
     bounds = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, detection._TAYLOR_ORDER + 1)])
     with pytest.raises(NumericalLimitError):
-        _limit_from_series(series, bounds, "t")
+        _limit_from_series(series[None], bounds[None], ["t"])
 
 
 def _mixed_state(frame, seed):
@@ -434,7 +438,7 @@ def _mixed_state(frame, seed):
 )
 def test_moment_series_matches_spectrum(build, args):
     state = build(*args)
-    series, bounds = detection._taylor_series(state)
+    (series,), (bounds,) = detection._taylor_series([state])
     want, want_bounds = spectrum_series(*full_spectrum(state))
     assert np.allclose(bounds, want_bounds, rtol=1e-15, atol=0.0)
     assert np.all(np.abs(series - want) <= 1e-13 * bounds)
@@ -451,6 +455,30 @@ def test_noon_limits_are_exact_and_take_bounded_memory():
         tracemalloc.stop()
     assert abs(limit * 10**5 - 1.0) <= 1e-12
     assert peak < 32 * 2**20
+
+
+def test_batched_limits_match_one_state_limits():
+    # Every family at N = 1..60 (parity gaps left out) in both frames,
+    # interleaved, then the mixed layouts, a coherent state of many blocks
+    # and the Berry-Wiseman state behind its pi/2 bias.
+    batch = []
+    for n in range(1, 61):
+        for label in STATE_LABELS:
+            if parity_needed(label, n) is None:
+                state = make_state(label, n)
+                inside = state.frame is Frame.INSIDE_INTERFEROMETER
+                batch += [state, apply_beam_splitter(state, inverse=inside)]
+    batch += [_mixed_state(frame, seed) for frame in Frame for seed in (3, 4, 5)]
+    batch.append(coherent_input(1000.0))
+    batch += [apply_phase_shifter(berry_wiseman_internal(n), math.pi / 2.0) for n in (1, 8, 60)]
+    assert batch[-4].two_js.size > 100
+    batched = np.array(phase_uncertainty_limits(batch))
+    single = np.array([phase_uncertainty_limit(state) for state in batch])
+    np.testing.assert_array_equal(np.isinf(batched), np.isinf(single))
+    finite = np.isfinite(single)
+    assert 0 < finite.sum() < len(batch)
+    np.testing.assert_array_max_ulp(batched[finite], single[finite], maxulp=4)
+    assert phase_uncertainty_limits([]) == []
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
