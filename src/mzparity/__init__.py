@@ -21,6 +21,7 @@ from .detection import (
     closed_form_uncertainty_limit,
     parity_derivative,
     parity_expectation,
+    phase_uncertainties,
     phase_uncertainty,
     phase_uncertainty_limit,
     phase_uncertainty_limits,
@@ -103,6 +104,7 @@ __all__ = [
     "parity_derivative",
     "parity_expectation",
     "pezze_smerzi_input",
+    "phase_uncertainties",
     "phase_uncertainty",
     "phase_uncertainty_limit",
     "phase_uncertainty_limits",

@@ -2,12 +2,13 @@
 
 Every number takes one route.  ``build_state`` looks the family label up
 in one label -> constructor table, after the parity check that
-``states.parity_needed`` gives.  A fixed-phi row at N comes from
-``detection.phase_uncertainty``.  Phi -> 0 limits are taken in batches:
-every figure, the table and each chunk of a ``--limit`` sweep build their
-states in N order and make one ``detection.phase_uncertainty_limits``
-call (``_limits``), with chunks held to ``_LIMIT_CHUNK_ENTRIES`` flat
-Taylor-array entries so memory stays bounded at any N.  Sweeps and
+``states.parity_needed`` gives.  Detection runs in batches: each chunk of
+a fixed-phi sweep (and the one state of ``expectation``) makes one
+``detection.phase_uncertainties`` call (``_points``), and every figure,
+the table and each chunk of a ``--limit`` sweep build their states in N
+order and make one ``detection.phase_uncertainty_limits`` call
+(``_limits``).  ``_chunks`` holds each chunk to ``_CHUNK_ENTRIES`` flat
+entries so memory stays bounded at any N.  Sweeps and
 ``expectation`` write one record per N; the table and the fig3/fig4
 curves are limits, where a family outside its parity class leaves an
 empty cell (a warning and a skipped row in a sweep).
@@ -167,25 +168,31 @@ def build_state(
     return _FAMILIES[label](n, params)
 
 
-# Chunk bound of the batched phi -> 0 limits, in flat Taylor-array entries:
-# a state counts its stored rows plus the window of _TAYLOR_ORDER rows on
-# each side of every block.  A chunk of 2^13 entries peaks near 1 MiB of
-# arrays; larger chunks save no measurable time and cost peak RSS.
-_LIMIT_CHUNK_ENTRIES = 2**13
+# Chunk bound of the batched detection calls, in flat entries.  A limit
+# counts a state's stored rows plus the window of _TAYLOR_ORDER rows on
+# each side of every block (``_limit_entries``), a fixed-phi point its
+# stored rows plus the 2j + 1 projections or grid slots of every block not
+# read as cos(phi)^(2j) (``detection._point_entries``).  A limit chunk of
+# 2^13 entries peaks near 1 MiB of arrays, a chunk of NOON points near
+# 4 MiB; 2^12 would save 1.9 MB of peak RSS on the benchmark's point
+# sweeps at 9% of their time, and larger chunks save no measurable time.
+_CHUNK_ENTRIES = 2**13
 
 
-def _limit_chunks(cases: Iterable[tuple]) -> Iterator[list[tuple]]:
-    """The (key, label, state) cases in order, cut into chunks of at most _LIMIT_CHUNK_ENTRIES."""
-    window = 2 * detection._TAYLOR_ORDER
-    chunk, entries = [], 0
+def _limit_entries(state: TwoModeState) -> int:
+    return state.rows.size + 2 * detection._TAYLOR_ORDER * state.two_js.size
+
+
+def _chunks(cases: Iterable[tuple], entries) -> Iterator[list[tuple]]:
+    """The (key, label, state) cases in order, in chunks of at most _CHUNK_ENTRIES entries."""
+    chunk, total = [], 0
     for case in cases:
-        state = case[2]
-        size = state.rows.size + window * state.two_js.size
-        if chunk and entries + size > _LIMIT_CHUNK_ENTRIES:
+        size = entries(case[2])
+        if chunk and total + size > _CHUNK_ENTRIES:
             yield chunk
-            chunk, entries = [], 0
+            chunk, total = [], 0
         chunk.append(case)
-        entries += size
+        total += size
     if chunk:
         yield chunk
 
@@ -195,7 +202,7 @@ def _limits(cases: Iterable[tuple]) -> Iterator[tuple]:
 
     The cases are consumed lazily, so at most one chunk of states is held.
     """
-    for chunk in _limit_chunks(cases):
+    for chunk in _chunks(cases, _limit_entries):
         keys = [key for key, _, _ in chunk]
         # The berry-wiseman state gives a flat parity signal at phi = 0, so
         # its phi -> 0 limit diverges.  Its finite limit belongs to parity
@@ -206,6 +213,13 @@ def _limits(cases: Iterable[tuple]) -> Iterator[tuple]:
             for _, label, state in chunk
         ]
         yield from zip(keys, detection.phase_uncertainty_limits(states))
+
+
+def _points(cases: Iterable[tuple], phi: float) -> Iterator[tuple]:
+    """(key, DetectionResult at phi) for each (key, label, state), one batched call per chunk."""
+    for chunk in _chunks(cases, detection._point_entries):
+        states = [state for _, _, state in chunk]
+        yield from zip((key for key, _, _ in chunk), detection.phase_uncertainties(states, phi))
 
 
 def _record(n: int, delta_phi: float, **point) -> SweepRecord:
@@ -221,8 +235,7 @@ def _record(n: int, delta_phi: float, **point) -> SweepRecord:
     )
 
 
-def _point_record(n: int, state: TwoModeState, phi: float) -> SweepRecord:
-    result = detection.phase_uncertainty(state, phi)
+def _point_record(n: int, result: detection.DetectionResult) -> SweepRecord:
     return _record(
         n,
         result.delta_phi,
@@ -247,7 +260,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     cases = _sweep_states(config)
     if config.phi_mode == "limit":
         return [_record(n, delta_phi) for n, delta_phi in _limits(cases)]
-    return [_point_record(n, state, config.phi) for n, _, state in cases]
+    return [_point_record(n, result) for n, result in _points(cases, config.phi)]
 
 
 def _format_value(value) -> str:
@@ -582,7 +595,7 @@ def _cmd_expectation(args: argparse.Namespace) -> None:
     if config.phi_mode == "limit":
         raise DomainError("expectation reports a fixed-phi point; use sweep --limit")
     state = build_state(config.state_label, config.n_min, config.combined_params)
-    record = _point_record(config.n_min, state, config.phi)
+    record = _point_record(config.n_min, detection.phase_uncertainty(state, config.phi))
     _write_records([record], config.output_path, config.format)
 
 

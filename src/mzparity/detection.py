@@ -13,19 +13,26 @@ other block adds into one grid, lam = -J, -J + 1/2, ..., J for the largest
 such block 2J, so at most 2 * 2J + 1 terms remain however many blocks and
 amplitudes the state has.  For at-input states w_k = conj(<e_k|S psi>)
 <e_k|psi> over the J_y eigenvectors e_k of each block, with S the
-diagonal parity sign and lam_k the exact eigenvalues; the eigensystem's
-exact parity mirror makes <e_k|S psi> the mirror entry of <e_k|psi>, so
-each block is projected once, from its stored rows, on the eigenvectors
-at those rows alone (the eigenvector matrix is symmetric): a dual-Fock
-block builds one eigenvector at any 2j.  For states inside the
-interferometer w = conj(psi) (Q psi) and lam = -mu, with no
+diagonal parity sign and lam_k the exact eigenvalues; the exact parity
+mirror makes <e_k|S psi> the component on e_(2j-k).  For states inside
+the interferometer w = conj(psi) (Q psi) and lam = -mu, with no
 eigensystem at all: Q maps row r of block 2j to row 2j - r, so Q psi is
 read on every stored row at once, by one lookup of each row's mirror in
 the flat stored arrays, and the grid, the parity gaps and the phi -> 0
-moments of an inside state all come from that one image with no loop
-over blocks.  ``parity_expectation`` and ``parity_derivative`` are
-sums over that spectrum, and ``phase_uncertainty`` builds it once for
-both and takes Delta P from 1 -+ <P> without cancellation.
+moments of an inside state all come from that one image.
+
+``phase_uncertainties(states, phi)`` takes a batch of states.  Their
+blocks lie end to end, and the J_y projections of every at-input block
+come from one ``wigner._projections`` call, whose columns advance in one
+flat three-term recurrence: a dense block (NOON, combined) folds each
+column into its projection as the rows arrive, in O(columns) memory, and
+a block stored on a few rows (dual-Fock, Yurke, Yuen, Pezze-Smerzi) runs
+only the columns at those rows.  <P>, d<P>/dphi and the shift of <P>
+since phi = 0 are then read for every state at once, each summed over
+its own segment of the flat arrays, so a state's numbers do not depend on
+the batch it came in.  ``phase_uncertainty``, ``parity_expectation`` and
+``parity_derivative`` are that call on one state, and each chunk of a CLI
+sweep makes one.
 
 ``phase_uncertainty_limits`` needs no spectrum.  Since P G P = -G for
 the phase generator G (J_y at input, J_z inside), <P>(phi) =
@@ -70,7 +77,8 @@ from .states import (
     _positive_int,
     parity_needed,
 )
-from .wigner import _I_POWERS, _project, d_derivative, d_element
+from . import wigner
+from .wigner import _I_POWERS, d_derivative, d_element
 
 __all__ = [
     "BenchmarkLimits",
@@ -84,6 +92,7 @@ __all__ = [
     "closed_form_uncertainty_limit",
     "parity_derivative",
     "parity_expectation",
+    "phase_uncertainties",
     "phase_uncertainty",
     "phase_uncertainty_limit",
     "phase_uncertainty_limits",
@@ -136,18 +145,48 @@ def _real_with_residue_check(value: complex, context: str) -> float:
     return value.real
 
 
-class _Spectrum(NamedTuple):
-    """<P>(phi) = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b).
+class _Stored(NamedTuple):
+    """The stored form of several states end to end.
 
-    weights and freqs form the grid of the blocks read through an
-    eigensystem (at input) or through Q (inside); powers n_b = 2j and probs
-    p_b = |psi_0|^2 describe the at-input blocks stored on row 0 alone.
+    Each block's 2j and its number of stored rows, then the flat rows and
+    amplitudes of every block in turn: what ``_q_image`` reads from a
+    TwoModeState, for a whole batch.
     """
 
-    weights: np.ndarray
-    freqs: np.ndarray
-    powers: np.ndarray
-    probs: np.ndarray
+    two_js: np.ndarray
+    sizes: np.ndarray
+    rows: np.ndarray
+    amplitudes: np.ndarray
+
+
+def _stored(states: list[TwoModeState]) -> tuple[_Stored, np.ndarray]:
+    """The stored form of states end to end, and the index of each state's first block."""
+    counts = np.array([state.two_js.size for state in states])
+    offsets = [state.offsets for state in states]
+    stored = _Stored(
+        np.concatenate([state.two_js for state in states]),
+        np.concatenate([o[1:] for o in offsets]) - np.concatenate([o[:-1] for o in offsets]),
+        np.concatenate([state.rows for state in states]),
+        np.concatenate([state.amplitudes for state in states]),
+    )
+    return stored, np.cumsum(counts) - counts
+
+
+def _on_row_zero(stored) -> np.ndarray:
+    """Which blocks of a TwoModeState or a ``_Stored`` batch store row 0 alone."""
+    return (stored.sizes == 1) & (stored.rows[np.cumsum(stored.sizes) - stored.sizes] == 0)
+
+
+def _point_entries(state: TwoModeState) -> int:
+    """Flat entries a fixed-phi pass holds for state.
+
+    Its stored rows, and 2j + 1 projections or grid slots for each block
+    not read as cos(phi)^(2j).
+    """
+    gridded = state.two_js
+    if state.frame is Frame.AT_INPUT:
+        gridded = gridded[~_on_row_zero(state)]
+    return state.rows.size + int(gridded.sum()) + gridded.size
 
 
 def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
@@ -168,48 +207,113 @@ def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
     return image, paired
 
 
-def _spectrum(state: TwoModeState) -> _Spectrum:
-    """The terms of <P>(phi): a frequency grid, and the row-0 blocks apart.
+class _Spectra(NamedTuple):
+    """<P>(phi) of each state s = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b).
+
+    weights and freqs hold every state's grid end to end, grids[s] terms
+    for state s: the blocks read through their J_y projection (at input)
+    or through Q (inside).  powers n_b = 2j and probs p_b = |psi_0|^2 list
+    the at-input blocks stored on row 0 alone, counts[s] of them for state
+    s.  below and above are 1 -+ <P>(0) of each state, as sums of squares.
+    """
+
+    weights: np.ndarray
+    freqs: np.ndarray
+    grids: np.ndarray
+    powers: np.ndarray
+    probs: np.ndarray
+    counts: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+
+
+def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of each run of sizes[s] consecutive values, 0 for an empty run.
+
+    Each run is summed alone, the same way wherever it sits in values.
+    """
+    sums = np.zeros(sizes.size, dtype=values.dtype)
+    filled = sizes > 0
+    if filled.any():
+        sums[filled] = np.add.reduceat(values, (np.cumsum(sizes) - sizes)[filled])
+    return sums
+
+
+def _spectra(states: list[TwoModeState]) -> _Spectra:
+    """The terms of each state's <P>(phi): a frequency grid, and the row-0 blocks apart.
 
     An at-input block stored on row 0 alone (mu = +j, mode b empty, as in
     every coherent and single-Fock block) is |psi_0|^2 times
     d[0, 0](2 phi) = cos(phi)^(2j), so it keeps only its 2j and |psi_0|^2
-    and needs no eigensystem and no grid.  Every other block adds into
-    the grid lam = -J ... J in steps of 1/2, with 2J the largest such
-    block, so equal frequencies are merged as they arrive.  At-input
-    blocks: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors
-    e_k at lam_k.  The eigensystem's exact parity mirror D V = V[:, ::-1]
-    makes <e_k|S psi> the mirror entry of <e_k|psi>, so each block is
-    projected once, and only on the eigenvectors at its stored rows.
-    Inside states: w = conj(psi) (Q psi) and lam = -mu on every stored
-    row, because the phase shifter gives the mu and -mu entries the
-    relative phase exp(2i phi mu); one bincount over the flat rows fills
-    the grid.
+    and needs no eigensystem and no grid.  Every other block adds into its
+    state's grid lam = -J ... J in steps of 1/2, with 2J the largest such
+    block, so equal frequencies are merged.  At-input blocks:
+    w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors e_k at
+    lam_k; the parity mirror D V = V[:, ::-1] makes <e_k|S psi> the
+    component on e_(2j-k).  The projections of every such block of every
+    state come from one ``wigner._projections`` call.  Inside states:
+    w = conj(psi) (Q psi) and lam = -mu on every stored row, because the
+    phase shifter gives the mu and -mu entries the relative phase
+    exp(2i phi mu).  One bincount over all the terms fills every grid.
+
+    The gaps 1 -+ <P>(0) are ||psi -+ P psi||^2 / 2, sums of squares that
+    keep full relative accuracy where 1 - <P> itself would cancel: at
+    input twice the mass of the odd and of the even stored rows; inside,
+    psi -+ Q psi on the stored rows, where a row whose mirror is not stored
+    adds its |psi|^2 once more, for the mirror row, where psi is 0 and
+    Q psi is not.
     """
-    state.require_normalized()
-    at_input = state.frame is Frame.AT_INPUT
-    starts = state.offsets[:-1]
-    on_row0 = (state.sizes == 1) & at_input
-    on_row0[on_row0] = state.rows[starts[on_row0]] == 0
-    if at_input:
-        gridded = np.flatnonzero(~on_row0)
-        top = int(state.two_js[gridded].max(initial=0))
-        weights = np.zeros(2 * top + 1 if gridded.size else 0, dtype=complex)
-        for two_j, rows, amps in state.stored_blocks(gridded.tolist()):
-            plain = _project(two_j, rows, amps)
-            weights[top - two_j : top + two_j + 1 : 2] += np.conj(plain[::-1]) * plain
-    else:
-        top = state.max_two_j
-        slots = top - np.repeat(state.two_js, state.sizes) + 2 * state.rows
-        terms = np.conj(state.amplitudes) * _q_image(state)[0]
-        weights = np.bincount(slots, terms.real, 2 * top + 1) + 1j * np.bincount(
-            slots, terms.imag, 2 * top + 1
+    for state in states:
+        state.require_normalized()
+    stored, first_blocks = _stored(states)
+    two_js, sizes, rows, amps = stored
+    at_input = np.array([state.frame is Frame.AT_INPUT for state in states])
+    owner = np.repeat(np.arange(len(states)), np.diff(first_blocks, append=two_js.size))
+    block_input = at_input[owner]
+    on_row0 = block_input & _on_row_zero(stored)
+    tops = np.maximum.reduceat(np.where(on_row0, -1, two_js), first_blocks)
+    grids = np.maximum(2 * tops + 1, 0)
+    origin = np.cumsum(grids) - grids + tops  # the flat slot of each state's lam = 0
+    mass = amps.real**2 + amps.imag**2
+    odd = rows % 2 == 1
+    below, above = np.where(odd, 2.0 * mass, 0.0), np.where(odd, 0.0, 2.0 * mass)
+    slots, terms = [], []
+    projected = block_input & ~on_row0
+    if projected.any():  # every k of each block read through its J_y projection
+        picked = np.repeat(projected, sizes)
+        plain = wigner._projections(two_js[projected], sizes[projected], rows[picked], amps[picked])
+        n = two_js[projected] + 1
+        k = wigner._ragged(n)
+        slots.append(np.repeat(origin[owner[projected]] - two_js[projected], n) + 2 * k)
+        terms.append(np.conj(plain[np.arange(plain.size) + np.repeat(n - 1, n) - 2 * k]) * plain)
+    if not at_input.all():  # every stored row of an inside state, through Q
+        entries = ~np.repeat(block_input, sizes)
+        inside = _Stored(two_js[~block_input], sizes[~block_input], rows[entries], amps[entries])
+        image, paired = _q_image(inside)
+        slots.append(
+            np.repeat(origin[owner[~block_input]] - inside.two_js, inside.sizes) + 2 * inside.rows
         )
-    return _Spectrum(
+        terms.append(np.conj(inside.amplitudes) * image)
+        minus, plus = inside.amplitudes - image, inside.amplitudes + image
+        unpaired = np.where(paired, 0.0, mass[entries])
+        below[entries] = 0.5 * (minus.real**2 + minus.imag**2 + unpaired)
+        above[entries] = 0.5 * (plus.real**2 + plus.imag**2 + unpaired)
+    total = int(grids.sum())
+    weights = np.zeros(total, dtype=complex)
+    if slots:
+        slots, terms = np.concatenate(slots), np.concatenate(terms)
+        weights += np.bincount(slots, terms.real, total)
+        weights += 1j * np.bincount(slots, terms.imag, total)
+    rows_per_state = np.array([state.rows.size for state in states])
+    return _Spectra(
         weights,
-        (np.arange(weights.size) - top) / 2.0,
-        state.two_js[on_row0],
-        np.abs(state.amplitudes[starts[on_row0]]) ** 2,
+        (np.arange(total) - np.repeat(origin, grids)) / 2.0,
+        grids,
+        two_js[on_row0],
+        mass[(np.cumsum(sizes) - sizes)[on_row0]],
+        np.bincount(owner[on_row0], minlength=len(states)),
+        _segment_sums(below, rows_per_state),
+        _segment_sums(above, rows_per_state),
     )
 
 
@@ -231,73 +335,6 @@ def _cos_powers(phi: float, powers: np.ndarray) -> np.ndarray:
     return values
 
 
-def _parity_gaps(state: TwoModeState) -> tuple[float, float]:
-    """||psi - P psi||^2 / 2 and ||psi + P psi||^2 / 2, that is 1 -+ <P>(0).
-
-    P is S at input and Q inside.  Both are sums of squares, so they keep
-    full relative accuracy where 1 - <P> itself would cancel.  At input
-    they are twice the mass of the odd and of the even stored rows.
-    Inside, psi -+ Q psi is taken on the stored rows; a row whose mirror
-    is not stored adds its |psi|^2 once more, for the mirror row, where
-    psi is 0 and Q psi is not.
-    """
-    amps = state.amplitudes
-    if state.frame is Frame.AT_INPUT:
-        odd = state.rows % 2 == 1
-        return 2.0 * np.vdot(amps[odd], amps[odd]).real, 2.0 * np.vdot(amps[~odd], amps[~odd]).real
-    image, paired = _q_image(state)
-    minus, plus = amps - image, amps + image
-    unpaired = np.vdot(amps[~paired], amps[~paired]).real
-    return (
-        0.5 * (np.vdot(minus, minus).real + unpaired),
-        0.5 * (np.vdot(plus, plus).real + unpaired),
-    )
-
-
-def _expectation_at(spectrum: _Spectrum, phi: float) -> complex:
-    weights, freqs, powers, probs = spectrum
-    value = complex(np.sum(weights * np.exp(-2j * phi * freqs)))
-    if powers.size:
-        value += probs @ _cos_powers(phi, powers)
-    return value
-
-
-def _derivative_at(spectrum: _Spectrum, phi: float) -> complex:
-    weights, freqs, powers, probs = spectrum
-    value = complex(np.sum(weights * (-2j * freqs) * np.exp(-2j * phi * freqs)))
-    if powers.size:
-        # d/dphi cos^n = -n sin cos^(n-1); the factor n makes the 2j = 0 term exactly 0
-        value -= math.sin(phi) * ((probs * powers) @ _cos_powers(phi, powers - 1))
-    return value
-
-
-def _shift_at(spectrum: _Spectrum, phi: float) -> float:
-    """<P>(phi) - <P>(0) without cancellation, for |phi| 2J < 1 (so cos(phi) > 0).
-
-    Grid terms take w expm1(-2i phi lam), and a row-0 block
-    p expm1(n log1p(-2 sin^2(phi/2))), since cos phi = 1 - 2 sin^2(phi/2).
-    """
-    weights, freqs, powers, probs = spectrum
-    shift = float(np.sum(weights * np.expm1(-2j * phi * freqs)).real)
-    if powers.size and powers.max() > 0:  # a block 2j = 0 alone never moves
-        shift += float(probs @ np.expm1(powers * math.log1p(-2.0 * math.sin(0.5 * phi) ** 2)))
-    return shift
-
-
-def parity_expectation(state: TwoModeState, phi: float) -> float:
-    """<P> after phase phi: output-port photon-number parity."""
-    phi = _finite_phase(phi)
-    value = _expectation_at(_spectrum(state), phi)
-    return _real_with_residue_check(value, f"parity expectation for {state.label!r}")
-
-
-def parity_derivative(state: TwoModeState, phi: float) -> float:
-    """d<P>/dphi, differentiating the same spectral sum term by term."""
-    phi = _finite_phase(phi)
-    value = _derivative_at(_spectrum(state), phi)
-    return _real_with_residue_check(value, f"parity derivative for {state.label!r}")
-
-
 def _bundle(
     phi: float, expectation: float, derivative: float, spread: float
 ) -> DetectionResult:
@@ -314,34 +351,83 @@ def _bundle(
     return DetectionResult(phi, expectation, derivative, variance, delta_phi)
 
 
-def phase_uncertainty(state: TwoModeState, phi: float) -> DetectionResult:
-    """Error-propagation uncertainty delta phi = Delta P / |d<P>/dphi|.
+def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
+    """The observables at phase phi of each state, in input order.
 
-    Delta P = sqrt((1 - <P>)(1 + <P>)) because P^2 = 1.  Near phi = 0,
-    while every phase 2 phi lam of the spectrum stays below one radian,
-    each factor is taken as 1 -+ <P>(0) from _parity_gaps -+ the change
-    sum w expm1(-2i phi lam) of <P> since phi = 0, so Delta P keeps full
-    relative accuracy as <P> -> +-1 there.  Further out Delta P is
-    sqrt(1 - <P>^2).  Points where the derivative vanishes (below 1e-14)
-    report +infinity; the phi -> 0 operating point is handled by
-    phase_uncertainty_limit instead.  A non-finite phi raises DomainError.
+    <P>, d<P>/dphi (the spectral sums term by term) and the error-propagation
+    uncertainty delta phi = Delta P / |d<P>/dphi|, with Delta P =
+    sqrt((1 - <P>)(1 + <P>)) because P^2 = 1.  For a state whose every
+    phase 2 phi lam stays below one radian (|phi| 2J < 1), each factor is
+    taken as 1 -+ <P>(0) from the gaps -+ the change of <P> since
+    phi = 0, sum w expm1(-2i phi lam) and p expm1(n log cos phi), so Delta P
+    keeps full relative accuracy as <P> -> +-1 there; further out it is
+    sqrt(1 - <P>^2).  A derivative below 1e-14 gives delta phi = +infinity;
+    the phi -> 0 operating point is phase_uncertainty_limits' job.
+
+    Every state's terms come from one ``_spectra`` pass, whose J_y
+    projections run in one flat recurrence, and every sum is read for all
+    states at once.  A non-finite phi raises DomainError, an unnormalized
+    state NormalizationError, and an imaginary residue above 1e-10 or an
+    expectation outside [-1, 1] ConsistencyError, for the first such state.
     """
     phi = _finite_phase(phi)
-    spectrum = _spectrum(state)
-    context = f"for {state.label!r}"
-    expectation = _real_with_residue_check(
-        _expectation_at(spectrum, phi), f"parity expectation {context}"
-    )
-    derivative = _real_with_residue_check(
-        _derivative_at(spectrum, phi), f"parity derivative {context}"
-    )
-    if abs(phi) * state.max_two_j < 1.0:
-        shift = _shift_at(spectrum, phi)
-        below, above = _parity_gaps(state)
-        spread = (below - shift) * (above + shift)
-    else:
-        spread = 1.0 - expectation * expectation
-    return _bundle(phi, expectation, derivative, spread)
+    states = list(states)
+    if not states:
+        return []
+    weights, freqs, grids, powers, probs, counts, below, above = _spectra(states)
+    phase = np.exp(-2j * phi * freqs)
+    expectations = _segment_sums(weights * phase, grids)
+    derivatives = _segment_sums(weights * (-2j * freqs) * phase, grids)
+    if powers.size:
+        expectations += _segment_sums(probs * _cos_powers(phi, powers), counts)
+        # d/dphi cos^n = -n sin cos^(n-1); the factor n makes the 2j = 0 term exactly 0
+        slopes = (probs * powers) * _cos_powers(phi, powers - 1)
+        derivatives -= math.sin(phi) * _segment_sums(slopes, counts)
+    # <P>(phi) - <P>(0) without cancellation where |phi| 2J < 1, so cos(phi) > 0
+    near = abs(phi) * np.array([state.max_two_j for state in states]) < 1.0
+    shifts = np.zeros(len(states))
+    if near.any():
+        slots = np.repeat(near, grids)
+        shifts[near] = _segment_sums(
+            weights[slots] * np.expm1(-2j * phi * freqs[slots]), grids[near]
+        ).real
+        moving = np.repeat(near, counts) & (powers > 0)  # a block 2j = 0 alone never moves
+        if moving.any():
+            drops = np.zeros(powers.size)
+            drops[moving] = probs[moving] * np.expm1(
+                powers[moving] * math.log1p(-2.0 * math.sin(0.5 * phi) ** 2)
+            )
+            shifts += _segment_sums(drops, counts)
+    results = []
+    for s, state in enumerate(states):
+        context = f"for {state.label!r}"
+        expectation = _real_with_residue_check(
+            complex(expectations[s]), f"parity expectation {context}"
+        )
+        derivative = _real_with_residue_check(
+            complex(derivatives[s]), f"parity derivative {context}"
+        )
+        if near[s]:
+            spread = (below[s] - shifts[s]) * (above[s] + shifts[s])
+        else:
+            spread = 1.0 - expectation * expectation
+        results.append(_bundle(phi, expectation, derivative, float(spread)))
+    return results
+
+
+def phase_uncertainty(state: TwoModeState, phi: float) -> DetectionResult:
+    """The observables of one state at phase phi: ``phase_uncertainties([state], phi)[0]``."""
+    return phase_uncertainties([state], phi)[0]
+
+
+def parity_expectation(state: TwoModeState, phi: float) -> float:
+    """<P> after phase phi: output-port photon-number parity."""
+    return phase_uncertainty(state, phi).expectation
+
+
+def parity_derivative(state: TwoModeState, phi: float) -> float:
+    """d<P>/dphi, differentiating the same spectral sum term by term."""
+    return phase_uncertainty(state, phi).derivative
 
 
 def _phi_ladder(two_j_max: int) -> list[float]:
@@ -394,20 +480,6 @@ def _extrapolate_limit(values: list[float], context: str) -> float:
         f"{context}: limit did not converge (best estimate {best_estimate!r} "
         f"for value {best_value!r}; ladder {values!r})"
     )
-
-
-class _Stored(NamedTuple):
-    """The stored form of several states end to end.
-
-    Each block's 2j and its number of stored rows, then the flat rows and
-    amplitudes of every block in turn: what ``_q_image`` reads from a
-    TwoModeState, for a whole batch.
-    """
-
-    two_js: np.ndarray
-    sizes: np.ndarray
-    rows: np.ndarray
-    amplitudes: np.ndarray
 
 
 def _input_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
@@ -495,16 +567,7 @@ def _taylor_series(states: list[TwoModeState]) -> tuple[np.ndarray, np.ndarray]:
         picked = [s for s, state in enumerate(states) if state.frame is frame]
         if not picked:
             continue
-        group = [states[s] for s in picked]
-        counts = np.array([state.two_js.size for state in group])
-        first_blocks = np.cumsum(counts) - counts
-        offsets = [state.offsets for state in group]
-        stored = _Stored(
-            np.concatenate([state.two_js for state in group]),
-            np.concatenate([o[1:] for o in offsets]) - np.concatenate([o[:-1] for o in offsets]),
-            np.concatenate([state.rows for state in group]),
-            np.concatenate([state.amplitudes for state in group]),
-        )
+        stored, first_blocks = _stored([states[s] for s in picked])
         series[picked] = moments(stored, first_blocks)
         tops[picked] = np.maximum.reduceat(stored.two_js, first_blocks)
     factorials = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)

@@ -19,12 +19,19 @@ D = diag((-1)^r), which the detection layer uses to project each block
 once.  V is symmetric, so a caller that reads k rows of V builds only
 the k columns at those rows.
 
-``_project`` reads a block's components on the J_y eigenvectors from the
-eigenvectors at its stored rows; ``_rotate`` applies exp(-i theta J_y) to
-a block in two products; ``d_block`` synthesizes
-d = Re[i^(col-row) V exp(-i theta L) V^T] on demand; ``d_element`` and
-``d_derivative`` read one entry of it, or of its theta derivative, from
-two eigenvectors in O(n).
+``_run_columns`` is the one recurrence kernel: it advances many columns,
+of any mix of blocks, together, one array operation per row over the
+columns still running, with the rescale, mirrors, normalization and
+residual check of every column.  Its callers differ in what they keep of
+the rows.  ``_jy_eigensystem`` writes them into whole columns, which
+``_rotate`` (exp(-i theta J_y) on a block in two products), ``d_block``
+(d = Re[i^(col-row) V exp(-i theta L) V^T]) and ``d_element`` and
+``d_derivative`` (one entry of d or of its theta derivative, from two
+eigenvectors in O(n)) read.  ``_projections`` gives detection the
+components of many blocks on their J_y eigenvectors at once: a dense
+block folds every column into its components as the rows arrive and
+keeps none, and a block stored on a few rows keeps only the columns at
+those rows.
 
 One case needs no eigensystem: a block stored on no rows but 0 and n-1
 (mu = +-j, as in the internal NOON state) only reads the two edge
@@ -41,10 +48,12 @@ blocks at small angles) come back as roundoff, not relatively accurate.
 The eigenvectors stay orthonormal within 2e-14 through 2j = 3000, and
 the edge columns agree with a 40-digit reference within 1e-15.
 
-Nothing is cached.  One build is bounded by bytes (``_EIGEN_BYTES``):
-a build whose columns would exceed it (every column at 2j >= 4095)
-raises DomainError before anything is allocated, while a block read on
-a few stored rows builds at any 2j.
+Nothing is cached.  A whole-column build is bounded by the bytes it holds
+(``_EIGEN_BYTES``): one that would exceed it (every column at
+2j >= 4044) raises DomainError before anything is allocated, while a
+block read on a few stored rows builds at any 2j.  A projection is
+bounded by work instead, 2^24 column-rows per block, and holds O(columns)
+memory: every column of a dense block fits up to 2j = 8191.
 """
 
 from __future__ import annotations
@@ -64,15 +73,24 @@ __all__ = [
     "d_element",
 ]
 
-# Upper bound on the bytes of one J_y eigensystem build, lam and the
-# requested columns, checked before anything is allocated.  All columns at
-# 2j = 1000 take 8 MB, and 2j >= 4095 needs more than the budget; one
-# column takes 8 (2j + 1) bytes, so a block read on a few stored rows
-# builds at any 2j.  Only fixed-phi points of blocks with rows other than
-# 0 and n-1, apply_mzi on such blocks and the d_* kernels build one:
-# every phi -> 0 limit comes from generator moments, edge-row blocks
-# rotate in closed form, and a row-0 block is read as cos(phi)^(2j).
+# Upper bound on one J_y build.  ``_jy_eigensystem`` counts the bytes its
+# build holds at its peak (``_eigensystem_bytes``: the returned columns, lam
+# and one panel of rows in flight) and refuses a build over the budget
+# before anything is allocated: every column at 2j >= 4044.  One column
+# takes about 8 (2j + 1) bytes, so d_element builds at any 2j.
+# ``_projections`` keeps no column of a dense block and only the upper rows
+# of the columns a sparse block reads, so it bounds work instead: a block
+# may visit _EIGEN_BYTES / 8 = 2^24 column-rows, what the budget holds as
+# float64 columns.  That admits every column of a dense block up to
+# 2j = 8191 and refuses the 17,033 stored rows of NOON at N = 10^5.
+# Only fixed-phi points of blocks with rows other than 0, apply_mzi on such
+# blocks and the d_* kernels run the recurrence: every phi -> 0 limit comes
+# from generator moments, edge-row blocks rotate in closed form, and a
+# row-0 block is read as cos(phi)^(2j).
 _EIGEN_BYTES = 128 * 2**20
+
+# Rows the recurrence advances between two checks for columns past 1e150.
+_PANEL = 32
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4
 
@@ -99,27 +117,112 @@ def _finite_angle(theta) -> float:
     return theta
 
 
-def _upper_rows(low, steps: list[float], rows: int) -> list:
-    """Rows 0 .. rows-1 of the J_y recurrence columns at eigenvalues low.
+def _run_columns(two_js: np.ndarray, seeds: np.ndarray, take) -> np.ndarray:
+    """Advance many J_y recurrence columns together, _PANEL rows at a time; return their norms.
 
-    low is one eigenvalue as a Python float, or an array of them to
-    advance several columns together; steps[r] = T[r, r+1].  v[0] = 1,
-    and row r of T v = lam v is solved for v[r + 1].  A column that grows
-    past 1e150 is scaled back (checked every 32 rows).
+    Lane l is the column at lam = seeds[l] - j <= 0 of the block
+    2j = two_js[l], over its upper rows 0 .. 2j // 2 (``_jy_eigensystem``
+    describes the recurrence).  The lanes come sorted by 2j // 2, largest
+    first, so the lanes still running at any row are a prefix of them, and
+    each row is one set of array operations over that prefix, whatever
+    blocks its lanes belong to.  Every step acts on each lane alone, so a
+    lane's rows are bitwise the same whatever else runs with it.
+
+    ``take(first, panel, scale)`` receives rows first .. first + h - 1 as
+    an (h, m) array over the m lanes still running at row first, 0 past
+    each lane's last row.  At the end of each panel a lane whose last two
+    rows grew past 1e150 is scaled back: the panel comes divided, and
+    ``scale`` (None when no lane was) holds the factor by which the lane's
+    earlier rows must be divided too.  For odd 2j + 1 the last upper row is
+    the middle row, which is exactly 0 in odd-seed columns (odd under the
+    row mirror).
+
+    The norms are those of whole columns: twice the rows above the middle
+    and the middle row once.  Row r of T v = lam v holds for r below the
+    last upper row by construction; the last is where the column meets its
+    row mirror V[n-1-r] = (-1)^seed V[r], and a lane that fails it there
+    raises ConsistencyError.
     """
-    upper, prev, row = [low**0], 0.0, low**0
-    for r in range(rows - 1):
-        prev, row = row, (low * row - (steps[r - 1] * prev if r else 0.0)) / steps[r]
-        upper.append(row)
-        if r % 32 == 0 or r == rows - 2:
-            peak = np.maximum(np.abs(prev), np.abs(row))
-            if np.any(peak > 1e150):
-                scale = np.where(peak > 1e150, peak, 1.0)
-                if scale.ndim == 0:  # one column stays on Python floats
-                    scale = float(scale)
-                upper = [v / scale for v in upper]
-                prev, row = upper[-2:]
-    return upper
+    size = 0.5 * two_js  # j
+    low = seeds - size  # lam, exact
+    heights = two_js // 2 + 1
+    middle = two_js % 2 == 0  # 2j + 1 odd: the last upper row is the middle row
+    zeroed = middle & (seeds % 2 == 1)
+    lanes = np.arange(two_js.size)
+    # runs of lanes in one block size share their steps T[r, r+1]
+    runs = np.flatnonzero(np.r_[True, two_js[1:] != two_js[:-1]])
+    run_sizes = np.r_[runs[1:], two_js.size] - runs
+    norms = np.zeros(two_js.size)
+    # the last two rows of each lane so far: rows first - 2 and first - 1
+    prev, row, spare = np.zeros(two_js.size), np.zeros(two_js.size), np.empty(two_js.size)
+    top = int(heights.max(initial=0))
+    counts = np.searchsorted(-heights, -np.arange(top)).tolist()  # lanes still running at each row
+    for first in range(0, top, _PANEL):
+        h = min(_PANEL, top - first)
+        running, m = counts[first : first + h], counts[first]
+        ends = np.minimum(heights[:m] - first, h)  # rows of each lane in this panel
+        # T[r, r+1] = -sqrt((r + 1)(2j - r)) / 2 at r = first - 2 .. first + h - 2
+        at = np.arange(first - 2.0, first + h - 1.0)[:, None]
+        active = int(np.searchsorted(runs, m))
+        off = -0.5 * np.sqrt(np.maximum((at + 1.0) * (two_js[runs[:active]] - at), 0.0))
+        off = np.repeat(off, run_sizes[:active], axis=1)
+        buf = np.zeros((h + 2, m))  # rows first - 2 .. first + h - 1
+        buf[0], buf[1] = prev[:m], row[:m]
+        if first == 0:
+            buf[2] = 1.0
+        # the rows of buf and off, and low, cut to each lane count once
+        cut = {k: (list(buf[:, :k]), list(off[:, :k]), low[:k], spare[:k]) for k in set(running)}
+        for i in range(first == 0, h):  # row first + i from the two before it
+            rows, offs, lows, tmp = cut[running[i]]
+            np.multiply(lows, rows[i + 1], out=rows[i + 2])
+            np.multiply(offs[i], rows[i], out=tmp)
+            np.subtract(rows[i + 2], tmp, out=rows[i + 2])
+            np.divide(rows[i + 2], offs[i + 1], out=rows[i + 2])
+        panel, here = buf[2:], lanes[:m]
+        ending = heights[:m] - first <= h
+        buf[ends[zeroed[:m] & ending] + 1, here[zeroed[:m] & ending]] = 0.0
+        tail = buf[[ends, ends + 1], here]  # the last two rows of each lane so far
+        peak = np.abs(tail).max(axis=0)
+        scale = None
+        if np.any(peak > 1e150):
+            scale = np.where(peak > 1e150, peak, 1.0)
+            buf /= scale
+            tail /= scale
+            norms[:m] /= scale
+            norms[:m] /= scale
+        prev[:m], row[:m] = tail
+        squares = np.multiply(panel, panel, out=off[:h])  # the steps are spent
+        once = middle[:m] & ending  # the middle row counts once, the others twice
+        squares[ends[once] - 1, here[once]] *= 0.5
+        total = norms[:m]
+        for square in squares:  # each lane's rows in order, however many lanes run
+            total += square
+        take(first, panel, scale)
+    norms = np.sqrt(2.0 * norms)
+    last = heights - 1.0
+    below = -0.5 * np.sqrt(last * (two_js - last + 1.0))  # T[last, last - 1]
+    above = -0.5 * np.sqrt((last + 1.0) * (two_js - last))  # T[last, last + 1]
+    # row last + 1 mirrors row n - 2 - last: the one before the middle (odd
+    # n) or the last upper row itself (even n)
+    mirror = np.where(middle, prev, row) * np.where(seeds % 2, -1.0, 1.0)
+    resid = np.abs(low * row - below * prev - above * mirror)
+    failed = ~(resid <= 1e-10 * (size + 1.0) * norms)
+    if failed.any():
+        raise ConsistencyError(
+            f"J_y eigenvectors for 2j = {two_js[failed.argmax()]} fail T v = lam v"
+        )
+    return norms
+
+
+def _eigensystem_bytes(two_j: int, cols: int, seeds: int) -> int:
+    """Peak bytes of a ``_jy_eigensystem`` build of cols columns from seeds recurrence columns.
+
+    lam and the returned columns, which the rows are written into as they
+    arrive, and the float64 arrays of one panel in flight: its rows, its
+    steps, their squares and the row-0 bookkeeping, a few (_PANEL + 2)-row
+    arrays over the seed columns.
+    """
+    return 8 * ((two_j + 1) * (cols + 1) + 6 * (_PANEL + 2) * seeds)
 
 
 def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
@@ -135,11 +238,11 @@ def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
     with lam <= 0: there each column grows out of its classically
     forbidden edge or oscillates, so the recurrence runs in its stable,
     dominant direction (Gautschi, SIAM Rev. 9, 24 (1967)).  A column that
-    grows past 1e150 is scaled back (checked every 32 rows), so blocks
+    grows past 1e150 is scaled back (checked every _PANEL rows), so blocks
     whose exact row 0, sqrt(C(2j,k))/2^j, would underflow (2j > ~2100)
-    stay finite.  Up to two distinct columns each run alone on Python
-    floats (``_upper_rows``); more advance together, one row operation
-    per step.
+    stay finite.  The columns advance together in ``_run_columns``, the
+    row step ``_projections`` shares, and their rows are written straight
+    into the returned array.
 
     T is persymmetric, so the lower rows are the exact row mirror
     V[n-1-r, k] = (-1)^k V[r, k] (for odd n the middle row of each odd-k
@@ -147,21 +250,22 @@ def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
     lam > 0 is D V[:, n-1-k], D = diag((-1)^r), which makes the parity
     mirror D V = V[:, ::-1] exact because S J_y S = -J_y.  Every step acts
     on each column alone, so a column comes out bitwise the same whatever
-    else is built with it.  V is also symmetric, to roundoff, so the
-    columns at a block's stored rows are the rows of V that project it.
-    The eigenvectors of J_y itself are e_k[r] = (-i)^r vec[r, k]; callers
+    else is built with it.  V is also symmetric, to roundoff.  The
+    eigenvectors of J_y itself are e_k[r] = (-i)^r vec[r, k]; callers
     apply those phases on the fly.  This is the J_y-diagonalization route
     to Wigner d (Feng, Wang, Yang, Jin, PRE 92, 043307 (2015)), in O(n)
-    per column.  A residual check on T V - V lam, applied through the
-    tridiagonal, raises ConsistencyError if the construction ever fails.
+    per column.  The residual of T v = lam v where each column meets its
+    mirror raises ConsistencyError if the construction ever fails.
 
-    Nothing is kept between calls.  A build whose lam and columns would
-    exceed ``_EIGEN_BYTES`` (all columns at 2j >= 4095) raises DomainError
-    before allocating.
+    Nothing is kept between calls.  A build whose peak
+    (``_eigensystem_bytes``) would exceed ``_EIGEN_BYTES`` (all columns at
+    2j >= 4044) raises DomainError before allocating.
     """
     n = two_j + 1
     cols = np.arange(n) if cols is None else np.asarray(cols)
-    size = 8 * n * (cols.size + 1)  # float64 lam and vec
+    mirrored = np.minimum(cols, two_j - cols)  # the lam <= 0 column each one mirrors
+    seeds = np.flatnonzero(np.bincount(mirrored))  # each of those once, ascending
+    size = _eigensystem_bytes(two_j, cols.size, seeds.size)
     if size > _EIGEN_BYTES:
         raise DomainError(
             f"J_y eigensystem for 2j = {two_j} needs {size} bytes, "
@@ -169,35 +273,20 @@ def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
         )
     half = n // 2  # eigenvalue pairs +-lam
     rows = n - half  # upper rows, and the columns with lam <= 0
-    lam = (2.0 * np.arange(n) - two_j) / 2.0
-    # T[r, r+1] = -A(mu_r)/2 with mu_r = j - r = -lam_r; off[n-1] = 0 couples to no row
-    off = -0.5 * np.sqrt(0.5 * two_j * (0.5 * two_j + 1.0) - lam * (lam + 1.0))
-    mirrored = np.minimum(cols, two_j - cols)  # the lam <= 0 column each one mirrors
-    seeds = np.flatnonzero(np.bincount(mirrored))  # each of those once, ascending
-    steps = off.tolist()
-    if seeds.size <= 2:  # each column alone, on Python floats
-        upper = np.array([_upper_rows(low, steps, rows) for low in lam[seeds].tolist()]).T
-    else:
-        upper = np.array(_upper_rows(lam[seeds], steps, rows))
-    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
-    upper[half:, seeds % 2 == 1] = 0.0  # the middle row (odd n only), odd under the row mirror
-    norms = upper * upper
-    norms[:half] *= 2.0  # mirrored rows twice
-    # a running sum adds each column's rows in order, however many columns there are
-    upper /= np.sqrt(np.cumsum(norms, axis=0, out=norms)[-1])
-    # T V - V lam on the built upper rows (the last of them meets the mirror row)
-    resid = lam[seeds] * upper
-    resid[1:] -= off[: rows - 1, None] * upper[:-1]
-    resid[:-1] -= off[: rows - 1, None] * upper[1:]
-    resid[-1] -= off[rows - 1] * (upper[half - 1] * signs[seeds])
-    if not np.abs(resid, out=resid).max() <= 1e-10 * (0.5 * two_j + 1.0):
-        raise ConsistencyError(f"J_y eigenvectors for 2j = {two_j} fail T v = lam v")
     vec = np.empty((n, cols.size))
-    # each requested column from the built one it mirrors ("clip" takes unbuffered)
-    np.take(upper, np.searchsorted(seeds, mirrored), axis=1, out=vec[:rows], mode="clip")
+    at = np.searchsorted(seeds, mirrored)  # the built column each requested one reads
+
+    def write(first, panel, scale):
+        if scale is not None:
+            vec[:first] /= scale[at]
+        np.take(panel, at, axis=1, out=vec[first : first + panel.shape[0]], mode="clip")
+
+    norms = _run_columns(np.full(seeds.size, two_j), seeds, write)
+    vec[:rows] /= norms[at]
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
     np.multiply(vec[:rows], signs[:rows, None], out=vec[:rows], where=cols > mirrored)
     np.multiply(vec[:half][::-1], signs[cols], out=vec[rows:])  # (-1)^k for every column k
-    return lam, vec
+    return (2.0 * np.arange(n) - two_j) / 2.0, vec
 
 
 def _times_real(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -211,20 +300,163 @@ def _times_real(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left @ right.real + 1j * (left @ right.imag)
 
 
-def _project(two_j: int, rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """<e_k|psi> = sum_r i^r V[r, k] psi_r over the J_y eigenvectors e_k.
+def _projections(two_js, sizes, rows, amplitudes) -> np.ndarray:
+    """<e_k|psi> = sum_r i^r V[r, k] psi_r, k = 0 .. 2j, of each block, block after block.
 
-    psi is given by its stored rows and their amplitudes.  V is symmetric,
-    so a block with k < n stored rows reads rows of V as the k eigenvectors
-    at those rows, built in O(kn).  A dense block builds all of V and reads
-    the eigenvectors' own entries: the symmetric stand-in would move <P>
-    by up to about 1e-15, which near <P> = +-1 is 2e-10 of delta_phi
-    (NOON at N = 58, phi = 1.3).
+    The blocks are given in stored form: 2j and the number of stored rows
+    of each, then the sorted rows and amplitudes of every block in turn.
+    All the J_y columns they need advance in one flat recurrence
+    (``_run_columns``), and each block takes the route that visits fewer
+    column-rows:
+
+    - folded: every column with lam <= 0, each over its 2j // 2 + 1 upper
+      rows, summing <e_k|psi> and <e_k|S psi> over its own entries as its
+      rows arrive (``_fold``).  No column is kept, and the eigenvectors'
+      own entries are read: their symmetric stand-in moves <P> by up to
+      about 1e-15, which near <P> = +-1 is 2e-10 of delta_phi (NOON at
+      N = 58, phi = 1.3).
+    - stored rows: the d columns its stored rows mirror to, each read over
+      all 2j + 1 rows as rows of V, which is symmetric (``_read_stored``):
+      a dual-Fock block runs one column at any 2j.
+
+    A block whose route would visit more than _EIGEN_BYTES / 8 column-rows
+    raises DomainError before anything is allocated.
     """
+    n = two_js + 1
+    heights = two_js // 2 + 1
+    block = np.repeat(np.arange(two_js.size), sizes)
+    seeds = np.minimum(rows, two_js[block] - rows)
+    # the distinct (block, seed) pairs, numbered by block, then seed
+    order = np.lexsort((seeds, block))
+    fresh = np.ones(order.size, dtype=bool)
+    fresh[1:] = (np.diff(block[order]) != 0) | (np.diff(seeds[order]) != 0)
+    pair = np.empty(order.size, dtype=np.int64)
+    pair[order] = np.cumsum(fresh) - 1
+    columns = np.bincount(block[order[fresh]], minlength=two_js.size)
+    # column-rows: every column over its upper rows, or d columns over all rows
+    folding, reading = heights.astype(float) ** 2, columns * n.astype(float)
+    folded = folding <= reading
+    work = np.where(folded, folding, reading)
+    budget = _EIGEN_BYTES // 8
+    if np.any(work > budget):
+        b = int(np.argmax(work > budget))
+        raise DomainError(
+            f"J_y projection of block 2j = {two_js[b]} visits {work[b]:.0f} column-rows, "
+            f"over the budget of {budget}"
+        )
     phased = _I_POWERS[rows % 4] * amplitudes
-    if rows.size <= two_j:
-        return _times_real(_jy_eigensystem(two_j, rows)[1], phased)
-    return _times_real(phased, _jy_eigensystem(two_j)[1])
+    base = np.cumsum(n) - n
+    out = np.zeros(int(n.sum()), dtype=complex)
+    dense = folded[block]
+    if dense.any():
+        out[base[block[dense]] + rows[dense]] = phased[dense]
+        _fold(two_js[folded], base[folded], out)
+    if not dense.all():
+        lanes = order[fresh][~folded[block[order[fresh]]]]  # a stored row of each pair read
+        entries = np.flatnonzero(~dense)
+        lane = np.searchsorted(pair[lanes], pair[entries])
+        mirrored = rows[entries] != seeds[entries]  # row 2j - s of a pair, not s itself
+        a = np.zeros(lanes.size, dtype=complex)
+        b = np.zeros(lanes.size, dtype=complex)
+        a[lane[~mirrored]] = phased[entries[~mirrored]]
+        b[lane[mirrored]] = phased[entries[mirrored]]
+        _read_stored(two_js[block[lanes]], base[block[lanes]], seeds[lanes], a, b, out)
+    return out
+
+
+def _ragged(sizes: np.ndarray) -> np.ndarray:
+    """0 .. s - 1 for each s in sizes, end to end."""
+    return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _by_height(two_js: np.ndarray) -> np.ndarray:
+    """Lane order for ``_run_columns``: tallest columns first, ties in place."""
+    return np.argsort(-(two_js // 2), kind="stable")
+
+
+def _fold(two_js, base, out) -> None:
+    """The folded route: replace out[base + k], the dense i^r psi of each block 2j, by <e_k|psi>.
+
+    For the column e_s at lam_s <= 0, with upper rows u,
+    <e_s|psi> = sum_r u_r (a_r + (-1)^s b_r) and, by the parity mirror,
+    <e_(2j-s)|psi> = <e_s|S psi> = sum_r (-1)^r u_r (a_r + (-1)^(s+2j) b_r),
+    where a_r = (i^r psi)_r and b_r = (i^r psi)_(2j-r) above the middle
+    row, 0 on it.  So four coefficient vectors of each block serve all its
+    columns: a + b and a - b, and both times (-1)^r.  Each block's lanes
+    run even seeds first, then odd ones, and each of those two groups reads
+    one vector for each sum, gathered once per group and _PANEL rows.
+    """
+    heights = two_js // 2 + 1
+    row = _ragged(heights)
+    a = out[np.repeat(base, heights) + row]
+    mirror = out[np.repeat(base + two_js, heights) - row]
+    b = np.where(row < np.repeat((two_js + 1) // 2, heights), mirror, 0.0)
+    alternate = np.where(row % 2, -1.0, 1.0)
+    vectors = (a + b, a - b, alternate * (a + b), alternate * (a - b))
+    coef = np.zeros((8, row.size + _PANEL))  # Re and Im of each; lanes read past their end
+    for i, vector in enumerate(vectors):
+        coef[2 * i, : row.size], coef[2 * i + 1, : row.size] = vector.real, vector.imag
+    # groups: the even and the odd seeds of each block, tallest blocks first
+    blocks = np.repeat(_by_height(two_js), 2)
+    odd = np.tile([0, 1], two_js.size)
+    sizes = (heights[blocks] + 1 - odd) // 2
+    plain = 2 * odd  # a + b for even seeds, a - b for odd ones
+    signed = 4 + 2 * ((odd + two_js[blocks]) % 2)
+    starts = (np.cumsum(heights) - heights)[blocks]
+    lane = np.repeat(blocks, sizes)
+    seeds = 2 * _ragged(sizes) + np.repeat(odd, sizes)
+    ends = np.cumsum(sizes)
+    sums = np.zeros((4, lane.size))  # Re and Im of <e_s|psi>, then of <e_s|S psi>
+
+    def fold(first, panel, scale):
+        h, m = panel.shape
+        groups = int(np.searchsorted(ends, m, side="right"))
+        at = starts[:groups] + np.arange(first, first + h)[:, None]
+        if scale is not None:
+            sums[:, :m] /= scale
+        for i, vector in enumerate((plain, plain + 1, signed, signed + 1)):
+            spread = np.repeat(coef[vector[:groups], at], sizes[:groups], axis=1)
+            sums[i, :m] += np.einsum("hm,hm->m", panel, spread)
+
+    norms = _run_columns(two_js[lane], seeds, fold)
+    out[base[lane] + seeds] = (sums[0] + 1j * sums[1]) / norms
+    out[base[lane] + two_js[lane] - seeds] = (sums[2] + 1j * sums[3]) / norms
+
+
+def _read_stored(two_js, base, seeds, a, b, out) -> None:
+    """The stored-row route: add <e_k|psi> of each block to out[base + k] from its lanes.
+
+    Lane l is the column s = seeds[l] <= j of its block 2j = two_js[l]; the
+    stored row s gives it a = (i^r psi)_s and the stored row 2j - s (if
+    s != j) b = (i^r psi)_(2j-s).  Column 2j - s is D V[:, s], so
+    <e_k|psi> gets V[k, s] (a + (-1)^k b) from the lane: its row k for k
+    on its upper rows, and (-1)^s times its row 2j - k below them.  The
+    upper rows are kept until the norms are known, then read one panel at
+    a time, so the transients stay a panel's size.
+    """
+    order = _by_height(two_js)
+    two_js, base, seeds, a, b = two_js[order], base[order], seeds[order], a[order], b[order]
+    panels = []
+
+    def keep(first, panel, scale):
+        if scale is not None:
+            for earlier in panels:
+                earlier[:, : panel.shape[1]] /= scale
+        panels.append(panel)
+
+    norms = _run_columns(two_js, seeds, keep)
+    mirror = np.where(seeds % 2, -1.0, 1.0)  # V[2j - r, s] = (-1)^s V[r, s]
+    flip = np.where(two_js % 2, -1.0, 1.0)  # (-1)^(2j - r) = (-1)^(2j) (-1)^r
+    for first, panel in zip(range(0, _PANEL * len(panels), _PANEL), panels):
+        m = panel.shape[1]
+        r = np.arange(first, first + panel.shape[0])[:, None]
+        values = panel / norms[:m]
+        signed = np.where(r % 2, -1.0, 1.0) * b[:m]
+        upper = r <= two_js[:m] // 2  # past its last row a lane holds zeros
+        lower = r < (two_js[:m] + 1) // 2  # rows mirrored to 2j - r
+        np.add.at(out, (base[:m] + r)[upper], (values * (a[:m] + signed))[upper])
+        terms = mirror[:m] * values * (a[:m] + flip[:m] * signed)
+        np.add.at(out, (base[:m] + two_js[:m] - r)[lower], terms[lower])
 
 
 def _edge_column(two_j: int, theta: float) -> np.ndarray:

@@ -288,11 +288,37 @@ def test_dual_fock_point_past_the_dense_eigensystem_budget(tmp_path):
     assert int(row["N"]) == 4100 and abs(float(row["expectation"])) <= 1.0
 
 
-def test_limits_and_noon_states_need_no_eigensystem(monkeypatch, tmp_path):
-    def refuse(two_j, cols=None):
-        raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
+def test_dense_noon_point_memory_is_bounded():
+    # every J_y column of the 2j = 4700 block is folded into the projection
+    # as its rows arrive, so no 4701 x 4701 eigenvector matrix is held
+    # (the process peaked near 280 MB); the peak is about 4.2 MiB
+    tracemalloc.start()
+    try:
+        (record,) = run_sweep(SweepConfig("noon", 4700, 4700, phi=0.3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(record.expectation_at_phi - math.cos(4700 * 0.3)) <= 1e-10
+    assert peak < 8 * 2**20
 
-    monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
+
+def test_dense_noon_point_past_the_old_eigensystem_budget(tmp_path):
+    # every column at 2j = 6000 would take 288 MB; the folded projection
+    # visits 3001^2 column-rows, within the 2^24 work bound
+    out = tmp_path / "noon.csv"
+    assert main(["sweep", "--state", "noon", "--n-min", "6000", "--phi", "0.3",
+                 "--out", str(out)]) == 0
+    (row,) = parse_csv(out.read_text())
+    assert abs(float(row["expectation"]) - math.cos(6000 * 0.3)) <= 1e-10
+    assert float(row["delta_phi"]) * 6000 == pytest.approx(1.0, rel=1e-9)
+
+
+def test_limits_and_noon_states_need_no_eigensystem(monkeypatch, tmp_path):
+    # _run_columns is the J_y recurrence behind every eigenvector and projection
+    def refuse(two_js, seeds, take):
+        raise AssertionError(f"J_y recurrence run for 2j = {two_js}")
+
+    monkeypatch.setattr(wigner, "_run_columns", refuse)
     for lo, hi in ((1, 200), (400, 420)):
         out = tmp_path / f"noon_{lo}.csv"
         assert main(["sweep", "--state", "noon", "--n-min", str(lo), "--n-max", str(hi),
@@ -306,10 +332,10 @@ def test_limits_and_noon_states_need_no_eigensystem(monkeypatch, tmp_path):
 def test_fig3_and_row_zero_sweeps_need_no_eigensystem(monkeypatch, tmp_path):
     # fig3's quoted-norm corner is an edge-column entry, and every coherent
     # and single-Fock block is read as cos(phi)^(2j) at a fixed phi
-    def refuse(two_j, cols=None):
-        raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
+    def refuse(two_js, seeds, take):
+        raise AssertionError(f"J_y recurrence run for 2j = {two_js}")
 
-    monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
+    monkeypatch.setattr(wigner, "_run_columns", refuse)
     assert main(["figure", "fig3", "--out", str(tmp_path / "fig3.csv")]) == 0
     for label, phi, hi in (("coherent", "0.3", 150), ("single-fock", "1.3", 300)):
         out = tmp_path / f"{label}.csv"
@@ -363,7 +389,7 @@ def test_numerical_failure_mid_batch_exit_code(monkeypatch, capsys):
 
 def test_limit_sweep_memory_is_bounded_by_its_chunks():
     # The NOON states N = 1..3000 hold 4.5 million amplitudes in all; the
-    # sweep takes their limits in chunks of _LIMIT_CHUNK_ENTRIES flat
+    # sweep takes their limits in chunks of _CHUNK_ENTRIES flat
     # Taylor entries and peaks near 2.1 MiB.
     tracemalloc.start()
     try:

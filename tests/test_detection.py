@@ -33,6 +33,7 @@ from mzparity import (
     parity_expectation,
     pezze_smerzi_input,
     phase_uncertainty,
+    phase_uncertainties,
     phase_uncertainty_limit,
     phase_uncertainty_limits,
     q_apply,
@@ -481,6 +482,105 @@ def test_batched_limits_match_one_state_limits():
     assert phase_uncertainty_limits([]) == []
 
 
+POINT_PHIS = (0.0, 1e-6, 1e-3, 0.3, 1.3, -0.7)
+
+
+def test_batched_points_match_one_state_points():
+    # Every family at N = 1..60 (parity gaps left out) in both frames,
+    # interleaved, then the mixed layouts: one batch shares a flat J_y
+    # recurrence, while each state alone runs its own.
+    batch = []
+    for n in range(1, 61):
+        for label in STATE_LABELS:
+            if parity_needed(label, n) is None:
+                state = make_state(label, n)
+                inside = state.frame is Frame.INSIDE_INTERFEROMETER
+                batch += [state, apply_beam_splitter(state, inverse=inside)]
+    batch += [_mixed_state(frame, seed) for frame in Frame for seed in (3, 4, 5)]
+    batch.append(_row_zero_mixed_state())
+
+    def table(results):
+        return np.array([(r.expectation, r.derivative, r.variance, r.delta_phi) for r in results])
+
+    for phi in POINT_PHIS:
+        batched = table(phase_uncertainties(batch, phi))
+        single = table([phase_uncertainty(state, phi) for state in batch])
+        np.testing.assert_array_equal(np.isinf(batched), np.isinf(single))
+        finite = np.isfinite(single)
+        np.testing.assert_array_max_ulp(batched[finite], single[finite], maxulp=4)
+        assert np.isinf(single[:, 3]).any() and finite[:, 3].any()
+    assert phase_uncertainties([], 0.3) == []
+
+
+def test_stored_row_route_holds_only_its_columns():
+    # 1000 stored rows of a 2j = 4000 block take the stored-row route: their
+    # 1000 columns over 4001 rows visit fewer column-rows than all 2001
+    # columns folded.  It keeps the upper rows of those columns (15 MiB) and
+    # reads them one panel at a time.  At phi = 0, <P> and d<P>/dphi are the
+    # Taylor moments F_0 and F_1, which need no eigensystem.
+    rng = np.random.default_rng(1)
+    vec = np.zeros(4001, dtype=complex)
+    vec[:1000] = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    state = TwoModeState({4000: vec / np.linalg.norm(vec)}, Frame.AT_INPUT, "scattered")
+    tracemalloc.start()
+    try:
+        result = phase_uncertainty(state, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    (series,), (bounds,) = detection._taylor_series([state])
+    assert abs(result.expectation - series[0].real) <= 1e-14
+    assert abs(result.derivative - series[1].real) <= 1e-14 * bounds[1]
+
+
+def _jy_spread(state):
+    """Delta J_y of an at-input state from one product of 2i J_y = J_+ - J_- with its stored rows.
+
+    u = (J_+ - J_-) psi gives <J_y^2> = ||u||^2 / 4 and <J_y> = <psi|u> / (2i);
+    no eigensystem is involved.
+    """
+    square = mean = 0.0
+    for two_j, vec in state.components.items():
+        r = np.arange(two_j)
+        coupling = np.sqrt((r + 1.0) * (two_j - r))  # <mu_r|J_+|mu_(r+1)>
+        u = np.zeros_like(vec)
+        u[:-1] += coupling * vec[1:]
+        u[1:] -= coupling * vec[:-1]
+        square += np.vdot(u, u).real / 4.0
+        mean += (np.vdot(vec, u) / 2j).real
+    return math.sqrt(square - mean * mean)
+
+
+def test_fixed_phi_points_obey_the_quantum_cramer_rao_bound():
+    # delta_phi >= 1 / (2 Delta J_y) for a pure state and U = exp(-i phi J_y)
+    # (Braunstein & Caves, PRL 72, 3439 (1994)), far beyond the oracle's
+    # N <= 12, with Delta J_y from no eigensystem.  NOON saturates it at
+    # every phi, so the tolerance is the propagated roundoff, not a
+    # constant: <P> is good to about 1e-15, which moves 1 - <P>^2 by 2e-15
+    # and delta_phi by 1e-15 / (1 - <P>^2) relative (1.7e-11 at NOON N = 89,
+    # phi = 0.3); the test allows four times that.
+    sets = [(2.0 / 3.0, 0.0), (1.0 / 3.0, 0.0), (0.5, 0.0), (0.5, math.pi), (0.5, math.pi / 4.0)]
+    states = [noon_input(n) for n in range(1, 401)]
+    for n in range(2, 401, 2):
+        states += [dual_fock_input(n // 2), yurke_input(n), pezze_smerzi_input(n)]
+        states += [
+            combined_input(n, CombinedStateParams(math.sqrt(a), math.sqrt(1.0 - a), theta))
+            for a, theta in sets
+        ]
+    spreads = np.array([_jy_spread(state) for state in states])
+    blind = spreads < 1e-12  # Pezze-Smerzi at N = 2 is a J_y eigenstate
+    assert blind.sum() == 1
+    for phi in (1e-3, 0.3, 1.3):
+        results = phase_uncertainties(states, phi)
+        delta = np.array([r.delta_phi for r in results])
+        assert np.all(np.isinf(delta[blind]))
+        ratio = delta[~blind] * 2.0 * spreads[~blind]
+        tol = 1e-13 + 4e-15 / np.array([1.0 - r.expectation**2 for r in results])[~blind]
+        assert np.all(ratio >= 1.0 - tol)
+        assert np.all(np.abs(ratio[:400] - 1.0) <= tol[:400])  # the NOON states
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 def test_closed_forms_reject_non_finite_inputs(phi):
     for label, n in (("noon", 4), ("dual-fock", 4), ("coherent", 3.0), ("combined", 4)):
@@ -526,7 +626,7 @@ def full_spectrum(state):
     so a row-0 block adds |psi_0|^2 C(2j, k) / 2^(2j) there: the weights the
     engine no longer forms, since it reads those blocks as cos(phi)^(2j).
     """
-    spectrum = detection._spectrum(state)
+    spectrum = detection._spectra([state])
     top = max(state.components)
     weights = np.zeros(2 * top + 1, dtype=complex)
     inner = (spectrum.weights.size - 1) // 2
@@ -553,7 +653,7 @@ def test_spectrum_weights_sum_to_parity_at_zero(label, n):
     # the grid spans the largest block that is not on row 0 alone, and
     # each row-0 block is cos(0)^(2j) = 1 times its weight
     state = make_state(label, n)
-    spectrum = detection._spectrum(state)
+    spectrum = detection._spectra([state])
     gridded = [
         two_j for two_j, vec in state.components.items() if not _on_row_zero(state, vec)
     ]
@@ -759,7 +859,7 @@ def _check_against_eigen_projection(state, weights=None):
 def test_row_zero_blocks_match_eigensystem_projection(label, n):
     # every block sits on row 0 alone, so <P> is sum p_n cos(phi)^n: no grid
     state = make_state(label, n)
-    spectrum = detection._spectrum(state)
+    spectrum = detection._spectra([state])
     assert spectrum.weights.size == 0 and spectrum.powers.size == len(state.components)
     # at nbar = 1000 the ~450 eigensystems take 10 s; their row 0, squared,
     # is the binomial C(2j, k) / 4^j that full_spectrum adds instead
@@ -783,14 +883,14 @@ def _row_zero_mixed_state():
 def test_row_zero_rule_in_a_mixed_state(monkeypatch):
     state = _row_zero_mixed_state()
     built = []
-    original = wigner._jy_eigensystem
+    original = wigner._run_columns
 
-    def counting(two_j, cols=None):
-        built.append(two_j)
-        return original(two_j, cols)
+    def counting(two_js, seeds, take):
+        built.extend(np.unique(two_js).tolist())
+        return original(two_js, seeds, take)
 
-    monkeypatch.setattr(wigner, "_jy_eigensystem", counting)
-    spectrum = detection._spectrum(state)
+    monkeypatch.setattr(wigner, "_run_columns", counting)
+    spectrum = detection._spectra([state])
     assert sorted(built) == [5, 8]
     assert spectrum.powers.tolist() == [0, 3, 6, 9]
     assert spectrum.weights.size == 2 * 8 + 1

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mzparity import (
+    ConsistencyError,
     DomainError,
     HalfInt,
     WignerBlock,
@@ -341,6 +342,29 @@ def test_eigensystem_build_over_budget_is_refused(monkeypatch):
     # one column fits the same budget, and so does d_element's pair
     assert wigner._jy_eigensystem(200, [100])[1].shape == (201, 1)
     d_element(HalfInt(200), HalfInt(0), HalfInt(2), 1.3)
+
+
+def test_eigensystem_build_peak_is_the_counted_bytes():
+    # the rows are written straight into the returned columns, so the
+    # build's peak is the columns, lam and one panel in flight
+    two_j = 3000
+    counted = wigner._eigensystem_bytes(two_j, two_j + 1, two_j // 2 + 1)
+    tracemalloc.start()
+    try:
+        wigner._jy_eigensystem(two_j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * counted
+
+
+def test_recurrence_off_an_eigenvalue_fails_its_residual_check():
+    # lam = 10.3 - 20 is no eigenvalue of the 2j = 40 block: the column the
+    # recurrence builds does not meet its row mirror
+    with pytest.raises(ConsistencyError, match="2j = 40"):
+        wigner._run_columns(np.array([40]), np.array([10.3]), lambda *panel: None)
+    norms = wigner._run_columns(np.array([40, 40]), np.array([10, 3]), lambda *panel: None)
+    assert np.all(np.isfinite(norms))
 
 
 def test_rotations_at_new_angles_grow_no_cache():
