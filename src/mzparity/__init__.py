@@ -40,7 +40,6 @@ from .interferometer import (
     apply_mzi,
     apply_phase_shifter,
     q_apply,
-    q_matrix_element,
 )
 from .oracle import MAX_ORACLE_PHOTONS, bruteforce_parity_expectation
 from .states import (
@@ -109,7 +108,6 @@ __all__ = [
     "phase_uncertainty_limit",
     "phase_uncertainty_limits",
     "q_apply",
-    "q_matrix_element",
     "single_fock_input",
     "yuen_input",
     "yurke_input",

@@ -9,12 +9,17 @@ Conventions, fixed once and cross-checked against the brute-force oracle:
   Applying it toggles the frame tag.
 * the phase shifter multiplies |j,mu> by exp(-i mu phi) and acts only on
   inside-interferometer states.
-* the full interferometer is exp(-i phi J_y), applied block by block
-  through the block's J_y eigensystem, or through the closed-form edge
-  columns of d for a block whose only nonzero rows are mu = +-j (no
-  d-block is formed);
+* the full interferometer is exp(-i phi J_y), applied block by block:
+  a block is projected on its J_y eigenvectors, phased and mapped back
+  (``wigner._rotate``), or, when its only nonzero rows are mu = +-j,
+  rotated through the closed-form edge columns of d (no d-block is
+  formed);
   the composition beam splitter -> phase shifter -> inverse beam splitter
   reproduces it exactly (not merely up to phase), which the tests check.
+* every transform returns its state in stored form: the rotated blocks
+  are dense, and their nonzero rows are written straight into the flat
+  arrays (``states._nonzero_rows``), so exact zeros, such as the
+  underflowed tails of ``noon_input`` at large N, are not stored.
 
 The parity operator on one output mode, P = (-1)^(j - J_z), is diagonal
 in this basis; conjugating it through the output beam splitter gives the
@@ -26,12 +31,11 @@ delta_{nu,-mu} with N = 2j.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .errors import DomainError, FrameError
-from .states import Frame, TwoModeState
+from .states import Frame, TwoModeState, _nonzero_rows
 from .wigner import _I_POWERS, _rotate
 
 __all__ = [
@@ -39,12 +43,13 @@ __all__ = [
     "apply_mzi",
     "apply_phase_shifter",
     "q_apply",
-    "q_matrix_element",
 ]
 
 
-def _rebuild(state: TwoModeState, blocks: dict[int, np.ndarray], frame: Frame) -> TwoModeState:
-    return TwoModeState(blocks, frame, state.label, state.truncation_tail)
+def _output(state: TwoModeState, dense: list[np.ndarray], frame: Frame) -> TwoModeState:
+    """The state whose blocks, in the order of state's, have the dense vectors ``dense``."""
+    stored = _nonzero_rows(state.two_js, dense)
+    return TwoModeState._from_rows(*stored, frame, state.label, state.truncation_tail)
 
 
 def _finite_phase(phi) -> float:
@@ -62,10 +67,8 @@ def apply_mzi(state: TwoModeState, phi: float) -> TwoModeState:
             "inside-interferometer states"
         )
     phi = _finite_phase(phi)
-    blocks = {
-        two_j: _rotate(two_j, rows, amps, phi) for two_j, rows, amps in state.stored_blocks()
-    }
-    return _rebuild(state, blocks, state.frame)
+    dense = [_rotate(two_j, rows, amps, phi) for two_j, rows, amps in state.stored_blocks()]
+    return _output(state, dense, state.frame)
 
 
 # exp(i pi k / 4) for k = 0 .. 7, exact to the last bit
@@ -84,17 +87,17 @@ def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeSt
     rounding that grows with mu.
     """
     middle = -0.5 * math.pi if inverse else 0.5 * math.pi
-    blocks: dict[int, np.ndarray] = {}
+    dense = []
     for two_j, rows, amps in state.stored_blocks():
         inner = _EIGHTH_TURNS[(2 * rows - two_j) % 8] * amps
         two_mu = two_j - 2 * np.arange(two_j + 1)
-        blocks[two_j] = _EIGHTH_TURNS[two_mu % 8] * _rotate(two_j, rows, inner, middle)
+        dense.append(_EIGHTH_TURNS[two_mu % 8] * _rotate(two_j, rows, inner, middle))
     flipped = (
         Frame.INSIDE_INTERFEROMETER
         if state.frame is Frame.AT_INPUT
         else Frame.AT_INPUT
     )
-    return _rebuild(state, blocks, flipped)
+    return _output(state, dense, flipped)
 
 
 def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
@@ -125,28 +128,3 @@ def q_apply(two_j: int, vec: np.ndarray) -> np.ndarray:
     """
     signs = np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0)
     return _I_POWERS[two_j % 4] * signs * vec[::-1]
-
-
-def q_matrix_element(n_total: int, k: int, k_p: int) -> complex:
-    """<k', N-k'| Q |N-k, k> in photon numbers, as commonly quoted.
-
-    Returns i^N (-1)^k when k' = N - k, else 0.  This is the literal
-    published form; for odd N it differs from the operator realized by
-    q_apply by a global sign, which the detection engine documents and
-    does not use.
-    """
-    try:
-        n_total = operator.index(n_total)
-        k = operator.index(k)
-        k_p = operator.index(k_p)
-    except TypeError:
-        raise DomainError("q_matrix_element needs integer arguments") from None
-    if n_total < 1:
-        raise DomainError(f"n_total must be positive, got {n_total}")
-    if not (0 <= k <= n_total and 0 <= k_p <= n_total):
-        raise DomainError(
-            f"photon indices must lie in [0, {n_total}], got k={k}, k'={k_p}"
-        )
-    if k_p != n_total - k:
-        return 0j
-    return complex(_I_POWERS[n_total % 4]) * (-1) ** k

@@ -113,7 +113,7 @@ class TwoModeState:
         label: str,
         truncation_tail: float = 0.0,
     ) -> None:
-        blocks: dict[int, np.ndarray] = {}
+        two_js, blocks = [], []
         for two_j, vec in components.items():
             two_j = int(two_j)
             if two_j < 0:
@@ -125,14 +125,10 @@ class TwoModeState:
                 raise DomainError(
                     f"block twoJ={two_j} needs {two_j + 1} amplitudes, got {arr.shape[0]}"
                 )
-            blocks[two_j] = arr
-        rows = {two_j: arr.nonzero()[0] for two_j, arr in blocks.items()}
-        rows = {two_j: kept for two_j, kept in rows.items() if kept.size}
+            two_js.append(two_j)
+            blocks.append(arr)
         self._store(
-            list(rows),
-            list(itertools.accumulate((kept.size for kept in rows.values()), initial=0)),
-            np.concatenate(list(rows.values())) if rows else [],
-            np.concatenate([blocks[two_j][kept] for two_j, kept in rows.items()]) if rows else [],
+            *_nonzero_rows(np.array(two_js, dtype=np.int64), blocks),
             frame,
             label,
             truncation_tail,
@@ -273,6 +269,24 @@ class TwoModeState:
         return (two_j - 2.0 * np.arange(two_j + 1)) / 2.0
 
 
+def _nonzero_rows(two_js: np.ndarray, blocks: list[np.ndarray]):
+    """Stored form (2j, offsets, rows, amplitudes) of the dense vectors of blocks 2j.
+
+    Each block's nonzero entries are kept, straight into the flat arrays;
+    a block with none is not stored.
+    """
+    kept = [vec.nonzero()[0] for vec in blocks]
+    stored = [b for b, rows in enumerate(kept) if rows.size]
+    if len(stored) < len(kept):
+        two_js, blocks, kept = two_js[stored], [blocks[b] for b in stored], [kept[b] for b in stored]
+    offsets = list(itertools.accumulate((rows.size for rows in kept), initial=0))
+    rows = np.concatenate([np.zeros(0, dtype=np.int64), *kept])
+    amplitudes = np.concatenate(
+        [np.zeros(0, dtype=complex), *(vec[rows] for vec, rows in zip(blocks, kept))]
+    )
+    return two_js, offsets, rows, amplitudes
+
+
 def fidelity(first: TwoModeState, second: TwoModeState) -> float:
     """|<first|second>| over the rows both store; global-phase invariant.
 
@@ -296,11 +310,12 @@ def _single_block(two_j: int, entries: dict[int, complex], frame: Frame, label: 
 
 
 # Amplitudes a coherent state may store, and the most any state's dense
-# ``components`` may hold: 128 MiB of complex128 at 16 bytes each, the
-# same budget as one J_y eigensystem build.  A coherent state stores one
-# amplitude per block, about 14 sqrt(nbar) of them, so the budget would
-# admit nbar near 3.6e11; the Poisson window scanned to choose them binds
-# first.  Detection reads the stored rows and builds no dense vector.
+# ``components`` may hold: 128 MiB of complex128 at 16 bytes each.  The
+# J_y recurrence has its own bound, in column-rows.  A coherent state
+# stores one amplitude per block, about 14 sqrt(nbar) of them, so the
+# budget would admit nbar near 3.6e11; the Poisson window scanned to choose
+# them binds first.  Detection reads the stored rows and builds no dense
+# vector.
 _MAX_AMPLITUDES = 2**23
 
 # Photon numbers coherent_input may scan, 20 standard deviations on either

@@ -5,7 +5,7 @@
 columns are ordered by descending magnetic number mu = j, j-1, ..., -j
 throughout the package.
 
-Every d number comes from the J_y eigensystem of its block, built for
+Every d number comes from the J_y eigenvectors of its block, built for
 each call.  The phase rotation diag((-i)^k) turns J_y into a real
 symmetric tridiagonal matrix whose spectrum is exactly mu = -j ... j, so
 only real eigenvectors V are built and the i^k phases are applied on the
@@ -16,29 +16,27 @@ and completed by exact mirrors; this is the J_y-diagonalization route to
 Wigner d (Feng, Wang, Yang, Jin, PRE 92, 043307 (2015)).  The
 eigenvectors come in exact parity mirror pairs: D V = V[:, ::-1] with
 D = diag((-1)^r), which the detection layer uses to project each block
-once.  V is symmetric, so a caller that reads k rows of V builds only
-the k columns at those rows.
+once.
 
-``_run_columns`` is the one recurrence kernel: it advances many columns,
-of any mix of blocks, together, one array operation per row over the
-columns still running, with the rescale, mirrors, normalization and
-residual check of every column.  Its callers differ in what they keep of
-the rows.  ``_jy_eigensystem`` writes them into whole columns, which
-``_rotate`` (exp(-i theta J_y) on a block in two products), ``d_block``
-(d = Re[i^(col-row) V exp(-i theta L) V^T]) and ``d_element`` and
-``d_derivative`` (one entry of d or of its theta derivative, from two
-eigenvectors in O(n)) read.  ``_projections`` gives detection the
-components of many blocks on their J_y eigenvectors at once: a dense
-block folds every column into its components as the rows arrive and
-keeps none, and a block stored on a few rows keeps only the columns at
-those rows.
+``_projections`` is the one route to V.  It gives the components
+<e_k|psi> = sum_r i^r V[r, k] psi_r of many blocks at once, and all the
+columns they need advance in one flat recurrence (``_run_columns``): a
+dense block folds every column into its components as the rows arrive
+and keeps none, and a block stored on a few rows keeps only the columns
+at those rows.  V is symmetric, so mapping J_y components back to rows is
+the same fold, and every other reader is built on it.  ``_rotate``
+(exp(-i theta J_y) on a block) is two projections with the phases
+exp(-i theta lam_k) between them.  The projection of a block stored on
+row r alone is i^r times row r of V: ``d_element`` and ``d_derivative``
+read the rows at their two labels, and ``d_block`` reads the upper half
+of V from such blocks and mirrors the rest.
 
-One case needs no eigensystem: a block stored on no rows but 0 and n-1
+One case needs no eigenvectors: a block stored on no rows but 0 and n-1
 (mu = +-j, as in the internal NOON state) only reads the two edge
 columns of d, which are closed-form binomials,
 d[r, 0] = sqrt(C(2j, r)) c^(2j-r) s^r with c, s = cos, sin(theta/2), and
 their mirror.  ``_rotate`` builds them in O(n) (``_edge_column``), so
-``noon_input`` and the beam splitter on such blocks never diagonalize.
+``noon_input`` and the beam splitter on such blocks run no recurrence.
 Detection rotates no block at all for its row-0 blocks (coherent and
 single-Fock): it reads them as d[0, 0](2 phi) = cos(phi)^(2j).
 
@@ -46,14 +44,15 @@ Accuracy is absolute through 2j = 1000: about 1e-14 per element and
 1e-12 per derivative, so elements below that (far corners of large
 blocks at small angles) come back as roundoff, not relatively accurate.
 The eigenvectors stay orthonormal within 2e-14 through 2j = 3000, and
-the edge columns agree with a 40-digit reference within 1e-15.
+a dense rotation, which pairs their columns, carries that error: up to
+2e-14 at 2j = 3000 for a block on one row near theta = 0 or pi.  The
+edge columns agree with a 40-digit reference within 1e-15.
 
-Nothing is cached.  A whole-column build is bounded by the bytes it holds
-(``_EIGEN_BYTES``): one that would exceed it (every column at
-2j >= 4044) raises DomainError before anything is allocated, while a
-block read on a few stored rows builds at any 2j.  A projection is
-bounded by work instead, 2^24 column-rows per block, and holds O(columns)
-memory: every column of a dense block fits up to 2j = 8191.
+Nothing is cached.  The recurrence has one bound, on work: a block may
+visit ``_MAX_COLUMN_ROWS`` = 2^24 column-rows, in memory of the order of
+its columns.  A dense projection or rotation runs up to 2j = 8191, and
+``d_block``, which holds (2j + 1)^2 entries, up to 2j = 4095; past them
+DomainError is raised before anything is allocated.
 """
 
 from __future__ import annotations
@@ -73,24 +72,23 @@ __all__ = [
     "d_element",
 ]
 
-# Upper bound on one J_y build.  ``_jy_eigensystem`` counts the bytes its
-# build holds at its peak (``_eigensystem_bytes``: the returned columns, lam
-# and one panel of rows in flight) and refuses a build over the budget
-# before anything is allocated: every column at 2j >= 4044.  One column
-# takes about 8 (2j + 1) bytes, so d_element builds at any 2j.
-# ``_projections`` keeps no column of a dense block and only the upper rows
-# of the columns a sparse block reads, so it bounds work instead: a block
-# may visit _EIGEN_BYTES / 8 = 2^24 column-rows, what the budget holds as
-# float64 columns.  That admits every column of a dense block up to
-# 2j = 8191 and refuses the 17,033 stored rows of NOON at N = 10^5.
-# Only fixed-phi points of blocks with rows other than 0, apply_mzi on such
-# blocks and the d_* kernels run the recurrence: every phi -> 0 limit comes
-# from generator moments, edge-row blocks rotate in closed form, and a
-# row-0 block is read as cos(phi)^(2j).
-_EIGEN_BYTES = 128 * 2**20
+# The one bound on the J_y recurrence: the column-rows one block may visit.
+# A dense block folds its columns with lam <= 0 over their upper rows,
+# (2j // 2 + 1)^2 column-rows, which admits every column up to 2j = 8191;
+# a block read on its stored rows visits 2j + 1 per column it needs, which
+# refuses the 17,033 stored rows of NOON at N = 10^5.  Only fixed-phi
+# points of blocks with rows other than 0, apply_mzi on such blocks and the
+# d_* kernels run the recurrence: every phi -> 0 limit comes from generator
+# moments, edge-row blocks rotate in closed form, and a row-0 block is read
+# as cos(phi)^(2j).
+_MAX_COLUMN_ROWS = 2**24
 
 # Rows the recurrence advances between two checks for columns past 1e150.
 _PANEL = 32
+
+# Entries of kept rows the stored-row route reads in one pass: a column or
+# two read all their rows at once, many columns a few panels at a time.
+_READ_ENTRIES = 2**16
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k, indexed by k % 4
 
@@ -120,18 +118,30 @@ def _finite_angle(theta) -> float:
 def _run_columns(two_js: np.ndarray, seeds: np.ndarray, take) -> np.ndarray:
     """Advance many J_y recurrence columns together, _PANEL rows at a time; return their norms.
 
+    J_y conjugated by diag((-i)^index) is the real symmetric tridiagonal
+    matrix T with zero diagonal and T[r, r+1] = -sqrt((r + 1)(2j - r)) / 2.
+    Its spectrum is exactly lam = -j ... j, so each eigenvector follows
+    from the three-term recurrence
+    v[r+1] = (lam v[r] - T[r,r-1] v[r-1]) / T[r,r+1] started at v[0] = 1.
     Lane l is the column at lam = seeds[l] - j <= 0 of the block
-    2j = two_js[l], over its upper rows 0 .. 2j // 2 (``_jy_eigensystem``
-    describes the recurrence).  The lanes come sorted by 2j // 2, largest
-    first, so the lanes still running at any row are a prefix of them, and
-    each row is one set of array operations over that prefix, whatever
-    blocks its lanes belong to.  Every step acts on each lane alone, so a
-    lane's rows are bitwise the same whatever else runs with it.
+    2j = two_js[l], over its upper rows 0 .. 2j // 2.  There each column
+    grows out of its classically forbidden edge or oscillates, so the
+    recurrence runs in its stable, dominant direction (Gautschi, SIAM
+    Rev. 9, 24 (1967)).  T is persymmetric, so the lower rows are the row
+    mirror V[n-1-r, k] = (-1)^k V[r, k], and the column at lam > 0 is the
+    parity mirror D V[:, n-1-k]; callers apply both.  The lanes come sorted
+    by 2j // 2, largest first, so the lanes still running at any row are a
+    prefix of them, and each row is one set of array operations over that
+    prefix, whatever blocks its lanes belong to.  Every step acts on each
+    lane alone, so a lane's rows are bitwise the same whatever else runs
+    with it.
 
     ``take(first, panel, scale)`` receives rows first .. first + h - 1 as
     an (h, m) array over the m lanes still running at row first, 0 past
     each lane's last row.  At the end of each panel a lane whose last two
-    rows grew past 1e150 is scaled back: the panel comes divided, and
+    rows grew past 1e150 is scaled back, so blocks whose exact row 0,
+    sqrt(C(2j, k)) / 2^j, would underflow (2j > ~2100) stay finite: the
+    panel comes divided, and
     ``scale`` (None when no lane was) holds the factor by which the lane's
     earlier rows must be divided too.  For odd 2j + 1 the last upper row is
     the middle row, which is exactly 0 in odd-seed columns (odd under the
@@ -214,92 +224,6 @@ def _run_columns(two_js: np.ndarray, seeds: np.ndarray, take) -> np.ndarray:
     return norms
 
 
-def _eigensystem_bytes(two_j: int, cols: int, seeds: int) -> int:
-    """Peak bytes of a ``_jy_eigensystem`` build of cols columns from seeds recurrence columns.
-
-    lam and the returned columns, which the rows are written into as they
-    arrive, and the float64 arrays of one panel in flight: its rows, its
-    steps, their squares and the row-0 bookkeeping, a few (_PANEL + 2)-row
-    arrays over the seed columns.
-    """
-    return 8 * ((two_j + 1) * (cols + 1) + 6 * (_PANEL + 2) * seeds)
-
-
-def _jy_eigensystem(two_j: int, cols=None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and the real eigenvectors ``cols`` (all if None) of J_y for one block.
-
-    J_y conjugated by diag((-i)^index) is the real symmetric tridiagonal
-    matrix T with zero diagonal and off-diagonal T[r, r+1] = -A(mu_r)/2,
-    A(m) = sqrt(j(j+1) - m(m-1)).  Its spectrum is exactly
-    lam = -j ... j, stored in ascending order, so each eigenvector follows
-    from the three-term recurrence
-    v[r+1] = (lam v[r] - T[r,r-1] v[r-1]) / T[r,r+1] started at v[0] = 1.
-    It runs over the upper rows 0 .. ceil(n/2)-1 only, for the columns
-    with lam <= 0: there each column grows out of its classically
-    forbidden edge or oscillates, so the recurrence runs in its stable,
-    dominant direction (Gautschi, SIAM Rev. 9, 24 (1967)).  A column that
-    grows past 1e150 is scaled back (checked every _PANEL rows), so blocks
-    whose exact row 0, sqrt(C(2j,k))/2^j, would underflow (2j > ~2100)
-    stay finite.  The columns advance together in ``_run_columns``, the
-    row step ``_projections`` shares, and their rows are written straight
-    into the returned array.
-
-    T is persymmetric, so the lower rows are the exact row mirror
-    V[n-1-r, k] = (-1)^k V[r, k] (for odd n the middle row of each odd-k
-    column is 0).  The columns are then normalized, and a column with
-    lam > 0 is D V[:, n-1-k], D = diag((-1)^r), which makes the parity
-    mirror D V = V[:, ::-1] exact because S J_y S = -J_y.  Every step acts
-    on each column alone, so a column comes out bitwise the same whatever
-    else is built with it.  V is also symmetric, to roundoff.  The
-    eigenvectors of J_y itself are e_k[r] = (-i)^r vec[r, k]; callers
-    apply those phases on the fly.  This is the J_y-diagonalization route
-    to Wigner d (Feng, Wang, Yang, Jin, PRE 92, 043307 (2015)), in O(n)
-    per column.  The residual of T v = lam v where each column meets its
-    mirror raises ConsistencyError if the construction ever fails.
-
-    Nothing is kept between calls.  A build whose peak
-    (``_eigensystem_bytes``) would exceed ``_EIGEN_BYTES`` (all columns at
-    2j >= 4044) raises DomainError before allocating.
-    """
-    n = two_j + 1
-    cols = np.arange(n) if cols is None else np.asarray(cols)
-    mirrored = np.minimum(cols, two_j - cols)  # the lam <= 0 column each one mirrors
-    seeds = np.flatnonzero(np.bincount(mirrored))  # each of those once, ascending
-    size = _eigensystem_bytes(two_j, cols.size, seeds.size)
-    if size > _EIGEN_BYTES:
-        raise DomainError(
-            f"J_y eigensystem for 2j = {two_j} needs {size} bytes, "
-            f"over the budget of {_EIGEN_BYTES}"
-        )
-    half = n // 2  # eigenvalue pairs +-lam
-    rows = n - half  # upper rows, and the columns with lam <= 0
-    vec = np.empty((n, cols.size))
-    at = np.searchsorted(seeds, mirrored)  # the built column each requested one reads
-
-    def write(first, panel, scale):
-        if scale is not None:
-            vec[:first] /= scale[at]
-        np.take(panel, at, axis=1, out=vec[first : first + panel.shape[0]], mode="clip")
-
-    norms = _run_columns(np.full(seeds.size, two_j), seeds, write)
-    vec[:rows] /= norms[at]
-    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
-    np.multiply(vec[:rows], signs[:rows, None], out=vec[:rows], where=cols > mirrored)
-    np.multiply(vec[:half][::-1], signs[cols], out=vec[rows:])  # (-1)^k for every column k
-    return (2.0 * np.arange(n) - two_j) / 2.0, vec
-
-
-def _times_real(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ right for one complex and one real operand.
-
-    Multiplying the real and imaginary parts separately avoids copying the
-    real matrix to complex, which costs more than the product itself.
-    """
-    if np.iscomplexobj(left):
-        return left.real @ right + 1j * (left.imag @ right)
-    return left @ right.real + 1j * (left @ right.imag)
-
-
 def _projections(two_js, sizes, rows, amplitudes) -> np.ndarray:
     """<e_k|psi> = sum_r i^r V[r, k] psi_r, k = 0 .. 2j, of each block, block after block.
 
@@ -319,8 +243,8 @@ def _projections(two_js, sizes, rows, amplitudes) -> np.ndarray:
       all 2j + 1 rows as rows of V, which is symmetric (``_read_stored``):
       a dual-Fock block runs one column at any 2j.
 
-    A block whose route would visit more than _EIGEN_BYTES / 8 column-rows
-    raises DomainError before anything is allocated.
+    A block whose route would visit more than ``_MAX_COLUMN_ROWS``
+    column-rows raises DomainError before anything is allocated.
     """
     n = two_js + 1
     heights = two_js // 2 + 1
@@ -337,12 +261,11 @@ def _projections(two_js, sizes, rows, amplitudes) -> np.ndarray:
     folding, reading = heights.astype(float) ** 2, columns * n.astype(float)
     folded = folding <= reading
     work = np.where(folded, folding, reading)
-    budget = _EIGEN_BYTES // 8
-    if np.any(work > budget):
-        b = int(np.argmax(work > budget))
+    if np.any(work > _MAX_COLUMN_ROWS):
+        b = int(np.argmax(work > _MAX_COLUMN_ROWS))
         raise DomainError(
             f"J_y projection of block 2j = {two_js[b]} visits {work[b]:.0f} column-rows, "
-            f"over the budget of {budget}"
+            f"over the budget of {_MAX_COLUMN_ROWS}"
         )
     phased = _I_POWERS[rows % 4] * amplitudes
     base = np.cumsum(n) - n
@@ -431,8 +354,11 @@ def _read_stored(two_js, base, seeds, a, b, out) -> None:
     s != j) b = (i^r psi)_(2j-s).  Column 2j - s is D V[:, s], so
     <e_k|psi> gets V[k, s] (a + (-1)^k b) from the lane: its row k for k
     on its upper rows, and (-1)^s times its row 2j - k below them.  The
-    upper rows are kept until the norms are known, then read one panel at
-    a time, so the transients stay a panel's size.
+    upper rows are kept until the norms are known, consecutive panels of
+    the same lanes merged up to _READ_ENTRIES entries, then read one merged
+    panel at a time, so the transients stay that size.  The lanes of one
+    block are adjacent and run together, so each panel sums them block by
+    block and writes every entry of out once.
     """
     order = _by_height(two_js)
     two_js, base, seeds, a, b = two_js[order], base[order], seeds[order], a[order], b[order]
@@ -442,21 +368,30 @@ def _read_stored(two_js, base, seeds, a, b, out) -> None:
         if scale is not None:
             for earlier in panels:
                 earlier[:, : panel.shape[1]] /= scale
-        panels.append(panel)
+        last = panels[-1] if panels else panel[:0, :0]
+        if last.shape[1] == panel.shape[1] and last.size + panel.size <= _READ_ENTRIES:
+            panels[-1] = np.concatenate([last, panel])
+        else:
+            panels.append(panel)
 
     norms = _run_columns(two_js, seeds, keep)
     mirror = np.where(seeds % 2, -1.0, 1.0)  # V[2j - r, s] = (-1)^s V[r, s]
     flip = np.where(two_js % 2, -1.0, 1.0)  # (-1)^(2j - r) = (-1)^(2j) (-1)^r
-    for first, panel in zip(range(0, _PANEL * len(panels), _PANEL), panels):
+    starts = np.flatnonzero(np.diff(base, prepend=-1))  # first lane of each block
+    first = 0
+    for panel in panels:
         m = panel.shape[1]
+        lead = starts[: np.searchsorted(starts, m)]
         r = np.arange(first, first + panel.shape[0])[:, None]
+        first += panel.shape[0]
         values = panel / norms[:m]
         signed = np.where(r % 2, -1.0, 1.0) * b[:m]
-        upper = r <= two_js[:m] // 2  # past its last row a lane holds zeros
-        lower = r < (two_js[:m] + 1) // 2  # rows mirrored to 2j - r
-        np.add.at(out, (base[:m] + r)[upper], (values * (a[:m] + signed))[upper])
-        terms = mirror[:m] * values * (a[:m] + flip[:m] * signed)
-        np.add.at(out, (base[:m] + two_js[:m] - r)[lower], terms[lower])
+        up = np.add.reduceat(values * (a[:m] + signed), lead, axis=1)
+        down = np.add.reduceat(mirror[:m] * values * (a[:m] + flip[:m] * signed), lead, axis=1)
+        upper = r <= two_js[lead] // 2  # past its last row a block's lanes hold zeros
+        lower = r < (two_js[lead] + 1) // 2  # rows mirrored to 2j - r
+        out[(base[lead] + r)[upper]] += up[upper]
+        out[(base[lead] + two_js[lead] - r)[lower]] += down[lower]
 
 
 def _edge_column(two_j: int, theta: float) -> np.ndarray:
@@ -494,9 +429,10 @@ def _rotate(two_j: int, rows: np.ndarray, amplitudes: np.ndarray, theta: float) 
     Returns the dense vector of 2j + 1 amplitudes.  A block stored on no
     rows but 0 and n-1 reads the two edge columns of d, d[:, 0] from
     ``_edge_column`` and its mirror d[r, n-1] = (-1)^(n-1-r) d[n-1-r, 0],
-    with no eigensystem.  Any other block takes two products against its
-    full eigensystem: project onto the J_y eigenbasis, advance each
-    component by exp(-i theta lambda_k), and map back.
+    with no recurrence.  Any other block is projected on its J_y
+    eigenvectors, c_k = <e_k|psi>, and mapped back through the same
+    projection: e_k[r] = (-i)^r V[r, k] and V is symmetric, so
+    psi'_r = (-i)^r sum_k i^k V[k, r] (-i)^k exp(-i theta lam_k) c_k.
     """
     if rows.size <= 2 and all(row in (0, two_j) for row in rows.tolist()):
         column = _edge_column(two_j, theta)
@@ -505,22 +441,42 @@ def _rotate(two_j: int, rows: np.ndarray, amplitudes: np.ndarray, theta: float) 
             mirror = np.where(np.arange(two_j, -1, -1) % 2, -1.0, 1.0) * column[::-1]
             out = out + (amplitudes[-1] if rows.size and rows[-1] == two_j else 0j) * mirror
         return out
-    lam, basis = _jy_eigensystem(two_j)
-    coeffs = _times_real(_I_POWERS[rows % 4] * amplitudes, basis[rows]) * np.exp(-1j * theta * lam)
-    return np.conj(_I_POWERS[np.arange(two_j + 1) % 4]) * _times_real(basis, coeffs)
+    n = two_j + 1
+    every = np.arange(n)
+    back = _I_POWERS[-every % 4]  # (-i)^k
+    coeffs = _projections(np.array([two_j]), np.array([rows.size]), rows, amplitudes)
+    coeffs *= back * np.exp(-1j * theta * (every - 0.5 * two_j))
+    return back * _projections(np.array([two_j]), np.array([n]), every, coeffs)
+
+
+def _v_rows(two_j: int, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of V for block 2j, read as the projections i^r V[r, k] of one-row blocks."""
+    ones = np.ones(rows.size, dtype=np.int64)
+    phased = _projections(np.full(rows.size, two_j), ones, rows, ones).reshape(rows.size, -1)
+    return (_I_POWERS[-rows % 4][:, None] * phased).real
 
 
 def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:
     """Full d block via the J_y eigendecomposition; read-only.
 
     d = Re[i^(col-row) V exp(-i theta L) V^T], split into its cosine and
-    sine parts.
+    sine parts.  The upper rows of V are read, and row n-1-r is row r times
+    (-1)^k, the row mirror of each column.  A block of more than
+    ``_MAX_COLUMN_ROWS`` entries raises DomainError before anything is
+    allocated.
     """
     n = two_j + 1
+    if n * n > _MAX_COLUMN_ROWS:
+        raise DomainError(
+            f"d block for 2j = {two_j} holds {n * n} entries, over the budget of {_MAX_COLUMN_ROWS}"
+        )
     if theta == 0.0:
         out = np.eye(n)
     else:
-        lam, vec = _jy_eigensystem(two_j)
+        lam = (2.0 * np.arange(n) - two_j) / 2.0
+        vec = np.empty((n, n))
+        vec[: n - n // 2] = _v_rows(two_j, np.arange(n - n // 2))
+        vec[n - n // 2 :] = vec[: n // 2][::-1] * np.where(np.arange(n) % 2, -1.0, 1.0)
         cos_part = (vec * np.cos(theta * lam)) @ vec.T
         sin_part = (vec * np.sin(theta * lam)) @ vec.T
         idx = np.arange(n)
@@ -534,13 +490,13 @@ def _eigen_sum(j, mu_p, mu, theta, order: int) -> float:
     """Re[i^(col-row) sum_k V[row,k] V[col,k] (-i lam_k)^order exp(-i theta lam_k)].
 
     Entry (row, col) of d (order 0) or of its theta derivative (order 1)
-    from the two eigenvectors at row and col (V is symmetric) in O(n),
-    after validating the labels.
+    from the rows of V at row and col in O(n), after validating the labels.
     """
     two_j, row, col = _validated_indices(j, mu_p, mu)
     theta = _finite_angle(theta)
-    lam, vec = _jy_eigensystem(two_j, [row, col])
-    terms = vec[:, 0] * vec[:, 1] * (-1j * lam) ** order * np.exp(-1j * theta * lam)
+    vec = _v_rows(two_j, np.array([row, col]))
+    lam = (2.0 * np.arange(two_j + 1) - two_j) / 2.0
+    terms = vec[0] * vec[1] * (-1j * lam) ** order * np.exp(-1j * theta * lam)
     return float((_I_POWERS[(col - row) % 4] * terms.sum()).real)
 
 

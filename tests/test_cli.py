@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,3 +587,25 @@ def test_unknown_figure_id():
     with pytest.raises(SystemExit) as excinfo:
         main(["figure", "fig9"])
     assert excinfo.value.code == 2
+
+
+def test_cli_loads_no_optional_dependency(tmp_path):
+    # numpy is the only runtime dependency: importing the package and
+    # writing the table, in a fresh interpreter, loads none of the test
+    # extras or the benchmark
+    table = tmp_path / "table.csv"
+    script = (
+        "import sys\n"
+        "import mzparity\n"
+        "from mzparity import cli\n"
+        f"assert cli.main(['table', '--out', {str(table)!r}]) == 0\n"
+        "print(sorted({'mpmath', 'scipy', 'perfbench'} & {m.split('.')[0] for m in sys.modules}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert parse_csv(table.read_text())

@@ -797,12 +797,23 @@ def test_bool_is_not_a_photon_number():
 
 
 def _eigen_projection(state):
-    """At-input weights with every block projected on its J_y eigensystem."""
+    """At-input weights with every block projected on a dense eigh of its phased J_y.
+
+    The phased J_y is the real tridiagonal T with T[r, r+1] = -sqrt((r+1)(2j-r))/2.
+    Its eigenvectors come with arbitrary signs, so the ones at lam > 0 are
+    taken as the parity mirror D v of those at -lam, as the engine's are;
+    each weight pairs k with 2j - k, so the remaining signs cancel.
+    """
     top = max(state.components)
+    assert top <= 9
     weights = np.zeros(2 * top + 1, dtype=complex)
     for two_j, vec in state.components.items():
-        _, basis = wigner._jy_eigensystem(two_j)
-        plain = (wigner._I_POWERS[np.arange(two_j + 1) % 4] * vec) @ basis
+        n = two_j + 1
+        off = -0.5 * np.sqrt(np.arange(1.0, n) * np.arange(two_j, 0.0, -1.0))
+        _, basis = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+        basis[:, n - n // 2 :] = signs[:, None] * basis[:, : n // 2][:, ::-1]
+        plain = (wigner._I_POWERS[np.arange(n) % 4] * vec) @ basis
         weights[top - two_j : top + two_j + 1 : 2] += np.conj(plain[::-1]) * plain
     return weights
 
@@ -861,9 +872,9 @@ def test_row_zero_blocks_match_eigensystem_projection(label, n):
     state = make_state(label, n)
     spectrum = detection._spectra([state])
     assert spectrum.weights.size == 0 and spectrum.powers.size == len(state.components)
-    # at nbar = 1000 the ~450 eigensystems take 10 s; their row 0, squared,
-    # is the binomial C(2j, k) / 4^j that full_spectrum adds instead
-    _check_against_eigen_projection(state, full_spectrum(state)[0] if n == 1000 else None)
+    # the eigenvectors' row 0, squared, is the binomial C(2j, k) / 4^j that
+    # full_spectrum adds
+    _check_against_eigen_projection(state, full_spectrum(state)[0])
 
 
 def _row_zero_mixed_state():
@@ -921,10 +932,11 @@ def test_coherent_parity_deficit_keeps_relative_accuracy_near_zero_phase(nbar):
 
 
 def test_coherent_and_single_fock_need_no_eigensystem(monkeypatch):
-    def refuse(two_j, cols=None):
-        raise AssertionError(f"J_y eigensystem built for 2j = {two_j}")
+    # _run_columns is the J_y recurrence behind every eigenvector
+    def refuse(two_js, seeds, take):
+        raise AssertionError(f"J_y recurrence run for 2j = {two_js}")
 
-    monkeypatch.setattr(wigner, "_jy_eigensystem", refuse)
+    monkeypatch.setattr(wigner, "_run_columns", refuse)
     coherent = coherent_input(1000.0)
     assert phase_uncertainty_limit(coherent) * math.sqrt(1000.0) == pytest.approx(
         1.0, rel=0.0, abs=1e-12

