@@ -50,6 +50,7 @@ from .states import (
     berry_wiseman_internal,
     coherent_input,
     combined_input,
+    combined_internal,
     dual_fock_input,
     fidelity,
     noon_input,
@@ -93,6 +94,7 @@ __all__ = [
     "closed_form_uncertainty_limit",
     "coherent_input",
     "combined_input",
+    "combined_internal",
     "d_block",
     "d_derivative",
     "d_element",

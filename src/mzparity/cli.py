@@ -2,7 +2,12 @@
 
 Every number takes one route.  ``build_state`` looks the family label up
 in one label -> constructor table, after the parity check that
-``states.parity_needed`` gives.  Detection runs in batches: each chunk of
+``states.parity_needed`` gives.  ``noon`` and ``combined`` are built
+inside the interferometer (``noon_internal``, ``combined_internal``),
+where they store 2 and N/2 + 1 rows, so their points and limits read the
+stored rows through Q in O(N); ``noon_input`` and ``combined_input``
+return the same states at input, for fig2 and library callers.
+Detection runs in batches: each chunk of
 a fixed-phi sweep (and the one state of ``expectation``) makes one
 ``detection.phase_uncertainties`` call (``_points``), and every figure,
 the table and each chunk of a ``--limit`` sweep build their states in N
@@ -41,7 +46,7 @@ from .states import (
     TwoModeState,
     berry_wiseman_internal,
     coherent_input,
-    combined_input,
+    combined_internal,
     dual_fock_input,
     noon_input,
     noon_internal,
@@ -138,9 +143,10 @@ class SweepRecord:
         }
 
 
-# label -> constructor at total photon number n.  Each entry looks its
-# constructor up when called, so a traced run that patches these module
-# globals sees every call.
+# label -> constructor at total photon number n.  NOON and combined are
+# built in their inside form, the image of the at-input state under the
+# inverse beam splitter.  Each entry looks its constructor up when called,
+# so a traced run that patches these module globals sees every call.
 _FAMILIES = {
     "coherent": lambda n, params: coherent_input(float(n)),
     "single-fock": lambda n, params: single_fock_input(n),
@@ -149,10 +155,10 @@ _FAMILIES = {
     "yuen": lambda n, params: yuen_input(n, modified=False),
     "modified-yuen": lambda n, params: yuen_input(n, modified=True),
     "pezze-smerzi": lambda n, params: pezze_smerzi_input(n),
-    "noon": lambda n, params: noon_input(n),
+    "noon": lambda n, params: noon_internal(n),
     "noon-internal": lambda n, params: noon_internal(n),
     "berry-wiseman": lambda n, params: berry_wiseman_internal(n),
-    "combined": lambda n, params: combined_input(n, params or CombinedStateParams()),
+    "combined": lambda n, params: combined_internal(n, params or CombinedStateParams()),
 }
 
 
@@ -172,10 +178,10 @@ def build_state(
 # counts a state's stored rows plus the window of _TAYLOR_ORDER rows on
 # each side of every block (``_limit_entries``), a fixed-phi point its
 # stored rows plus the 2j + 1 projections or grid slots of every block not
-# read as cos(phi)^(2j) (``detection._point_entries``).  A limit chunk of
-# 2^13 entries peaks near 1 MiB of arrays, a chunk of NOON points near
-# 4 MiB; 2^12 would save 1.9 MB of peak RSS on the benchmark's point
-# sweeps at 9% of their time, and larger chunks save no measurable time.
+# read as cos(phi)^(2j) (``detection._point_entries``).  A chunk of 2^13
+# entries peaks near 1.2-1.4 MiB traced, for limits and for the points of
+# every family; 2^12 halves that but costs up to 50% more time on the
+# NOON points, and 2^14 saves 5-15% of the time at twice the memory.
 _CHUNK_ENTRIES = 2**13
 
 

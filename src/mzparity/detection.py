@@ -24,13 +24,15 @@ moments of an inside state all come from that one image.
 ``phase_uncertainties(states, phi)`` takes a batch of states.  Their
 blocks lie end to end, and the J_y projections of every at-input block
 come from one ``wigner._projections`` call, whose columns advance in one
-flat three-term recurrence: a dense block (NOON, combined) folds each
-column into its projection as the rows arrive, in O(columns) memory, and
-a block stored on a few rows (dual-Fock, Yurke, Yuen, Pezze-Smerzi) runs
-only the columns at those rows.  <P>, d<P>/dphi and the shift of <P>
-since phi = 0 are then read for every state at once, each summed over
-its own segment of the flat arrays, so a state's numbers do not depend on
-the batch it came in.  ``phase_uncertainty``, ``parity_expectation`` and
+flat three-term recurrence: a dense block (``noon_input``,
+``combined_input``) folds each column into its projection as the rows
+arrive, in O(columns) memory, and a block stored on a few rows
+(dual-Fock, Yurke, Yuen, Pezze-Smerzi) runs only the columns at those
+rows.  The CLI builds NOON and combined inside the interferometer, so
+their points take the O(rows) Q route and run no recurrence.  <P>,
+d<P>/dphi and the shift of <P> since phi = 0 are then read for every
+state at once, each summed over its own segment of the flat arrays, so a
+state's numbers do not depend on the batch it came in.  ``phase_uncertainty``, ``parity_expectation`` and
 ``parity_derivative`` are that call on one state, and each chunk of a CLI
 sweep makes one.
 
@@ -272,6 +274,15 @@ def _spectra(states: list[TwoModeState]) -> _Spectra:
     block_input = at_input[owner]
     on_row0 = block_input & _on_row_zero(stored)
     tops = np.maximum.reduceat(np.where(on_row0, -1, two_js), first_blocks)
+    # the J_y kernel's bound, in rows: an at-input block past it would be
+    # refused by its projection, and an inside block's grid holds 2 x 2j + 1
+    # slots, about 112 bytes per row at the peak of a point
+    if tops.max() >= wigner._MAX_COLUMN_ROWS:
+        top = int(tops.max())
+        raise DomainError(
+            f"fixed-phi point of block 2j = {top} spans {top + 1} rows, "
+            f"over the budget of {wigner._MAX_COLUMN_ROWS}"
+        )
     grids = np.maximum(2 * tops + 1, 0)
     origin = np.cumsum(grids) - grids + tops  # the flat slot of each state's lam = 0
     mass = amps.real**2 + amps.imag**2
@@ -366,7 +377,9 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
 
     Every state's terms come from one ``_spectra`` pass, whose J_y
     projections run in one flat recurrence, and every sum is read for all
-    states at once.  A non-finite phi raises DomainError, an unnormalized
+    states at once.  A non-finite phi raises DomainError, and so does a
+    block of more than 2^24 rows not read as cos(phi)^(2j), before its grid
+    is allocated; an unnormalized
     state NormalizationError, and an imaginary residue above 1e-10 or an
     expectation outside [-1, 1] ConsistencyError, for the first such state.
     """
@@ -534,13 +547,18 @@ def _inside_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
     """m! F_m of inside states, one row per state, m <= _TAYLOR_ORDER.
 
     G = J_z and P = Q, so the moments are the sums of conj(psi) (Q psi)
-    times the powers of 2i mu over each state's stored rows.
+    times the powers of 2i mu over each state's stored rows, read one order
+    at a time: (2i mu)^m = i^m (2 mu)^m, and i^m is exact.
     """
-    generator = 1j * (np.repeat(stored.two_js, stored.sizes) - 2.0 * stored.rows)
+    generator = np.repeat(stored.two_js, stored.sizes) - 2.0 * stored.rows
     terms = np.conj(stored.amplitudes) * _q_image(stored)[0]
     starts = (np.cumsum(stored.sizes) - stored.sizes)[first_blocks]
-    vander = np.vander(generator, _TAYLOR_ORDER + 1, increasing=True)
-    return np.add.reduceat(terms[:, None] * vander, starts, axis=0)
+    moments = np.empty((first_blocks.size, _TAYLOR_ORDER + 1), dtype=complex)
+    power = np.ones(generator.size)
+    for m in range(_TAYLOR_ORDER + 1):
+        moments[:, m] = _I_POWERS[m % 4] * np.add.reduceat(terms * power, starts)
+        power *= generator
+    return moments
 
 
 def _taylor_series(states: list[TwoModeState]) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,13 @@ dense vector of a block is built only when it is asked for.  The
 frame tag records whether the amplitudes describe the external input ports
 or the modes between the two beam splitters; detection and transform
 operations dispatch on it.
+
+NOON and the NOON/dual-Fock superposition have a constructor in each
+frame.  At input (``noon_input``, ``combined_input``) each is a dense
+block of 2j + 1 rows.  Inside (``noon_internal``, ``combined_internal``)
+NOON is rows 0 and 2j, and the combined state adds the even rows of the
+image of |j, 0>, built in closed form with no rotation; the CLI uses
+these.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "berry_wiseman_internal",
     "coherent_input",
     "combined_input",
+    "combined_internal",
     "dual_fock_input",
     "fidelity",
     "noon_input",
@@ -504,6 +512,26 @@ class CombinedStateParams:
             )
 
 
+def _combined_weights(n_total, params, caller: str) -> tuple[int, complex, complex]:
+    """(N, alpha, beta) of the combined state, validated: N a positive even int."""
+    n_total = _positive_int(n_total, "n_total")
+    if n_total % 2 != 0:
+        raise DomainError(f"combined state needs even N (mu = 0 exists), got {n_total}")
+    if not isinstance(params, CombinedStateParams):
+        raise DomainError(f"{caller} needs CombinedStateParams")
+    alpha = params.alpha_mag * complex(math.cos(params.theta), math.sin(params.theta))
+    return n_total, alpha, complex(params.beta_mag)
+
+
+def _combined_norm(vec: np.ndarray, n_total: int, params: CombinedStateParams) -> float:
+    norm = math.sqrt(float(np.sum(np.abs(vec) ** 2)))
+    if norm < 1e-8:
+        raise NormalizationError(
+            f"combined state degenerates (norm {norm:.3e}) for N={n_total}, {params}"
+        )
+    return norm
+
+
 def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
     """Normalized alpha * noon_input(N) + beta * |j,0>, N even.
 
@@ -513,24 +541,44 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
     interference term disagrees with this construction whenever
     N = 2 (mod 4) and sin(theta) != 0, which the tests pin.
     """
-    n_total = _positive_int(n_total, "n_total")
-    if n_total % 2 != 0:
-        raise DomainError(f"combined state needs even N (mu = 0 exists), got {n_total}")
-    if not isinstance(params, CombinedStateParams):
-        raise DomainError("combined_input needs CombinedStateParams")
-    alpha = params.alpha_mag * complex(math.cos(params.theta), math.sin(params.theta))
-    beta = complex(params.beta_mag)
+    n_total, alpha, beta = _combined_weights(n_total, params, "combined_input")
     j_index = n_total // 2
     vec = alpha * np.asarray(noon_input(n_total).block(n_total))
     vec = vec.copy()
     vec[j_index] += beta
-    norm = math.sqrt(float(np.sum(np.abs(vec) ** 2)))
-    if norm < 1e-8:
-        raise NormalizationError(
-            f"combined state degenerates (norm {norm:.3e}) for N={n_total}, {params}"
-        )
+    norm = _combined_norm(vec, n_total, params)
     return TwoModeState(
         {n_total: vec / norm}, Frame.AT_INPUT, "combined"
+    )
+
+
+def combined_internal(n_total: int, params: CombinedStateParams) -> TwoModeState:
+    """combined_input(N, params) after the inverse beam splitter, in closed form.
+
+    The image of alpha * noon_input(N) is alpha times the internal NOON
+    state, on rows 0 and N.  The image of |j, 0> sits on the even rows r
+    alone, with amplitude i^j sqrt(c(2j - r) c(r)), where
+    c(2k) = C(2k, k) / 4^k is one cumulative product of (2k - 1) / (2k);
+    it needs no rotation.  The sum is renormalized, its zero rows are not
+    stored, and the errors are those of combined_input, whose dense block
+    of N + 1 amplitudes is held to ``_MAX_AMPLITUDES``; that budget is
+    checked before anything is allocated.
+    """
+    n_total, alpha, beta = _combined_weights(n_total, params, "combined_internal")
+    if n_total + 1 > _MAX_AMPLITUDES:
+        raise DomainError(
+            f"combined state at N = {n_total} spans {n_total + 1} rows, "
+            f"over the budget of {_MAX_AMPLITUDES}"
+        )
+    j_index = n_total // 2
+    k = np.arange(1, j_index + 1)
+    halves = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))  # c(2k)
+    amps = (beta * (1, 1j, -1, -1j)[j_index % 4]) * np.sqrt(halves[::-1] * halves)
+    amps[[0, -1]] += alpha / math.sqrt(2.0)
+    amps /= _combined_norm(amps, n_total, params)
+    rows = np.flatnonzero(amps)
+    return TwoModeState._from_rows(
+        [n_total], [0, rows.size], 2 * rows, amps[rows], Frame.INSIDE_INTERFEROMETER, "combined"
     )
 
 

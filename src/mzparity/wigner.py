@@ -76,7 +76,8 @@ __all__ = [
 # A dense block folds its columns with lam <= 0 over their upper rows,
 # (2j // 2 + 1)^2 column-rows, which admits every column up to 2j = 8191;
 # a block read on its stored rows visits 2j + 1 per column it needs, which
-# refuses the 17,033 stored rows of NOON at N = 10^5.  Only fixed-phi
+# refuses the 17,033 stored rows of noon_input at N = 10^5 (the CLI reads
+# NOON inside the interferometer, on two rows).  Only fixed-phi
 # points of blocks with rows other than 0, apply_mzi on such blocks and the
 # d_* kernels run the recurrence: every phi -> 0 limit comes from generator
 # moments, edge-row blocks rotate in closed form, and a row-0 block is read
@@ -461,9 +462,11 @@ def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:
 
     d = Re[i^(col-row) V exp(-i theta L) V^T], split into its cosine and
     sine parts.  The upper rows of V are read, and row n-1-r is row r times
-    (-1)^k, the row mirror of each column.  A block of more than
-    ``_MAX_COLUMN_ROWS`` entries raises DomainError before anything is
-    allocated.
+    (-1)^k, the row mirror of each column.  The output is the cosine part,
+    overwritten in place on each of the 16 strided sub-blocks (row mod 4,
+    col mod 4), where (col - row) mod 4 is one value: cos, sin, -cos or
+    -sin.  A block of more than ``_MAX_COLUMN_ROWS`` entries raises
+    DomainError before anything is allocated.
     """
     n = two_j + 1
     if n * n > _MAX_COLUMN_ROWS:
@@ -477,11 +480,15 @@ def _eigen_d_block(two_j: int, theta: float) -> np.ndarray:
         vec = np.empty((n, n))
         vec[: n - n // 2] = _v_rows(two_j, np.arange(n - n // 2))
         vec[n - n // 2 :] = vec[: n // 2][::-1] * np.where(np.arange(n) % 2, -1.0, 1.0)
-        cos_part = (vec * np.cos(theta * lam)) @ vec.T
+        out = (vec * np.cos(theta * lam)) @ vec.T
         sin_part = (vec * np.sin(theta * lam)) @ vec.T
-        idx = np.arange(n)
-        delta = (idx[None, :] - idx[:, None]) % 4
-        out = np.choose(delta, (cos_part, sin_part, -cos_part, -sin_part))
+        for row in range(4):
+            for col in range(4):
+                delta, part = (col - row) % 4, (np.s_[row::4], np.s_[col::4])
+                if delta % 2:
+                    out[part] = sin_part[part]
+                if delta >= 2:
+                    np.negative(out[part], out=out[part])
     out.flags.writeable = False
     return out
 

@@ -15,9 +15,12 @@ from mzparity import (
     CombinedStateParams,
     NumericalLimitError,
     berry_wiseman_internal,
+    bruteforce_parity_expectation,
     closed_form_expectation,
     combined_input,
     dual_fock_input,
+    noon_input,
+    phase_uncertainties,
     phase_uncertainty,
     phase_uncertainty_limit,
 )
@@ -169,11 +172,15 @@ def test_expectation_single_point(tmp_path):
          "--theta", "0.0", "--phi", "0.3", "--out", str(out)]
     ) == 0
     (row,) = parse_csv(out.read_text())
-    want = phase_uncertainty(
-        combined_input(8, CombinedStateParams(0.6, 0.8, 0.0)), 0.3
-    )
+    params = CombinedStateParams(0.6, 0.8, 0.0)
+    want = phase_uncertainty(build_state("combined", 8, params), 0.3)
     assert float(row["expectation"]) == want.expectation
     assert float(row["delta_phi"]) == want.delta_phi
+    # the CLI reads the state inside the interferometer; the at-input
+    # vector gives the same point to roundoff
+    at_input = phase_uncertainty(combined_input(8, params), 0.3)
+    assert float(row["expectation"]) == pytest.approx(at_input.expectation, rel=0.0, abs=1e-14)
+    assert float(row["delta_phi"]) == pytest.approx(at_input.delta_phi, rel=1e-14, abs=0.0)
 
 
 def test_expectation_rejects_ranges_and_limit(capsys):
@@ -267,12 +274,12 @@ def test_oversized_coherent_state_exit_code(capsys):
 
 
 def test_oversized_eigensystem_exit_code(capsys):
-    # the NOON state itself is cheap; its fixed-phi spectrum would need the
-    # J_y eigenvectors at its 17,033 stored rows, 14 GB, which are refused
-    # before anything is allocated
+    # the dual-Fock state itself is one amplitude; its fixed-phi spectrum
+    # would read one J_y column over 2^24 + 1 rows, past the work bound,
+    # and is refused before anything is allocated
     tracemalloc.start()
     try:
-        code = main(["sweep", "--state", "noon", "--n-min", "100000", "--phi", "0.1"])
+        code = main(["sweep", "--state", "dual-fock", "--n-min", "16777216", "--phi", "0.1"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -280,7 +287,27 @@ def test_oversized_eigensystem_exit_code(capsys):
     captured = capsys.readouterr()
     assert "budget" in captured.err
     assert captured.out == ""
-    assert peak < 32 * 2**20
+    assert peak < 2**20
+
+
+def test_oversized_inside_point_exit_code(capsys):
+    # NOON stores two rows at any N, but a fixed-phi point's frequency
+    # grid spans every row of the block; past the J_y kernel's 2^24 rows
+    # it is refused before the grid is allocated.  Its limit needs no grid.
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--state", "noon", "--n-min", "16777216", "--phi", "0.1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "budget" in captured.err
+    assert captured.out == ""
+    assert peak < 2**20
+    assert main(["sweep", "--state", "noon", "--n-min", "100000000", "--limit"]) == 0
+    (row,) = parse_csv(capsys.readouterr().out)
+    assert float(row["delta_phi"]) == pytest.approx(1e-8, rel=1e-12)
 
 
 def test_dual_fock_point_past_the_dense_eigensystem_budget(tmp_path):
@@ -293,28 +320,73 @@ def test_dual_fock_point_past_the_dense_eigensystem_budget(tmp_path):
 
 
 def test_dense_noon_point_memory_is_bounded():
-    # every J_y column of the 2j = 4700 block is folded into the projection
-    # as its rows arrive, so no 4701 x 4701 eigenvector matrix is held
-    # (the process peaked near 280 MB); the peak is about 4.2 MiB
+    # every J_y column of the dense at-input 2j = 4700 block is folded into
+    # the projection as its rows arrive, so no 4701 x 4701 eigenvector
+    # matrix is held (the process peaked near 280 MB); the peak is about
+    # 4.2 MiB
+    state = noon_input(4700)
     tracemalloc.start()
     try:
-        (record,) = run_sweep(SweepConfig("noon", 4700, 4700, phi=0.3))
+        (result,) = phase_uncertainties([state], 0.3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert abs(record.expectation_at_phi - math.cos(4700 * 0.3)) <= 1e-10
+    assert abs(result.expectation - math.cos(4700 * 0.3)) <= 1e-10
     assert peak < 8 * 2**20
 
 
-def test_dense_noon_point_past_the_old_eigensystem_budget(tmp_path):
+def test_dense_noon_point_past_the_old_eigensystem_budget():
     # every column at 2j = 6000 would take 288 MB; the folded projection
-    # visits 3001^2 column-rows, within the 2^24 work bound
-    out = tmp_path / "noon.csv"
-    assert main(["sweep", "--state", "noon", "--n-min", "6000", "--phi", "0.3",
-                 "--out", str(out)]) == 0
-    (row,) = parse_csv(out.read_text())
-    assert abs(float(row["expectation"]) - math.cos(6000 * 0.3)) <= 1e-10
-    assert float(row["delta_phi"]) * 6000 == pytest.approx(1.0, rel=1e-9)
+    # of the dense at-input block visits 3001^2 column-rows, within the
+    # 2^24 work bound
+    (result,) = phase_uncertainties([noon_input(6000)], 0.3)
+    assert abs(result.expectation - math.cos(6000 * 0.3)) <= 1e-10
+    assert result.delta_phi * 6000 == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("label", ["noon", "combined"])
+def test_inside_families_match_the_oracle(label, tmp_path):
+    # the CLI builds both families inside the interferometer; the oracle
+    # rotates their Fock vectors by dense matrix exponentials
+    lo = 2 if label == "combined" else 1
+    for phi in (0.1, 0.4, 1.3):
+        out = tmp_path / f"{label}_{phi}.csv"
+        assert main(["sweep", "--state", label, "--n-min", str(lo), "--n-max", "12",
+                     "--phi", repr(phi), "--out", str(out)]) == 0
+        for row in parse_csv(out.read_text()):
+            state = build_state(label, int(row["N"]), CombinedStateParams())
+            want = bruteforce_parity_expectation(state, phi)
+            assert float(row["expectation"]) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def test_noon_point_at_a_hundred_thousand_photons(capsys):
+    # two stored rows; the at-input vector's fold of every J_y column was
+    # refused at this size by the work bound
+    n, phi = 100_000, 0.1
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--state", "noon", "--n-min", str(n), "--phi", repr(phi)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (row,) = parse_csv(capsys.readouterr().out)
+    assert abs(float(row["expectation"]) - math.cos(n * (phi + math.pi / 2.0))) <= 1e-10
+    assert float(row["delta_phi"]) * n == pytest.approx(1.0, rel=1e-9)
+    assert peak < 16 * 2**20
+
+
+def test_combined_point_past_the_dense_work_bound(capsys):
+    # 2j = 8200 at input would fold 4101^2 column-rows, past 2^24; inside
+    # the interferometer the state stores its 4101 even rows
+    n, params = 8200, CombinedStateParams()
+    assert main(["sweep", "--state", "combined", "--n-min", str(n), "--phi", "0.3"]) == 0
+    (row,) = parse_csv(capsys.readouterr().out)
+    state = build_state("combined", n, params)
+    probs = np.abs(state.amplitudes) ** 2
+    mu = 0.5 * n - state.rows
+    spread = math.sqrt(probs @ mu**2 - (probs @ mu) ** 2)
+    assert abs(float(row["expectation"])) <= 1.0
+    assert float(row["delta_phi"]) >= 0.5 / spread
 
 
 def test_limits_and_noon_states_need_no_eigensystem(monkeypatch, tmp_path):
@@ -347,6 +419,21 @@ def test_fig3_and_row_zero_sweeps_need_no_eigensystem(monkeypatch, tmp_path):
                      "--n-max", str(hi), "--out", str(out)]) == 0
         rows = parse_csv(out.read_text())
         assert [int(row["N"]) for row in rows] == list(range(1, hi + 1))
+
+
+def test_noon_and_combined_point_sweeps_need_no_eigensystem(monkeypatch, tmp_path):
+    # both families are built inside the interferometer, where a fixed-phi
+    # point reads the stored rows through Q
+    def refuse(two_js, seeds, take):
+        raise AssertionError(f"J_y recurrence run for 2j = {two_js}")
+
+    monkeypatch.setattr(wigner, "_run_columns", refuse)
+    for label, lo, hi, step in (("noon", 1, 250, 1), ("combined", 2, 1000, 2)):
+        out = tmp_path / f"{label}.csv"
+        assert main(["sweep", "--state", label, "--phi", "0.3", "--n-min", str(lo),
+                     "--n-max", str(hi), "--out", str(out)]) == 0
+        rows = parse_csv(out.read_text())
+        assert [int(row["N"]) for row in rows] == list(range(lo, hi + 1, step))
 
 
 def test_coherent_point_past_the_old_padded_budget(tmp_path):
@@ -392,17 +479,26 @@ def test_numerical_failure_mid_batch_exit_code(monkeypatch, capsys):
 
 
 def test_limit_sweep_memory_is_bounded_by_its_chunks():
-    # The NOON states N = 1..3000 hold 4.5 million amplitudes in all; the
-    # sweep takes their limits in chunks of _CHUNK_ENTRIES flat
-    # Taylor entries and peaks near 2.1 MiB.
+    # The combined states N = 2..3000 store 1.1 million amplitudes in all,
+    # on their even rows inside the interferometer; the sweep takes their
+    # limits in chunks of _CHUNK_ENTRIES flat Taylor entries and peaks
+    # near 1.9 MiB.
+    params = CombinedStateParams()
     tracemalloc.start()
     try:
-        records = run_sweep(SweepConfig("noon", 1, 3000, phi_mode="limit"))
+        records = run_sweep(SweepConfig("combined", 2, 3000, phi_mode="limit",
+                                        combined_params=params))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [record.n_total for record in records] == list(range(1, 3001))
-    assert all(abs(record.delta_phi * record.n_total - 1.0) <= 1e-12 for record in records)
+    assert [record.n_total for record in records] == list(range(2, 3001, 2))
+    for record in records[::50]:
+        state = build_state("combined", record.n_total, params)
+        probs = np.abs(state.amplitudes) ** 2
+        mu = 0.5 * record.n_total - state.rows
+        bound = 0.5 / math.sqrt(probs @ mu**2 - (probs @ mu) ** 2)
+        assert math.isfinite(record.delta_phi)
+        assert record.delta_phi >= bound * (1.0 - 1e-12)
     assert peak < 3 * 2**20
 
 

@@ -60,10 +60,10 @@ def test_traced_cli_sees_every_constructor_call(tmp_path):
         recorder.uninstall()
     assert code == 0
     metrics = spans.layer_metrics(recorder.spans)
-    # noon_input builds its internal state privately, under the label
-    # "noon", and sends it through one beam splitter
+    # the CLI builds NOON inside the interferometer, one noon_internal
+    # call per N, and sends nothing through a beam splitter
     assert metrics["states.calls"] == 5
-    assert metrics["interferometer.calls"] == 5
+    assert metrics["interferometer.calls"] == 0
     # the sweep takes its limits in one phase_uncertainty_limits call,
     # a name the recorder does not wrap, so the limit layer reads no call
     assert metrics["detection.limit.calls"] == 0

@@ -12,9 +12,11 @@ from mzparity import (
     NormalizationError,
     STATE_LABELS,
     TwoModeState,
+    apply_beam_splitter,
     berry_wiseman_internal,
     coherent_input,
     combined_input,
+    combined_internal,
     dual_fock_input,
     fidelity,
     noon_input,
@@ -178,6 +180,80 @@ def test_combined_pure_noon_limit():
     params = CombinedStateParams(1.0, 0.0, 0.0)
     state = combined_input(4, params)
     assert fidelity(state, noon_input(4)) == pytest.approx(1.0, abs=1e-12)
+
+
+# fig3's five (alpha^2, theta) curves, and one off the real axis
+_COMBINED_PARAMS = [
+    CombinedStateParams(math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq), theta)
+    for alpha_sq, theta in (
+        (2.0 / 3.0, 0.0), (1.0 / 3.0, 0.0), (0.5, 0.0), (0.5, math.pi), (0.5, math.pi / 4.0)
+    )
+] + [CombinedStateParams(0.6, 0.8, 0.7)]
+
+
+@pytest.mark.parametrize("params", _COMBINED_PARAMS)
+def test_combined_internal_is_the_inverse_beam_splitter_image(params):
+    for n in range(2, 201, 2):
+        state = combined_internal(n, params)
+        assert state.frame is Frame.INSIDE_INTERFEROMETER and state.label == "combined"
+        assert np.all(state.rows % 2 == 0)
+        image = apply_beam_splitter(combined_input(n, params), inverse=True)
+        assert np.max(np.abs(state.block(n) - image.block(n))) <= 5e-15, n
+
+
+def test_combined_internal_raises_what_combined_input_raises():
+    params = CombinedStateParams()
+    for build in (combined_input, combined_internal):
+        with pytest.raises(DomainError):
+            build(7, params)
+        with pytest.raises(DomainError):
+            build(0, params)
+        with pytest.raises(DomainError):
+            build(8, "not-params")
+    # N = 2 NOON at input is |1, 1> up to a phase, which this theta cancels
+    theta = np.angle(-np.conj(noon_input(2).block(2)[1]))
+    cancelling = CombinedStateParams(SQ2, SQ2, float(theta))
+    for build in (combined_input, combined_internal):
+        with pytest.raises(NormalizationError):
+            build(2, cancelling)
+
+
+def test_combined_internal_stores_no_zero_rows():
+    noon = combined_internal(10, CombinedStateParams(1.0, 0.0, 0.0))
+    assert noon.rows.tolist() == [0, 10]
+    assert fidelity(noon, noon_internal(10)) == pytest.approx(1.0, abs=1e-15)
+    dual = combined_internal(10, CombinedStateParams(0.0, 1.0, 0.0))
+    assert dual.rows.tolist() == [0, 2, 4, 6, 8, 10]
+
+
+def test_combined_internal_keeps_the_dense_budget_of_combined_input(monkeypatch):
+    # combined_input holds a dense block of N + 1 amplitudes; the inside
+    # form stores half of them but is refused at the same N, before it
+    # allocates anything
+    monkeypatch.setattr(states_module, "_MAX_AMPLITUDES", 1024)
+    params = CombinedStateParams()
+    for build in (combined_input, combined_internal):
+        build(1022, params)
+        with pytest.raises(DomainError, match="budget"):
+            build(1024, params)
+
+
+@pytest.mark.parametrize("n, rows", [(1000, (0, 2, 250, 500)), (4000, (0, 1000, 2000))])
+def test_combined_internal_dual_fock_column_matches_mpmath(n, rows):
+    # the image of |j, 0> is i^(j+r) d^j_{j-r,0}(pi/2) on row r, and
+    # d^j_{m,0}(pi/2) = sqrt((j-m)!/(j+m)!) P_j^m(0), zero for odd j + m
+    mp = pytest.importorskip("mpmath")
+    j = n // 2
+    state = combined_internal(n, CombinedStateParams(0.0, 1.0, 0.0))
+    amps = state.block(n)
+    assert np.all(amps[1::2] == 0.0)
+    assert np.array_equal(amps, amps[::-1])
+    with mp.workdps(20):
+        for r in rows:
+            m = j - r
+            ref = mp.sqrt(mp.factorial(j - m) / mp.factorial(j + m)) * mp.legenp(j, m, 0)
+            want = (1, 1j, -1, -1j)[(j + r) % 4] * float(ref)
+            assert abs(amps[r] - want) <= 1e-15, r
 
 
 def test_quoted_combined_norm_fails_exactly_at_n_2_mod_4_off_the_real_axis():

@@ -365,6 +365,23 @@ def test_d_block_over_the_work_bound_is_refused():
         assert peak < 20_000
 
 
+def test_d_block_peak_memory_per_entry():
+    # V, the cosine part (which becomes the output), the scaled copy of V
+    # in the product and the sine part: about 32 bytes per entry; a
+    # selection over (cos, sin, -cos, -sin) by an int64 index took 56
+    two_j = 1000
+    tracemalloc.start()
+    try:
+        block = d_block(HalfInt(two_j), 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * (two_j + 1) ** 2
+    assert block.element(HalfInt(two_j), HalfInt(two_j - 2)) == pytest.approx(
+        d_element(HalfInt(two_j), HalfInt(two_j), HalfInt(two_j - 2), 0.7), abs=1e-14
+    )
+
+
 def test_dense_rotation_holds_no_eigenvector_matrix():
     # both projections fold their columns as the rows arrive: the peak is
     # a few dozen vectors of 2j + 1, where all of V would take 72 MB
