@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 from . import detection
 from .detection import benchmark_limits
 from .errors import DomainError, MzParityError
-from .interferometer import apply_phase_shifter
+from .interferometer import _quarter_turn
 from .states import (
     STATE_LABELS,
     CombinedStateParams,
@@ -174,19 +174,14 @@ def build_state(
     return _FAMILIES[label](n, params)
 
 
-# Chunk bound of the batched detection calls, in flat entries.  A limit
-# counts a state's stored rows plus the window of _TAYLOR_ORDER rows on
-# each side of every block (``_limit_entries``), a fixed-phi point its
-# stored rows plus the 2j + 1 projections or grid slots of every block not
-# read as cos(phi)^(2j) (``detection._point_entries``).  A chunk of 2^13
-# entries peaks near 1.2-1.4 MiB traced, for limits and for the points of
-# every family; 2^12 halves that but costs up to 50% more time on the
-# NOON points, and 2^14 saves 5-15% of the time at twice the memory.
+# Chunk bound of the batched detection calls, in the flat entries that
+# ``detection._limit_entries`` and ``detection._point_entries`` count.  A
+# call on a chunk of 2^13 entries raises the traced memory by at most
+# about 1.2 MiB, for limits and for the points of every family (1.5 MiB
+# for 5000 one-row single-Fock points, where the per-state results
+# dominate); 2^12 halves that but takes about twice as long on dual-Fock
+# points, and 2^14 doubles it for no gain.
 _CHUNK_ENTRIES = 2**13
-
-
-def _limit_entries(state: TwoModeState) -> int:
-    return state.rows.size + 2 * detection._TAYLOR_ORDER * state.two_js.size
 
 
 def _chunks(cases: Iterable[tuple], entries) -> Iterator[list[tuple]]:
@@ -208,14 +203,15 @@ def _limits(cases: Iterable[tuple]) -> Iterator[tuple]:
 
     The cases are consumed lazily, so at most one chunk of states is held.
     """
-    for chunk in _chunks(cases, _limit_entries):
+    for chunk in _chunks(cases, detection._limit_entries):
         keys = [key for key, _, _ in chunk]
         # The berry-wiseman state gives a flat parity signal at phi = 0, so
         # its phi -> 0 limit diverges.  Its finite limit belongs to parity
         # detection behind a pi/2 bias, where it equals 1/(2 Delta J_z), the
-        # quantum Cramer-Rao bound; the engine computes it there.
+        # quantum Cramer-Rao bound; the engine computes it there, with the
+        # pi/2 phases applied exactly.
         states = [
-            apply_phase_shifter(state, math.pi / 2.0) if label == "berry-wiseman" else state
+            _quarter_turn(state) if label == "berry-wiseman" else state
             for _, label, state in chunk
         ]
         yield from zip(keys, detection.phase_uncertainty_limits(states))

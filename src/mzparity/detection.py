@@ -1,25 +1,26 @@
 """Parity-detection observables and the error-propagation phase uncertainty.
 
-Fixed-phi observables come from one spectrum per state: weights w and
-frequencies lam, plus the at-input blocks stored on row 0 alone, such that
+Fixed-phi observables come from one list of terms per state: weights w
+and frequencies lam, plus the at-input blocks stored on row 0 alone, such
+that
 
     <P>(phi) = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b).
 
 A block whose only stored row is 0 (mu = +j, mode b empty: every coherent
 and single-Fock block) is |psi_0|^2 times d[0, 0](2 phi) = cos(phi)^(2j),
 so it keeps only n_b = 2j and p_b = |psi_0|^2 and is read in closed form,
-with no eigensystem and no grid: a coherent state costs O(blocks).  Every
-other block adds into one grid, lam = -J, -J + 1/2, ..., J for the largest
-such block 2J, so at most 2 * 2J + 1 terms remain however many blocks and
-amplitudes the state has.  For at-input states w_k = conj(<e_k|S psi>)
-<e_k|psi> over the J_y eigenvectors e_k of each block, with S the
-diagonal parity sign and lam_k the exact eigenvalues; the exact parity
-mirror makes <e_k|S psi> the component on e_(2j-k).  For states inside
-the interferometer w = conj(psi) (Q psi) and lam = -mu, with no
-eigensystem at all: Q maps row r of block 2j to row 2j - r, so Q psi is
-read on every stored row at once, by one lookup of each row's mirror in
-the flat stored arrays, and the grid, the parity gaps and the phi -> 0
-moments of an inside state all come from that one image.
+with no eigensystem and no terms: a coherent state costs O(blocks).  Every
+other at-input block gives one term per J_y eigenvector e_k of the block,
+w_k = conj(<e_k|S psi>) <e_k|psi> at the exact eigenvalue lam_k, with S
+the diagonal parity sign; the exact parity mirror makes <e_k|S psi> the
+component on e_(2j-k).  A block inside the interferometer gives one term
+per stored row, w = conj(psi) (Q psi) at lam = -mu, with no eigensystem
+at all: Q maps row r of block 2j to row 2j - r, so Q psi is read on every
+stored row at once, by one lookup of each row's mirror in the flat stored
+arrays, and the terms, the parity gaps and the phi -> 0 moments of an
+inside state all come from that one image.  Equal frequencies are not
+merged, so a NOON state inside the interferometer holds two terms at
+any N.
 
 ``phase_uncertainties(states, phi)`` takes a batch of states.  Their
 blocks lie end to end, and the J_y projections of every at-input block
@@ -31,10 +32,10 @@ arrive, in O(columns) memory, and a block stored on a few rows
 rows.  The CLI builds NOON and combined inside the interferometer, so
 their points take the O(rows) Q route and run no recurrence.  <P>,
 d<P>/dphi and the shift of <P> since phi = 0 are then read for every
-state at once, each summed over its own segment of the flat arrays, so a
-state's numbers do not depend on the batch it came in.  ``phase_uncertainty``, ``parity_expectation`` and
-``parity_derivative`` are that call on one state, and each chunk of a CLI
-sweep makes one.
+state at once, each summed over its own run of terms, so a state's
+numbers do not depend on the batch it came in.  ``phase_uncertainty``,
+``parity_expectation`` and ``parity_derivative`` are that call on one
+state, and each chunk of a CLI sweep makes one.
 
 ``phase_uncertainty_limits`` needs no spectrum.  Since P G P = -G for
 the phase generator G (J_y at input, J_z inside), <P>(phi) =
@@ -180,15 +181,20 @@ def _on_row_zero(stored) -> np.ndarray:
 
 
 def _point_entries(state: TwoModeState) -> int:
-    """Flat entries a fixed-phi pass holds for state.
+    """Flat entries a fixed-phi pass holds for state: its stored rows and its terms.
 
-    Its stored rows, and 2j + 1 projections or grid slots for each block
-    not read as cos(phi)^(2j).
+    An inside state has one term per stored row; an at-input state 2j + 1
+    projections, one term each, for every block not read as cos(phi)^(2j).
     """
-    gridded = state.two_js
-    if state.frame is Frame.AT_INPUT:
-        gridded = gridded[~_on_row_zero(state)]
-    return state.rows.size + int(gridded.sum()) + gridded.size
+    if state.frame is not Frame.AT_INPUT:
+        return 2 * state.rows.size
+    projected = state.two_js[~_on_row_zero(state)]
+    return state.rows.size + int(projected.sum()) + projected.size
+
+
+def _limit_entries(state: TwoModeState) -> int:
+    """Flat entries a limit holds for state: its stored rows, and _TAYLOR_ORDER on each side of each block."""
+    return state.rows.size + 2 * _TAYLOR_ORDER * state.two_js.size
 
 
 def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +218,7 @@ def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
 class _Spectra(NamedTuple):
     """<P>(phi) of each state s = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b).
 
-    weights and freqs hold every state's grid end to end, grids[s] terms
+    weights and freqs hold every state's terms end to end, terms[s] of them
     for state s: the blocks read through their J_y projection (at input)
     or through Q (inside).  powers n_b = 2j and probs p_b = |psi_0|^2 list
     the at-input blocks stored on row 0 alone, counts[s] of them for state
@@ -221,7 +227,7 @@ class _Spectra(NamedTuple):
 
     weights: np.ndarray
     freqs: np.ndarray
-    grids: np.ndarray
+    terms: np.ndarray
     powers: np.ndarray
     probs: np.ndarray
     counts: np.ndarray
@@ -242,21 +248,21 @@ def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _spectra(states: list[TwoModeState]) -> _Spectra:
-    """The terms of each state's <P>(phi): a frequency grid, and the row-0 blocks apart.
+    """The terms of each state's <P>(phi), and the row-0 blocks apart.
 
     An at-input block stored on row 0 alone (mu = +j, mode b empty, as in
     every coherent and single-Fock block) is |psi_0|^2 times
     d[0, 0](2 phi) = cos(phi)^(2j), so it keeps only its 2j and |psi_0|^2
-    and needs no eigensystem and no grid.  Every other block adds into its
-    state's grid lam = -J ... J in steps of 1/2, with 2J the largest such
-    block, so equal frequencies are merged.  At-input blocks:
-    w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors e_k at
-    lam_k; the parity mirror D V = V[:, ::-1] makes <e_k|S psi> the
-    component on e_(2j-k).  The projections of every such block of every
-    state come from one ``wigner._projections`` call.  Inside states:
-    w = conj(psi) (Q psi) and lam = -mu on every stored row, because the
-    phase shifter gives the mu and -mu entries the relative phase
-    exp(2i phi mu).  One bincount over all the terms fills every grid.
+    and needs no eigensystem.  Every other at-input block gives one term
+    per k: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors e_k
+    at lam_k = k - j; the parity mirror D V = V[:, ::-1] makes <e_k|S psi>
+    the component on e_(2j-k), so w_k = conj(c_(2j-k)) c_k for the
+    projections c.  The projections of every such block of every state
+    come from one ``wigner._projections`` call.  An inside block gives one
+    term per stored row: w = conj(psi) (Q psi) at lam = -mu = r - j,
+    because the phase shifter gives the mu and -mu entries the relative
+    phase exp(2i phi mu).  Equal frequencies are not merged, so a state
+    holds only as many terms as it has projections or stored rows.
 
     The gaps 1 -+ <P>(0) are ||psi -+ P psi||^2 / 2, sums of squares that
     keep full relative accuracy where 1 - <P> itself would cancel: at
@@ -273,53 +279,41 @@ def _spectra(states: list[TwoModeState]) -> _Spectra:
     owner = np.repeat(np.arange(len(states)), np.diff(first_blocks, append=two_js.size))
     block_input = at_input[owner]
     on_row0 = block_input & _on_row_zero(stored)
-    tops = np.maximum.reduceat(np.where(on_row0, -1, two_js), first_blocks)
-    # the J_y kernel's bound, in rows: an at-input block past it would be
-    # refused by its projection, and an inside block's grid holds 2 x 2j + 1
-    # slots, about 112 bytes per row at the peak of a point
-    if tops.max() >= wigner._MAX_COLUMN_ROWS:
-        top = int(tops.max())
-        raise DomainError(
-            f"fixed-phi point of block 2j = {top} spans {top + 1} rows, "
-            f"over the budget of {wigner._MAX_COLUMN_ROWS}"
-        )
-    grids = np.maximum(2 * tops + 1, 0)
-    origin = np.cumsum(grids) - grids + tops  # the flat slot of each state's lam = 0
     mass = amps.real**2 + amps.imag**2
     odd = rows % 2 == 1
     below, above = np.where(odd, 2.0 * mass, 0.0), np.where(odd, 0.0, 2.0 * mass)
-    slots, terms = [], []
+    # (state, weight w, doubled frequency 2 lam) of every term, block by block
+    parts = [(np.empty(0, dtype=int), np.empty(0, dtype=complex), np.empty(0, dtype=int))]
     projected = block_input & ~on_row0
     if projected.any():  # every k of each block read through its J_y projection
         picked = np.repeat(projected, sizes)
         plain = wigner._projections(two_js[projected], sizes[projected], rows[picked], amps[picked])
         n = two_js[projected] + 1
         k = wigner._ragged(n)
-        slots.append(np.repeat(origin[owner[projected]] - two_js[projected], n) + 2 * k)
-        terms.append(np.conj(plain[np.arange(plain.size) + np.repeat(n - 1, n) - 2 * k]) * plain)
+        mirrored = np.conj(plain[np.arange(plain.size) + np.repeat(n - 1, n) - 2 * k])
+        parts.append(
+            (np.repeat(owner[projected], n), mirrored * plain, 2 * k - np.repeat(n - 1, n))
+        )
     if not at_input.all():  # every stored row of an inside state, through Q
         entries = ~np.repeat(block_input, sizes)
         inside = _Stored(two_js[~block_input], sizes[~block_input], rows[entries], amps[entries])
         image, paired = _q_image(inside)
-        slots.append(
-            np.repeat(origin[owner[~block_input]] - inside.two_js, inside.sizes) + 2 * inside.rows
-        )
-        terms.append(np.conj(inside.amplitudes) * image)
+        parts.append((
+            np.repeat(owner[~block_input], inside.sizes),
+            np.conj(inside.amplitudes) * image,
+            2 * inside.rows - np.repeat(inside.two_js, inside.sizes),
+        ))
         minus, plus = inside.amplitudes - image, inside.amplitudes + image
         unpaired = np.where(paired, 0.0, mass[entries])
         below[entries] = 0.5 * (minus.real**2 + minus.imag**2 + unpaired)
         above[entries] = 0.5 * (plus.real**2 + plus.imag**2 + unpaired)
-    total = int(grids.sum())
-    weights = np.zeros(total, dtype=complex)
-    if slots:
-        slots, terms = np.concatenate(slots), np.concatenate(terms)
-        weights += np.bincount(slots, terms.real, total)
-        weights += 1j * np.bincount(slots, terms.imag, total)
+    holders, weights, doubled = (np.concatenate(part) for part in zip(*parts))
+    by_state = np.argsort(holders, kind="stable")  # each state's terms in one run
     rows_per_state = np.array([state.rows.size for state in states])
     return _Spectra(
-        weights,
-        (np.arange(total) - np.repeat(origin, grids)) / 2.0,
-        grids,
+        weights[by_state],
+        doubled[by_state] / 2.0,
+        np.bincount(holders, minlength=len(states)),
         two_js[on_row0],
         mass[(np.cumsum(sizes) - sizes)[on_row0]],
         np.bincount(owner[on_row0], minlength=len(states)),
@@ -377,20 +371,21 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
 
     Every state's terms come from one ``_spectra`` pass, whose J_y
     projections run in one flat recurrence, and every sum is read for all
-    states at once.  A non-finite phi raises DomainError, and so does a
-    block of more than 2^24 rows not read as cos(phi)^(2j), before its grid
-    is allocated; an unnormalized
-    state NormalizationError, and an imaginary residue above 1e-10 or an
-    expectation outside [-1, 1] ConsistencyError, for the first such state.
+    states at once, each over its own run of terms.  A non-finite phi
+    raises DomainError, and so does an at-input block whose projection
+    would pass the J_y kernel's work bound, before anything is allocated;
+    an unnormalized state NormalizationError, and an imaginary residue
+    above 1e-10 or an expectation outside [-1, 1] ConsistencyError, for
+    the first such state.
     """
     phi = _finite_phase(phi)
     states = list(states)
     if not states:
         return []
-    weights, freqs, grids, powers, probs, counts, below, above = _spectra(states)
+    weights, freqs, terms, powers, probs, counts, below, above = _spectra(states)
     phase = np.exp(-2j * phi * freqs)
-    expectations = _segment_sums(weights * phase, grids)
-    derivatives = _segment_sums(weights * (-2j * freqs) * phase, grids)
+    expectations = _segment_sums(weights * phase, terms)
+    derivatives = _segment_sums(weights * (-2j * freqs) * phase, terms)
     if powers.size:
         expectations += _segment_sums(probs * _cos_powers(phi, powers), counts)
         # d/dphi cos^n = -n sin cos^(n-1); the factor n makes the 2j = 0 term exactly 0
@@ -400,9 +395,9 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
     near = abs(phi) * np.array([state.max_two_j for state in states]) < 1.0
     shifts = np.zeros(len(states))
     if near.any():
-        slots = np.repeat(near, grids)
+        picked = np.repeat(near, terms)
         shifts[near] = _segment_sums(
-            weights[slots] * np.expm1(-2j * phi * freqs[slots]), grids[near]
+            weights[picked] * np.expm1(-2j * phi * freqs[picked]), terms[near]
         ).real
         moving = np.repeat(near, counts) & (powers > 0)  # a block 2j = 0 alone never moves
         if moving.any():

@@ -79,6 +79,11 @@ _EIGHTH_TURNS = np.array(
 )
 
 
+def _quarter_phases(two_js, rows) -> np.ndarray:
+    """exp(-i pi mu / 2) on rows r of blocks 2j (mu = j - r): exp(i pi k / 4), k = 2r - 2j, exact."""
+    return _EIGHTH_TURNS[(2 * rows - two_js) % 8]
+
+
 def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeState:
     """50:50 beam splitter exp(-+ i pi/2 J_x); toggles the frame tag.
 
@@ -89,7 +94,7 @@ def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeSt
     middle = -0.5 * math.pi if inverse else 0.5 * math.pi
     dense = []
     for two_j, rows, amps in state.stored_blocks():
-        inner = _EIGHTH_TURNS[(2 * rows - two_j) % 8] * amps
+        inner = _quarter_phases(two_j, rows) * amps
         two_mu = two_j - 2 * np.arange(two_j + 1)
         dense.append(_EIGHTH_TURNS[two_mu % 8] * _rotate(two_j, rows, inner, middle))
     flipped = (
@@ -100,22 +105,36 @@ def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeSt
     return _output(state, dense, flipped)
 
 
-def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
-    """Phase accumulation exp(-i phi J_z) between the beam splitters."""
+def _shifted(state: TwoModeState, phases: np.ndarray) -> TwoModeState:
+    """The inside state whose stored amplitudes are state's times phases."""
     if state.frame is not Frame.INSIDE_INTERFEROMETER:
         raise FrameError("apply_phase_shifter needs an inside-interferometer state")
-    phi = _finite_phase(phi)
-    owner = np.repeat(state.two_js, state.sizes)
-    mu = (owner - 2.0 * state.rows) / 2.0
     return TwoModeState._from_rows(
         state.two_js,
         state.offsets,
         state.rows,
-        np.exp(-1j * phi * mu) * state.amplitudes,
+        phases * state.amplitudes,
         state.frame,
         state.label,
         state.truncation_tail,
     )
+
+
+def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
+    """Phase accumulation exp(-i phi J_z) between the beam splitters."""
+    phi = _finite_phase(phi)
+    mu = (np.repeat(state.two_js, state.sizes) - 2.0 * state.rows) / 2.0
+    return _shifted(state, np.exp(-1j * phi * mu))
+
+
+def _quarter_turn(state: TwoModeState) -> TwoModeState:
+    """The phase shifter at phi = pi/2, its phases exact (``_quarter_phases``).
+
+    ``math.pi / 2`` is not pi/2, so apply_phase_shifter's phases there
+    drift by about mu x 1e-16, which at large N the phi -> 0 limit of
+    the biased state reads as a first-order term.
+    """
+    return _shifted(state, _quarter_phases(np.repeat(state.two_js, state.sizes), state.rows))
 
 
 def q_apply(two_j: int, vec: np.ndarray) -> np.ndarray:

@@ -475,9 +475,22 @@ def pezze_smerzi_input(n_total: int) -> TwoModeState:
     )
 
 
+def _within_budget(n_total: int, label: str) -> None:
+    """Refuse a state of N + 1 rows over ``_MAX_AMPLITUDES``, before anything is allocated."""
+    if n_total + 1 > _MAX_AMPLITUDES:
+        raise DomainError(
+            f"{label} state at N = {n_total} spans {n_total + 1} rows, "
+            f"over the budget of {_MAX_AMPLITUDES}"
+        )
+
+
 def berry_wiseman_internal(n_total: int) -> TwoModeState:
-    """Optimal internal state with C_mu = sin((mu+j+1)pi/(2j+2))/sqrt(j+1)."""
+    """Optimal internal state with C_mu = sin((mu+j+1)pi/(2j+2))/sqrt(j+1).
+
+    It stores all N + 1 rows, held to ``_MAX_AMPLITUDES``.
+    """
     n_total = _positive_int(n_total, "n_total")
+    _within_budget(n_total, "berry-wiseman")
     i = np.arange(n_total + 1)
     # mu = j - i, so mu + j + 1 = N - i + 1 and 2j + 2 = N + 2
     amps = np.sin((n_total - i + 1.0) * math.pi / (n_total + 2.0)) / math.sqrt(
@@ -565,11 +578,7 @@ def combined_internal(n_total: int, params: CombinedStateParams) -> TwoModeState
     checked before anything is allocated.
     """
     n_total, alpha, beta = _combined_weights(n_total, params, "combined_internal")
-    if n_total + 1 > _MAX_AMPLITUDES:
-        raise DomainError(
-            f"combined state at N = {n_total} spans {n_total + 1} rows, "
-            f"over the budget of {_MAX_AMPLITUDES}"
-        )
+    _within_budget(n_total, "combined")
     j_index = n_total // 2
     k = np.arange(1, j_index + 1)
     halves = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))  # c(2k)

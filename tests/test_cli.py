@@ -274,9 +274,9 @@ def test_oversized_coherent_state_exit_code(capsys):
 
 
 def test_oversized_eigensystem_exit_code(capsys):
-    # the dual-Fock state itself is one amplitude; its fixed-phi spectrum
-    # would read one J_y column over 2^24 + 1 rows, past the work bound,
-    # and is refused before anything is allocated
+    # the dual-Fock state itself is one amplitude; its fixed-phi terms
+    # would read one J_y column over 2^24 + 1 rows, past the projection's
+    # work bound, and are refused before anything is allocated
     tracemalloc.start()
     try:
         code = main(["sweep", "--state", "dual-fock", "--n-min", "16777216", "--phi", "0.1"])
@@ -290,24 +290,28 @@ def test_oversized_eigensystem_exit_code(capsys):
     assert peak < 2**20
 
 
-def test_oversized_inside_point_exit_code(capsys):
-    # NOON stores two rows at any N, but a fixed-phi point's frequency
-    # grid spans every row of the block; past the J_y kernel's 2^24 rows
-    # it is refused before the grid is allocated.  Its limit needs no grid.
+@pytest.mark.parametrize("n", [2**24, 10**8])
+def test_noon_points_hold_two_terms_at_any_n(n, capsys):
+    # NOON stores rows 0 and N inside the interferometer, and a fixed-phi
+    # point holds one term per stored row; its limit needs no terms at all
+    phi = 0.1
     tracemalloc.start()
     try:
-        code = main(["sweep", "--state", "noon", "--n-min", "16777216", "--phi", "0.1"])
+        code = main(["sweep", "--state", "noon", "--n-min", str(n), "--phi", repr(phi)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "budget" in captured.err
-    assert captured.out == ""
-    assert peak < 2**20
-    assert main(["sweep", "--state", "noon", "--n-min", "100000000", "--limit"]) == 0
+    assert code == 0
     (row,) = parse_csv(capsys.readouterr().out)
-    assert float(row["delta_phi"]) == pytest.approx(1e-8, rel=1e-12)
+    # cos(N (phi + pi/2)), with N pi/2 reduced to whole quarter turns first:
+    # N (phi + pi/2) in floats is off by about N x 2e-16
+    want = math.cos(n * phi + (n % 4) * math.pi / 2.0)
+    assert abs(float(row["expectation"]) - want) <= 1e-10
+    assert float(row["delta_phi"]) * n == pytest.approx(1.0, rel=1e-9)
+    assert peak < 2**20
+    assert main(["sweep", "--state", "noon", "--n-min", str(n), "--limit"]) == 0
+    (row,) = parse_csv(capsys.readouterr().out)
+    assert float(row["delta_phi"]) * n == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dual_fock_point_past_the_dense_eigensystem_budget(tmp_path):
@@ -372,7 +376,7 @@ def test_noon_point_at_a_hundred_thousand_photons(capsys):
     (row,) = parse_csv(capsys.readouterr().out)
     assert abs(float(row["expectation"]) - math.cos(n * (phi + math.pi / 2.0))) <= 1e-10
     assert float(row["delta_phi"]) * n == pytest.approx(1.0, rel=1e-9)
-    assert peak < 16 * 2**20
+    assert peak < 2**20
 
 
 def test_combined_point_past_the_dense_work_bound(capsys):
@@ -528,6 +532,42 @@ def test_berry_wiseman_limit_is_the_quantum_cramer_rao_bound():
     for record in records:
         bound = _berry_wiseman_bound(record.n_total)
         assert record.delta_phi == pytest.approx(bound, rel=1e-13, abs=0.0)
+
+
+def test_berry_wiseman_bias_is_an_exact_quarter_turn(monkeypatch, capsys):
+    # the pi/2 bias in front of the limit must be exact: phases off by
+    # mu x 1e-16 leave a first Taylor coefficient of 2e-12 of its bound at
+    # this N, 8e-12 at 2^20, and past the limit's 1e-11 threshold from 2^21
+    seen = []
+    original = detection.phase_uncertainty_limits
+
+    def recording(states):
+        seen.extend(states)
+        return original(states)
+
+    monkeypatch.setattr(detection, "phase_uncertainty_limits", recording)
+    n = 2**18
+    assert main(["sweep", "--state", "berry-wiseman", "--n-min", str(n), "--limit"]) == 0
+    (row,) = parse_csv(capsys.readouterr().out)
+    assert float(row["delta_phi"]) == pytest.approx(_berry_wiseman_bound(n), rel=1e-12, abs=0.0)
+    (series,), (bounds,) = detection._taylor_series(seen)
+    assert abs(series[1]) <= 1e-15 * bounds[1]
+
+
+def test_oversized_berry_wiseman_state_exit_code(capsys):
+    # the state stores all N + 1 rows; past 2^23 it is refused before
+    # anything is allocated
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--state", "berry-wiseman", "--n-min", "8388608", "--phi", "0.3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "budget" in captured.err
+    assert captured.out == ""
+    assert peak < 2**20
 
 
 def test_cli_outputs_need_no_closed_form(monkeypatch, tmp_path):

@@ -620,18 +620,18 @@ def _on_row_zero(state, vec):
 
 
 def full_spectrum(state):
-    """The engine's grid, with the exact binomial weights of each row-0 block added.
+    """The engine's terms on the grid lam = -J .. J in steps of 1/2, plus each row-0 block.
 
-    Row 0 of the J_y eigenvectors squared is C(2j, k) / 4^j at lam_k = k - j,
-    so a row-0 block adds |psi_0|^2 C(2j, k) / 2^(2j) there: the weights the
-    engine no longer forms, since it reads those blocks as cos(phi)^(2j).
+    The engine keeps one term per projection or stored row; here they are
+    binned by frequency, so equal frequencies merge.  Row 0 of the J_y
+    eigenvectors squared is C(2j, k) / 4^j at lam_k = k - j, so a row-0
+    block adds |psi_0|^2 C(2j, k) / 2^(2j) there: the weights the engine
+    does not form, since it reads those blocks as cos(phi)^(2j).
     """
     spectrum = detection._spectra([state])
     top = max(state.components)
     weights = np.zeros(2 * top + 1, dtype=complex)
-    inner = (spectrum.weights.size - 1) // 2
-    if spectrum.weights.size:
-        weights[top - inner : top + inner + 1] += spectrum.weights
+    np.add.at(weights, (top + 2 * spectrum.freqs).astype(int), spectrum.weights)
     row_zero = {
         two_j: vec[0] for two_j, vec in state.components.items() if _on_row_zero(state, vec)
     }
@@ -650,15 +650,19 @@ def full_spectrum(state):
      ("berry-wiseman", 12), ("combined", 10), ("modified-yuen", 15)],
 )
 def test_spectrum_weights_sum_to_parity_at_zero(label, n):
-    # the grid spans the largest block that is not on row 0 alone, and
-    # each row-0 block is cos(0)^(2j) = 1 times its weight
+    # an at-input block not on row 0 alone gives a term at every
+    # lam = k - j, an inside block one at lam = r - j for each stored row r,
+    # and each row-0 block is cos(0)^(2j) = 1 times its weight
     state = make_state(label, n)
     spectrum = detection._spectra([state])
-    gridded = [
-        two_j for two_j, vec in state.components.items() if not _on_row_zero(state, vec)
-    ]
-    top = max(gridded, default=-0.5)
-    assert np.array_equal(spectrum.freqs, (np.arange(int(2 * top + 1)) - top) / 2.0)
+    freqs = []
+    for two_j, rows, _ in state.stored_blocks():
+        if state.frame is Frame.INSIDE_INTERFEROMETER:
+            freqs.extend((rows - two_j / 2.0).tolist())
+        elif rows.tolist() != [0]:
+            freqs.extend((np.arange(two_j + 1) - two_j / 2.0).tolist())
+    assert spectrum.freqs.tolist() == freqs
+    assert spectrum.terms.tolist() == [len(freqs)]
     want = sum(
         np.vdot(vec, _parity_image(state, two_j, vec))
         for two_j, vec in state.components.items()
@@ -904,7 +908,9 @@ def test_row_zero_rule_in_a_mixed_state(monkeypatch):
     spectrum = detection._spectra([state])
     assert sorted(built) == [5, 8]
     assert spectrum.powers.tolist() == [0, 3, 6, 9]
-    assert spectrum.weights.size == 2 * 8 + 1
+    # one term per k of blocks 5 and 8, in block order
+    assert spectrum.terms.tolist() == [15]
+    assert spectrum.freqs.tolist() == [k - 2.5 for k in range(6)] + [k - 4.0 for k in range(9)]
     _check_against_eigen_projection(state)
 
 
