@@ -1,22 +1,28 @@
 """Command-line surface: sweeps, reference-table and figure-data emission.
 
-Every number takes one route.  ``build_state`` looks the family label up
-in one label -> constructor table, after the parity check that
-``states.parity_needed`` gives.  ``noon`` and ``combined`` are built
-inside the interferometer (``noon_internal``, ``combined_internal``),
+Every number takes one route.  One label -> builder table (``_FAMILIES``)
+gives each family's builder, which takes a group of N in the family's
+parity class (``states.parity_needed``) and returns all their states at
+once.  A sweep and each figure curve collect their valid N into groups
+whose stored rows (N + 1 where they grow with N, else 2) sum to at most
+``_CHUNK_ENTRIES`` and build each group in one call
+(``_family_states``); ``build_state``, for the table and
+``expectation``, builds a group of one N.  ``noon`` and ``combined`` are
+built inside the interferometer (``_noon_states``, ``_combined_states``),
 where they store 2 and N/2 + 1 rows, so their points and limits read the
 stored rows through Q in O(N); ``noon_input`` and ``combined_input``
 return the same states at input, for fig2 and library callers.
 Detection runs in batches: each chunk of
 a fixed-phi sweep (and the one state of ``expectation``) makes one
 ``detection.phase_uncertainties`` call (``_points``), and every figure,
-the table and each chunk of a ``--limit`` sweep build their states in N
-order and make one ``detection.phase_uncertainty_limits`` call
-(``_limits``).  ``_chunks`` holds each chunk to ``_CHUNK_ENTRIES`` flat
-entries so memory stays bounded at any N.  Sweeps and
-``expectation`` write one record per N; the table and the fig3/fig4
-curves are limits, where a family outside its parity class leaves an
-empty cell (a warning and a skipped row in a sweep).
+the table and each chunk of a ``--limit`` sweep make one
+``detection.phase_uncertainty_limits`` call (``_limits``), after one
+quarter turn of all the chunk's berry-wiseman states.  ``_chunks`` holds
+each chunk to ``_CHUNK_ENTRIES`` flat entries so memory stays bounded at
+any N.  Sweeps and ``expectation`` write one record per N; the table and
+the fig3/fig4 curves are limits, where a family outside its parity class
+leaves an empty cell (a warning and a skipped row in a sweep).  The
+argument parser is built once per process.
 
 Output is deterministic: a fixed config produces byte-identical files.
 Floats are written with 17 significant digits so CSV round-trips exactly;
@@ -30,6 +36,7 @@ internal consistency check tripping).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,17 +51,17 @@ from .states import (
     STATE_LABELS,
     CombinedStateParams,
     TwoModeState,
-    berry_wiseman_internal,
-    coherent_input,
-    combined_internal,
-    dual_fock_input,
+    _berry_wiseman_states,
+    _coherent_states,
+    _combined_states,
+    _dual_fock_states,
+    _noon_states,
+    _pezze_smerzi_states,
+    _single_fock_states,
+    _yuen_states,
+    _yurke_states,
     noon_input,
-    noon_internal,
     parity_needed,
-    pezze_smerzi_input,
-    single_fock_input,
-    yuen_input,
-    yurke_input,
 )
 
 __all__ = [
@@ -80,10 +87,6 @@ _CSV_COLUMNS = (
     "heisenberg",
     "bw_povm",
 )
-
-
-class _ParityMismatch(DomainError):
-    """N outside the family's parity class; sweeps skip, other commands fail."""
 
 
 @dataclass(frozen=True)
@@ -143,35 +146,42 @@ class SweepRecord:
         }
 
 
-# label -> constructor at total photon number n.  NOON and combined are
-# built in their inside form, the image of the at-input state under the
-# inverse beam splitter.  Each entry looks its constructor up when called,
-# so a traced run that patches these module globals sees every call.
+# label -> builder of the family's states at an array of total photon
+# numbers, all in its parity class.  NOON and combined are built in their
+# inside form, the image of the at-input state under the inverse beam
+# splitter.  Each entry looks its builder up when called, so a run that
+# patches these module globals sees every call.
 _FAMILIES = {
-    "coherent": lambda n, params: coherent_input(float(n)),
-    "single-fock": lambda n, params: single_fock_input(n),
-    "dual-fock": lambda n, params: dual_fock_input(n // 2),
-    "yurke": lambda n, params: yurke_input(n),
-    "yuen": lambda n, params: yuen_input(n, modified=False),
-    "modified-yuen": lambda n, params: yuen_input(n, modified=True),
-    "pezze-smerzi": lambda n, params: pezze_smerzi_input(n),
-    "noon": lambda n, params: noon_internal(n),
-    "noon-internal": lambda n, params: noon_internal(n),
-    "berry-wiseman": lambda n, params: berry_wiseman_internal(n),
-    "combined": lambda n, params: combined_internal(n, params or CombinedStateParams()),
+    "coherent": lambda ns, params: _coherent_states(ns),
+    "single-fock": lambda ns, params: _single_fock_states(ns),
+    "dual-fock": lambda ns, params: _dual_fock_states(ns),
+    "yurke": lambda ns, params: _yurke_states(ns),
+    "yuen": lambda ns, params: _yuen_states(ns, modified=False),
+    "modified-yuen": lambda ns, params: _yuen_states(ns, modified=True),
+    "pezze-smerzi": lambda ns, params: _pezze_smerzi_states(ns),
+    "noon": lambda ns, params: _noon_states(ns, "noon-internal"),
+    "noon-internal": lambda ns, params: _noon_states(ns, "noon-internal"),
+    "berry-wiseman": lambda ns, params: _berry_wiseman_states(ns),
+    "combined": lambda ns, params: _combined_states(ns, params or CombinedStateParams()),
 }
+
+
+def _outside_class(label: str, n: int) -> str | None:
+    """Why N is outside the family's parity class, or None."""
+    need = parity_needed(label, n)
+    return None if need is None else f"{label} is defined for {need} N; N={n}"
 
 
 def build_state(
     label: str, n: int, params: CombinedStateParams | None = None
 ) -> TwoModeState:
-    """Construct the named family at total photon number n."""
-    need = parity_needed(label, n)
-    if need is not None:
-        raise _ParityMismatch(f"{label} is defined for {need} N; N={n}")
+    """Construct the named family at total photon number n: its builder on a group of one N."""
+    why = _outside_class(label, n)
+    if why is not None:
+        raise DomainError(why)
     if label not in _FAMILIES:
         raise DomainError(f"unknown state label {label!r}")
-    return _FAMILIES[label](n, params)
+    return _FAMILIES[label]([n], params)[0]
 
 
 # Chunk bound of the batched detection calls, in the flat entries that
@@ -180,22 +190,52 @@ def build_state(
 # about 1.2 MiB, for limits and for the points of every family (1.5 MiB
 # for 5000 one-row single-Fock points, where the per-state results
 # dominate); 2^12 halves that but takes about twice as long on dual-Fock
-# points, and 2^14 doubles it for no gain.
+# points, and 2^14 doubles it for no gain.  The states are built in
+# groups held to the same bound in the rows they store: N + 1, the rows of
+# a dense block, for the families in ``_GROWING``, whose stored rows grow
+# with N, and 2 for the others, which store one or two.
 _CHUNK_ENTRIES = 2**13
+_GROWING = frozenset({"coherent", "berry-wiseman", "combined"})
 
 
-def _chunks(cases: Iterable[tuple], entries) -> Iterator[list[tuple]]:
-    """The (key, label, state) cases in order, in chunks of at most _CHUNK_ENTRIES entries."""
+def _chunks(items: Iterable, size) -> Iterator[list]:
+    """items in order, in chunks whose size(item) sum to at most _CHUNK_ENTRIES.
+
+    An item over the bound alone makes a chunk of its own.
+    """
     chunk, total = [], 0
-    for case in cases:
-        size = entries(case[2])
-        if chunk and total + size > _CHUNK_ENTRIES:
+    for item in items:
+        weight = size(item)
+        if chunk and total + weight > _CHUNK_ENTRIES:
             yield chunk
             chunk, total = [], 0
-        chunk.append(case)
-        total += size
+        chunk.append(item)
+        total += weight
     if chunk:
         yield chunk
+
+
+def _in_class(label: str, ns: Iterable[int], warn: bool) -> Iterator[int]:
+    """The N of ns in the family's parity class; each other N is skipped, with a warning if warn."""
+    for n in ns:
+        why = _outside_class(label, n)
+        if why is None:
+            yield n
+        elif warn:
+            print(f"warning: {why} skipped", file=sys.stderr)
+
+
+def _family_states(label, ns, params=None, warn=False) -> Iterator[tuple]:
+    """(N, label, state) for each N of ns in the family's parity class, one builder call per group.
+
+    Groups are ``_chunks`` of the rows each state stores, built as they
+    are consumed, so only the groups that the chunk being evaluated draws
+    on are held.
+    """
+    rows = (lambda n: n + 1) if label in _GROWING else (lambda n: 2)
+    for group in _chunks(_in_class(label, ns, warn), rows):
+        for n, state in zip(group, _FAMILIES[label](group, params)):
+            yield n, label, state
 
 
 def _limits(cases: Iterable[tuple]) -> Iterator[tuple]:
@@ -203,23 +243,23 @@ def _limits(cases: Iterable[tuple]) -> Iterator[tuple]:
 
     The cases are consumed lazily, so at most one chunk of states is held.
     """
-    for chunk in _chunks(cases, detection._limit_entries):
-        keys = [key for key, _, _ in chunk]
+    for chunk in _chunks(cases, lambda case: detection._limit_entries(case[2])):
+        states = [state for _, _, state in chunk]
         # The berry-wiseman state gives a flat parity signal at phi = 0, so
         # its phi -> 0 limit diverges.  Its finite limit belongs to parity
         # detection behind a pi/2 bias, where it equals 1/(2 Delta J_z), the
         # quantum Cramer-Rao bound; the engine computes it there, with the
-        # pi/2 phases applied exactly.
-        states = [
-            _quarter_turn(state) if label == "berry-wiseman" else state
-            for _, label, state in chunk
-        ]
-        yield from zip(keys, detection.phase_uncertainty_limits(states))
+        # pi/2 phases applied exactly, to all of the chunk's at once.
+        biased = [s for s, (_, label, _) in enumerate(chunk) if label == "berry-wiseman"]
+        if biased:
+            for s, state in zip(biased, _quarter_turn([states[s] for s in biased])):
+                states[s] = state
+        yield from zip((key for key, _, _ in chunk), detection.phase_uncertainty_limits(states))
 
 
 def _points(cases: Iterable[tuple], phi: float) -> Iterator[tuple]:
     """(key, DetectionResult at phi) for each (key, label, state), one batched call per chunk."""
-    for chunk in _chunks(cases, detection._point_entries):
+    for chunk in _chunks(cases, lambda case: detection._point_entries(case[2])):
         states = [state for _, _, state in chunk]
         yield from zip((key for key, _, _ in chunk), detection.phase_uncertainties(states, phi))
 
@@ -248,18 +288,10 @@ def _point_record(n: int, result: detection.DetectionResult) -> SweepRecord:
     )
 
 
-def _sweep_states(config: SweepConfig) -> Iterator[tuple[int, str, TwoModeState]]:
-    """(N, label, state) for each N of the sweep; an N outside the parity class is skipped with a warning."""
-    for n in range(config.n_min, config.n_max + 1):
-        try:
-            yield n, config.state_label, build_state(config.state_label, n, config.combined_params)
-        except _ParityMismatch as exc:
-            print(f"warning: {exc} skipped", file=sys.stderr)
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per valid N; invalid parity class is skipped with a warning."""
-    cases = _sweep_states(config)
+    ns = range(config.n_min, config.n_max + 1)
+    cases = _family_states(config.state_label, ns, config.combined_params, warn=True)
     if config.phi_mode == "limit":
         return [_record(n, delta_phi) for n, delta_phi in _limits(cases)]
     return [_point_record(n, result) for n, result in _points(cases, config.phi)]
@@ -382,24 +414,23 @@ def _fig2_payload() -> str:
 def _limit_curves(ns: range, curves: list[tuple], references: tuple[str, ...]) -> str:
     """CSV of phi -> 0 limits, one row per N and one column per curve.
 
-    Each curve is (column, label, params); the named ``benchmark_limits``
-    fields follow.  A family outside its parity class at N leaves its cell
-    empty.
+    Each curve is (column, label, params), built over ns in its family's
+    groups; the named ``benchmark_limits`` fields follow.  A family
+    outside its parity class at N leaves its cell empty.
     """
     header = ("N",) + tuple(column for column, _, _ in curves) + references
-    rows = [{"N": n} for n in ns]
+    rows = {n: {"N": n} for n in ns}
     cases = (
-        ((row, column), label, build_state(label, row["N"], params))
-        for row in rows
+        ((n, column), label, state)
         for column, label, params in curves
-        if parity_needed(label, row["N"]) is None
+        for n, _, state in _family_states(label, ns, params)
     )
-    for (row, column), delta_phi in _limits(cases):
-        row[column] = delta_phi
-    for row in rows:
-        limits = benchmark_limits(row["N"])
+    for (n, column), delta_phi in _limits(cases):
+        rows[n][column] = delta_phi
+    for n, row in rows.items():
+        limits = benchmark_limits(n)
         row.update((name, getattr(limits, name)) for name in references)
-    return _csv_payload(header, rows)
+    return _csv_payload(header, list(rows.values()))
 
 
 def _combined_curve(column: str, alpha_sq: float, theta: float) -> tuple:
@@ -553,6 +584,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file; flags override it")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzparity",

@@ -343,11 +343,16 @@ def _cos_powers(phi: float, powers: np.ndarray) -> np.ndarray:
 def _bundle(
     phi: float, expectation: float, derivative: float, spread: float
 ) -> DetectionResult:
-    """Result at one phase point; spread is 1 - <P>^2, Delta P its square root."""
+    """Result at one phase point; spread is 1 - <P>^2, Delta P its square root.
+
+    An expectation past +-1 by at most 1e-10 is rounding and is clipped to
+    [-1, 1]; further out it raises ConsistencyError.
+    """
     if abs(expectation) > 1.0 + 1e-10:
         raise ConsistencyError(
             f"expectation {expectation!r} leaves [-1, 1] beyond tolerance"
         )
+    expectation = min(max(expectation, -1.0), 1.0)
     variance = math.sqrt(max(spread, 0.0))
     if abs(derivative) < _DERIVATIVE_FLOOR:
         delta_phi = math.inf

@@ -48,8 +48,11 @@ __all__ = [
 
 def _output(state: TwoModeState, dense: list[np.ndarray], frame: Frame) -> TwoModeState:
     """The state whose blocks, in the order of state's, have the dense vectors ``dense``."""
-    stored = _nonzero_rows(state.two_js, dense)
-    return TwoModeState._from_rows(*stored, frame, state.label, state.truncation_tail)
+    two_js, sizes, rows, amplitudes = _nonzero_rows(state.two_js, dense)
+    (out,) = TwoModeState._many(
+        two_js, sizes, rows, amplitudes, [two_js.size], frame, state.label, [state.truncation_tail]
+    )
+    return out
 
 
 def _finite_phase(phi) -> float:
@@ -105,36 +108,49 @@ def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeSt
     return _output(state, dense, flipped)
 
 
-def _shifted(state: TwoModeState, phases: np.ndarray) -> TwoModeState:
-    """The inside state whose stored amplitudes are state's times phases."""
-    if state.frame is not Frame.INSIDE_INTERFEROMETER:
+def _shifted(states: list[TwoModeState], phases) -> list[TwoModeState]:
+    """The inside states, of one family, with their stored amplitudes times phases.
+
+    ``phases`` takes the 2j of each stored row's block and the row, over
+    the states laid end to end, and the states are stored back in one
+    ``_many`` call.
+    """
+    if any(state.frame is not Frame.INSIDE_INTERFEROMETER for state in states):
         raise FrameError("apply_phase_shifter needs an inside-interferometer state")
-    return TwoModeState._from_rows(
-        state.two_js,
-        state.offsets,
-        state.rows,
-        phases * state.amplitudes,
-        state.frame,
-        state.label,
-        state.truncation_tail,
+    two_js, sizes, rows, amplitudes = (
+        np.concatenate(parts)
+        for parts in zip(*((s.two_js, s.sizes, s.rows, s.amplitudes) for s in states))
+    )
+    return TwoModeState._many(
+        two_js,
+        sizes,
+        rows,
+        phases(np.repeat(two_js, sizes), rows) * amplitudes,
+        [state.two_js.size for state in states],
+        Frame.INSIDE_INTERFEROMETER,
+        states[0].label,
+        [state.truncation_tail for state in states],
     )
 
 
 def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
     """Phase accumulation exp(-i phi J_z) between the beam splitters."""
     phi = _finite_phase(phi)
-    mu = (np.repeat(state.two_js, state.sizes) - 2.0 * state.rows) / 2.0
-    return _shifted(state, np.exp(-1j * phi * mu))
+    (shifted,) = _shifted(
+        [state], lambda two_js, rows: np.exp(-1j * phi * ((two_js - 2.0 * rows) / 2.0))
+    )
+    return shifted
 
 
-def _quarter_turn(state: TwoModeState) -> TwoModeState:
-    """The phase shifter at phi = pi/2, its phases exact (``_quarter_phases``).
+def _quarter_turn(states: list[TwoModeState]) -> list[TwoModeState]:
+    """The phase shifter at phi = pi/2 on each of states, of one family, in one pass.
 
-    ``math.pi / 2`` is not pi/2, so apply_phase_shifter's phases there
-    drift by about mu x 1e-16, which at large N the phi -> 0 limit of
-    the biased state reads as a first-order term.
+    Its phases are exact (``_quarter_phases``): ``math.pi / 2`` is not
+    pi/2, so apply_phase_shifter's phases there drift by about mu x 1e-16,
+    which at large N the phi -> 0 limit of the biased state reads as a
+    first-order term.
     """
-    return _shifted(state, _quarter_phases(np.repeat(state.two_js, state.sizes), state.rows))
+    return _shifted(states, _quarter_phases)
 
 
 def q_apply(two_j: int, vec: np.ndarray) -> np.ndarray:

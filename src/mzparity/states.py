@@ -8,6 +8,15 @@ frame tag records whether the amplitudes describe the external input ports
 or the modes between the two beam splitters; detection and transform
 operations dispatch on it.
 
+Each family the CLI sweeps has one builder that takes an array of N and
+returns the states of all of them from a few whole-array operations
+(``_noon_states``, ``_combined_states`` and so on).  ``TwoModeState._many``
+checks the flat arrays of a whole group once, makes them read-only, and
+hands out one state per run of blocks whose arrays are views of the
+shared ones.  The public one-N constructors (``noon_internal``,
+``dual_fock_input``, ...) validate N and call the same builder on [N], so
+each family has one implementation of its amplitudes.
+
 NOON and the NOON/dual-Fock superposition have a constructor in each
 frame.  At input (``noon_input``, ``combined_input``) each is a dense
 block of 2j + 1 rows.  Inside (``noon_internal``, ``combined_internal``)
@@ -19,7 +28,6 @@ these.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -28,6 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, NormalizationError
+from .wigner import _ragged
 
 __all__ = [
     "CombinedStateParams",
@@ -105,7 +114,8 @@ class TwoModeState:
 
     ``TwoModeState(components, frame, label)`` takes a mapping from 2j to a
     dense vector of 2j + 1 amplitudes and keeps its nonzero entries; a
-    block with none is not stored.
+    block with none is not stored.  States built together (``_many``)
+    hold views of one set of shared read-only arrays.
     ``components`` and ``block`` give dense vectors back, built on demand
     under the ``_MAX_AMPLITUDES`` budget.  States are immutable.
     """
@@ -114,13 +124,13 @@ class TwoModeState:
         "two_js", "offsets", "rows", "amplitudes", "frame", "label", "truncation_tail", "_norm"
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         components: Mapping[int, np.ndarray],
         frame: Frame,
         label: str,
         truncation_tail: float = 0.0,
-    ) -> None:
+    ) -> "TwoModeState":
         two_js, blocks = [], []
         for two_j, vec in components.items():
             two_j = int(two_j)
@@ -135,51 +145,69 @@ class TwoModeState:
                 )
             two_js.append(two_j)
             blocks.append(arr)
-        self._store(
-            *_nonzero_rows(np.array(two_js, dtype=np.int64), blocks),
-            frame,
-            label,
-            truncation_tail,
-        )
+        stored = _nonzero_rows(np.array(two_js, dtype=np.int64), blocks)
+        return cls._many(*stored, [stored[0].size], frame, label, [truncation_tail])[0]
 
     @classmethod
-    def _from_rows(
-        cls, two_js, offsets, rows, amplitudes, frame: Frame, label: str, truncation_tail=0.0
-    ) -> "TwoModeState":
-        """A state from its stored form: 2j of each block, block offsets, flat rows and amplitudes.
+    def _many(
+        cls, two_js, sizes, rows, amplitudes, blocks, frame: Frame, label: str, tails
+    ) -> list["TwoModeState"]:
+        """States laid end to end in shared flat arrays, state s owning the next blocks[s] blocks.
 
-        The caller provides 2j >= 0 and at least one row rising within
-        0 .. 2j in each block; the checks every state gets (blocks, frame, finite
-        amplitudes) are made here.
+        ``two_js`` and ``sizes`` give each block's 2j and number of stored
+        rows, ``rows`` and ``amplitudes`` those rows and amplitudes, block
+        after block, and ``tails`` each state's truncation_tail.  The
+        caller provides 2j >= 0 and at least one row rising within 0 .. 2j
+        in each block; the checks every state gets (a block, the frame,
+        finite amplitudes) are made here, once for all.  The arrays are
+        taken over, not copied, and made read-only, and each state's
+        arrays are views of them; its offsets restart at 0 and its norm is
+        one segment sum.
         """
-        state = cls.__new__(cls)
-        state._store(two_js, offsets, rows, amplitudes, frame, label, truncation_tail)
-        return state
-
-    def _store(self, two_js, offsets, rows, amplitudes, frame, label, truncation_tail) -> None:
-        # arrays are taken over, not copied, and made read-only
         two_js = np.array(two_js, dtype=np.int64, copy=None, ndmin=1)
-        offsets = np.array(offsets, dtype=np.int64, copy=None)
+        sizes = np.array(sizes, dtype=np.int64, copy=None, ndmin=1)
         rows = np.array(rows, dtype=np.int64, copy=None, ndmin=1)
-        amplitudes = np.array(amplitudes, dtype=complex, copy=None, ndmin=1)
-        if not two_js.size:
+        amplitudes = np.array(amplitudes, dtype=complex, copy=None, ndmin=1, order="C")
+        blocks = np.array(blocks, dtype=np.int64, copy=None, ndmin=1)
+        if np.count_nonzero(blocks) < blocks.size:
             raise DomainError("state needs at least one (j, mu) block")
         if not isinstance(frame, Frame):
             raise DomainError(f"frame must be a Frame, got {frame!r}")
-        # a NaN or inf anywhere makes the sum of squares non-finite, and
-        # only then are the entries themselves checked
-        norm_sq = float(np.vdot(amplitudes, amplitudes).real)
-        if not math.isfinite(norm_sq) and not np.isfinite(amplitudes.view(float)).all():
+        # each block's first row and each state's first block, then the end
+        bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.add.accumulate(sizes, out=bounds[1:])
+        lows = np.zeros(blocks.size + 1, dtype=np.int64)
+        np.add.accumulate(blocks, out=lows[1:])
+        firsts = bounds[lows]  # each state's first row, then the end
+        # a NaN or inf anywhere makes a sum of squares non-finite, and
+        # only then are the entries themselves checked; a huge finite
+        # amplitude overflows its square and gives an infinite norm
+        with np.errstate(over="ignore"):
+            squares = np.add.reduceat(np.square(amplitudes.view(float)), 2 * firsts[:-1])
+        norms = np.sqrt(squares).tolist()
+        if not math.isfinite(sum(norms)) and not np.isfinite(amplitudes.view(float)).all():
             raise DomainError("amplitude vectors must be finite (NaN or inf amplitude)")
-        for name, value in (
-            ("two_js", two_js), ("offsets", offsets), ("rows", rows), ("amplitudes", amplitudes)
-        ):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "truncation_tail", truncation_tail)
-        object.__setattr__(self, "_norm", math.sqrt(norm_sq))
+        # state s keeps blocks[s] + 1 offsets, its block bounds less its
+        # first row; the k-th offset of all of them is bound k - s
+        owner = np.arange(blocks.size).repeat(blocks + 1)
+        offsets = bounds[np.arange(owner.size) - owner] - firsts[owner]
+        for array in (two_js, offsets, rows, amplitudes):
+            array.setflags(write=False)
+        lows, firsts = lows.tolist(), firsts.tolist()
+        spans = zip(lows, lows[1:], firsts, firsts[1:], norms, tails)
+        states, put = [], object.__setattr__
+        for s, (lo, hi, first, last, norm, tail) in enumerate(spans):
+            state = object.__new__(cls)
+            put(state, "two_js", two_js[lo:hi])
+            put(state, "offsets", offsets[lo + s : hi + s + 1])
+            put(state, "rows", rows[first:last])
+            put(state, "amplitudes", amplitudes[first:last])
+            put(state, "frame", frame)
+            put(state, "label", label)
+            put(state, "truncation_tail", tail)
+            put(state, "_norm", norm)
+            states.append(state)
+        return states
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"TwoModeState is immutable; cannot set {name!r}")
@@ -278,7 +306,7 @@ class TwoModeState:
 
 
 def _nonzero_rows(two_js: np.ndarray, blocks: list[np.ndarray]):
-    """Stored form (2j, offsets, rows, amplitudes) of the dense vectors of blocks 2j.
+    """Stored form (2j, sizes, rows, amplitudes) of the dense vectors of blocks 2j.
 
     Each block's nonzero entries are kept, straight into the flat arrays;
     a block with none is not stored.
@@ -287,12 +315,11 @@ def _nonzero_rows(two_js: np.ndarray, blocks: list[np.ndarray]):
     stored = [b for b, rows in enumerate(kept) if rows.size]
     if len(stored) < len(kept):
         two_js, blocks, kept = two_js[stored], [blocks[b] for b in stored], [kept[b] for b in stored]
-    offsets = list(itertools.accumulate((rows.size for rows in kept), initial=0))
     rows = np.concatenate([np.zeros(0, dtype=np.int64), *kept])
     amplitudes = np.concatenate(
         [np.zeros(0, dtype=complex), *(vec[rows] for vec, rows in zip(blocks, kept))]
     )
-    return two_js, offsets, rows, amplitudes
+    return two_js, [rows.size for rows in kept], rows, amplitudes
 
 
 def fidelity(first: TwoModeState, second: TwoModeState) -> float:
@@ -307,14 +334,6 @@ def fidelity(first: TwoModeState, second: TwoModeState) -> float:
     keys = [np.repeat(state.two_js, state.sizes) + 1j * state.rows for state in (first, second)]
     _, mine, theirs = np.intersect1d(*keys, assume_unique=True, return_indices=True)
     return abs(np.vdot(first.amplitudes[mine], second.amplitudes[theirs]))
-
-
-def _single_block(two_j: int, entries: dict[int, complex], frame: Frame, label: str) -> TwoModeState:
-    """State with one j block and amplitudes at the given rows."""
-    rows = sorted(entries)
-    return TwoModeState._from_rows(
-        [two_j], [0, len(rows)], rows, [entries[row] for row in rows], frame, label
-    )
 
 
 # Amplitudes a coherent state may store, and the most any state's dense
@@ -349,13 +368,34 @@ def coherent_input(
     before it is allocated, and so does a kept window of more than
     ``_MAX_AMPLITUDES`` blocks before the state is built.
     """
+    return _coherent_states([nbar], coherent_phase, tail_bound)[0]
+
+
+def _coherent_states(nbars, coherent_phase: float = 0.0, tail_bound: float = 1e-12):
+    """coherent_input at each nbar: each window on its own, all stored in one ``_many`` call."""
+    ns, amps, tails = zip(*(_coherent_window(nbar, coherent_phase, tail_bound) for nbar in nbars))
+    two_js = np.concatenate(ns)
+    return TwoModeState._many(
+        two_js,
+        np.ones(two_js.size, dtype=np.int64),
+        np.zeros(two_js.size, dtype=np.int64),
+        np.concatenate(amps),
+        [kept.size for kept in ns],
+        Frame.AT_INPUT,
+        "coherent",
+        tails,
+    )
+
+
+def _coherent_window(nbar, coherent_phase: float, tail_bound: float):
+    """(kept photon numbers, their amplitudes, discarded mass) of coherent_input at nbar."""
     nbar = float(nbar)
     if not math.isfinite(nbar) or nbar < 0:
         raise DomainError(f"nbar must be finite and non-negative, got {nbar}")
     if not 0 < tail_bound <= 1e-6:
         raise DomainError(f"tail_bound must be in (0, 1e-6], got {tail_bound}")
     if nbar == 0.0:
-        return _single_block(0, {0: 1.0 + 0j}, Frame.AT_INPUT, "coherent")
+        return np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex), 0.0
     mode = int(nbar)  # the largest weight, which every window keeps
     reach = 20.0 * math.sqrt(nbar + 1.0) + 40.0
     scan = min(nbar, reach) + reach + 1.0  # the window below, sized before nbar +- reach round
@@ -389,38 +429,54 @@ def coherent_input(
         )
     amps = np.sqrt(probs[first : last + 1]) * np.exp(1j * coherent_phase * kept_ns)
     amps /= math.sqrt(float(np.vdot(amps, amps).real))
-    return TwoModeState._from_rows(
-        kept_ns,
-        np.arange(kept_ns.size + 1),
-        np.zeros(kept_ns.size, dtype=np.int64),
-        amps,
-        Frame.AT_INPUT,
-        "coherent",
-        tail,
+    return kept_ns, amps, tail
+
+
+_AMP = 1.0 / math.sqrt(2.0)
+
+
+def _one_block_states(ns, rows_of, amps, frame: Frame, label: str) -> list[TwoModeState]:
+    """One block 2j = N per state, storing rows_of(N)[k] with amplitude amps[k].
+
+    ``rows_of`` takes the int64 array of N and gives each stored row as an
+    array over them, rising.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    rows = np.array(rows_of(ns))  # one line per stored row, one column per state
+    ones = np.ones(ns.size, dtype=np.int64)
+    amps = np.tile(np.asarray(amps, dtype=complex), ns.size)
+    return TwoModeState._many(
+        ns, len(rows) * ones, rows.T.ravel(), amps, ones, frame, label, [0.0] * ns.size
     )
 
 
 def single_fock_input(n_total: int) -> TwoModeState:
     """|N>_a |0>_b: all photons in mode a, so mu = +j."""
-    n_total = _positive_int(n_total, "n_total")
-    return _single_block(n_total, {0: 1.0 + 0j}, Frame.AT_INPUT, "single-fock")
+    return _single_fock_states([_positive_int(n_total, "n_total")])[0]
+
+
+def _single_fock_states(ns) -> list[TwoModeState]:
+    return _one_block_states(ns, lambda n: [0 * n], [1.0], Frame.AT_INPUT, "single-fock")
 
 
 def dual_fock_input(n_per_mode: int) -> TwoModeState:
     """|N>_a |N>_b: equal occupation, mu = 0, total photon number 2N."""
-    n_per_mode = _positive_int(n_per_mode, "n_per_mode")
-    two_j = 2 * n_per_mode
-    return _single_block(two_j, {n_per_mode: 1.0 + 0j}, Frame.AT_INPUT, "dual-fock")
+    return _dual_fock_states([2 * _positive_int(n_per_mode, "n_per_mode")])[0]
+
+
+def _dual_fock_states(ns) -> list[TwoModeState]:
+    """dual_fock_input at total photon numbers ns, all even."""
+    return _one_block_states(ns, lambda n: [n // 2], [1.0], Frame.AT_INPUT, "dual-fock")
 
 
 def noon_internal(n_total: int) -> TwoModeState:
     """(|N,0> + |0,N>)/sqrt(2) on the internal modes: mu = +j and -j."""
-    return _noon(_positive_int(n_total, "n_total"), "noon-internal")
+    return _noon_states([_positive_int(n_total, "n_total")], "noon-internal")[0]
 
 
-def _noon(n_total: int, label: str) -> TwoModeState:
-    amp = 1.0 / math.sqrt(2.0)
-    return _single_block(n_total, {0: amp, n_total: amp}, Frame.INSIDE_INTERFEROMETER, label)
+def _noon_states(ns, label: str) -> list[TwoModeState]:
+    amps, inside = [_AMP, _AMP], Frame.INSIDE_INTERFEROMETER
+    return _one_block_states(ns, lambda n: [0 * n, n], amps, inside, label)
 
 
 def noon_input(n_total: int) -> TwoModeState:
@@ -432,8 +488,8 @@ def noon_input(n_total: int) -> TwoModeState:
     """
     from .interferometer import apply_beam_splitter
 
-    n_total = _positive_int(n_total, "n_total")
-    return apply_beam_splitter(_noon(n_total, "noon"), inverse=False)
+    (noon,) = _noon_states([_positive_int(n_total, "n_total")], "noon")
+    return apply_beam_splitter(noon, inverse=False)
 
 
 def yurke_input(n_total: int) -> TwoModeState:
@@ -441,10 +497,12 @@ def yurke_input(n_total: int) -> TwoModeState:
     n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 0:
         raise DomainError(f"yurke state needs even N (integer j), got {n_total}")
-    j_index = n_total // 2
-    amp = 1.0 / math.sqrt(2.0)
-    return _single_block(
-        n_total, {j_index: amp, j_index - 1: amp}, Frame.AT_INPUT, "yurke"
+    return _yurke_states([n_total])[0]
+
+
+def _yurke_states(ns) -> list[TwoModeState]:
+    return _one_block_states(
+        ns, lambda n: [n // 2 - 1, n // 2], [_AMP, _AMP], Frame.AT_INPUT, "yurke"
     )
 
 
@@ -456,11 +514,13 @@ def yuen_input(n_total: int, modified: bool = False) -> TwoModeState:
     n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 1:
         raise DomainError(f"yuen state needs odd N (half-integer mu), got {n_total}")
-    upper = (n_total - 1) // 2  # index of mu = +1/2
-    amp = 1.0 / math.sqrt(2.0)
-    second = amp if modified else 1j * amp
-    label = "modified-yuen" if modified else "yuen"
-    return _single_block(n_total, {upper: amp, upper + 1: second}, Frame.AT_INPUT, label)
+    return _yuen_states([n_total], modified)[0]
+
+
+def _yuen_states(ns, modified: bool) -> list[TwoModeState]:
+    amps, label = [_AMP, _AMP if modified else 1j * _AMP], "modified-yuen" if modified else "yuen"
+    # rows (N - 1)/2 and (N + 1)/2 carry mu = +1/2 and -1/2
+    return _one_block_states(ns, lambda n: [n // 2, n // 2 + 1], amps, Frame.AT_INPUT, label)
 
 
 def pezze_smerzi_input(n_total: int) -> TwoModeState:
@@ -468,10 +528,12 @@ def pezze_smerzi_input(n_total: int) -> TwoModeState:
     n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 0:
         raise DomainError(f"pezze-smerzi state needs even N, got {n_total}")
-    j_index = n_total // 2
-    amp = 1.0 / math.sqrt(2.0)
-    return _single_block(
-        n_total, {j_index - 1: amp, j_index + 1: amp}, Frame.AT_INPUT, "pezze-smerzi"
+    return _pezze_smerzi_states([n_total])[0]
+
+
+def _pezze_smerzi_states(ns) -> list[TwoModeState]:
+    return _one_block_states(
+        ns, lambda n: [n // 2 - 1, n // 2 + 1], [_AMP, _AMP], Frame.AT_INPUT, "pezze-smerzi"
     )
 
 
@@ -489,16 +551,20 @@ def berry_wiseman_internal(n_total: int) -> TwoModeState:
 
     It stores all N + 1 rows, held to ``_MAX_AMPLITUDES``.
     """
-    n_total = _positive_int(n_total, "n_total")
-    _within_budget(n_total, "berry-wiseman")
-    i = np.arange(n_total + 1)
+    return _berry_wiseman_states([_positive_int(n_total, "n_total")])[0]
+
+
+def _berry_wiseman_states(ns) -> list[TwoModeState]:
+    """berry_wiseman_internal at each N of ns; the largest is held to the budget first."""
+    _within_budget(max(ns), "berry-wiseman")
+    ns = np.asarray(ns, dtype=np.int64)
+    i, n = _ragged(ns + 1), np.repeat(ns, ns + 1)
     # mu = j - i, so mu + j + 1 = N - i + 1 and 2j + 2 = N + 2
-    amps = np.sin((n_total - i + 1.0) * math.pi / (n_total + 2.0)) / math.sqrt(
-        0.5 * n_total + 1.0
-    )
+    amps = np.sin((n - i + 1.0) * math.pi / (n + 2.0)) / np.sqrt(0.5 * n + 1.0)
     # every amplitude is nonzero: the sine's argument stays inside (0, pi)
-    return TwoModeState._from_rows(
-        [n_total], [0, n_total + 1], i, amps, Frame.INSIDE_INTERFEROMETER, "berry-wiseman"
+    return TwoModeState._many(
+        ns, ns + 1, i, amps, np.ones(ns.size, dtype=np.int64),
+        Frame.INSIDE_INTERFEROMETER, "berry-wiseman", [0.0] * ns.size,
     )
 
 
@@ -525,24 +591,32 @@ class CombinedStateParams:
             )
 
 
-def _combined_weights(n_total, params, caller: str) -> tuple[int, complex, complex]:
-    """(N, alpha, beta) of the combined state, validated: N a positive even int."""
-    n_total = _positive_int(n_total, "n_total")
-    if n_total % 2 != 0:
-        raise DomainError(f"combined state needs even N (mu = 0 exists), got {n_total}")
+def _combined_weights(params, caller: str) -> tuple[complex, complex]:
+    """(alpha, beta) of the combined state, alpha carrying the relative phase theta."""
     if not isinstance(params, CombinedStateParams):
         raise DomainError(f"{caller} needs CombinedStateParams")
     alpha = params.alpha_mag * complex(math.cos(params.theta), math.sin(params.theta))
-    return n_total, alpha, complex(params.beta_mag)
+    return alpha, complex(params.beta_mag)
 
 
-def _combined_norm(vec: np.ndarray, n_total: int, params: CombinedStateParams) -> float:
-    norm = math.sqrt(float(np.sum(np.abs(vec) ** 2)))
-    if norm < 1e-8:
+def _combined_n(n_total) -> int:
+    """N of the combined state, validated: a positive even int."""
+    n_total = _positive_int(n_total, "n_total")
+    if n_total % 2 != 0:
+        raise DomainError(f"combined state needs even N (mu = 0 exists), got {n_total}")
+    return n_total
+
+
+def _combined_norms(amps: np.ndarray, starts, ns, params: CombinedStateParams) -> np.ndarray:
+    """The norm of each state's run of amps from starts[s]; a degenerate state raises, naming N."""
+    norms = np.sqrt(np.add.reduceat(np.abs(amps) ** 2, starts))
+    degenerate = np.flatnonzero(norms < 1e-8)
+    if degenerate.size:
+        s = degenerate[0]
         raise NormalizationError(
-            f"combined state degenerates (norm {norm:.3e}) for N={n_total}, {params}"
+            f"combined state degenerates (norm {norms[s]:.3e}) for N={ns[s]}, {params}"
         )
-    return norm
+    return norms
 
 
 def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
@@ -554,15 +628,12 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
     interference term disagrees with this construction whenever
     N = 2 (mod 4) and sin(theta) != 0, which the tests pin.
     """
-    n_total, alpha, beta = _combined_weights(n_total, params, "combined_input")
-    j_index = n_total // 2
+    n_total = _combined_n(n_total)
+    alpha, beta = _combined_weights(params, "combined_input")
     vec = alpha * np.asarray(noon_input(n_total).block(n_total))
-    vec = vec.copy()
-    vec[j_index] += beta
-    norm = _combined_norm(vec, n_total, params)
-    return TwoModeState(
-        {n_total: vec / norm}, Frame.AT_INPUT, "combined"
-    )
+    vec[n_total // 2] += beta
+    (norm,) = _combined_norms(vec, [0], [n_total], params)
+    return TwoModeState({n_total: vec / norm}, Frame.AT_INPUT, "combined")
 
 
 def combined_internal(n_total: int, params: CombinedStateParams) -> TwoModeState:
@@ -577,17 +648,29 @@ def combined_internal(n_total: int, params: CombinedStateParams) -> TwoModeState
     of N + 1 amplitudes is held to ``_MAX_AMPLITUDES``; that budget is
     checked before anything is allocated.
     """
-    n_total, alpha, beta = _combined_weights(n_total, params, "combined_internal")
-    _within_budget(n_total, "combined")
-    j_index = n_total // 2
-    k = np.arange(1, j_index + 1)
+    return _combined_states([_combined_n(n_total)], params)[0]
+
+
+def _combined_states(ns, params: CombinedStateParams) -> list[TwoModeState]:
+    """combined_internal at each even N of ns: one c(2k) table up to the largest j serves all."""
+    alpha, beta = _combined_weights(params, "combined_internal")
+    _within_budget(max(ns), "combined")
+    ns = np.asarray(ns, dtype=np.int64)
+    js = ns // 2
+    k = np.arange(1, int(js.max()) + 1)
     halves = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))  # c(2k)
-    amps = (beta * (1, 1j, -1, -1j)[j_index % 4]) * np.sqrt(halves[::-1] * halves)
-    amps[[0, -1]] += alpha / math.sqrt(2.0)
-    amps /= _combined_norm(amps, n_total, params)
-    rows = np.flatnonzero(amps)
-    return TwoModeState._from_rows(
-        [n_total], [0, rows.size], 2 * rows, amps[rows], Frame.INSIDE_INTERFEROMETER, "combined"
+    half_rows, j = _ragged(js + 1), np.repeat(js, js + 1)  # row 2r carries r = half_rows
+    amps = np.repeat(beta * np.array([1, 1j, -1, -1j])[js % 4], js + 1) * np.sqrt(
+        halves[j - half_rows] * halves[half_rows]
+    )
+    starts = np.cumsum(js + 1) - (js + 1)
+    amps[starts] += alpha / math.sqrt(2.0)
+    amps[starts + js] += alpha / math.sqrt(2.0)
+    amps /= np.repeat(_combined_norms(amps, starts, ns, params), js + 1)
+    kept = amps != 0
+    return TwoModeState._many(
+        ns, np.add.reduceat(kept, starts, dtype=np.int64), 2 * half_rows[kept], amps[kept],
+        np.ones(ns.size, dtype=np.int64), Frame.INSIDE_INTERFEROMETER, "combined", [0.0] * ns.size,
     )
 
 

@@ -506,6 +506,53 @@ def test_limit_sweep_memory_is_bounded_by_its_chunks():
     assert peak < 3 * 2**20
 
 
+def test_point_sweep_memory_is_bounded_by_its_chunks():
+    # The fixed-phi twin of the limit sweep above: the same states, built
+    # a group at a time, evaluated in chunks of _CHUNK_ENTRIES flat
+    # entries, with the same bound.
+    params = CombinedStateParams()
+    tracemalloc.start()
+    try:
+        records = run_sweep(SweepConfig("combined", 2, 3000, phi=0.3, combined_params=params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [record.n_total for record in records] == list(range(2, 3001, 2))
+    for record in records[::50]:
+        want = phase_uncertainty(build_state("combined", record.n_total, params), 0.3)
+        assert record.expectation_at_phi == want.expectation
+        assert record.delta_phi == want.delta_phi
+    assert peak < 3 * 2**20
+
+
+def test_groups_are_held_to_the_rows_their_states_store(monkeypatch):
+    # A NOON state stores two rows at any N, so a group holds
+    # _CHUNK_ENTRIES / 2 of them; a berry-wiseman state stores N + 1, so a
+    # group's N + 1 sum to at most _CHUNK_ENTRIES, one N alone past it.
+    from mzparity import cli
+
+    for label, builder, ns in (
+        ("noon", "_noon_states", range(10_000, 18_194)),
+        ("berry-wiseman", "_berry_wiseman_states", [*range(1, 200), 9000, 9001]),
+    ):
+        groups, original = [], getattr(cli, builder)
+
+        def counting(group, *rest, groups=groups, original=original):
+            groups.append(list(group))
+            return original(group, *rest)
+
+        monkeypatch.setattr(cli, builder, counting)
+        assert [n for n, _, _ in cli._family_states(label, ns)] == list(ns)
+        assert [n for group in groups for n in group] == list(ns)
+        if label == "noon":
+            assert [len(group) for group in groups] == [4096, 4096, 2]
+        else:
+            assert groups[-2:] == [[9000], [9001]]
+            for group, after in zip(groups[:-2], groups[1:]):
+                rows = sum(n + 1 for n in group)
+                assert rows <= cli._CHUNK_ENTRIES < rows + after[0] + 1
+
+
 def test_unwritable_output_path(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "out.csv"
     assert main(["sweep", "--state", "noon", "--n-min", "2", "--out", str(target)]) == 2
@@ -723,6 +770,41 @@ def test_unknown_figure_id():
     with pytest.raises(SystemExit) as excinfo:
         main(["figure", "fig9"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--state", "coherent", "--n-min", "1", "--n-max", "40", "--phi", "0"],
+        ["--state", "combined", "--n-min", "2", "--n-max", "200", "--phi", "1e-9"],
+    ],
+)
+def test_sweep_expectations_stay_within_one(argv, capsys):
+    # both sweeps round <P> past +-1 in the last bits on many rows
+    assert main(["sweep", *argv]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert rows and all(abs(float(row["expectation"])) <= 1.0 for row in rows)
+
+
+def test_parser_is_built_once_and_survives_a_failed_parse(capsys):
+    from mzparity.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--state", "no-such-state"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    argv = ["sweep", "--state", "yuen", "--n-min", "2", "--n-max", "6", "--phi", "0.3"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "mzparity", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert fresh.returncode == 0
+    assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
 
 
 def test_cli_loads_no_optional_dependency(tmp_path):

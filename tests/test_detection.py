@@ -6,6 +6,7 @@ import pytest
 
 from mzparity import (
     CombinedStateParams,
+    ConsistencyError,
     DISCREPANT_CLOSED_FORMS,
     DomainError,
     NormalizationError,
@@ -233,6 +234,15 @@ def test_result_invariants():
     assert -1.0 <= result.expectation <= 1.0
     assert result.variance**2 + result.expectation**2 == pytest.approx(1.0, abs=1e-10)
     assert result.delta_phi == result.variance / abs(result.derivative)
+
+
+def test_expectation_past_one_is_clipped_within_rounding_and_refused_beyond():
+    clipped = detection._bundle(0.1, 1.0 + 4e-16, 0.5, -8e-16)
+    assert (clipped.expectation, clipped.variance) == (1.0, 0.0)
+    assert detection._bundle(0.1, -1.0 - 1e-11, 0.5, 0.0).expectation == -1.0
+    for beyond in (1.0 + 2e-10, -1.0 - 2e-10):
+        with pytest.raises(ConsistencyError, match="leaves"):
+            detection._bundle(0.1, beyond, 0.5, 0.0)
 
 
 def test_stationary_point_reports_infinity():

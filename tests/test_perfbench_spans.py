@@ -44,25 +44,33 @@ def test_recorder_wraps_every_layer_name_and_restores_it():
         assert getattr(importlib.import_module(caller), name, None) is original
 
 
-def test_traced_cli_sees_every_constructor_call(tmp_path):
-    # The CLI's family table must look each constructor up when it is
+def test_traced_cli_sees_every_constructor_call(monkeypatch, tmp_path):
+    # The CLI's family table must look each builder up when it is
     # called; a table that bound them at import time would hide every
-    # state construction from the traced benchmark.
-    from mzparity.cli import main
+    # state construction from a patched name, as from a traced run.
+    from mzparity import cli
 
+    groups = []
+    original = cli._noon_states
+
+    def counting(ns, label):
+        groups.append(list(ns))
+        return original(ns, label)
+
+    monkeypatch.setattr(cli, "_noon_states", counting)
     spans = load_spans()
     recorder = spans.Recorder()
     recorder.install()
     try:
-        code = main(["sweep", "--state", "noon", "--limit", "--n-min", "1",
-                     "--n-max", "5", "--out", str(tmp_path / "noon.csv")])
+        code = cli.main(["sweep", "--state", "noon", "--limit", "--n-min", "1",
+                         "--n-max", "5", "--out", str(tmp_path / "noon.csv")])
     finally:
         recorder.uninstall()
     assert code == 0
+    # the CLI builds NOON inside the interferometer, all five N in one
+    # builder call, and sends nothing through a beam splitter
+    assert groups == [[1, 2, 3, 4, 5]]
     metrics = spans.layer_metrics(recorder.spans)
-    # the CLI builds NOON inside the interferometer, one noon_internal
-    # call per N, and sends nothing through a beam splitter
-    assert metrics["states.calls"] == 5
     assert metrics["interferometer.calls"] == 0
     # the sweep takes its limits in one phase_uncertainty_limits call,
     # a name the recorder does not wrap, so the limit layer reads no call

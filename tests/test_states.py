@@ -27,6 +27,7 @@ from mzparity import (
     yurke_input,
 )
 from mzparity.cli import build_state
+from mzparity.states import parity_needed
 from mzparity.detection import closed_form_expectation, parity_expectation
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -471,3 +472,58 @@ def test_norm_matches_per_block_sum(label):
             continue  # N outside the family's parity class
         want = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in state.components.values()))
         assert abs(state.norm() - want) <= 1e-15
+
+
+# The public one-N constructor behind each CLI family label.
+ONE_N = {
+    "coherent": lambda n, params: coherent_input(float(n)),
+    "single-fock": lambda n, params: single_fock_input(n),
+    "dual-fock": lambda n, params: dual_fock_input(n // 2),
+    "yurke": lambda n, params: yurke_input(n),
+    "yuen": lambda n, params: yuen_input(n),
+    "modified-yuen": lambda n, params: yuen_input(n, modified=True),
+    "pezze-smerzi": lambda n, params: pezze_smerzi_input(n),
+    "noon": lambda n, params: noon_internal(n),
+    "noon-internal": lambda n, params: noon_internal(n),
+    "berry-wiseman": lambda n, params: berry_wiseman_internal(n),
+    "combined": lambda n, params: combined_internal(n, params),
+}
+
+
+@pytest.mark.parametrize("label", STATE_LABELS)
+@pytest.mark.parametrize("group", ["one", "skips", "over-a-chunk"])
+def test_family_groups_match_the_one_n_constructors(label, group, monkeypatch):
+    # the CLI builds each family a group of N at a time, as views of
+    # shared arrays; every state must be the one its one-N constructor
+    # builds.  With the bound at 2^7 rows, N = 1..199 spans several groups
+    # of every family: N + 1 rows each where they grow with N, else 2.
+    from mzparity import cli
+
+    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 2**7)
+    one_n = 9 if parity_needed(label, 8) else 8
+    ns = {"one": range(one_n, one_n + 1), "skips": range(5, 12), "over-a-chunk": range(1, 200)}[group]
+    params = CombinedStateParams(0.6, 0.8, 0.7) if label == "combined" else None
+    cases = list(cli._family_states(label, ns, params))
+    kept = [n for n in ns if parity_needed(label, n) is None]
+    assert [n for n, _, _ in cases] == kept
+    groups = list(cli._chunks(kept, (lambda n: n + 1) if label in cli._GROWING else (lambda n: 2)))
+    assert (len(groups) > 1) == (group == "over-a-chunk")
+    assert len({id(state.amplitudes.base) for _, _, state in cases}) == len(groups)
+    for n, case_label, state in cases:
+        one = ONE_N[label](n, params)
+        assert case_label == label
+        for name in ("two_js", "offsets", "rows"):
+            assert np.array_equal(getattr(state, name), getattr(one, name)), (n, name)
+        assert (state.frame, state.label, state.truncation_tail) == (
+            one.frame, one.label, one.truncation_tail
+        )
+        got, want = state.amplitudes.view(float), one.amplitudes.view(float)
+        if label == "combined":
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want))), n
+        else:
+            assert np.array_equal(got, want), n
+        assert abs(state.norm() - one.norm()) <= 1e-15
+        for array in (state.two_js, state.offsets, state.rows, state.amplitudes):
+            assert not array.flags.writeable
+        with pytest.raises(AttributeError):
+            state.label = "other"
