@@ -132,18 +132,22 @@ class SweepRecord:
     derivative: float | None = None
     variance: float | None = None
 
+    def cells(self) -> tuple[float | int | None, ...]:
+        """The values of the output columns (``_CSV_COLUMNS``), in order."""
+        return (
+            self.n_total,
+            self.phi,
+            self.expectation_at_phi,
+            self.derivative,
+            self.variance,
+            self.delta_phi,
+            self.shot_noise,
+            self.heisenberg,
+            self.bw_povm,
+        )
+
     def row(self) -> dict[str, float | int | None]:
-        return {
-            "N": self.n_total,
-            "phi": self.phi,
-            "expectation": self.expectation_at_phi,
-            "derivative": self.derivative,
-            "variance": self.variance,
-            "delta_phi": self.delta_phi,
-            "shot_noise": self.shot_noise,
-            "heisenberg": self.heisenberg,
-            "bw_povm": self.bw_povm,
-        }
+        return dict(zip(_CSV_COLUMNS, self.cells()))
 
 
 # label -> builder of the family's states at an array of total photon
@@ -215,104 +219,124 @@ def _chunks(items: Iterable, size) -> Iterator[list]:
         yield chunk
 
 
-def _in_class(label: str, ns: Iterable[int], warn: bool) -> Iterator[int]:
-    """The N of ns in the family's parity class; each other N is skipped, with a warning if warn."""
+def _in_class(label: str, ns: Iterable[int], skipped: list[str]) -> Iterator[int]:
+    """The N of ns in the family's parity class; why each other N is skipped goes to skipped."""
     for n in ns:
         why = _outside_class(label, n)
         if why is None:
             yield n
-        elif warn:
-            print(f"warning: {why} skipped", file=sys.stderr)
+        else:
+            skipped.append(why)
 
 
 def _family_states(label, ns, params=None, warn=False) -> Iterator[tuple]:
-    """(N, label, state) for each N of ns in the family's parity class, one builder call per group.
+    """(group of N, label, their states) for the N of ns in the family's parity class.
 
-    Groups are ``_chunks`` of the rows each state stores, built as they
-    are consumed, so only the groups that the chunk being evaluated draws
-    on are held.
+    Groups are ``_chunks`` of the rows each state stores, each built by
+    one builder call as it is consumed, so only the groups that the chunk
+    being evaluated draws on are held.  If warn, the N skipped so far are
+    warned of in one write before each group is built, and at the end.
     """
     rows = (lambda n: n + 1) if label in _GROWING else (lambda n: 2)
-    for group in _chunks(_in_class(label, ns, warn), rows):
-        for n, state in zip(group, _FAMILIES[label](group, params)):
-            yield n, label, state
+    skipped: list[str] = []
+    for group in _chunks(_in_class(label, ns, skipped), rows):
+        _warn_skipped(skipped, warn)
+        yield group, label, _FAMILIES[label](group, params)
+    _warn_skipped(skipped, warn)
 
 
-def _limits(cases: Iterable[tuple]) -> Iterator[tuple]:
-    """(key, phi -> 0 limit) for each (key, label, state), one batched call per chunk.
+def _warn_skipped(skipped: list[str], warn: bool) -> None:
+    """Write the skip warnings gathered so far, if warn, in one write; forget them."""
+    if warn and skipped:
+        sys.stderr.write("".join(f"warning: {why} skipped\n" for why in skipped))
+    skipped.clear()
 
-    The cases are consumed lazily, so at most one chunk of states is held.
+
+def _cases(groups: Iterable[tuple], entries) -> Iterator[tuple]:
+    """(key, label, state, flat entries) for each case of each (keys, label, states) group.
+
+    ``entries`` (``detection._point_entries`` or ``_limit_entries``) runs
+    once per group.
     """
-    for chunk in _chunks(cases, lambda case: detection._limit_entries(case[2])):
-        states = [state for _, _, state in chunk]
+    for keys, label, states in groups:
+        yield from zip(keys, [label] * len(states), states, entries(states).tolist())
+
+
+def _limits(groups: Iterable[tuple]) -> Iterator[tuple]:
+    """(key, phi -> 0 limit) for each case of the (keys, label, states) groups, a call per chunk.
+
+    The groups are consumed lazily, so at most one chunk of states, and
+    the groups it draws on, are held.
+    """
+    for chunk in _chunks(_cases(groups, detection._limit_entries), lambda case: case[3]):
+        keys, labels, states, _ = zip(*chunk)
+        states = list(states)
         # The berry-wiseman state gives a flat parity signal at phi = 0, so
         # its phi -> 0 limit diverges.  Its finite limit belongs to parity
         # detection behind a pi/2 bias, where it equals 1/(2 Delta J_z), the
         # quantum Cramer-Rao bound; the engine computes it there, with the
         # pi/2 phases applied exactly, to all of the chunk's at once.
-        biased = [s for s, (_, label, _) in enumerate(chunk) if label == "berry-wiseman"]
+        biased = [s for s, label in enumerate(labels) if label == "berry-wiseman"]
         if biased:
             for s, state in zip(biased, _quarter_turn([states[s] for s in biased])):
                 states[s] = state
-        yield from zip((key for key, _, _ in chunk), detection.phase_uncertainty_limits(states))
+        yield from zip(keys, detection.phase_uncertainty_limits(states))
 
 
-def _points(cases: Iterable[tuple], phi: float) -> Iterator[tuple]:
-    """(key, DetectionResult at phi) for each (key, label, state), one batched call per chunk."""
-    for chunk in _chunks(cases, lambda case: detection._point_entries(case[2])):
-        states = [state for _, _, state in chunk]
-        yield from zip((key for key, _, _ in chunk), detection.phase_uncertainties(states, phi))
+def _points(groups: Iterable[tuple], phi: float) -> Iterator[tuple]:
+    """(key, DetectionResult at phi) for each case of the groups, one batched call per chunk."""
+    for chunk in _chunks(_cases(groups, detection._point_entries), lambda case: case[3]):
+        keys, _, states, _ = zip(*chunk)
+        yield from zip(keys, detection.phase_uncertainties(states, phi))
 
 
-def _record(n: int, delta_phi: float, **point) -> SweepRecord:
+def _record(n: int, delta_phi: float, *point) -> SweepRecord:
     """One output row at N; point holds the fixed-phi columns, absent for a limit."""
-    limits = benchmark_limits(n)
-    return SweepRecord(
-        n_total=n,
-        delta_phi=delta_phi,
-        shot_noise=limits.shot_noise,
-        heisenberg=limits.heisenberg,
-        bw_povm=limits.bw_povm,
-        **point,
-    )
+    return SweepRecord(n, delta_phi, *detection._scales(n), *point)
 
 
 def _point_record(n: int, result: detection.DetectionResult) -> SweepRecord:
     return _record(
-        n,
-        result.delta_phi,
-        phi=result.phi,
-        expectation_at_phi=result.expectation,
-        derivative=result.derivative,
-        variance=result.variance,
+        n, result.delta_phi, result.phi, result.expectation, result.derivative, result.variance
     )
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per valid N; invalid parity class is skipped with a warning."""
     ns = range(config.n_min, config.n_max + 1)
-    cases = _family_states(config.state_label, ns, config.combined_params, warn=True)
+    groups = _family_states(config.state_label, ns, config.combined_params, warn=True)
     if config.phi_mode == "limit":
-        return [_record(n, delta_phi) for n, delta_phi in _limits(cases)]
-    return [_point_record(n, result) for n, result in _points(cases, config.phi)]
+        return [_record(n, delta_phi) for n, delta_phi in _limits(groups)]
+    return [_point_record(n, result) for n, result in _points(groups, config.phi)]
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        if any(ch in value for ch in ',"\n'):
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return "%.17g" % value
+# The CSV cell of each type of value: "%.0s" makes None an empty cell.
+_CELLS = {int: "%d", float: "%.17g", str: "%s", type(None): "%.0s"}
 
 
-def _csv_payload(header: tuple[str, ...], rows: list[dict]) -> str:
-    lines = [",".join(header)]
+def _quoted(text: str) -> str:
+    if any(ch in text for ch in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_payload(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    """CSV text of rows, tuples in header order, each row formatted in one step.
+
+    ints are written as digits, floats with 17 significant digits (inf as
+    "inf"), None as an empty cell, and strings quoted where they hold a
+    comma, a quote or a newline.  Rows with the same types of values share
+    one template.
+    """
+    lines, templates = [",".join(header)], {}
     for row in rows:
-        lines.append(",".join(_format_value(row.get(column)) for column in header))
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_CELLS.__getitem__, kinds))
+        if str in kinds:
+            row = tuple(_quoted(value) if type(value) is str else value for value in row)
+        lines.append(template % row)
     return "\n".join(lines) + "\n"
 
 
@@ -322,8 +346,8 @@ def _json_ready(value):
     return value
 
 
-def _json_payload(header: tuple[str, ...], rows: list[dict]) -> str:
-    data = [{column: _json_ready(row.get(column)) for column in header} for row in rows]
+def _json_payload(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    data = [{column: _json_ready(value) for column, value in zip(header, row)} for row in rows]
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -337,7 +361,7 @@ def _emit(payload: str, output_path: str) -> None:
 
 def _write_records(records: list[SweepRecord], output_path: str, fmt: str) -> None:
     payload = _json_payload if fmt == "json" else _csv_payload
-    _emit(payload(_CSV_COLUMNS, [record.row() for record in records]), output_path)
+    _emit(payload(_CSV_COLUMNS, [record.cells() for record in records]), output_path)
 
 
 _TABLE_HEADER = (
@@ -374,8 +398,10 @@ def reproduce_table(output_path: str) -> list[dict]:
         ),
         (8, "noon", "(|8,0>+|0,8>)/sqrt2 (internal)", 8, 1.0 / n, "Heisenberg reference"),
     ]
-    cases = ((index, label, build_state(label, n_row)) for index, label, _, n_row, _, _ in plan)
-    computed_at = dict(_limits(cases))
+    groups = (
+        ((index,), label, [build_state(label, n_row)]) for index, label, _, n_row, _, _ in plan
+    )
+    computed_at = dict(_limits(groups))
     rows = []
     for index, label, fock, n_row, closed, note in plan:
         computed = computed_at[index]
@@ -391,23 +417,17 @@ def reproduce_table(output_path: str) -> list[dict]:
                 "note": note,
             }
         )
-    _emit(_csv_payload(_TABLE_HEADER, rows), output_path)
+    cells = (tuple(map(row.get, _TABLE_HEADER)) for row in rows)
+    _emit(_csv_payload(_TABLE_HEADER, cells), output_path)
     return rows
 
 
 def _fig2_payload() -> str:
-    state = noon_input(100)
-    vec = state.block(100)
-    rows = []
-    for i, amp in enumerate(vec):
-        rows.append(
-            {
-                "two_mu": 100 - 2 * i,
-                "re": float(amp.real),
-                "im": float(amp.imag),
-                "abs": float(abs(amp)),
-            }
-        )
+    vec = noon_input(100).block(100)
+    rows = (
+        (100 - 2 * i, float(amp.real), float(amp.imag), float(abs(amp)))
+        for i, amp in enumerate(vec)
+    )
     return _csv_payload(("two_mu", "re", "im", "abs"), rows)
 
 
@@ -420,17 +440,17 @@ def _limit_curves(ns: range, curves: list[tuple], references: tuple[str, ...]) -
     """
     header = ("N",) + tuple(column for column, _, _ in curves) + references
     rows = {n: {"N": n} for n in ns}
-    cases = (
-        ((n, column), label, state)
+    groups = (
+        ([(n, column) for n in group], label, states)
         for column, label, params in curves
-        for n, _, state in _family_states(label, ns, params)
+        for group, _, states in _family_states(label, ns, params)
     )
-    for (n, column), delta_phi in _limits(cases):
+    for (n, column), delta_phi in _limits(groups):
         rows[n][column] = delta_phi
     for n, row in rows.items():
         limits = benchmark_limits(n)
         row.update((name, getattr(limits, name)) for name in references)
-    return _csv_payload(header, list(rows.values()))
+    return _csv_payload(header, (tuple(map(row.get, header)) for row in rows.values()))
 
 
 def _combined_curve(column: str, alpha_sq: float, theta: float) -> tuple:

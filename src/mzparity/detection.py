@@ -24,13 +24,14 @@ any N.
 
 ``phase_uncertainties(states, phi)`` takes a batch of states.  Their
 blocks lie end to end, and the J_y projections of every at-input block
-come from one ``wigner._projections`` call, whose columns advance in one
-flat three-term recurrence: a dense block (``noon_input``,
-``combined_input``) folds each column into its projection as the rows
-arrive, in O(columns) memory, and a block stored on a few rows
-(dual-Fock, Yurke, Yuen, Pezze-Smerzi) runs only the columns at those
-rows.  The CLI builds NOON and combined inside the interferometer, so
-their points take the O(rows) Q route and run no recurrence.  <P>,
+come from one ``wigner._projections`` call: a dense block
+(``noon_input``, ``combined_input``) folds each column of one flat
+three-term recurrence into its projection as the rows arrive, in
+O(columns) memory, and a block stored on a few rows (dual-Fock, Yurke,
+Yuen, Pezze-Smerzi) reads only the columns at those rows, in closed form
+where |mu| <= 1, as all four store them.  The CLI builds NOON and
+combined inside the interferometer, so their points take the O(rows) Q
+route and run no recurrence.  <P>,
 d<P>/dphi and the shift of <P> since phi = 0 are then read for every
 state at once, each summed over its own run of terms, so a state's
 numbers do not depend on the batch it came in.  ``phase_uncertainty``,
@@ -140,14 +141,6 @@ class BenchmarkLimits:
     bw_povm: float
 
 
-def _real_with_residue_check(value: complex, context: str) -> float:
-    if abs(value.imag) > _RESIDUE_TOL:
-        raise ConsistencyError(
-            f"{context}: imaginary residue {value.imag!r} exceeds {_RESIDUE_TOL}"
-        )
-    return value.real
-
-
 class _Stored(NamedTuple):
     """The stored form of several states end to end.
 
@@ -165,10 +158,11 @@ class _Stored(NamedTuple):
 def _stored(states: list[TwoModeState]) -> tuple[_Stored, np.ndarray]:
     """The stored form of states end to end, and the index of each state's first block."""
     counts = np.array([state.two_js.size for state in states])
-    offsets = [state.offsets for state in states]
+    offsets = np.concatenate([state.offsets for state in states])
+    ends = offsets[1:]  # each state's offsets restart at 0, so an end of 0 starts a state
     stored = _Stored(
         np.concatenate([state.two_js for state in states]),
-        np.concatenate([o[1:] for o in offsets]) - np.concatenate([o[:-1] for o in offsets]),
+        (ends - offsets[:-1])[ends > 0],
         np.concatenate([state.rows for state in states]),
         np.concatenate([state.amplitudes for state in states]),
     )
@@ -180,21 +174,24 @@ def _on_row_zero(stored) -> np.ndarray:
     return (stored.sizes == 1) & (stored.rows[np.cumsum(stored.sizes) - stored.sizes] == 0)
 
 
-def _point_entries(state: TwoModeState) -> int:
-    """Flat entries a fixed-phi pass holds for state: its stored rows and its terms.
+def _point_entries(states: list[TwoModeState]) -> np.ndarray:
+    """Flat entries a fixed-phi pass holds for each state: its stored rows and its terms.
 
     An inside state has one term per stored row; an at-input state 2j + 1
     projections, one term each, for every block not read as cos(phi)^(2j).
     """
-    if state.frame is not Frame.AT_INPUT:
-        return 2 * state.rows.size
-    projected = state.two_js[~_on_row_zero(state)]
-    return state.rows.size + int(projected.sum()) + projected.size
+    at_input = [s for s, state in enumerate(states) if state.frame is Frame.AT_INPUT]
+    entries = np.array([2 * state.rows.size for state in states])
+    if at_input:
+        stored, firsts = _stored([states[s] for s in at_input])
+        terms = np.where(_on_row_zero(stored), 0, stored.two_js + 1)
+        entries[at_input] = np.add.reduceat(stored.sizes + terms, firsts)
+    return entries
 
 
-def _limit_entries(state: TwoModeState) -> int:
-    """Flat entries a limit holds for state: its stored rows, and _TAYLOR_ORDER on each side of each block."""
-    return state.rows.size + 2 * _TAYLOR_ORDER * state.two_js.size
+def _limit_entries(states: list[TwoModeState]) -> np.ndarray:
+    """Flat entries a limit holds for each state: stored rows, _TAYLOR_ORDER each side of a block."""
+    return np.array([state.rows.size + 2 * _TAYLOR_ORDER * state.two_js.size for state in states])
 
 
 def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +219,8 @@ class _Spectra(NamedTuple):
     for state s: the blocks read through their J_y projection (at input)
     or through Q (inside).  powers n_b = 2j and probs p_b = |psi_0|^2 list
     the at-input blocks stored on row 0 alone, counts[s] of them for state
-    s.  below and above are 1 -+ <P>(0) of each state, as sums of squares.
+    s.  below and above are 1 -+ <P>(0) of each state, as sums of squares,
+    and tops the largest 2j of each state.
     """
 
     weights: np.ndarray
@@ -233,6 +231,7 @@ class _Spectra(NamedTuple):
     counts: np.ndarray
     below: np.ndarray
     above: np.ndarray
+    tops: np.ndarray
 
 
 def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -309,7 +308,7 @@ def _spectra(states: list[TwoModeState]) -> _Spectra:
         above[entries] = 0.5 * (plus.real**2 + plus.imag**2 + unpaired)
     holders, weights, doubled = (np.concatenate(part) for part in zip(*parts))
     by_state = np.argsort(holders, kind="stable")  # each state's terms in one run
-    rows_per_state = np.array([state.rows.size for state in states])
+    rows_per_state = np.add.reduceat(sizes, first_blocks)
     return _Spectra(
         weights[by_state],
         doubled[by_state] / 2.0,
@@ -319,6 +318,7 @@ def _spectra(states: list[TwoModeState]) -> _Spectra:
         np.bincount(owner[on_row0], minlength=len(states)),
         _segment_sums(below, rows_per_state),
         _segment_sums(above, rows_per_state),
+        np.maximum.reduceat(two_js, first_blocks),
     )
 
 
@@ -340,25 +340,52 @@ def _cos_powers(phi: float, powers: np.ndarray) -> np.ndarray:
     return values
 
 
-def _bundle(
-    phi: float, expectation: float, derivative: float, spread: float
-) -> DetectionResult:
-    """Result at one phase point; spread is 1 - <P>^2, Delta P its square root.
+def _results(phi: float, expectations, derivatives, spreads, labels) -> list[DetectionResult]:
+    """The result of each state at one phase point; spreads are 1 - <P>^2, Delta P their roots.
 
-    An expectation past +-1 by at most 1e-10 is rounding and is clipped to
-    [-1, 1]; further out it raises ConsistencyError.
+    expectations and derivatives may carry imaginary parts.  A state
+    fails if either is not finite (a phase past the float range) or has
+    an imaginary residue above 1e-10, or if the expectation passes +-1 by
+    more than 1e-10; the first state that fails raises
+    ConsistencyError, naming its first failure.  An expectation past +-1
+    by at most 1e-10 is rounding and is clipped to [-1, 1].
     """
-    if abs(expectation) > 1.0 + 1e-10:
-        raise ConsistencyError(
-            f"expectation {expectation!r} leaves [-1, 1] beyond tolerance"
+    values, slopes = expectations.real, derivatives.real
+    failures = (
+        ~np.isfinite(expectations),
+        ~np.isfinite(derivatives),
+        np.abs(expectations.imag) > _RESIDUE_TOL,
+        np.abs(derivatives.imag) > _RESIDUE_TOL,
+        np.abs(values) > 1.0 + 1e-10,
+    )
+    failed = np.logical_or.reduce(failures)
+    if failed.any():
+        s = int(failed.argmax())
+        context = f"for {labels[s]!r}"
+        messages = (
+            f"parity expectation {context} is not finite: {complex(expectations[s])!r}",
+            f"parity derivative {context} is not finite: {complex(derivatives[s])!r}",
+            f"parity expectation {context}: imaginary residue "
+            f"{float(expectations.imag[s])!r} exceeds {_RESIDUE_TOL}",
+            f"parity derivative {context}: imaginary residue "
+            f"{float(derivatives.imag[s])!r} exceeds {_RESIDUE_TOL}",
+            f"expectation {float(values[s])!r} leaves [-1, 1] beyond tolerance",
         )
-    expectation = min(max(expectation, -1.0), 1.0)
-    variance = math.sqrt(max(spread, 0.0))
-    if abs(derivative) < _DERIVATIVE_FLOOR:
-        delta_phi = math.inf
-    else:
-        delta_phi = variance / abs(derivative)
-    return DetectionResult(phi, expectation, derivative, variance, delta_phi)
+        raise ConsistencyError(next(m for fail, m in zip(failures, messages) if fail[s]))
+    variances = np.sqrt(np.maximum(spreads, 0.0))
+    steep = np.abs(slopes) >= _DERIVATIVE_FLOOR
+    deltas = np.divide(variances, np.abs(slopes), out=np.full(slopes.size, math.inf), where=steep)
+    columns = (np.clip(values, -1.0, 1.0), slopes, variances, deltas)
+    return [DetectionResult(phi, *row) for row in zip(*(column.tolist() for column in columns))]
+
+
+def _bundle(
+    phi: float, expectation: float, derivative: float, spread: float, label: str = ""
+) -> DetectionResult:
+    """Result at one phase point from real values: ``_results`` on one state."""
+    return _results(
+        phi, np.array([expectation]), np.array([derivative]), np.array([spread]), [label]
+    )[0]
 
 
 def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
@@ -375,20 +402,23 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
     the phi -> 0 operating point is phase_uncertainty_limits' job.
 
     Every state's terms come from one ``_spectra`` pass, whose J_y
-    projections run in one flat recurrence, and every sum is read for all
-    states at once, each over its own run of terms.  A non-finite phi
+    projections come from one ``wigner._projections`` call, and every sum
+    and check is read for all states at once, each over its own run of
+    terms.  A non-finite phi
     raises DomainError, and so does an at-input block whose projection
     would pass the J_y kernel's work bound, before anything is allocated;
-    an unnormalized state NormalizationError, and an imaginary residue
-    above 1e-10 or an expectation outside [-1, 1] ConsistencyError, for
-    the first such state.
+    an unnormalized state NormalizationError, and a non-finite <P> or
+    d<P>/dphi (a phase past the float range), an imaginary residue above
+    1e-10 or an expectation outside [-1, 1] ConsistencyError, for the
+    first such state.
     """
     phi = _finite_phase(phi)
     states = list(states)
     if not states:
         return []
-    weights, freqs, terms, powers, probs, counts, below, above = _spectra(states)
-    phase = np.exp(-2j * phi * freqs)
+    weights, freqs, terms, powers, probs, counts, below, above, tops = _spectra(states)
+    with np.errstate(invalid="ignore"):  # a phase past the float range is NaN, refused below
+        phase = np.exp(-2j * phi * freqs)
     expectations = _segment_sums(weights * phase, terms)
     derivatives = _segment_sums(weights * (-2j * freqs) * phase, terms)
     if powers.size:
@@ -396,8 +426,9 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
         # d/dphi cos^n = -n sin cos^(n-1); the factor n makes the 2j = 0 term exactly 0
         slopes = (probs * powers) * _cos_powers(phi, powers - 1)
         derivatives -= math.sin(phi) * _segment_sums(slopes, counts)
-    # <P>(phi) - <P>(0) without cancellation where |phi| 2J < 1, so cos(phi) > 0
-    near = abs(phi) * np.array([state.max_two_j for state in states]) < 1.0
+    # <P>(phi) - <P>(0) without cancellation where |phi| 2J < 1, so cos(phi) > 0;
+    # |phi| held to 1 decides the same (2J is an integer) and cannot overflow
+    near = min(abs(phi), 1.0) * tops < 1.0
     shifts = np.zeros(len(states))
     if near.any():
         picked = np.repeat(near, terms)
@@ -411,21 +442,9 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
                 powers[moving] * math.log1p(-2.0 * math.sin(0.5 * phi) ** 2)
             )
             shifts += _segment_sums(drops, counts)
-    results = []
-    for s, state in enumerate(states):
-        context = f"for {state.label!r}"
-        expectation = _real_with_residue_check(
-            complex(expectations[s]), f"parity expectation {context}"
-        )
-        derivative = _real_with_residue_check(
-            complex(derivatives[s]), f"parity derivative {context}"
-        )
-        if near[s]:
-            spread = (below[s] - shifts[s]) * (above[s] + shifts[s])
-        else:
-            spread = 1.0 - expectation * expectation
-        results.append(_bundle(phi, expectation, derivative, float(spread)))
-    return results
+    values = expectations.real
+    spreads = np.where(near, (below - shifts) * (above + shifts), 1.0 - values * values)
+    return _results(phi, expectations, derivatives, spreads, [state.label for state in states])
 
 
 def phase_uncertainty(state: TwoModeState, phi: float) -> DetectionResult:
@@ -684,14 +703,14 @@ def phase_uncertainty_limit(state: TwoModeState) -> float:
 def benchmark_limits(n_total: int) -> BenchmarkLimits:
     """Shot-noise, Heisenberg, and optimal-POVM reference scales."""
     n_total = _positive_int(n_total, "n_total")
+    return BenchmarkLimits(n_total, *_scales(n_total))
+
+
+def _scales(n_total: int) -> tuple[float, float, float]:
+    """benchmark_limits(N) as (shot_noise, heisenberg, bw_povm), N taken as valid."""
     # tan(pi/4) rounds just below 1 in floats; the N = 2 value is exactly 1
     povm = 1.0 if n_total == 2 else math.tan(math.pi / (n_total + 2))
-    return BenchmarkLimits(
-        n_total=n_total,
-        shot_noise=1.0 / math.sqrt(n_total),
-        heisenberg=1.0 / n_total,
-        bw_povm=povm,
-    )
+    return 1.0 / math.sqrt(n_total), 1.0 / n_total, povm
 
 
 def _closed_form_size(label: str, n) -> float | int:
@@ -876,6 +895,7 @@ def closed_form_uncertainty(
         expectation,
         closed_form_derivative(label, n, phi, params),
         1.0 - expectation * expectation,
+        label,
     )
 
 

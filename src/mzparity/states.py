@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, NormalizationError
-from .wigner import _ragged
+from .wigner import _central_binomials, _ragged
 
 __all__ = [
     "CombinedStateParams",
@@ -372,64 +372,135 @@ def coherent_input(
 
 
 def _coherent_states(nbars, coherent_phase: float = 0.0, tail_bound: float = 1e-12):
-    """coherent_input at each nbar: each window on its own, all stored in one ``_many`` call."""
-    ns, amps, tails = zip(*(_coherent_window(nbar, coherent_phase, tail_bound) for nbar in nbars))
-    two_js = np.concatenate(ns)
+    """coherent_input at each nbar: the windows built together, one row of a grid each.
+
+    Consecutive windows share a grid (``_coherent_grid``) while it holds
+    at most ``_GRID_CELLS`` cells, and every state is stored by one
+    ``_many`` call.  A window's numbers depend on it alone, so each state
+    is bitwise the one ``coherent_input`` builds.  The windows are checked
+    as ``coherent_input`` checks one, before any grid is allocated, and
+    the first that fails raises.
+    """
+    given = [float(nbar) for nbar in nbars]
+    nbar = np.array(given)
+    valid = np.isfinite(nbar) & (nbar >= 0.0)
+    nbar[~valid] = 0.0
+    reach = 20.0 * np.sqrt(nbar + 1.0) + 40.0
+    scan = np.minimum(nbar, reach) + reach + 1.0  # the window, sized before nbar +- reach round
+    failed = ~valid | (scan > _MAX_WINDOW)
+    if failed.any() or not 0 < tail_bound <= 1e-6:
+        w = int(failed.argmax())
+        if valid[0] and not 0 < tail_bound <= 1e-6:
+            raise DomainError(f"tail_bound must be in (0, 1e-6], got {tail_bound}")
+        if not valid[w]:
+            raise DomainError(f"nbar must be finite and non-negative, got {given[w]}")
+        raise DomainError(
+            f"coherent state at nbar = {given[w]!r} needs a scan of {scan[w]:.6g} photon "
+            f"numbers, over the budget of {_MAX_WINDOW}"
+        )
+    # window w reaches below[w] photon numbers under its mode, the largest
+    # weight, and above[w] over it; nbar = 0 keeps the vacuum alone
+    mode = nbar.astype(np.int64)
+    below = mode - np.maximum((nbar - reach).astype(np.int64), 0)
+    above = np.where(nbar > 0.0, (nbar + reach).astype(np.int64) - mode, 0)
+    parts = [
+        _coherent_grid(nbar[run], mode[run], below[run], above[run], coherent_phase, tail_bound)
+        for run in _grid_runs(below, above)
+    ]
+    kept_ns, amps, sizes, tails = (np.concatenate(part) for part in zip(*parts))
+    if np.any(sizes > _MAX_AMPLITUDES):
+        w = int(np.argmax(sizes > _MAX_AMPLITUDES))
+        raise DomainError(
+            f"coherent state at nbar = {given[w]!r} needs {sizes[w]} amplitudes, "
+            f"over the budget of {_MAX_AMPLITUDES}"
+        )
     return TwoModeState._many(
-        two_js,
-        np.ones(two_js.size, dtype=np.int64),
-        np.zeros(two_js.size, dtype=np.int64),
-        np.concatenate(amps),
-        [kept.size for kept in ns],
+        kept_ns,
+        np.ones(kept_ns.size, dtype=np.int64),
+        np.zeros(kept_ns.size, dtype=np.int64),
+        amps,
+        sizes,
         Frame.AT_INPUT,
         "coherent",
-        tails,
+        tails.tolist(),
     )
 
 
-def _coherent_window(nbar, coherent_phase: float, tail_bound: float):
-    """(kept photon numbers, their amplitudes, discarded mass) of coherent_input at nbar."""
-    nbar = float(nbar)
-    if not math.isfinite(nbar) or nbar < 0:
-        raise DomainError(f"nbar must be finite and non-negative, got {nbar}")
-    if not 0 < tail_bound <= 1e-6:
-        raise DomainError(f"tail_bound must be in (0, 1e-6], got {tail_bound}")
-    if nbar == 0.0:
-        return np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex), 0.0
-    mode = int(nbar)  # the largest weight, which every window keeps
-    reach = 20.0 * math.sqrt(nbar + 1.0) + 40.0
-    scan = min(nbar, reach) + reach + 1.0  # the window below, sized before nbar +- reach round
-    if scan > _MAX_WINDOW:
-        raise DomainError(
-            f"coherent state at nbar = {nbar!r} needs a scan of {scan:.6g} photon "
-            f"numbers, over the budget of {_MAX_WINDOW}"
-        )
-    lo, hi = max(0, int(nbar - reach)), int(nbar + reach)
-    ns = np.arange(lo, hi + 1)
+# Cells of one coherent grid: consecutive windows share a grid while its
+# rows times its width stay within this, which holds the transient memory
+# of a group near that of one window.
+_GRID_CELLS = 2**14
+
+
+def _grid_runs(below: np.ndarray, above: np.ndarray) -> Iterator[slice]:
+    """Runs of consecutive windows whose grid stays within _GRID_CELLS, a wider one alone."""
+    start = low = high = 0
+    for w, (down, up) in enumerate(zip(below.tolist(), above.tolist())):
+        low, high = max(low, down), max(high, up)
+        if w > start and (w + 1 - start) * (low + high + 3) > _GRID_CELLS:
+            yield slice(start, w)
+            start, low, high = w, down, up
+    yield slice(start, below.size)
+
+
+def _coherent_grid(nbar, mode, below, above, coherent_phase: float, tail_bound: float):
+    """(kept photon numbers, amplitudes, kept sizes, discarded masses) of windows on one grid.
+
+    Row w holds window w, placed so that every mode, the largest weight,
+    sits in column D + 1 with D = max(below): column c is photon number
+    mode + c - D - 1, and zeros surround each window (the first and last
+    columns are always empty).  Running sums and sorts run along each
+    row, and every sum is an ``np.add.reduceat`` segment that starts on a
+    zero (``_sums``), so no window's numbers depend on the others.
+    """
+    top = int(below.max())
+    offsets = np.arange(-top - 1, int(above.max()) + 2)
     # Poisson weights relative to the mode, summed outward from it:
     # log p_n - log p_(n-1) = log(nbar / n).  Beyond 20 standard deviations
     # the mass is below e^-200, so normalizing over the window is exact.
-    steps = np.log(nbar / ns[1:])
-    at = mode - lo
-    log_probs = np.zeros(ns.size)
-    log_probs[at + 1 :] = np.cumsum(steps[at:])
-    log_probs[:at] = -np.cumsum(steps[:at][::-1])[::-1]
-    probs = np.exp(log_probs)
-    probs /= probs.sum()
-    # drop the smallest weights while the discarded mass stays below the bound
-    order = np.argsort(probs, kind="stable")
-    kept = order[int(np.searchsorted(np.cumsum(probs[order]), tail_bound)) :]
-    first, last = int(kept.min()), int(kept.max())
-    tail = float(probs[:first].sum() + probs[last + 1 :].sum())
-    kept_ns = ns[first : last + 1]
-    if kept_ns.size > _MAX_AMPLITUDES:
-        raise DomainError(
-            f"coherent state at nbar = {nbar!r} needs {kept_ns.size} amplitudes, "
-            f"over the budget of {_MAX_AMPLITUDES}"
-        )
-    amps = np.sqrt(probs[first : last + 1]) * np.exp(1j * coherent_phase * kept_ns)
-    amps /= math.sqrt(float(np.vdot(amps, amps).real))
-    return kept_ns, amps, tail
+    ns = mode[:, None] + offsets
+    grid = np.maximum(mode[:, None] + (offsets + (offsets < 0)), 1, dtype=float)
+    np.log(np.divide(np.where(nbar > 0.0, nbar, 1.0)[:, None], grid, out=grid), out=grid)
+    grid[:, top + 1] = 0.0
+    np.add.accumulate(grid[:, top + 2 :], axis=1, out=grid[:, top + 2 :])
+    grid[:, top:0:-1] = -np.add.accumulate(grid[:, top:0:-1], axis=1)
+    # every window's log-weights are <= 0; the empty cells left of the mode
+    # of a row with nbar < 1 grow with the grid, past the float range
+    np.exp(np.minimum(grid, 0.0, out=grid), out=grid)
+    grid[(offsets < -below[:, None]) | (offsets > above[:, None])] = 0.0
+    rows = np.arange(nbar.size)[:, None] * grid.shape[1]
+    first, last = top + 1 - below, top + 1 + above  # each window's columns
+    grid /= _sums(grid, rows + np.array([first - 1, last + 1]).T)[:, :1]
+    # drop the smallest weights while the discarded mass stays below the
+    # bound; a row's empty columns sort first and add nothing
+    order = np.argsort(grid, axis=1, kind="stable")
+    order += rows
+    running = grid.ravel()[order]
+    np.add.accumulate(running, axis=1, out=running)
+    kept = np.empty(grid.shape, dtype=bool)
+    kept.ravel()[order] = running >= tail_bound
+    columns = np.arange(grid.shape[1])
+    low, high = kept.argmax(axis=1), columns[-1] - kept[:, ::-1].argmax(axis=1)
+    span = (columns >= low[:, None]) & (columns <= high[:, None])
+    sizes = high - low + 1
+    probs, kept_ns = grid[span], ns[span]
+    amps = np.sqrt(probs)
+    if coherent_phase:  # at phase 0 the factors are exactly 1
+        amps = amps * np.exp(1j * coherent_phase * kept_ns)
+    amps /= np.repeat(np.sqrt(np.add.reduceat(probs, np.cumsum(sizes) - sizes)), sizes)
+    grid[span] = 0.0
+    tails = _sums(grid, rows + np.array([first - 1, low, high, last + 1]).T)
+    return kept_ns, amps, sizes, tails[:, 0] + tails[:, 2]
+
+
+def _sums(grid: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of the raveled grid from each of bounds to the next, shaped as bounds.
+
+    ``np.add.reduceat`` adds a segment's first value to the pairwise sum
+    of the rest, so a segment that starts on a zero gets the pairwise sum
+    of the values after it, the one ``ndarray.sum`` takes of them alone.
+    """
+    return np.add.reduceat(grid.ravel(), bounds.ravel()).reshape(bounds.shape)
 
 
 _AMP = 1.0 / math.sqrt(2.0)
@@ -657,8 +728,7 @@ def _combined_states(ns, params: CombinedStateParams) -> list[TwoModeState]:
     _within_budget(max(ns), "combined")
     ns = np.asarray(ns, dtype=np.int64)
     js = ns // 2
-    k = np.arange(1, int(js.max()) + 1)
-    halves = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))  # c(2k)
+    halves = _central_binomials(int(js.max()))  # c(2k)
     half_rows, j = _ragged(js + 1), np.repeat(js, js + 1)  # row 2r carries r = half_rows
     amps = np.repeat(beta * np.array([1, 1j, -1, -1j])[js % 4], js + 1) * np.sqrt(
         halves[j - half_rows] * halves[half_rows]

@@ -23,7 +23,11 @@ once.
 columns they need advance in one flat recurrence (``_run_columns``): a
 dense block folds every column into its components as the rows arrive
 and keeps none, and a block stored on a few rows keeps only the columns
-at those rows.  V is symmetric, so mapping J_y components back to rows is
+at those rows.  The columns at the rows |mu| <= 1 (lam = 0, -1/2, -1)
+need no recurrence: they follow in closed form from the central
+binomials c(2k) = C(2k, k) / 4^k (``_read_central``), so the blocks of
+dual-Fock, Yurke, Yuen and Pezze-Smerzi states are read as whole arrays
+at any 2j.  V is symmetric, so mapping J_y components back to rows is
 the same fold, and every other reader is built on it.  ``_rotate``
 (exp(-i theta J_y) on a block) is two projections with the phases
 exp(-i theta lam_k) between them.  The projection of a block stored on
@@ -46,13 +50,15 @@ blocks at small angles) come back as roundoff, not relatively accurate.
 The eigenvectors stay orthonormal within 2e-14 through 2j = 3000, and
 a dense rotation, which pairs their columns, carries that error: up to
 2e-14 at 2j = 3000 for a block on one row near theta = 0 or pi.  The
-edge columns agree with a 40-digit reference within 1e-15.
+edge columns agree with a 40-digit reference within 1e-15, and the
+closed-form columns with mpmath within a few times sqrt(j) eps.
 
-Nothing is cached.  The recurrence has one bound, on work: a block may
+Nothing is cached.  The kernel has one bound, on work: a block may
 visit ``_MAX_COLUMN_ROWS`` = 2^24 column-rows, in memory of the order of
-its columns.  A dense projection or rotation runs up to 2j = 8191, and
-``d_block``, which holds (2j + 1)^2 entries, up to 2j = 4095; past them
-DomainError is raised before anything is allocated.
+its columns, and a closed-form column counts its 2j + 1 rows too.  A
+dense projection or rotation runs up to 2j = 8191, and ``d_block``,
+which holds (2j + 1)^2 entries, up to 2j = 4095; past them DomainError
+is raised before anything is allocated.
 """
 
 from __future__ import annotations
@@ -72,16 +78,18 @@ __all__ = [
     "d_element",
 ]
 
-# The one bound on the J_y recurrence: the column-rows one block may visit.
+# The one bound on the J_y kernel: the column-rows one block may visit.
 # A dense block folds its columns with lam <= 0 over their upper rows,
 # (2j // 2 + 1)^2 column-rows, which admits every column up to 2j = 8191;
-# a block read on its stored rows visits 2j + 1 per column it needs, which
-# refuses the 17,033 stored rows of noon_input at N = 10^5 (the CLI reads
-# NOON inside the interferometer, on two rows).  Only fixed-phi
-# points of blocks with rows other than 0, apply_mzi on such blocks and the
-# d_* kernels run the recurrence: every phi -> 0 limit comes from generator
-# moments, edge-row blocks rotate in closed form, and a row-0 block is read
-# as cos(phi)^(2j).
+# a block read on its stored rows visits 2j + 1 per column it needs, in
+# closed form or not, which refuses the 17,033 stored rows of noon_input
+# at N = 10^5 (the CLI reads NOON inside the interferometer, on two rows)
+# and a dual-Fock point at N = 2^24.  Only fixed-phi points of blocks with
+# rows other than 0 and |mu| <= 1 (a Yurke block of 2j <= 4, a Yuen block
+# of 2j <= 3, which fold), apply_mzi on such blocks and the d_* kernels
+# run the recurrence: every phi -> 0 limit comes from generator moments,
+# edge-row blocks rotate in closed form, and a row-0 block is read as
+# cos(phi)^(2j).
 _MAX_COLUMN_ROWS = 2**24
 
 # Rows the recurrence advances between two checks for columns past 1e150.
@@ -284,8 +292,64 @@ def _projections(two_js, sizes, rows, amplitudes) -> np.ndarray:
         b = np.zeros(lanes.size, dtype=complex)
         a[lane[~mirrored]] = phased[entries[~mirrored]]
         b[lane[mirrored]] = phased[entries[mirrored]]
-        _read_stored(two_js[block[lanes]], base[block[lanes]], seeds[lanes], a, b, out)
+        lane_args = (two_js[block[lanes]], base[block[lanes]], seeds[lanes], a, b)
+        central = lane_args[0] - 2 * lane_args[2] <= 2  # |mu| <= 1
+        for read, picked in ((_read_central, central), (_read_stored, ~central)):
+            if picked.any():
+                read(*(arg[picked] for arg in lane_args), out)
     return out
+
+
+def _central_binomials(top: int) -> np.ndarray:
+    """c(2k) = C(2k, k) / 4^k for k = 0 .. top: one cumulative product of (2k - 1) / (2k)."""
+    k = np.arange(1.0, top + 1.0)
+    return np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))
+
+
+def _read_central(two_js, base, seeds, a, b, out) -> None:
+    """The closed-form route: add <e_k|psi> to out[base + k] from lanes within one of the middle.
+
+    Lanes and a, b are as in ``_read_stored``, with 2j - 2s = 0, 1 or 2:
+    the columns at lam = 0, -1/2 and -1, which the rows |mu| <= 1 read.
+    Each follows from the lam = 0 column u of the even block 2J = 2 (2j // 2),
+    u[2m] = (-1)^m sqrt(c(2m) c(2J - 2m)) and 0 on odd rows, with
+    c(2k) = C(2k, k) / 4^k: its magnitudes are |d^J_(J - 2m, 0)(pi/2)|,
+    through the associated Legendre P_J^(J - 2m)(0), and
+    sum_m c(2m) c(2J - 2m) = 1 makes it exactly normalized.  Two operators that lower the J_y
+    eigenvalue, both real in this basis, give the others:
+    K_- = J_z - i J_x by 1 on the same block,
+    (K_- u)[r] = (J - r) u[r] + (t(r-1) u[r-1] - t(r) u[r+1]) / 2 with
+    t(r) = sqrt((r + 1)(2J - r)), of norm sqrt(J (J + 1)); and the mode
+    (a^dag - i b^dag) / sqrt(2) by 1/2 into block 2J + 1,
+    sqrt(2J + 1 - r) u[r] + sqrt(r) u[r - 1] over sqrt(2J + 2).  Both keep
+    row 0 positive, as the recurrence does.  Every lane's rows are
+    whole-array operations, and no recurrence runs.
+    """
+    half = two_js // 2
+    c = _central_binomials(int(half.max()))
+    for shift in (0, 1, 2):
+        lanes = np.flatnonzero(two_js - 2 * seeds == shift)
+        if not lanes.size:
+            continue
+        lane = np.repeat(lanes, half[lanes] + 1)
+        m, top = _ragged(half[lanes] + 1), half[lane]
+        u = np.sqrt(c[m] * c[top - m])
+        u[m % 2 == 1] *= -1.0
+        at, row = base[lane] + 2 * m, 2.0 * m  # the even rows
+        if shift == 0:
+            np.add.at(out, at, u * (a + b)[lane])
+        elif shift == 1:  # into block 2J + 1, whose odd row 2m + 1 follows from u[2m]
+            u /= np.sqrt(2.0 * top + 2.0)
+            np.add.at(out, at, np.sqrt(2.0 * top + 1.0 - row) * u * (a + b)[lane])
+            np.add.at(out, at + 1, np.sqrt(row + 1.0) * u * (a - b)[lane])
+        else:  # each odd row 2m + 1 lies between u[2m] and u[2m + 2]
+            u /= np.sqrt(top * (top + 1.0))
+            inner = np.flatnonzero(m < top)
+            r, twice = row[inner], 2.0 * top[inner]
+            odd = np.sqrt((r + 1.0) * (twice - r)) * u[inner]
+            odd -= np.sqrt((r + 2.0) * (twice - r - 1.0)) * u[inner + 1]
+            np.add.at(out, at[inner] + 1, 0.5 * odd * (a - b)[lane[inner]])
+            np.add.at(out, at, (top - row) * u * (a + b)[lane])
 
 
 def _ragged(sizes: np.ndarray) -> np.ndarray:

@@ -542,7 +542,7 @@ def test_groups_are_held_to_the_rows_their_states_store(monkeypatch):
             return original(group, *rest)
 
         monkeypatch.setattr(cli, builder, counting)
-        assert [n for n, _, _ in cli._family_states(label, ns)] == list(ns)
+        assert [n for group, _, _ in cli._family_states(label, ns) for n in group] == list(ns)
         assert [n for group in groups for n in group] == list(ns)
         if label == "noon":
             assert [len(group) for group in groups] == [4096, 4096, 2]
@@ -827,3 +827,54 @@ def test_cli_loads_no_optional_dependency(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert parse_csv(table.read_text())
+
+
+@pytest.mark.parametrize("label", ["noon", "dual-fock", "yurke", "berry-wiseman"])
+def test_huge_phase_exits_3(label, capsys):
+    # exp(-2i phi lam) leaves the float range at phi = 1e308; the row used
+    # to print NaN in every column and exit 0
+    assert main(["sweep", "--state", label, "--n-min", "4", "--phi", "1e308"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and "not finite" in captured.err
+
+
+def test_projected_point_sweeps_need_no_recurrence(monkeypatch, tmp_path):
+    # the rows |mu| <= 1 read their J_y columns in closed form; only Yurke
+    # blocks of 2j <= 4 and Yuen blocks of 2j <= 3 fold, which runs it
+    def refuse(two_js, seeds, take):
+        raise AssertionError(f"J_y recurrence run for 2j = {two_js}")
+
+    monkeypatch.setattr(wigner, "_run_columns", refuse)
+    for label, lo, hi in (("dual-fock", 2, 2000), ("pezze-smerzi", 2, 400), ("yurke", 6, 400),
+                          ("yuen", 5, 401), ("modified-yuen", 5, 401)):
+        out = tmp_path / f"{label}.csv"
+        assert main(["sweep", "--state", label, "--phi", "0.3", "--n-min", str(lo),
+                     "--n-max", str(hi), "--out", str(out)]) == 0
+        assert [int(row["N"]) for row in parse_csv(out.read_text())] == list(range(lo, hi + 1, 2))
+
+
+def test_a_sweep_takes_entries_per_group_and_warns_in_one_write(monkeypatch, tmp_path):
+    # the dual-Fock sweep N = 2..300 is one builder group: one entries call
+    # for it, not one per state, and its 149 skip warnings in one write
+    calls, writes = [], []
+    point_entries = detection._point_entries
+
+    def counting(states):
+        calls.append(len(states))
+        return point_entries(states)
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(detection, "_point_entries", counting)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["sweep", "--state", "dual-fock", "--n-min", "2", "--n-max", "300", "--phi", "0.3",
+                 "--out", str(tmp_path / "dual.csv")]) == 0
+    assert calls == [150]
+    assert len(writes) == 1
+    assert writes[0] == "".join(
+        f"warning: dual-fock is defined for even N; N={n} skipped\n" for n in range(3, 300, 2)
+    )

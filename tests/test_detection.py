@@ -1041,3 +1041,64 @@ def test_engine_reads_build_no_dense_vector(monkeypatch):
             parity_derivative(state, phi)
         phase_uncertainty_limit(state)
         assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_yurke_point_is_the_forward_image(monkeypatch):
+    # the closed-form J_y columns at |mu| <= 1 are the forward beam
+    # splitter's image; the inverse one moves <P> by 0.40 here, and only
+    # Yurke, among the projected families, tells the two apart
+    from mzparity import oracle
+
+    monkeypatch.setattr(oracle, "MAX_ORACLE_PHOTONS", 40)
+    state = yurke_input(40)
+    for phi in (0.3, 1e-3, 1.3):
+        want = bruteforce_parity_expectation(state, phi)
+        assert parity_expectation(state, phi) == pytest.approx(want, rel=0.0, abs=1e-13)
+
+
+def test_projected_points_obey_the_quantum_cramer_rao_bound():
+    # the four families read through the closed-form columns, up to N = 2^12:
+    # |<P>| <= 1 and delta_phi >= 1 / (2 Delta J_y) within the tolerance of
+    # test_fixed_phi_points_obey_the_quantum_cramer_rao_bound
+    evens = [2, 4, 6, 10, 64, 100, 1000, 4096]
+    states = [build(n) for n in evens for build in (
+        lambda n: dual_fock_input(n // 2), yurke_input, pezze_smerzi_input)]
+    states += [yuen_input(n + 1, modified) for n in evens for modified in (False, True)]
+    spreads = np.array([_jy_spread(state) for state in states])
+    blind = spreads < 1e-12  # Pezze-Smerzi at N = 2 is a J_y eigenstate
+    assert blind.sum() == 1
+    for phi in (1e-3, 0.3, 1.3):
+        results = phase_uncertainties(states, phi)
+        assert all(abs(r.expectation) <= 1.0 for r in results)
+        delta = np.array([r.delta_phi for r in results])
+        assert np.all(np.isinf(delta[blind]))
+        gaps = np.array([1.0 - r.expectation**2 for r in results])[~blind]
+        ratio = delta[~blind] * 2.0 * spreads[~blind]
+        assert np.all(ratio >= 1.0 - (1e-13 + 4e-15 / np.maximum(gaps, 1e-300)))
+
+
+def test_huge_phase_is_refused_without_warnings():
+    # at phi = 1e308 the phases exp(-2i phi lam) leave the float range: the
+    # point is refused as not finite, and no RuntimeWarning escapes (this
+    # suite turns them into errors); row-0 blocks read cos(phi)^(2j), which
+    # stays finite
+    for state in (noon_internal(4), dual_fock_input(2), yurke_input(4), berry_wiseman_internal(4)):
+        with pytest.raises(ConsistencyError, match="not finite"):
+            phase_uncertainty(state, 1e308)
+    for state in (coherent_input(9.0), single_fock_input(5)):
+        result = phase_uncertainty(state, 1e308)
+        assert math.isfinite(result.expectation) and abs(result.expectation) <= 1.0
+
+
+def test_first_failing_state_names_its_first_failure():
+    # the checks are whole-array, but the first state in input order that
+    # fails raises, with the message of the first check it fails
+    finite = np.array([0.5 + 0j, 0.5 + 2e-10j, 2.0 + 0j])
+    slopes = np.array([1.0 + 0j, 1.0 + 5e-10j, 1.0 + 0j])
+    spreads = 1.0 - finite.real**2
+    with pytest.raises(ConsistencyError, match=r"^parity expectation for 'b': imaginary residue 2e-10"):
+        detection._results(0.1, finite, slopes, spreads, ["a", "b", "c"])
+    with pytest.raises(ConsistencyError, match=r"^expectation 2.0 leaves"):
+        detection._results(0.1, finite[::2], slopes[::2], spreads[::2], ["a", "c"])
+    with pytest.raises(ConsistencyError, match=r"^parity derivative for 'a' is not finite"):
+        detection._results(0.1, finite[:1], np.array([complex(math.inf, 0.0)]), spreads[:1], ["a"])

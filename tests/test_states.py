@@ -503,7 +503,11 @@ def test_family_groups_match_the_one_n_constructors(label, group, monkeypatch):
     one_n = 9 if parity_needed(label, 8) else 8
     ns = {"one": range(one_n, one_n + 1), "skips": range(5, 12), "over-a-chunk": range(1, 200)}[group]
     params = CombinedStateParams(0.6, 0.8, 0.7) if label == "combined" else None
-    cases = list(cli._family_states(label, ns, params))
+    cases = [
+        (n, group_label, state)
+        for group, group_label, states in cli._family_states(label, ns, params)
+        for n, state in zip(group, states)
+    ]
     kept = [n for n in ns if parity_needed(label, n) is None]
     assert [n for n, _, _ in cases] == kept
     groups = list(cli._chunks(kept, (lambda n: n + 1) if label in cli._GROWING else (lambda n: 2)))
@@ -527,3 +531,28 @@ def test_family_groups_match_the_one_n_constructors(label, group, monkeypatch):
             assert not array.flags.writeable
         with pytest.raises(AttributeError):
             state.label = "other"
+
+
+# kept photon numbers and discarded mass of coherent_input(nbar), frozen
+# from the one-window-at-a-time builder that the grid builder replaced
+COHERENT_WINDOWS = {
+    0.5: (0, 11, 3.214697303345186e-13),
+    1.0: (0, 14, 3.000010666525194e-13),
+    9.0: (0, 37, 5.585252853754138e-13),
+    150.0: (72, 245, 9.485105766170277e-13),
+    1000.0: (783, 1233, 9.566191646624177e-13),
+    7000.0: (6411, 7604, 9.59467955472684e-13),
+}
+
+
+@pytest.mark.parametrize("nbar", sorted(COHERENT_WINDOWS))
+def test_coherent_windows_keep_their_range_and_tail(nbar):
+    first, last, tail = COHERENT_WINDOWS[nbar]
+    state = coherent_input(nbar)
+    assert state.two_js.tolist() == list(range(first, last + 1))
+    assert abs(state.truncation_tail - tail) <= 2 * np.spacing(tail)
+    # in a group, each window is built as it is alone; the empty cells
+    # of the nbar = 0.5 row under a wide window stay finite
+    grouped = states_module._coherent_states([0.5, nbar, 2.5])[1]
+    assert np.array_equal(grouped.amplitudes, state.amplitudes)
+    assert grouped.truncation_tail == state.truncation_tail

@@ -563,3 +563,86 @@ def test_edge_rotation_matches_reference_and_eigen_route(two_j):
         # to the orthonormality bound of test_eigensystem_contract
         route = wigner._rotate(two_j, np.arange(n), unit, theta)
         assert np.abs(wigner._edge_column(two_j, theta) - route).max() <= 1e-13
+
+
+def _central_lanes(two_js):
+    """(2j, base, s) of every column the rows |mu| <= 1 read, s = j, j - 1/2 or j - 1, block after block."""
+    lanes = []
+    base = 0
+    for two_j in two_js:
+        for seed in sorted({two_j // 2, (two_j - 1) // 2} if two_j % 2 else {two_j // 2, two_j // 2 - 1}):
+            if seed >= 0 and two_j - 2 * seed <= 2:
+                lanes.append((two_j, base, seed))
+        base += two_j + 1
+    two_j, base, seed = (np.array(column) for column in zip(*lanes))
+    return two_j, base, seed, int(base[-1] + two_j[-1] + 1)
+
+
+def test_closed_form_columns_match_the_recurrence():
+    # the columns of all five projected families: dual-Fock s = j, Yurke
+    # s = j and j - 1, Pezze-Smerzi s = j - 1, Yuen and modified Yuen
+    # s = j - 1/2; with the mirrored row 2j - s stored too (b), as
+    # Pezze-Smerzi and Yuen store it
+    two_js, base, seeds, size = _central_lanes(range(1, 401))
+    assert set((two_js - 2 * seeds).tolist()) == {0, 1, 2}
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(seeds.size) + 1j * rng.standard_normal(seeds.size)
+    b = rng.standard_normal(seeds.size) + 1j * rng.standard_normal(seeds.size)
+    closed, recurrence = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    wigner._read_central(two_js, base, seeds, a, b, closed)
+    wigner._read_stored(two_js, base, seeds, a, b, recurrence)
+    assert np.abs(closed - recurrence).max() <= 1e-14
+
+
+def _central_reference(two_j, seed, row):
+    """V[row, seed] at the working precision.
+
+    The lam = 0 column of block 2J = 2 (2j // 2) is u[r] = (-1)^(r/2)
+    |d^J_(J - r, 0)(pi/2)|, with d^J_(m, 0)(pi/2) = sqrt((J - m)! / (J + m)!)
+    P_J^m(0) and P_J^m(0) from its Gamma-function form (DLMF 14.5.1); the
+    columns at lam = -1/2 and -1 take the kernel's ladder step from it.
+    """
+    big_j = two_j // 2
+
+    def u(r):
+        if r % 2 or not 0 <= r <= 2 * big_j:
+            return mp.mpf(0)
+        m = big_j - r
+        log = (mp.loggamma(big_j - m + 1) - mp.loggamma(big_j + m + 1)) / 2 + m * mp.log(2)
+        log += mp.loggamma(mp.mpf(big_j + m + 1) / 2) - mp.loggamma(mp.mpf(big_j - m) / 2 + 1)
+        return (-1) ** (r // 2) * mp.exp(log) / mp.sqrt(mp.pi)
+
+    shift = two_j - 2 * seed
+    if shift == 0:
+        return u(row)
+    if shift == 1:
+        return (mp.sqrt(2 * big_j + 1 - row) * u(row) + mp.sqrt(row) * u(row - 1)) / mp.sqrt(2 * big_j + 2)
+    step = lambda r: mp.sqrt((r + 1) * (2 * big_j - r)) if 0 <= r < 2 * big_j else 0
+    value = (big_j - row) * u(row) + (step(row - 1) * u(row - 1) - step(row) * u(row + 1)) / 2
+    return value / mp.sqrt(big_j * (big_j + 1))
+
+
+@pytest.mark.parametrize("two_j", [2**16, 2**16 + 1, 2**20, 2**20 + 1])
+def test_closed_form_columns_match_mpmath_at_large_blocks(two_j):
+    # legenp's hypergeometric series takes over a minute per value at
+    # degree 2^15, so P_J^m(0) comes from its Gamma-function form; the
+    # columns are good to a few sqrt(j) eps of their largest entry
+    j = two_j // 2
+    seeds = np.array([j] if two_j % 2 else [j, j - 1])
+    columns = wigner._v_rows(two_j, seeds)
+    rng = np.random.default_rng(two_j)
+    rows = sorted({0, 1, 2, j - 1, j, j + 1, two_j - 1, two_j, *rng.integers(0, two_j + 1, 8).tolist()})
+    with mp.workdps(40):
+        for seed, column in zip(seeds.tolist(), columns):
+            want = np.array([float(_central_reference(two_j, seed, r)) for r in rows])
+            scale = np.abs(want).max()
+            assert np.abs(column[rows] - want).max() <= math.sqrt(0.5 * two_j) * 2.2e-16 * scale
+
+
+def test_gamma_reference_matches_legenp():
+    # the reference above against mpmath's own associated Legendre at 2J = 400
+    with mp.workdps(30):
+        for r in (0, 2, 100, 200, 398, 400):
+            m = 200 - r
+            want = mp.sqrt(mp.factorial(200 - m) / mp.factorial(200 + m)) * mp.legenp(200, m, 0)
+            assert abs(_central_reference(400, 200, r) - want) <= mp.mpf(10) ** -25
