@@ -4,8 +4,10 @@ The package computes photon-parity expectation values at the output of a
 Mach-Zehnder interferometer, the error-propagation phase uncertainty, and
 its small-phase limit, for a catalog of input and internal states.  The
 rotation kernel reads every Wigner d number from the J_y eigenvectors it
-needs, built per call by a three-term recurrence with nothing cached; an
-independent dense Fock-space oracle cross-checks every observable at
+needs, built per call with nothing cached: the columns at |mu| <= 1 in
+closed form, the others by a three-term recurrence.  The CLI carries each
+group of states as one flat batch from its builder to its output lines.
+An independent dense Fock-space oracle cross-checks every observable at
 small photon number.
 """
 

@@ -1,28 +1,23 @@
 """Command-line surface: sweeps, reference-table and figure-data emission.
 
-Every number takes one route.  One label -> builder table (``_FAMILIES``)
-gives each family's builder, which takes a group of N in the family's
-parity class (``states.parity_needed``) and returns all their states at
-once.  A sweep and each figure curve collect their valid N into groups
-whose stored rows (N + 1 where they grow with N, else 2) sum to at most
-``_CHUNK_ENTRIES`` and build each group in one call
-(``_family_states``); ``build_state``, for the table and
-``expectation``, builds a group of one N.  ``noon`` and ``combined`` are
-built inside the interferometer (``_noon_states``, ``_combined_states``),
-where they store 2 and N/2 + 1 rows, so their points and limits read the
-stored rows through Q in O(N); ``noon_input`` and ``combined_input``
-return the same states at input, for fig2 and library callers.
-Detection runs in batches: each chunk of
-a fixed-phi sweep (and the one state of ``expectation``) makes one
-``detection.phase_uncertainties`` call (``_points``), and every figure,
-the table and each chunk of a ``--limit`` sweep make one
-``detection.phase_uncertainty_limits`` call (``_limits``), after one
-quarter turn of all the chunk's berry-wiseman states.  ``_chunks`` holds
-each chunk to ``_CHUNK_ENTRIES`` flat entries so memory stays bounded at
-any N.  Sweeps and ``expectation`` write one record per N; the table and
-the fig3/fig4 curves are limits, where a family outside its parity class
-leaves an empty cell (a warning and a skipped row in a sweep).  The
-argument parser is built once per process.
+Every number takes one route, and each family group stays one flat batch
+(``states._Batch``) from its builder to its output lines.  ``_FAMILIES``
+maps each label to a builder that takes an array of N in the family's
+parity class (one mask over the N) and returns their states as one batch.
+``_family_states`` builds the N in groups whose stored rows (N + 1 where
+they grow with N, else 2) sum to at most ``_CHUNK_ENTRIES``, as they are
+needed; ``noon`` and ``combined`` are built inside the interferometer, so
+their points and limits read their stored rows through Q in O(N).
+``_chunked`` cuts the states of consecutive groups, by running sums and
+``searchsorted`` (``_cuts``), into chunks of at most ``_CHUNK_ENTRIES``
+flat entries, a state over the bound alone, so memory stays bounded at
+any N, and makes one call of a detection core per chunk:
+``_point_columns`` (``_points``) or ``_limit_column`` (``_limits``, after
+a quarter turn of each berry-wiseman group).  Output lines are formatted
+straight from the returned columns, with no per-state object or per-N
+record; ``run_sweep`` builds its records from the same columns.  In the
+table and the fig3/fig4 curves a family outside its parity class leaves
+an empty cell (a warning and a skipped row in a sweep).
 
 Output is deterministic: a fixed config produces byte-identical files.
 Floats are written with 17 significant digits so CSV round-trips exactly;
@@ -43,14 +38,19 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import detection
 from .detection import benchmark_limits
 from .errors import DomainError, MzParityError
 from .interferometer import _quarter_turn
 from .states import (
+    FAMILY_PARITY,
     STATE_LABELS,
     CombinedStateParams,
     TwoModeState,
+    _joined,
+    _positive_int,
     _berry_wiseman_states,
     _coherent_states,
     _combined_states,
@@ -110,6 +110,8 @@ class SweepConfig:
             raise DomainError(
                 f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}"
             )
+        for name in ("n_min", "n_max"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if self.phi_mode not in ("fixed", "limit"):
             raise DomainError(f"phi_mode must be 'fixed' or 'limit', got {self.phi_mode!r}")
         if self.format not in ("csv", "json"):
@@ -185,129 +187,147 @@ def build_state(
         raise DomainError(why)
     if label not in _FAMILIES:
         raise DomainError(f"unknown state label {label!r}")
-    return _FAMILIES[label]([n], params)[0]
+    return _FAMILIES[label]([n], params).states()[0]
 
 
 # Chunk bound of the batched detection calls, in the flat entries that
 # ``detection._limit_entries`` and ``detection._point_entries`` count.  A
 # call on a chunk of 2^13 entries raises the traced memory by at most
-# about 1.2 MiB, for limits and for the points of every family (1.5 MiB
-# for 5000 one-row single-Fock points, where the per-state results
-# dominate); 2^12 halves that but takes about twice as long on dual-Fock
-# points, and 2^14 doubles it for no gain.  The states are built in
-# groups held to the same bound in the rows they store: N + 1, the rows of
-# a dense block, for the families in ``_GROWING``, whose stored rows grow
-# with N, and 2 for the others, which store one or two.
+# about 1.2 MiB, for limits and for the points of every family; 2^12
+# halves that but takes about twice as long on dual-Fock points, and 2^14
+# doubles it for no gain.  The states are built in groups held to the same
+# bound in the rows they store: N + 1, the rows of a dense block, for the
+# families in ``_GROWING``, whose stored rows grow with N, and 2 for the
+# others, which store one or two.
 _CHUNK_ENTRIES = 2**13
 _GROWING = frozenset({"coherent", "berry-wiseman", "combined"})
 
 
-def _chunks(items: Iterable, size) -> Iterator[list]:
-    """items in order, in chunks whose size(item) sum to at most _CHUNK_ENTRIES.
+def _cuts(weights: np.ndarray, held: int = 0) -> list[int]:
+    """Bounds of the greedy runs of weights that sum to at most _CHUNK_ENTRIES.
 
-    An item over the bound alone makes a chunk of its own.
+    The first run joins ``held`` entries taken before it (empty if its first
+    weight does not fit); a weight over the bound makes a run alone.
     """
-    chunk, total = [], 0
-    for item in items:
-        weight = size(item)
-        if chunk and total + weight > _CHUNK_ENTRIES:
-            yield chunk
-            chunk, total = [], 0
-        chunk.append(item)
-        total += weight
-    if chunk:
-        yield chunk
-
-
-def _in_class(label: str, ns: Iterable[int], skipped: list[str]) -> Iterator[int]:
-    """The N of ns in the family's parity class; why each other N is skipped goes to skipped."""
-    for n in ns:
-        why = _outside_class(label, n)
-        if why is None:
-            yield n
-        else:
-            skipped.append(why)
+    ends = np.add.accumulate(weights)
+    cuts, base = [0], -held
+    while cuts[-1] < ends.size:
+        stop = int(ends.searchsorted(base + _CHUNK_ENTRIES, side="right"))
+        if stop == cuts[-1] and base >= 0:
+            stop += 1
+        cuts.append(stop)
+        base = int(ends[stop - 1]) if stop else 0
+    return cuts
 
 
 def _family_states(label, ns, params=None, warn=False) -> Iterator[tuple]:
-    """(group of N, label, their states) for the N of ns in the family's parity class.
+    """(N, batch) of each group of the N of ns (rising) in the family's parity class.
 
-    Groups are ``_chunks`` of the rows each state stores, each built by
-    one builder call as it is consumed, so only the groups that the chunk
-    being evaluated draws on are held.  If warn, the N skipped so far are
-    warned of in one write before each group is built, and at the end.
+    Each group is built by one builder call as it is consumed.  If warn,
+    the N skipped below the next group's first N are warned of in one
+    write before each group is built, and the rest at the end.
     """
-    rows = (lambda n: n + 1) if label in _GROWING else (lambda n: 2)
-    skipped: list[str] = []
-    for group in _chunks(_in_class(label, ns, skipped), rows):
-        _warn_skipped(skipped, warn)
-        yield group, label, _FAMILIES[label](group, params)
-    _warn_skipped(skipped, warn)
+    ns = np.asarray(ns)
+    need = FAMILY_PARITY.get(label)
+    kept = ns if need is None else ns[ns % 2 == (need == "odd")]
+    skipped = ns[ns % 2 != (need == "odd")] if warn and need is not None else ns[:0]
+    cuts = _cuts(kept + 1 if label in _GROWING else np.full(kept.size, 2))
+    told = 0
+    for a, b in zip(cuts, cuts[1:]):
+        upto = int(skipped.searchsorted(kept[b])) if b < kept.size else skipped.size
+        _warn_skipped(label, skipped[told:upto])
+        told = upto
+        yield kept[a:b], _FAMILIES[label](kept[a:b], params)
+    _warn_skipped(label, skipped[told:])
 
 
-def _warn_skipped(skipped: list[str], warn: bool) -> None:
-    """Write the skip warnings gathered so far, if warn, in one write; forget them."""
-    if warn and skipped:
-        sys.stderr.write("".join(f"warning: {why} skipped\n" for why in skipped))
-    skipped.clear()
+def _warn_skipped(label: str, ns: np.ndarray) -> None:
+    """Warn that the N of ns, outside the family's parity class, are skipped, in one write."""
+    if ns.size:
+        sys.stderr.write("".join(f"warning: {_outside_class(label, n)} skipped\n"
+                                 for n in ns.tolist()))
 
 
-def _cases(groups: Iterable[tuple], entries) -> Iterator[tuple]:
-    """(key, label, state, flat entries) for each case of each (keys, label, states) group.
+def _chunked(groups: Iterable[tuple], entries, evaluate) -> Iterator[tuple]:
+    """(key, N, columns) of each piece of the (key, N, batch) groups, one evaluate call per chunk.
 
-    ``entries`` (``detection._point_entries`` or ``_limit_entries``) runs
-    once per group.
+    A chunk takes the next states, across groups, while their ``entries``
+    sum to at most ``_CHUNK_ENTRIES``; a piece is the view of a group in
+    one chunk.  The groups are consumed lazily, so at most one chunk and
+    the groups it draws on are held.
     """
-    for keys, label, states in groups:
-        yield from zip(keys, [label] * len(states), states, entries(states).tolist())
+    held, total = [], 0
+    for key, ns, batch in groups:
+        weights = entries(batch)
+        cuts = _cuts(weights, total)
+        for a, b in zip(cuts, cuts[1:]):
+            if a < b:
+                held.append((key, ns[a:b], batch if b - a == ns.size else batch[a:b]))
+            if b < ns.size:  # a later state of the group does not fit
+                yield from _evaluated(held, evaluate)
+                held = []
+        total = int(np.add.reduce(weights[cuts[-2]:])) + (total if len(cuts) == 2 else 0)
+    yield from _evaluated(held, evaluate)
+
+
+def _evaluated(held: list[tuple], evaluate) -> Iterator[tuple]:
+    """(key, N, columns) of each held piece, from one evaluate call on all of them."""
+    if held:
+        columns = evaluate(_joined([batch for _, _, batch in held]))
+        starts = np.cumsum([0] + [ns.size for _, ns, _ in held]).tolist()
+        for (key, ns, _), at in zip(held, starts):
+            yield key, ns, columns[..., at : at + ns.size]
 
 
 def _limits(groups: Iterable[tuple]) -> Iterator[tuple]:
-    """(key, phi -> 0 limit) for each case of the (keys, label, states) groups, a call per chunk.
-
-    The groups are consumed lazily, so at most one chunk of states, and
-    the groups it draws on, are held.
-    """
-    for chunk in _chunks(_cases(groups, detection._limit_entries), lambda case: case[3]):
-        keys, labels, states, _ = zip(*chunk)
-        states = list(states)
-        # The berry-wiseman state gives a flat parity signal at phi = 0, so
-        # its phi -> 0 limit diverges.  Its finite limit belongs to parity
-        # detection behind a pi/2 bias, where it equals 1/(2 Delta J_z), the
-        # quantum Cramer-Rao bound; the engine computes it there, with the
-        # pi/2 phases applied exactly, to all of the chunk's at once.
-        biased = [s for s, label in enumerate(labels) if label == "berry-wiseman"]
-        if biased:
-            for s, state in zip(biased, _quarter_turn([states[s] for s in biased])):
-                states[s] = state
-        yield from zip(keys, detection.phase_uncertainty_limits(states))
+    """(key, N, phi -> 0 limits) of each piece of the (key, N, batch) groups, a call per chunk."""
+    # The berry-wiseman state gives a flat parity signal at phi = 0, so its
+    # phi -> 0 limit diverges.  Its finite limit belongs to parity detection
+    # behind a pi/2 bias, where it equals 1/(2 Delta J_z), the quantum
+    # Cramer-Rao bound; the engine computes it there, with the pi/2 phases
+    # applied exactly, to each group at once.
+    turned = ((key, ns, _quarter_turn(batch) if batch.labels[0] == "berry-wiseman" else batch)
+              for key, ns, batch in groups)
+    return _chunked(turned, detection._limit_entries, detection._limit_column)
 
 
 def _points(groups: Iterable[tuple], phi: float) -> Iterator[tuple]:
-    """(key, DetectionResult at phi) for each case of the groups, one batched call per chunk."""
-    for chunk in _chunks(_cases(groups, detection._point_entries), lambda case: case[3]):
-        keys, _, states, _ = zip(*chunk)
-        yield from zip(keys, detection.phase_uncertainties(states, phi))
-
-
-def _record(n: int, delta_phi: float, *point) -> SweepRecord:
-    """One output row at N; point holds the fixed-phi columns, absent for a limit."""
-    return SweepRecord(n, delta_phi, *detection._scales(n), *point)
-
-
-def _point_record(n: int, result: detection.DetectionResult) -> SweepRecord:
-    return _record(
-        n, result.delta_phi, result.phi, result.expectation, result.derivative, result.variance
+    """(key, N, columns <P>, d<P>/dphi, Delta P, delta phi) at phi of each piece of the groups."""
+    return _chunked(
+        groups, detection._point_entries, lambda batch: detection._point_columns(batch, phi)
     )
+
+
+def _sweep_rows(config: SweepConfig) -> Iterator[tuple]:
+    """N, delta phi (after <P>, d<P>/dphi and Delta P at fixed phi) and the scales, per row."""
+    # Python ints where N or the running sums of their rows could pass int64
+    exact = (config.n_max + 1) * (config.n_max - config.n_min + 1) < 2**63
+    ns = np.arange(config.n_min, config.n_max + 1, dtype=np.int64 if exact else object)
+    family = _family_states(config.state_label, ns, config.combined_params, warn=True)
+    groups = ((None, group, batch) for group, batch in family)
+    pieces = _limits(groups) if config.phi_mode == "limit" else _points(groups, config.phi)
+    for _, group, columns in pieces:
+        for row in zip(group.tolist(), *np.atleast_2d(columns).tolist()):
+            yield row + detection._scales(row[0])
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per valid N; invalid parity class is skipped with a warning."""
-    ns = range(config.n_min, config.n_max + 1)
-    groups = _family_states(config.state_label, ns, config.combined_params, warn=True)
+    rows = _sweep_rows(config)
     if config.phi_mode == "limit":
-        return [_record(n, delta_phi) for n, delta_phi in _limits(groups)]
-    return [_point_record(n, result) for n, result in _points(groups, config.phi)]
+        return [SweepRecord(*row) for row in rows]
+    # a point row is N, <P>, d<P>/dphi, Delta P, then delta phi and the scales
+    return [SweepRecord(row[0], *row[4:], float(config.phi), *row[1:4]) for row in rows]
+
+
+def _sweep_payload(config: SweepConfig) -> str:
+    """The sweep's output, from the columns: one CSV template, its phi cell formatted once."""
+    fill = (None,) * 4 if config.phi_mode == "limit" else (float(config.phi),)
+    if config.format == "json":
+        return _json_payload(_CSV_COLUMNS, ((r[0], *fill, *r[1:]) for r in _sweep_rows(config)))
+    cells = [_CELLS[type(value)] % value for value in fill]
+    template = ",".join(["%d", *cells] + ["%.17g"] * (len(_CSV_COLUMNS) - 1 - len(fill)))
+    return "\n".join([",".join(_CSV_COLUMNS), *[template % r for r in _sweep_rows(config)]]) + "\n"
 
 
 # The CSV cell of each type of value: "%.0s" makes None an empty cell.
@@ -359,11 +379,6 @@ def _emit(payload: str, output_path: str) -> None:
         handle.write(payload)
 
 
-def _write_records(records: list[SweepRecord], output_path: str, fmt: str) -> None:
-    payload = _json_payload if fmt == "json" else _csv_payload
-    _emit(payload(_CSV_COLUMNS, [record.cells() for record in records]), output_path)
-
-
 _TABLE_HEADER = (
     "row",
     "state_label",
@@ -399,9 +414,10 @@ def reproduce_table(output_path: str) -> list[dict]:
         (8, "noon", "(|8,0>+|0,8>)/sqrt2 (internal)", 8, 1.0 / n, "Heisenberg reference"),
     ]
     groups = (
-        ((index,), label, [build_state(label, n_row)]) for index, label, _, n_row, _, _ in plan
+        (index, np.array([n_row]), _FAMILIES[label]([n_row], None))
+        for index, label, _, n_row, _, _ in plan
     )
-    computed_at = dict(_limits(groups))
+    computed_at = {index: limits.tolist()[0] for index, _, limits in _limits(groups)}
     rows = []
     for index, label, fock, n_row, closed, note in plan:
         computed = computed_at[index]
@@ -431,26 +447,28 @@ def _fig2_payload() -> str:
     return _csv_payload(("two_mu", "re", "im", "abs"), rows)
 
 
-def _limit_curves(ns: range, curves: list[tuple], references: tuple[str, ...]) -> str:
+def _limit_curves(ns: np.ndarray, curves: list[tuple], povm: bool) -> str:
     """CSV of phi -> 0 limits, one row per N and one column per curve.
 
     Each curve is (column, label, params), built over ns in its family's
-    groups; the named ``benchmark_limits`` fields follow.  A family
-    outside its parity class at N leaves its cell empty.
+    groups; shot_noise and heisenberg follow, and bw_povm if povm.  A
+    family outside its parity class at N leaves its cell empty.
     """
+    references = ("shot_noise", "heisenberg", "bw_povm")[: 2 + povm]
     header = ("N",) + tuple(column for column, _, _ in curves) + references
-    rows = {n: {"N": n} for n in ns}
+    cells = np.full((len(curves), ns.size), math.nan)  # NaN: no limit at N, an empty cell
     groups = (
-        ([(n, column) for n in group], label, states)
-        for column, label, params in curves
-        for group, _, states in _family_states(label, ns, params)
+        (c, group, batch)
+        for c, (_, label, params) in enumerate(curves)
+        for group, batch in _family_states(label, ns, params)
     )
-    for (n, column), delta_phi in _limits(groups):
-        rows[n][column] = delta_phi
-    for n, row in rows.items():
-        limits = benchmark_limits(n)
-        row.update((name, getattr(limits, name)) for name in references)
-    return _csv_payload(header, (tuple(map(row.get, header)) for row in rows.values()))
+    for c, group, limits in _limits(groups):
+        cells[c, np.searchsorted(ns, group)] = limits
+    return _csv_payload(header, (
+        (n, *(None if math.isnan(cell) else cell for cell in row),
+         *detection._scales(n)[: len(references)])
+        for n, row in zip(ns.tolist(), cells.T.tolist())
+    ))
 
 
 def _combined_curve(column: str, alpha_sq: float, theta: float) -> tuple:
@@ -467,7 +485,7 @@ def _fig3_payload() -> str:
         _combined_curve("combined_12_pi", 0.5, math.pi),
         _combined_curve("combined_12_pi4", 0.5, math.pi / 4.0),
     ]
-    return _limit_curves(range(2, 101, 2), curves, ("shot_noise", "heisenberg"))
+    return _limit_curves(np.arange(2, 101, 2), curves, povm=False)
 
 
 def _fig4_payload() -> str:
@@ -476,8 +494,7 @@ def _fig4_payload() -> str:
         ("pezze_smerzi", "pezze-smerzi", None),
         ("berry_wiseman", "berry-wiseman", None),
     ]
-    references = ("shot_noise", "heisenberg", "bw_povm")
-    return _limit_curves(range(2, 101), curves, references)
+    return _limit_curves(np.arange(2, 101), curves, povm=True)
 
 
 def emit_figure_data(figure_id: str, output_path: str) -> None:
@@ -639,7 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     config = _merge_sweep_config(args)
-    _write_records(run_sweep(config), config.output_path, config.format)
+    _emit(_sweep_payload(config), config.output_path)
 
 
 def _cmd_expectation(args: argparse.Namespace) -> None:
@@ -648,9 +665,10 @@ def _cmd_expectation(args: argparse.Namespace) -> None:
         raise DomainError("expectation takes a single N (n-min must equal n-max)")
     if config.phi_mode == "limit":
         raise DomainError("expectation reports a fixed-phi point; use sweep --limit")
-    state = build_state(config.state_label, config.n_min, config.combined_params)
-    record = _point_record(config.n_min, detection.phase_uncertainty(state, config.phi))
-    _write_records([record], config.output_path, config.format)
+    why = _outside_class(config.state_label, config.n_min)
+    if why is not None:
+        raise DomainError(why)
+    _emit(_sweep_payload(config), config.output_path)
 
 
 _COMMANDS = {

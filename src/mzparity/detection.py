@@ -22,21 +22,20 @@ inside state all come from that one image.  Equal frequencies are not
 merged, so a NOON state inside the interferometer holds two terms at
 any N.
 
-``phase_uncertainties(states, phi)`` takes a batch of states.  Their
-blocks lie end to end, and the J_y projections of every at-input block
-come from one ``wigner._projections`` call: a dense block
-(``noon_input``, ``combined_input``) folds each column of one flat
-three-term recurrence into its projection as the rows arrive, in
-O(columns) memory, and a block stored on a few rows (dual-Fock, Yurke,
-Yuen, Pezze-Smerzi) reads only the columns at those rows, in closed form
-where |mu| <= 1, as all four store them.  The CLI builds NOON and
-combined inside the interferometer, so their points take the O(rows) Q
-route and run no recurrence.  <P>,
-d<P>/dphi and the shift of <P> since phi = 0 are then read for every
-state at once, each summed over its own run of terms, so a state's
-numbers do not depend on the batch it came in.  ``phase_uncertainty``,
+``phase_uncertainties(states, phi)`` lays its states end to end in one
+batch (``states._Batch``), and its core ``_point_columns`` returns the
+columns <P>, d<P>/dphi, Delta P and delta phi of a batch, which the CLI
+formats straight into rows.  The J_y projections of every at-input block
+come from one ``wigner._projections`` call: a dense block (``noon_input``,
+``combined_input``) folds each column of one flat three-term recurrence
+into its projection as the rows arrive, in O(columns) memory, and a block
+stored on a few rows (dual-Fock, Yurke, Yuen, Pezze-Smerzi) reads only
+the columns at those rows, in closed form where |mu| <= 1.  <P>,
+d<P>/dphi and the shift of <P> since phi = 0 are read for every state at
+once, each summed over its own run of terms, so a state's numbers do not
+depend on the batch it came in.  ``phase_uncertainty``,
 ``parity_expectation`` and ``parity_derivative`` are that call on one
-state, and each chunk of a CLI sweep makes one.
+state.
 
 ``phase_uncertainty_limits`` needs no spectrum.  Since P G P = -G for
 the phase generator G (J_y at input, J_z inside), <P>(phi) =
@@ -44,12 +43,11 @@ the phase generator G (J_y at input, J_z inside), <P>(phi) =
 moments F_m = <psi|(2iG)^m P psi> / m!: products with the tridiagonal J_y
 over a few rows around each block's nonzero amplitudes, or with the
 diagonal J_z.  The exact phi -> 0 limit is read off their leading orders.
-It takes a batch of states: their blocks lie end to end in one flat array
-per frame, each product runs once over all of them, each state's moments
-are summed over its own segment, and the leading orders of every state
-are read in one vectorized step.  ``phase_uncertainty_limit`` is the same
-call on one state, and every CLI figure, the table and each chunk of a
-``--limit`` sweep make one batched call.  The engine is cross-checked
+Its core ``_limit_column`` takes a batch: each product runs once over all
+its blocks (once per frame it holds), each state's moments are summed
+over its own segment, and the leading orders of every state are read in
+one vectorized step.  Every CLI figure, the table and each chunk of a
+``--limit`` sweep make one core call.  The engine is cross-checked
 against the brute-force Fock oracle.
 
 The commonly quoted per-family closed forms are evaluated verbatim by
@@ -76,8 +74,8 @@ from .halfint import HalfInt
 from .interferometer import _finite_phase
 from .states import (
     CombinedStateParams,
-    Frame,
     TwoModeState,
+    _Batch,
     _positive_int,
     parity_needed,
 )
@@ -141,63 +139,31 @@ class BenchmarkLimits:
     bw_povm: float
 
 
-class _Stored(NamedTuple):
-    """The stored form of several states end to end.
-
-    Each block's 2j and its number of stored rows, then the flat rows and
-    amplitudes of every block in turn: what ``_q_image`` reads from a
-    TwoModeState, for a whole batch.
-    """
-
-    two_js: np.ndarray
-    sizes: np.ndarray
-    rows: np.ndarray
-    amplitudes: np.ndarray
-
-
-def _stored(states: list[TwoModeState]) -> tuple[_Stored, np.ndarray]:
-    """The stored form of states end to end, and the index of each state's first block."""
-    counts = np.array([state.two_js.size for state in states])
-    offsets = np.concatenate([state.offsets for state in states])
-    ends = offsets[1:]  # each state's offsets restart at 0, so an end of 0 starts a state
-    stored = _Stored(
-        np.concatenate([state.two_js for state in states]),
-        (ends - offsets[:-1])[ends > 0],
-        np.concatenate([state.rows for state in states]),
-        np.concatenate([state.amplitudes for state in states]),
-    )
-    return stored, np.cumsum(counts) - counts
-
-
 def _on_row_zero(stored) -> np.ndarray:
-    """Which blocks of a TwoModeState or a ``_Stored`` batch store row 0 alone."""
+    """Which blocks of a TwoModeState or a batch store row 0 alone."""
     return (stored.sizes == 1) & (stored.rows[np.cumsum(stored.sizes) - stored.sizes] == 0)
 
 
-def _point_entries(states: list[TwoModeState]) -> np.ndarray:
-    """Flat entries a fixed-phi pass holds for each state: its stored rows and its terms.
+def _point_entries(batch: _Batch) -> np.ndarray:
+    """Flat entries a fixed-phi pass holds for each state of a batch: stored rows and terms.
 
     An inside state has one term per stored row; an at-input state 2j + 1
     projections, one term each, for every block not read as cos(phi)^(2j).
     """
-    at_input = [s for s, state in enumerate(states) if state.frame is Frame.AT_INPUT]
-    entries = np.array([2 * state.rows.size for state in states])
-    if at_input:
-        stored, firsts = _stored([states[s] for s in at_input])
-        terms = np.where(_on_row_zero(stored), 0, stored.two_js + 1)
-        entries[at_input] = np.add.reduceat(stored.sizes + terms, firsts)
-    return entries
+    terms = np.where(_on_row_zero(batch), 0, batch.two_js + 1)
+    terms = np.where(np.repeat(batch.inside, np.diff(batch.firsts)), batch.sizes, terms)
+    return np.add.reduceat(batch.sizes + terms, batch.firsts[:-1])
 
 
-def _limit_entries(states: list[TwoModeState]) -> np.ndarray:
+def _limit_entries(batch: _Batch) -> np.ndarray:
     """Flat entries a limit holds for each state: stored rows, _TAYLOR_ORDER each side of a block."""
-    return np.array([state.rows.size + 2 * _TAYLOR_ORDER * state.two_js.size for state in states])
+    return np.add.reduceat(batch.sizes + 2 * _TAYLOR_ORDER, batch.firsts[:-1])
 
 
 def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
     """(Q psi)_r = i^(2j) (-1)^r psi_(2j - r) on every stored row r of an inside state.
 
-    state is a TwoModeState or a ``_Stored`` batch of them.  Each row's
+    state is a TwoModeState or a batch of them.  Each row's
     mirror 2j - r is found among the stored rows of its block by one
     searchsorted over keys that rise through the flat arrays, across
     states too, since the block bases keep rising.  Also returns which
@@ -246,8 +212,8 @@ def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _spectra(states: list[TwoModeState]) -> _Spectra:
-    """The terms of each state's <P>(phi), and the row-0 blocks apart.
+def _spectra(batch: _Batch) -> _Spectra:
+    """The terms of each state's <P>(phi) in a batch, and the row-0 blocks apart.
 
     An at-input block stored on row 0 alone (mu = +j, mode b empty, as in
     every coherent and single-Fock block) is |psi_0|^2 times
@@ -270,14 +236,12 @@ def _spectra(states: list[TwoModeState]) -> _Spectra:
     adds its |psi|^2 once more, for the mirror row, where psi is 0 and
     Q psi is not.
     """
-    for state in states:
-        state.require_normalized()
-    stored, first_blocks = _stored(states)
-    two_js, sizes, rows, amps = stored
-    at_input = np.array([state.frame is Frame.AT_INPUT for state in states])
-    owner = np.repeat(np.arange(len(states)), np.diff(first_blocks, append=two_js.size))
-    block_input = at_input[owner]
-    on_row0 = block_input & _on_row_zero(stored)
+    batch.require_normalized()
+    two_js, sizes, rows, amps = batch.two_js, batch.sizes, batch.rows, batch.amplitudes
+    first_blocks = batch.firsts[:-1]
+    owner = np.repeat(np.arange(len(batch)), np.diff(batch.firsts))
+    block_input = ~batch.inside[owner]
+    on_row0 = block_input & _on_row_zero(batch)
     mass = amps.real**2 + amps.imag**2
     odd = rows % 2 == 1
     below, above = np.where(odd, 2.0 * mass, 0.0), np.where(odd, 0.0, 2.0 * mass)
@@ -293,16 +257,16 @@ def _spectra(states: list[TwoModeState]) -> _Spectra:
         parts.append(
             (np.repeat(owner[projected], n), mirrored * plain, 2 * k - np.repeat(n - 1, n))
         )
-    if not at_input.all():  # every stored row of an inside state, through Q
+    if batch.inside.any():  # every stored row of an inside state, through Q
         entries = ~np.repeat(block_input, sizes)
-        inside = _Stored(two_js[~block_input], sizes[~block_input], rows[entries], amps[entries])
-        image, paired = _q_image(inside)
+        image, paired = (part[entries] for part in _q_image(batch))
+        inside, inside_sizes = amps[entries], sizes[~block_input]
         parts.append((
-            np.repeat(owner[~block_input], inside.sizes),
-            np.conj(inside.amplitudes) * image,
-            2 * inside.rows - np.repeat(inside.two_js, inside.sizes),
+            np.repeat(owner[~block_input], inside_sizes),
+            np.conj(inside) * image,
+            2 * rows[entries] - np.repeat(two_js[~block_input], inside_sizes),
         ))
-        minus, plus = inside.amplitudes - image, inside.amplitudes + image
+        minus, plus = inside - image, inside + image
         unpaired = np.where(paired, 0.0, mass[entries])
         below[entries] = 0.5 * (minus.real**2 + minus.imag**2 + unpaired)
         above[entries] = 0.5 * (plus.real**2 + plus.imag**2 + unpaired)
@@ -312,10 +276,10 @@ def _spectra(states: list[TwoModeState]) -> _Spectra:
     return _Spectra(
         weights[by_state],
         doubled[by_state] / 2.0,
-        np.bincount(holders, minlength=len(states)),
+        np.bincount(holders, minlength=len(batch)),
         two_js[on_row0],
         mass[(np.cumsum(sizes) - sizes)[on_row0]],
-        np.bincount(owner[on_row0], minlength=len(states)),
+        np.bincount(owner[on_row0], minlength=len(batch)),
         _segment_sums(below, rows_per_state),
         _segment_sums(above, rows_per_state),
         np.maximum.reduceat(two_js, first_blocks),
@@ -340,8 +304,8 @@ def _cos_powers(phi: float, powers: np.ndarray) -> np.ndarray:
     return values
 
 
-def _results(phi: float, expectations, derivatives, spreads, labels) -> list[DetectionResult]:
-    """The result of each state at one phase point; spreads are 1 - <P>^2, Delta P their roots.
+def _results(expectations, derivatives, spreads, labels) -> np.ndarray:
+    """Columns <P>, d<P>/dphi, Delta P, delta phi of each state; spreads are 1 - <P>^2.
 
     expectations and derivatives may carry imaginary parts.  A state
     fails if either is not finite (a phase past the float range) or has
@@ -375,17 +339,15 @@ def _results(phi: float, expectations, derivatives, spreads, labels) -> list[Det
     variances = np.sqrt(np.maximum(spreads, 0.0))
     steep = np.abs(slopes) >= _DERIVATIVE_FLOOR
     deltas = np.divide(variances, np.abs(slopes), out=np.full(slopes.size, math.inf), where=steep)
-    columns = (np.clip(values, -1.0, 1.0), slopes, variances, deltas)
-    return [DetectionResult(phi, *row) for row in zip(*(column.tolist() for column in columns))]
+    return np.array([np.clip(values, -1.0, 1.0), slopes, variances, deltas])
 
 
 def _bundle(
     phi: float, expectation: float, derivative: float, spread: float, label: str = ""
 ) -> DetectionResult:
     """Result at one phase point from real values: ``_results`` on one state."""
-    return _results(
-        phi, np.array([expectation]), np.array([derivative]), np.array([spread]), [label]
-    )[0]
+    columns = _results(np.array([expectation]), np.array([derivative]), np.array([spread]), [label])
+    return DetectionResult(phi, *columns[:, 0].tolist())
 
 
 def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
@@ -416,7 +378,14 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
     states = list(states)
     if not states:
         return []
-    weights, freqs, terms, powers, probs, counts, below, above, tops = _spectra(states)
+    columns = _point_columns(_Batch.of(states), phi)
+    return [DetectionResult(phi, *row) for row in zip(*columns.tolist())]
+
+
+def _point_columns(batch: _Batch, phi: float) -> np.ndarray:
+    """``phase_uncertainties`` of a batch, as the columns of ``_results``."""
+    phi = _finite_phase(phi)
+    weights, freqs, terms, powers, probs, counts, below, above, tops = _spectra(batch)
     with np.errstate(invalid="ignore"):  # a phase past the float range is NaN, refused below
         phase = np.exp(-2j * phi * freqs)
     expectations = _segment_sums(weights * phase, terms)
@@ -429,7 +398,7 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
     # <P>(phi) - <P>(0) without cancellation where |phi| 2J < 1, so cos(phi) > 0;
     # |phi| held to 1 decides the same (2J is an integer) and cannot overflow
     near = min(abs(phi), 1.0) * tops < 1.0
-    shifts = np.zeros(len(states))
+    shifts = np.zeros(len(batch))
     if near.any():
         picked = np.repeat(near, terms)
         shifts[near] = _segment_sums(
@@ -444,7 +413,7 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
             shifts += _segment_sums(drops, counts)
     values = expectations.real
     spreads = np.where(near, (below - shifts) * (above + shifts), 1.0 - values * values)
-    return _results(phi, expectations, derivatives, spreads, [state.label for state in states])
+    return _results(expectations, derivatives, spreads, batch.labels)
 
 
 def phase_uncertainty(state: TwoModeState, phi: float) -> DetectionResult:
@@ -514,10 +483,9 @@ def _extrapolate_limit(values: list[float], context: str) -> float:
     )
 
 
-def _input_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
-    """m! F_m of at-input states, one row per state, m <= _TAYLOR_ORDER.
+def _input_moments(batch: _Batch) -> np.ndarray:
+    """m! F_m of each state of a batch read at input, one row per state, m <= _TAYLOR_ORDER.
 
-    first_blocks indexes the first block of each state in ``stored``.
     2i J_y = J_+ - J_- is the real tridiagonal matrix with
     <mu_r|J_+|mu_(r+1)> = sqrt((r+1)(2j-r)) above the diagonal and its
     negative below.  Its m-th power reaches m rows beyond the stored ones,
@@ -528,7 +496,7 @@ def _input_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
     single-Fock) costs O(_TAYLOR_ORDER).
     """
     order = _TAYLOR_ORDER
-    two_js, sizes, rows = stored.two_js, stored.sizes, stored.rows
+    two_js, sizes, rows = batch.two_js, batch.sizes, batch.rows
     stored_ends = np.cumsum(sizes)
     firsts = np.maximum(rows[stored_ends - sizes] - order, 0)
     widths = np.minimum(rows[stored_ends - 1] + order, two_js) - firsts + 1
@@ -540,14 +508,14 @@ def _input_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
     raising = np.sqrt((row[:-1] + 1.0) * (block[:-1] - row[:-1]))
     raising[ends[:-1] - 1] = 0.0  # no coupling from one block into the next
     sign = np.where(row % 2, -1.0, 1.0)  # the diagonal of S
-    starts = (ends - widths)[first_blocks]
+    starts = (ends - widths)[batch.firsts[:-1]]
     # u_k = A^k psi for A = J_+ - J_-.  A is real and antisymmetric, and
     # S A S = -A, so <psi|A^m S psi> = (-1)^m <u_a|S u_b> for any a + b = m;
     # a = m // 2 and b = m - a differ by at most 1, so each step keeps
     # only u_(k-1) and u_k, for orders 2k - 1 and 2k.
-    moments = np.empty((first_blocks.size, order + 1), dtype=complex)
+    moments = np.empty((len(batch), order + 1), dtype=complex)
     current = np.zeros(ends[-1], dtype=complex)
-    current[np.repeat(row_zero_at, sizes) + rows] = stored.amplitudes
+    current[np.repeat(row_zero_at, sizes) + rows] = batch.amplitudes
     moments[:, 0] = np.add.reduceat(np.conj(current) * (sign * current), starts)
     for k in range(1, order // 2 + 1):
         following = np.empty_like(current)
@@ -562,17 +530,17 @@ def _input_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
     return moments
 
 
-def _inside_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
-    """m! F_m of inside states, one row per state, m <= _TAYLOR_ORDER.
+def _inside_moments(batch: _Batch) -> np.ndarray:
+    """m! F_m of each state of a batch read inside, one row per state, m <= _TAYLOR_ORDER.
 
     G = J_z and P = Q, so the moments are the sums of conj(psi) (Q psi)
     times the powers of 2i mu over each state's stored rows, read one order
     at a time: (2i mu)^m = i^m (2 mu)^m, and i^m is exact.
     """
-    generator = np.repeat(stored.two_js, stored.sizes) - 2.0 * stored.rows
-    terms = np.conj(stored.amplitudes) * _q_image(stored)[0]
-    starts = (np.cumsum(stored.sizes) - stored.sizes)[first_blocks]
-    moments = np.empty((first_blocks.size, _TAYLOR_ORDER + 1), dtype=complex)
+    generator = np.repeat(batch.two_js, batch.sizes) - 2.0 * batch.rows
+    terms = np.conj(batch.amplitudes) * _q_image(batch)[0]
+    starts = (np.cumsum(batch.sizes) - batch.sizes)[batch.firsts[:-1]]
+    moments = np.empty((len(batch), _TAYLOR_ORDER + 1), dtype=complex)
     power = np.ones(generator.size)
     for m in range(_TAYLOR_ORDER + 1):
         moments[:, m] = _I_POWERS[m % 4] * np.add.reduceat(terms * power, starts)
@@ -580,33 +548,25 @@ def _inside_moments(stored: _Stored, first_blocks: np.ndarray) -> np.ndarray:
     return moments
 
 
-def _taylor_series(states: list[TwoModeState]) -> tuple[np.ndarray, np.ndarray]:
+def _taylor_series(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients F_m of each state's <P>(phi) at phi = 0, and their bounds.
 
-    Rows are states, columns m = 0 .. _TAYLOR_ORDER.  <P>(phi) =
-    <psi| exp(2i phi G) P |psi>, so F_m = <psi|(2iG)^m P psi> / m!.  The
-    states of each frame are laid end to end, their block offsets
-    continuing from state to state, and take one flat pass
-    (``_input_moments``, ``_inside_moments``) that needs no eigensystem;
-    each state's moments are summed over its own segment of the flat
-    arrays.  |F_m| <= (2J)^m / m! for a normalized state, with 2J its
-    largest block; those are the bounds.
+    Rows are the states of the batch, columns m = 0 .. _TAYLOR_ORDER.
+    <P>(phi) = <psi| exp(2i phi G) P |psi>, so F_m = <psi|(2iG)^m P psi> / m!.
+    The batch takes one flat pass for each frame it holds
+    (``_input_moments``, ``_inside_moments``), with no eigensystem, and each
+    state's moments are summed over its own segment of the flat arrays.
+    |F_m| <= (2J)^m / m! for a normalized state, with 2J its largest block;
+    those are the bounds.
     """
-    for state in states:
-        state.require_normalized()
+    batch.require_normalized()
     order = _TAYLOR_ORDER
-    series = np.empty((len(states), order + 1), dtype=complex)
-    tops = np.empty(len(states))
-    for frame, moments in (
-        (Frame.AT_INPUT, _input_moments),
-        (Frame.INSIDE_INTERFEROMETER, _inside_moments),
-    ):
-        picked = [s for s, state in enumerate(states) if state.frame is frame]
-        if not picked:
-            continue
-        stored, first_blocks = _stored([states[s] for s in picked])
-        series[picked] = moments(stored, first_blocks)
-        tops[picked] = np.maximum.reduceat(stored.two_js, first_blocks)
+    series = np.empty((len(batch), order + 1), dtype=complex)
+    for picked, moments in ((~batch.inside, _input_moments), (batch.inside, _inside_moments)):
+        if picked.any():
+            series[picked] = moments(batch if picked.all() else batch.select(picked))
+    # floats, so the bounds tops ** m cannot overflow
+    tops = np.maximum.reduceat(batch.two_js, batch.firsts[:-1]).astype(float)
     factorials = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
     return series / factorials, tops[:, None] ** np.arange(order + 1) / factorials
 
@@ -691,8 +651,13 @@ def phase_uncertainty_limits(states) -> list[float]:
     NormalizationError.
     """
     states = list(states)
-    series, bounds = _taylor_series(states)
-    return _limit_from_series(series, bounds, [state.label for state in states]).tolist()
+    return _limit_column(_Batch.of(states)).tolist() if states else []
+
+
+def _limit_column(batch: _Batch) -> np.ndarray:
+    """``phase_uncertainty_limits`` of a batch, as one array."""
+    series, bounds = _taylor_series(batch)
+    return _limit_from_series(series, bounds, batch.labels)
 
 
 def phase_uncertainty_limit(state: TwoModeState) -> float:

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, FrameError
-from .states import Frame, TwoModeState, _nonzero_rows
+from .states import Frame, TwoModeState, _Batch, _batch, _nonzero_rows
 from .wigner import _I_POWERS, _rotate
 
 __all__ = [
@@ -48,11 +48,8 @@ __all__ = [
 
 def _output(state: TwoModeState, dense: list[np.ndarray], frame: Frame) -> TwoModeState:
     """The state whose blocks, in the order of state's, have the dense vectors ``dense``."""
-    two_js, sizes, rows, amplitudes = _nonzero_rows(state.two_js, dense)
-    (out,) = TwoModeState._many(
-        two_js, sizes, rows, amplitudes, [two_js.size], frame, state.label, [state.truncation_tail]
-    )
-    return out
+    kept = _nonzero_rows(state.two_js, dense)
+    return _batch(*kept, [kept[0].size], frame, state.label, [state.truncation_tail]).states()[0]
 
 
 def _finite_phase(phi) -> float:
@@ -108,49 +105,39 @@ def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeSt
     return _output(state, dense, flipped)
 
 
-def _shifted(states: list[TwoModeState], phases) -> list[TwoModeState]:
-    """The inside states, of one family, with their stored amplitudes times phases.
+def _shifted(batch: _Batch, phases) -> _Batch:
+    """The batch of inside states with their stored amplitudes times phases, in the same layout.
 
-    ``phases`` takes the 2j of each stored row's block and the row, over
-    the states laid end to end, and the states are stored back in one
-    ``_many`` call.
+    ``phases`` takes the 2j of each stored row's block and the row; the
+    product is checked as a new batch.
     """
-    if any(state.frame is not Frame.INSIDE_INTERFEROMETER for state in states):
+    if not batch.inside.all():
         raise FrameError("apply_phase_shifter needs an inside-interferometer state")
-    two_js, sizes, rows, amplitudes = (
-        np.concatenate(parts)
-        for parts in zip(*((s.two_js, s.sizes, s.rows, s.amplitudes) for s in states))
-    )
-    return TwoModeState._many(
-        two_js,
-        sizes,
-        rows,
-        phases(np.repeat(two_js, sizes), rows) * amplitudes,
-        [state.two_js.size for state in states],
-        Frame.INSIDE_INTERFEROMETER,
-        states[0].label,
-        [state.truncation_tail for state in states],
+    two_js, sizes, rows = batch.two_js, batch.sizes, batch.rows
+    return _batch(
+        two_js, sizes, rows, phases(np.repeat(two_js, sizes), rows) * batch.amplitudes,
+        np.diff(batch.firsts), Frame.INSIDE_INTERFEROMETER, batch.labels, batch.tails,
     )
 
 
 def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
     """Phase accumulation exp(-i phi J_z) between the beam splitters."""
     phi = _finite_phase(phi)
-    (shifted,) = _shifted(
-        [state], lambda two_js, rows: np.exp(-1j * phi * ((two_js - 2.0 * rows) / 2.0))
+    shifted = _shifted(
+        _Batch.of([state]), lambda two_js, rows: np.exp(-1j * phi * ((two_js - 2.0 * rows) / 2.0))
     )
-    return shifted
+    return shifted.states()[0]
 
 
-def _quarter_turn(states: list[TwoModeState]) -> list[TwoModeState]:
-    """The phase shifter at phi = pi/2 on each of states, of one family, in one pass.
+def _quarter_turn(batch: _Batch) -> _Batch:
+    """The phase shifter at phi = pi/2 on every state of a batch, in one pass.
 
     Its phases are exact (``_quarter_phases``): ``math.pi / 2`` is not
     pi/2, so apply_phase_shifter's phases there drift by about mu x 1e-16,
     which at large N the phi -> 0 limit of the biased state reads as a
     first-order term.
     """
-    return _shifted(states, _quarter_phases)
+    return _shifted(batch, _quarter_phases)
 
 
 def q_apply(two_j: int, vec: np.ndarray) -> np.ndarray:

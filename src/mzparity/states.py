@@ -9,13 +9,13 @@ or the modes between the two beam splitters; detection and transform
 operations dispatch on it.
 
 Each family the CLI sweeps has one builder that takes an array of N and
-returns the states of all of them from a few whole-array operations
-(``_noon_states``, ``_combined_states`` and so on).  ``TwoModeState._many``
-checks the flat arrays of a whole group once, makes them read-only, and
-hands out one state per run of blocks whose arrays are views of the
-shared ones.  The public one-N constructors (``noon_internal``,
-``dual_fock_input``, ...) validate N and call the same builder on [N], so
-each family has one implementation of its amplitudes.
+returns all their states as one batch (``_Batch``: the flat arrays end to
+end, each state's first block, frame, label, tail and norm), made and
+checked once by ``_batch``; detection reads batches, and ``states()``
+splits one into read-only TwoModeState views.  The one-N constructors
+(``noon_internal``, ``dual_fock_input``, ...) validate N and split the
+same builder's batch of [N], so each family has one implementation of its
+amplitudes.
 
 NOON and the NOON/dual-Fock superposition have a constructor in each
 frame.  At input (``noon_input``, ``combined_input``) each is a dense
@@ -114,8 +114,8 @@ class TwoModeState:
 
     ``TwoModeState(components, frame, label)`` takes a mapping from 2j to a
     dense vector of 2j + 1 amplitudes and keeps its nonzero entries; a
-    block with none is not stored.  States built together (``_many``)
-    hold views of one set of shared read-only arrays.
+    block with none is not stored.  The states of one batch
+    (``_Batch.states``) hold views of its shared read-only arrays.
     ``components`` and ``block`` give dense vectors back, built on demand
     under the ``_MAX_AMPLITUDES`` budget.  States are immutable.
     """
@@ -146,68 +146,7 @@ class TwoModeState:
             two_js.append(two_j)
             blocks.append(arr)
         stored = _nonzero_rows(np.array(two_js, dtype=np.int64), blocks)
-        return cls._many(*stored, [stored[0].size], frame, label, [truncation_tail])[0]
-
-    @classmethod
-    def _many(
-        cls, two_js, sizes, rows, amplitudes, blocks, frame: Frame, label: str, tails
-    ) -> list["TwoModeState"]:
-        """States laid end to end in shared flat arrays, state s owning the next blocks[s] blocks.
-
-        ``two_js`` and ``sizes`` give each block's 2j and number of stored
-        rows, ``rows`` and ``amplitudes`` those rows and amplitudes, block
-        after block, and ``tails`` each state's truncation_tail.  The
-        caller provides 2j >= 0 and at least one row rising within 0 .. 2j
-        in each block; the checks every state gets (a block, the frame,
-        finite amplitudes) are made here, once for all.  The arrays are
-        taken over, not copied, and made read-only, and each state's
-        arrays are views of them; its offsets restart at 0 and its norm is
-        one segment sum.
-        """
-        two_js = np.array(two_js, dtype=np.int64, copy=None, ndmin=1)
-        sizes = np.array(sizes, dtype=np.int64, copy=None, ndmin=1)
-        rows = np.array(rows, dtype=np.int64, copy=None, ndmin=1)
-        amplitudes = np.array(amplitudes, dtype=complex, copy=None, ndmin=1, order="C")
-        blocks = np.array(blocks, dtype=np.int64, copy=None, ndmin=1)
-        if np.count_nonzero(blocks) < blocks.size:
-            raise DomainError("state needs at least one (j, mu) block")
-        if not isinstance(frame, Frame):
-            raise DomainError(f"frame must be a Frame, got {frame!r}")
-        # each block's first row and each state's first block, then the end
-        bounds = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.add.accumulate(sizes, out=bounds[1:])
-        lows = np.zeros(blocks.size + 1, dtype=np.int64)
-        np.add.accumulate(blocks, out=lows[1:])
-        firsts = bounds[lows]  # each state's first row, then the end
-        # a NaN or inf anywhere makes a sum of squares non-finite, and
-        # only then are the entries themselves checked; a huge finite
-        # amplitude overflows its square and gives an infinite norm
-        with np.errstate(over="ignore"):
-            squares = np.add.reduceat(np.square(amplitudes.view(float)), 2 * firsts[:-1])
-        norms = np.sqrt(squares).tolist()
-        if not math.isfinite(sum(norms)) and not np.isfinite(amplitudes.view(float)).all():
-            raise DomainError("amplitude vectors must be finite (NaN or inf amplitude)")
-        # state s keeps blocks[s] + 1 offsets, its block bounds less its
-        # first row; the k-th offset of all of them is bound k - s
-        owner = np.arange(blocks.size).repeat(blocks + 1)
-        offsets = bounds[np.arange(owner.size) - owner] - firsts[owner]
-        for array in (two_js, offsets, rows, amplitudes):
-            array.setflags(write=False)
-        lows, firsts = lows.tolist(), firsts.tolist()
-        spans = zip(lows, lows[1:], firsts, firsts[1:], norms, tails)
-        states, put = [], object.__setattr__
-        for s, (lo, hi, first, last, norm, tail) in enumerate(spans):
-            state = object.__new__(cls)
-            put(state, "two_js", two_js[lo:hi])
-            put(state, "offsets", offsets[lo + s : hi + s + 1])
-            put(state, "rows", rows[first:last])
-            put(state, "amplitudes", amplitudes[first:last])
-            put(state, "frame", frame)
-            put(state, "label", label)
-            put(state, "truncation_tail", tail)
-            put(state, "_norm", norm)
-            states.append(state)
-        return states
+        return _batch(*stored, [stored[0].size], frame, label, [truncation_tail]).states()[0]
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"TwoModeState is immutable; cannot set {name!r}")
@@ -223,11 +162,7 @@ class TwoModeState:
         return self._norm
 
     def require_normalized(self, tol: float = 1e-8) -> None:
-        norm = self.norm()
-        if abs(norm - 1.0) > tol:
-            raise NormalizationError(
-                f"state {self.label!r} has norm {norm!r}, expected 1 within {tol}"
-            )
+        _Batch.of([self]).require_normalized(tol)
 
     @property
     def max_two_j(self) -> int:
@@ -322,6 +257,139 @@ def _nonzero_rows(two_js: np.ndarray, blocks: list[np.ndarray]):
     return two_js, [rows.size for rows in kept], rows, amplitudes
 
 
+class _Batch:
+    """Several states end to end: each block's 2j and stored rows (``sizes``),
+    the rows and amplitudes block after block, each state's first block
+    then the block count (``firsts``), and each state's frame (``inside``),
+    label, truncation tail and norm.  ``batch[a:b]`` is states a .. b - 1,
+    as views.
+    """
+
+    __slots__ = (
+        "two_js", "sizes", "rows", "amplitudes", "firsts", "inside", "labels", "tails", "norms"
+    )
+
+    def __init__(self, two_js, sizes, rows, amplitudes, firsts, inside, labels, tails, norms):
+        self.two_js, self.sizes, self.rows, self.amplitudes = two_js, sizes, rows, amplitudes
+        self.firsts, self.inside, self.labels = firsts, inside, labels
+        self.tails, self.norms = tails, norms
+
+    @classmethod
+    def of(cls, states) -> "_Batch":
+        """The states end to end in one batch."""
+        return _joined([cls(
+            state.two_js, state.sizes, state.rows, state.amplitudes,
+            np.array([0, state.two_js.size]), np.array([state.frame is not Frame.AT_INPUT]),
+            [state.label], np.array([state.truncation_tail]), np.array([state.norm()]),
+        ) for state in states])
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, cut: slice) -> "_Batch":
+        a, b, _ = cut.indices(len(self))
+        lo, hi = int(self.firsts[a]), int(self.firsts[b])
+        start, stop = _bounds(self.sizes)[[lo, hi]].tolist()
+        return _Batch(
+            self.two_js[lo:hi], self.sizes[lo:hi], self.rows[start:stop],
+            self.amplitudes[start:stop], self.firsts[a : b + 1] - lo, self.inside[a:b],
+            self.labels[a:b], self.tails[a:b], self.norms[a:b])
+
+    def select(self, picked: np.ndarray) -> "_Batch":
+        """The batch of the states where picked is True, joined from a slice per run of them."""
+        padded = np.concatenate(([False], picked, [False]))
+        edges = (padded[1:] != padded[:-1]).nonzero()[0].tolist()
+        return _joined([self[a:b] for a, b in zip(edges[::2], edges[1::2])])
+
+    def require_normalized(self, tol: float = 1e-8) -> None:
+        """NormalizationError, naming the first state whose norm is off 1 by more than tol."""
+        off = np.abs(self.norms - 1.0) > tol
+        if off.any():
+            s = int(off.argmax())
+            raise NormalizationError(f"state {self.labels[s]!r} has norm "
+                                     f"{float(self.norms[s])!r}, expected 1 within {tol}")
+
+    def states(self) -> list[TwoModeState]:
+        """One read-only TwoModeState per state, its arrays views of the batch's."""
+        bounds = _bounds(self.sizes)
+        lows, rows = self.firsts.tolist(), bounds[self.firsts].tolist()
+        frames = (Frame.AT_INPUT, Frame.INSIDE_INTERFEROMETER)
+        spans = zip(lows, lows[1:], rows, rows[1:], self.inside.tolist(), self.labels,
+                    self.tails.tolist(), self.norms.tolist())
+        states, put = [], object.__setattr__
+        bounds.setflags(write=False)
+        for lo, hi, first, last, inside, label, tail, norm in spans:
+            offsets = bounds[lo : hi + 1]
+            if first:  # the bounds less the state's first row, so they restart at 0
+                offsets = offsets - first
+                offsets.setflags(write=False)
+            state = object.__new__(TwoModeState)
+            put(state, "two_js", self.two_js[lo:hi])
+            put(state, "offsets", offsets)
+            put(state, "rows", self.rows[first:last])
+            put(state, "amplitudes", self.amplitudes[first:last])
+            put(state, "frame", frames[inside])
+            put(state, "label", label)
+            put(state, "truncation_tail", tail)
+            put(state, "_norm", norm)
+            states.append(state)
+        return states
+
+
+def _batch(two_js, sizes, rows, amplitudes, blocks, frame: Frame, label, tails=None) -> _Batch:
+    """The batch of states laid end to end, state s owning the next blocks[s] blocks.
+
+    ``label`` is every state's label or a list of them, ``tails`` each
+    state's truncation_tail (0 if None).  The caller provides 2j >= 0 and
+    rising rows within 0 .. 2j in each block; the checks every state gets
+    (a block, the frame, finite amplitudes) are made here, once for all.
+    The arrays are taken over, not copied, and made read-only.
+    """
+    two_js = np.array(two_js, dtype=np.int64, copy=None, ndmin=1)
+    sizes = np.array(sizes, dtype=np.int64, copy=None, ndmin=1)
+    rows = np.array(rows, dtype=np.int64, copy=None, ndmin=1)
+    amplitudes = np.array(amplitudes, dtype=complex, copy=None, ndmin=1, order="C")
+    blocks = np.array(blocks, dtype=np.int64, copy=None, ndmin=1)
+    if np.count_nonzero(blocks) < blocks.size:
+        raise DomainError("state needs at least one (j, mu) block")
+    if not isinstance(frame, Frame):
+        raise DomainError(f"frame must be a Frame, got {frame!r}")
+    firsts, bounds = _bounds(blocks), _bounds(sizes)
+    # a NaN or inf anywhere makes a sum of squares non-finite, and
+    # only then are the entries themselves checked; a huge finite
+    # amplitude overflows its square and gives an infinite norm
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduceat(np.square(amplitudes.view(float)), 2 * bounds[firsts[:-1]]))
+    if not math.isfinite(np.add.reduce(norms)) and not np.isfinite(amplitudes.view(float)).all():
+        raise DomainError("amplitude vectors must be finite (NaN or inf amplitude)")
+    for array in (two_js, sizes, rows, amplitudes):
+        array.setflags(write=False)
+    labels = [label] * blocks.size if isinstance(label, str) else list(label)
+    tails = np.zeros(blocks.size) if tails is None else np.array(tails, dtype=float)
+    inside = np.empty(blocks.size, dtype=bool)
+    inside.fill(frame is Frame.INSIDE_INTERFEROMETER)
+    return _Batch(two_js, sizes, rows, amplitudes, firsts, inside, labels, tails, norms)
+
+
+def _bounds(counts) -> np.ndarray:
+    """0, then the running sums of counts: where each run starts, then the end."""
+    bounds = np.empty(len(counts) + 1, dtype=np.int64)
+    bounds[0] = 0
+    np.add.accumulate(counts, out=bounds[1:])
+    return bounds
+
+
+def _joined(batches: list[_Batch]) -> _Batch:
+    """The batches end to end, in one batch; a lone batch is itself."""
+    if len(batches) == 1:
+        return batches[0]
+    joined = [np.concatenate([getattr(batch, name) for batch in batches])
+              for name in ("two_js", "sizes", "rows", "amplitudes", "inside", "tails", "norms")]
+    blocks = np.concatenate([batch.firsts[1:] - batch.firsts[:-1] for batch in batches])
+    labels = [label for batch in batches for label in batch.labels]
+    return _Batch(*joined[:4], _bounds(blocks), joined[4], labels, *joined[5:])
+
+
 def fidelity(first: TwoModeState, second: TwoModeState) -> float:
     """|<first|second>| over the rows both store; global-phase invariant.
 
@@ -368,21 +436,21 @@ def coherent_input(
     before it is allocated, and so does a kept window of more than
     ``_MAX_AMPLITUDES`` blocks before the state is built.
     """
-    return _coherent_states([nbar], coherent_phase, tail_bound)[0]
+    return _coherent_states([nbar], coherent_phase, tail_bound).states()[0]
 
 
 def _coherent_states(nbars, coherent_phase: float = 0.0, tail_bound: float = 1e-12):
     """coherent_input at each nbar: the windows built together, one row of a grid each.
 
     Consecutive windows share a grid (``_coherent_grid``) while it holds
-    at most ``_GRID_CELLS`` cells, and every state is stored by one
-    ``_many`` call.  A window's numbers depend on it alone, so each state
+    at most ``_GRID_CELLS`` cells, and every state is stored in one
+    batch.  A window's numbers depend on it alone, so each state
     is bitwise the one ``coherent_input`` builds.  The windows are checked
     as ``coherent_input`` checks one, before any grid is allocated, and
     the first that fails raises.
     """
-    given = [float(nbar) for nbar in nbars]
-    nbar = np.array(given)
+    given = np.array(nbars, dtype=float, ndmin=1)
+    nbar = given.copy()
     valid = np.isfinite(nbar) & (nbar >= 0.0)
     nbar[~valid] = 0.0
     reach = 20.0 * np.sqrt(nbar + 1.0) + 40.0
@@ -393,9 +461,9 @@ def _coherent_states(nbars, coherent_phase: float = 0.0, tail_bound: float = 1e-
         if valid[0] and not 0 < tail_bound <= 1e-6:
             raise DomainError(f"tail_bound must be in (0, 1e-6], got {tail_bound}")
         if not valid[w]:
-            raise DomainError(f"nbar must be finite and non-negative, got {given[w]}")
+            raise DomainError(f"nbar must be finite and non-negative, got {float(given[w])}")
         raise DomainError(
-            f"coherent state at nbar = {given[w]!r} needs a scan of {scan[w]:.6g} photon "
+            f"coherent state at nbar = {float(given[w])!r} needs a scan of {scan[w]:.6g} photon "
             f"numbers, over the budget of {_MAX_WINDOW}"
         )
     # window w reaches below[w] photon numbers under its mode, the largest
@@ -411,19 +479,11 @@ def _coherent_states(nbars, coherent_phase: float = 0.0, tail_bound: float = 1e-
     if np.any(sizes > _MAX_AMPLITUDES):
         w = int(np.argmax(sizes > _MAX_AMPLITUDES))
         raise DomainError(
-            f"coherent state at nbar = {given[w]!r} needs {sizes[w]} amplitudes, "
+            f"coherent state at nbar = {float(given[w])!r} needs {sizes[w]} amplitudes, "
             f"over the budget of {_MAX_AMPLITUDES}"
         )
-    return TwoModeState._many(
-        kept_ns,
-        np.ones(kept_ns.size, dtype=np.int64),
-        np.zeros(kept_ns.size, dtype=np.int64),
-        amps,
-        sizes,
-        Frame.AT_INPUT,
-        "coherent",
-        tails.tolist(),
-    )
+    ones = np.ones(kept_ns.size, dtype=np.int64)
+    return _batch(kept_ns, ones, 0 * ones, amps, sizes, Frame.AT_INPUT, "coherent", tails)
 
 
 # Cells of one coherent grid: consecutive windows share a grid while its
@@ -433,14 +493,20 @@ _GRID_CELLS = 2**14
 
 
 def _grid_runs(below: np.ndarray, above: np.ndarray) -> Iterator[slice]:
-    """Runs of consecutive windows whose grid stays within _GRID_CELLS, a wider one alone."""
-    start = low = high = 0
-    for w, (down, up) in enumerate(zip(below.tolist(), above.tolist())):
-        low, high = max(low, down), max(high, up)
-        if w > start and (w + 1 - start) * (low + high + 3) > _GRID_CELLS:
-            yield slice(start, w)
-            start, low, high = w, down, up
-    yield slice(start, below.size)
+    """Runs of consecutive windows whose grid stays within _GRID_CELLS, a wider one alone.
+
+    A run's grid has one row per window and the widest reach on each side,
+    so its cells never shrink as it takes the next window, and a run from
+    window w holds at most _GRID_CELLS // (below[w] + above[w] + 3) of them.
+    """
+    start = 0
+    while start < below.size:
+        reach = slice(start, start + _GRID_CELLS // int(below[start] + above[start] + 3) + 1)
+        width = np.maximum.accumulate(below[reach]) + np.maximum.accumulate(above[reach]) + 3
+        cells = np.arange(1, width.size + 1) * width
+        stop = start + max(int(np.searchsorted(cells, _GRID_CELLS, side="right")), 1)
+        yield slice(start, stop)
+        start = stop
 
 
 def _coherent_grid(nbar, mode, below, above, coherent_phase: float, tail_bound: float):
@@ -506,7 +572,7 @@ def _sums(grid: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 _AMP = 1.0 / math.sqrt(2.0)
 
 
-def _one_block_states(ns, rows_of, amps, frame: Frame, label: str) -> list[TwoModeState]:
+def _one_block_states(ns, rows_of, amps, frame: Frame, label: str) -> _Batch:
     """One block 2j = N per state, storing rows_of(N)[k] with amplitude amps[k].
 
     ``rows_of`` takes the int64 array of N and gives each stored row as an
@@ -514,38 +580,37 @@ def _one_block_states(ns, rows_of, amps, frame: Frame, label: str) -> list[TwoMo
     """
     ns = np.asarray(ns, dtype=np.int64)
     rows = np.array(rows_of(ns))  # one line per stored row, one column per state
-    ones = np.ones(ns.size, dtype=np.int64)
-    amps = np.tile(np.asarray(amps, dtype=complex), ns.size)
-    return TwoModeState._many(
-        ns, len(rows) * ones, rows.T.ravel(), amps, ones, frame, label, [0.0] * ns.size
-    )
+    ones = np.empty(ns.size, dtype=np.int64)
+    ones.fill(1)
+    amps = np.array([amps], dtype=complex).repeat(ns.size, axis=0)
+    return _batch(ns, len(rows) * ones, rows.T.ravel(), amps.ravel(), ones, frame, label)
 
 
 def single_fock_input(n_total: int) -> TwoModeState:
     """|N>_a |0>_b: all photons in mode a, so mu = +j."""
-    return _single_fock_states([_positive_int(n_total, "n_total")])[0]
+    return _single_fock_states([_positive_int(n_total, "n_total")]).states()[0]
 
 
-def _single_fock_states(ns) -> list[TwoModeState]:
+def _single_fock_states(ns) -> _Batch:
     return _one_block_states(ns, lambda n: [0 * n], [1.0], Frame.AT_INPUT, "single-fock")
 
 
 def dual_fock_input(n_per_mode: int) -> TwoModeState:
     """|N>_a |N>_b: equal occupation, mu = 0, total photon number 2N."""
-    return _dual_fock_states([2 * _positive_int(n_per_mode, "n_per_mode")])[0]
+    return _dual_fock_states([2 * _positive_int(n_per_mode, "n_per_mode")]).states()[0]
 
 
-def _dual_fock_states(ns) -> list[TwoModeState]:
+def _dual_fock_states(ns) -> _Batch:
     """dual_fock_input at total photon numbers ns, all even."""
     return _one_block_states(ns, lambda n: [n // 2], [1.0], Frame.AT_INPUT, "dual-fock")
 
 
 def noon_internal(n_total: int) -> TwoModeState:
     """(|N,0> + |0,N>)/sqrt(2) on the internal modes: mu = +j and -j."""
-    return _noon_states([_positive_int(n_total, "n_total")], "noon-internal")[0]
+    return _noon_states([_positive_int(n_total, "n_total")], "noon-internal").states()[0]
 
 
-def _noon_states(ns, label: str) -> list[TwoModeState]:
+def _noon_states(ns, label: str) -> _Batch:
     amps, inside = [_AMP, _AMP], Frame.INSIDE_INTERFEROMETER
     return _one_block_states(ns, lambda n: [0 * n, n], amps, inside, label)
 
@@ -559,7 +624,7 @@ def noon_input(n_total: int) -> TwoModeState:
     """
     from .interferometer import apply_beam_splitter
 
-    (noon,) = _noon_states([_positive_int(n_total, "n_total")], "noon")
+    (noon,) = _noon_states([_positive_int(n_total, "n_total")], "noon").states()
     return apply_beam_splitter(noon, inverse=False)
 
 
@@ -568,10 +633,10 @@ def yurke_input(n_total: int) -> TwoModeState:
     n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 0:
         raise DomainError(f"yurke state needs even N (integer j), got {n_total}")
-    return _yurke_states([n_total])[0]
+    return _yurke_states([n_total]).states()[0]
 
 
-def _yurke_states(ns) -> list[TwoModeState]:
+def _yurke_states(ns) -> _Batch:
     return _one_block_states(
         ns, lambda n: [n // 2 - 1, n // 2], [_AMP, _AMP], Frame.AT_INPUT, "yurke"
     )
@@ -585,10 +650,10 @@ def yuen_input(n_total: int, modified: bool = False) -> TwoModeState:
     n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 1:
         raise DomainError(f"yuen state needs odd N (half-integer mu), got {n_total}")
-    return _yuen_states([n_total], modified)[0]
+    return _yuen_states([n_total], modified).states()[0]
 
 
-def _yuen_states(ns, modified: bool) -> list[TwoModeState]:
+def _yuen_states(ns, modified: bool) -> _Batch:
     amps, label = [_AMP, _AMP if modified else 1j * _AMP], "modified-yuen" if modified else "yuen"
     # rows (N - 1)/2 and (N + 1)/2 carry mu = +1/2 and -1/2
     return _one_block_states(ns, lambda n: [n // 2, n // 2 + 1], amps, Frame.AT_INPUT, label)
@@ -599,10 +664,10 @@ def pezze_smerzi_input(n_total: int) -> TwoModeState:
     n_total = _positive_int(n_total, "n_total")
     if n_total % 2 != 0:
         raise DomainError(f"pezze-smerzi state needs even N, got {n_total}")
-    return _pezze_smerzi_states([n_total])[0]
+    return _pezze_smerzi_states([n_total]).states()[0]
 
 
-def _pezze_smerzi_states(ns) -> list[TwoModeState]:
+def _pezze_smerzi_states(ns) -> _Batch:
     return _one_block_states(
         ns, lambda n: [n // 2 - 1, n // 2 + 1], [_AMP, _AMP], Frame.AT_INPUT, "pezze-smerzi"
     )
@@ -622,20 +687,21 @@ def berry_wiseman_internal(n_total: int) -> TwoModeState:
 
     It stores all N + 1 rows, held to ``_MAX_AMPLITUDES``.
     """
-    return _berry_wiseman_states([_positive_int(n_total, "n_total")])[0]
+    return _berry_wiseman_states([_positive_int(n_total, "n_total")]).states()[0]
 
 
-def _berry_wiseman_states(ns) -> list[TwoModeState]:
+def _berry_wiseman_states(ns) -> _Batch:
     """berry_wiseman_internal at each N of ns; the largest is held to the budget first."""
-    _within_budget(max(ns), "berry-wiseman")
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = np.asarray(ns)
+    _within_budget(int(np.maximum.reduce(ns)), "berry-wiseman")
+    ns = ns.astype(np.int64, copy=False)
     i, n = _ragged(ns + 1), np.repeat(ns, ns + 1)
     # mu = j - i, so mu + j + 1 = N - i + 1 and 2j + 2 = N + 2
     amps = np.sin((n - i + 1.0) * math.pi / (n + 2.0)) / np.sqrt(0.5 * n + 1.0)
     # every amplitude is nonzero: the sine's argument stays inside (0, pi)
-    return TwoModeState._many(
+    return _batch(
         ns, ns + 1, i, amps, np.ones(ns.size, dtype=np.int64),
-        Frame.INSIDE_INTERFEROMETER, "berry-wiseman", [0.0] * ns.size,
+        Frame.INSIDE_INTERFEROMETER, "berry-wiseman",
     )
 
 
@@ -643,8 +709,8 @@ def _berry_wiseman_states(ns) -> list[TwoModeState]:
 class CombinedStateParams:
     """Superposition weights for the combined NOON / dual-Fock input.
 
-    theta is the relative phase theta_alpha - theta_beta; the magnitudes
-    must satisfy alpha_mag^2 + beta_mag^2 = 1.  The defaults are the even
+    theta is the relative phase theta_alpha - theta_beta, finite; the
+    magnitudes must satisfy alpha_mag^2 + beta_mag^2 = 1.  The defaults are the even
     superposition, 1/sqrt(2) each, at theta = 0.
     """
 
@@ -653,6 +719,8 @@ class CombinedStateParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise DomainError(f"theta must be finite, got {self.theta!r}")
         if not 0.0 <= self.alpha_mag <= 1.0 or not 0.0 <= self.beta_mag <= 1.0:
             raise DomainError("alpha_mag and beta_mag must lie in [0, 1]")
         if abs(self.alpha_mag**2 + self.beta_mag**2 - 1.0) > 1e-12:
@@ -719,14 +787,15 @@ def combined_internal(n_total: int, params: CombinedStateParams) -> TwoModeState
     of N + 1 amplitudes is held to ``_MAX_AMPLITUDES``; that budget is
     checked before anything is allocated.
     """
-    return _combined_states([_combined_n(n_total)], params)[0]
+    return _combined_states([_combined_n(n_total)], params).states()[0]
 
 
-def _combined_states(ns, params: CombinedStateParams) -> list[TwoModeState]:
+def _combined_states(ns, params: CombinedStateParams) -> _Batch:
     """combined_internal at each even N of ns: one c(2k) table up to the largest j serves all."""
     alpha, beta = _combined_weights(params, "combined_internal")
-    _within_budget(max(ns), "combined")
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = np.asarray(ns)
+    _within_budget(int(np.maximum.reduce(ns)), "combined")
+    ns = ns.astype(np.int64, copy=False)
     js = ns // 2
     halves = _central_binomials(int(js.max()))  # c(2k)
     half_rows, j = _ragged(js + 1), np.repeat(js, js + 1)  # row 2r carries r = half_rows
@@ -738,9 +807,9 @@ def _combined_states(ns, params: CombinedStateParams) -> list[TwoModeState]:
     amps[starts + js] += alpha / math.sqrt(2.0)
     amps /= np.repeat(_combined_norms(amps, starts, ns, params), js + 1)
     kept = amps != 0
-    return TwoModeState._many(
+    return _batch(
         ns, np.add.reduceat(kept, starts, dtype=np.int64), 2 * half_rows[kept], amps[kept],
-        np.ones(ns.size, dtype=np.int64), Frame.INSIDE_INTERFEROMETER, "combined", [0.0] * ns.size,
+        np.ones(ns.size, dtype=np.int64), Frame.INSIDE_INTERFEROMETER, "combined",
     )
 
 

@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mzparity import (
+    STATE_LABELS,
     CombinedStateParams,
+    DomainError,
     NumericalLimitError,
     berry_wiseman_internal,
     bruteforce_parity_expectation,
@@ -24,7 +27,7 @@ from mzparity import (
     phase_uncertainty,
     phase_uncertainty_limit,
 )
-from mzparity import detection, wigner
+from mzparity import cli, detection, states, wigner
 from mzparity.cli import (
     DEFAULT_PHI,
     SweepConfig,
@@ -452,10 +455,10 @@ def test_coherent_point_past_the_old_padded_budget(tmp_path):
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
-    def explode(states):
+    def explode(batch):
         raise NumericalLimitError("ladder did not settle")
 
-    monkeypatch.setattr("mzparity.cli.detection.phase_uncertainty_limits", explode)
+    monkeypatch.setattr("mzparity.cli.detection._limit_column", explode)
     assert main(["sweep", "--state", "noon", "--n-min", "2", "--limit"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -466,10 +469,10 @@ def test_numerical_failure_mid_batch_exit_code(monkeypatch, capsys):
     taylor_series = detection._taylor_series
     batches = []
 
-    def corrupt(states):
-        series, bounds = taylor_series(states)
-        middle = len(states) // 2
-        batches.append((len(states), states[middle].label))
+    def corrupt(batch):
+        series, bounds = taylor_series(batch)
+        middle = len(batch) // 2
+        batches.append((len(batch), batch.labels[middle]))
         series[middle] = 0.0
         series[middle, :2] = 1.0, 0.1  # 1 - f^2 starts at order 1, f' at order 0
         return series, bounds
@@ -542,7 +545,7 @@ def test_groups_are_held_to_the_rows_their_states_store(monkeypatch):
             return original(group, *rest)
 
         monkeypatch.setattr(cli, builder, counting)
-        assert [n for group, _, _ in cli._family_states(label, ns) for n in group] == list(ns)
+        assert [n for group, _ in cli._family_states(label, ns) for n in group] == list(ns)
         assert [n for group in groups for n in group] == list(ns)
         if label == "noon":
             assert [len(group) for group in groups] == [4096, 4096, 2]
@@ -586,18 +589,19 @@ def test_berry_wiseman_bias_is_an_exact_quarter_turn(monkeypatch, capsys):
     # mu x 1e-16 leave a first Taylor coefficient of 2e-12 of its bound at
     # this N, 8e-12 at 2^20, and past the limit's 1e-11 threshold from 2^21
     seen = []
-    original = detection.phase_uncertainty_limits
+    original = detection._taylor_series
 
-    def recording(states):
-        seen.extend(states)
-        return original(states)
+    def recording(batch):
+        seen.append(batch)
+        return original(batch)
 
-    monkeypatch.setattr(detection, "phase_uncertainty_limits", recording)
+    monkeypatch.setattr(detection, "_taylor_series", recording)
     n = 2**18
     assert main(["sweep", "--state", "berry-wiseman", "--n-min", str(n), "--limit"]) == 0
     (row,) = parse_csv(capsys.readouterr().out)
     assert float(row["delta_phi"]) == pytest.approx(_berry_wiseman_bound(n), rel=1e-12, abs=0.0)
-    (series,), (bounds,) = detection._taylor_series(seen)
+    (batch,) = seen
+    (series,), (bounds,) = original(batch)
     assert abs(series[1]) <= 1e-15 * bounds[1]
 
 
@@ -860,9 +864,9 @@ def test_a_sweep_takes_entries_per_group_and_warns_in_one_write(monkeypatch, tmp
     calls, writes = [], []
     point_entries = detection._point_entries
 
-    def counting(states):
-        calls.append(len(states))
-        return point_entries(states)
+    def counting(batch):
+        calls.append(len(batch))
+        return point_entries(batch)
 
     class Stderr(io.StringIO):
         def write(self, text):
@@ -878,3 +882,154 @@ def test_a_sweep_takes_entries_per_group_and_warns_in_one_write(monkeypatch, tmp
     assert writes[0] == "".join(
         f"warning: dual-fock is defined for even N; N={n} skipped\n" for n in range(3, 300, 2)
     )
+
+
+@pytest.mark.parametrize("theta", ["inf", "nan", "-inf"])
+def test_non_finite_theta_exits_2_without_a_warning(theta, tmp_path, capsys):
+    # --theta inf used to crash in math.cos with a traceback, and --theta
+    # nan to leak a RuntimeWarning and blame the amplitude vectors
+    config = tmp_path / "run.cfg"
+    config.write_text(f"state_label = combined\nn_min = 4\ntheta = {theta}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["sweep", "--state", "combined", "--n-min", "4", f"--theta={theta}", "--limit"],
+                     ["sweep", "--config", str(config), "--limit"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: theta must be finite, got {float(theta)!r}\n"
+            assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["n_min", "n_max"])
+def test_sweep_config_takes_positive_int_photon_numbers(field):
+    # a float N used to run as range() refused it, a bool as N = 1, and
+    # once N is an array a float would give fractional N
+    for bad in (1.5, True, math.nan):
+        bounds = {"n_min": 1, "n_max": 3, field: bad}
+        with pytest.raises(DomainError, match=f"^{field} must be a positive integer"):
+            SweepConfig("noon", **bounds)
+    config = SweepConfig("noon", **{"n_min": 1, "n_max": 3, field: 3.0})
+    assert type(config.n_min) is int and type(config.n_max) is int
+    records = run_sweep(config)
+    assert [record.n_total for record in records] == list(range(config.n_min, 4))
+    assert all(type(record.n_total) is int for record in records)
+
+
+def _sweep_argv(label, mode):
+    return ["sweep", "--state", label, "--n-min", "1", "--n-max", "40", *mode]
+
+
+MODES = {"limit": ["--limit"], "point": ["--phi", "0.3"]}
+
+
+def test_cli_paths_make_no_per_state_objects(monkeypatch, tmp_path):
+    # the CLI keeps each family group a flat batch from builder to output
+    # line: it splits no batch into states and makes no per-state result or
+    # per-N record
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-state object was made on the CLI path")
+
+    monkeypatch.setattr(states._Batch, "states", refuse)
+    monkeypatch.setattr(detection, "DetectionResult", refuse)
+    monkeypatch.setattr(cli, "SweepRecord", refuse)
+    out = str(tmp_path / "out.csv")
+    for label in STATE_LABELS:
+        for mode in MODES.values():
+            assert main(_sweep_argv(label, mode) + ["--out", out]) == 0, (label, mode)
+    for argv in (["figure", "fig3"], ["figure", "fig4"], ["table"],
+                 ["expectation", "--state", "combined", "--n-min", "40", "--phi", "0.3"]):
+        assert main(argv + ["--out", out]) == 0, argv
+
+
+@pytest.mark.parametrize("label", STATE_LABELS)
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_run_sweep_records_are_the_rows_main_writes(label, mode, tmp_path, capsys):
+    config = SweepConfig(label, 1, 40, **({"phi_mode": "limit"} if mode == "limit" else {"phi": 0.3}),
+                         combined_params=CombinedStateParams() if label == "combined" else None)
+    records = run_sweep(config)
+    capsys.readouterr()
+    rows = [record.cells() for record in records]
+    for fmt, payload in (("csv", cli._csv_payload), ("json", cli._json_payload)):
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(_sweep_argv(label, MODES[mode]) + ["--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == payload(cli._CSV_COLUMNS, rows)
+
+
+def test_sweeps_across_chunks_match_one_state_calls_bitwise(monkeypatch):
+    # both sweeps take several detection calls, one per chunk of at most
+    # _CHUNK_ENTRIES entries, and every N must be what a call on its state
+    # alone gives, to the last bit
+    calls = {"point": 0, "limit": 0}
+    point_columns, limit_column = detection._point_columns, detection._limit_column
+
+    def counting_points(batch, phi):
+        calls["point"] += 1
+        return point_columns(batch, phi)
+
+    def counting_limits(batch):
+        calls["limit"] += 1
+        return limit_column(batch)
+
+    monkeypatch.setattr(detection, "_point_columns", counting_points)
+    monkeypatch.setattr(detection, "_limit_column", counting_limits)
+    points = run_sweep(SweepConfig("dual-fock", 2, 400, phi=0.3))
+    params = CombinedStateParams()
+    limits = run_sweep(SweepConfig("combined", 2, 300, phi_mode="limit", combined_params=params))
+    assert calls["point"] > 1 and calls["limit"] > 1
+    assert [record.n_total for record in points] == list(range(2, 401, 2))
+    for record in points:
+        want = phase_uncertainty(dual_fock_input(record.n_total // 2), 0.3)
+        got = (record.expectation_at_phi, record.derivative, record.variance, record.delta_phi)
+        assert got == (want.expectation, want.derivative, want.variance, want.delta_phi)
+    assert [record.n_total for record in limits] == list(range(2, 301, 2))
+    for record in limits:
+        assert record.delta_phi == phase_uncertainty_limit(build_state("combined", record.n_total))
+
+
+def test_cuts_follow_the_greedy_rule():
+    # a run takes weights while they sum to at most the bound, the first
+    # run after held entries may be empty, and a weight over the bound
+    # makes a run alone
+    rng = np.random.default_rng(5)
+    bound = cli._CHUNK_ENTRIES
+    for held in (0, 1, bound // 2, bound, bound + 7):
+        for high in (3, bound // 4, 2 * bound):
+            weights = rng.integers(1, high, size=60)
+            cuts, total = [0], held
+            for k, weight in enumerate(weights.tolist()):
+                if (total or len(cuts) > 1) and total + weight > bound:
+                    cuts.append(k)
+                    total = 0
+                total += weight
+            cuts.append(weights.size)
+            assert cli._cuts(weights, held) == cuts, (held, high)
+
+
+def test_skip_warnings_go_out_a_group_at_a_time(monkeypatch, tmp_path):
+    # with groups of 8 dual-Fock states, the N skipped below each next
+    # group's first N are written, in one write, before the group is built
+    writes, built = [], []
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            writes.append((len(built), text))
+            return len(text)
+
+    original = cli._dual_fock_states
+
+    def building(ns):
+        built.append(ns.tolist())
+        return original(ns)
+
+    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 16)
+    monkeypatch.setattr(cli, "_dual_fock_states", building)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["sweep", "--state", "dual-fock", "--n-min", "1", "--n-max", "40", "--phi", "0.3",
+                 "--out", str(tmp_path / "dual.csv")]) == 0
+    assert built == [list(range(2, 17, 2)), list(range(18, 33, 2)), list(range(34, 41, 2))]
+
+    def warned(ns):
+        return "".join(f"warning: dual-fock is defined for even N; N={n} skipped\n" for n in ns)
+
+    assert writes == [(0, warned(range(1, 18, 2))), (1, warned(range(19, 34, 2))),
+                      (2, warned(range(35, 40, 2)))]

@@ -177,6 +177,14 @@ def test_combined_params_validation():
     CombinedStateParams(0.6, 0.8)  # 0.36 + 0.64 = 1
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_combined_params_refuse_a_non_finite_theta(theta):
+    # an infinite theta used to reach math.cos and a NaN one to leak a
+    # RuntimeWarning before failing as a bad amplitude vector
+    with pytest.raises(DomainError, match="^theta must be finite"):
+        CombinedStateParams(SQ2, SQ2, theta)
+
+
 def test_combined_pure_noon_limit():
     params = CombinedStateParams(1.0, 0.0, 0.0)
     state = combined_input(4, params)
@@ -503,19 +511,28 @@ def test_family_groups_match_the_one_n_constructors(label, group, monkeypatch):
     one_n = 9 if parity_needed(label, 8) else 8
     ns = {"one": range(one_n, one_n + 1), "skips": range(5, 12), "over-a-chunk": range(1, 200)}[group]
     params = CombinedStateParams(0.6, 0.8, 0.7) if label == "combined" else None
+    batches = list(cli._family_states(label, ns, params))
     cases = [
-        (n, group_label, state)
-        for group, group_label, states in cli._family_states(label, ns, params)
-        for n, state in zip(group, states)
+        (n, state)
+        for group, batch in batches
+        for n, state in zip(group.tolist(), batch.states())
     ]
     kept = [n for n in ns if parity_needed(label, n) is None]
-    assert [n for n, _, _ in cases] == kept
-    groups = list(cli._chunks(kept, (lambda n: n + 1) if label in cli._GROWING else (lambda n: 2)))
+    assert [n for n, _ in cases] == kept
+    # greedy groups: each takes N while their stored rows sum to at most the bound
+    groups, rows = [[]], 0
+    for n in kept:
+        weight = n + 1 if label in cli._GROWING else 2
+        if groups[-1] and rows + weight > cli._CHUNK_ENTRIES:
+            groups.append([])
+            rows = 0
+        groups[-1].append(n)
+        rows += weight
+    assert [group.tolist() for group, _ in batches] == groups
     assert (len(groups) > 1) == (group == "over-a-chunk")
-    assert len({id(state.amplitudes.base) for _, _, state in cases}) == len(groups)
-    for n, case_label, state in cases:
+    assert len({id(state.amplitudes.base) for _, state in cases}) == len(groups)
+    for n, state in cases:
         one = ONE_N[label](n, params)
-        assert case_label == label
         for name in ("two_js", "offsets", "rows"):
             assert np.array_equal(getattr(state, name), getattr(one, name)), (n, name)
         assert (state.frame, state.label, state.truncation_tail) == (
@@ -553,6 +570,6 @@ def test_coherent_windows_keep_their_range_and_tail(nbar):
     assert abs(state.truncation_tail - tail) <= 2 * np.spacing(tail)
     # in a group, each window is built as it is alone; the empty cells
     # of the nbar = 0.5 row under a wide window stay finite
-    grouped = states_module._coherent_states([0.5, nbar, 2.5])[1]
+    grouped = states_module._coherent_states([0.5, nbar, 2.5]).states()[1]
     assert np.array_equal(grouped.amplitudes, state.amplitudes)
     assert grouped.truncation_tail == state.truncation_tail
