@@ -5,19 +5,19 @@ Every number takes one route, and each family group stays one flat batch
 maps each label to a builder that takes an array of N in the family's
 parity class (one mask over the N) and returns their states as one batch.
 ``_family_states`` builds the N in groups whose stored rows (N + 1 where
-they grow with N, else 2) sum to at most ``_CHUNK_ENTRIES``, as they are
+they grow with N, else 2) sum to at most ``_GROUP_ROWS``, as they are
 needed; ``noon`` and ``combined`` are built inside the interferometer, so
-their points and limits read their stored rows through Q in O(N).
-``_chunked`` cuts the states of consecutive groups, by running sums and
-``searchsorted`` (``_cuts``), into chunks of at most ``_CHUNK_ENTRIES``
-flat entries, a state over the bound alone, so memory stays bounded at
-any N, and makes one call of a detection core per chunk:
-``_point_columns`` (``_points``) or ``_limit_column`` (``_limits``, after
-a quarter turn of each berry-wiseman group).  Output lines are formatted
-straight from the returned columns, with no per-state object or per-N
-record; ``run_sweep`` builds its records from the same columns.  In the
-table and the fig3/fig4 curves a family outside its parity class leaves
-an empty cell (a warning and a skipped row in a sweep).
+their points and limits read their stored rows through Q in O(N).  A
+sweep makes one detection call per group, ``detection._point_columns`` or
+``detection._limit_column`` (on groups from ``_LIMIT_FAMILIES``, where
+berry-wiseman is built behind a quarter turn); fig3, fig4 and the table
+join all their groups and make one ``_limit_column`` call each.
+Detection cuts what it is given into passes of bounded size, so memory
+stays bounded at any N.  Output lines are formatted straight from the
+returned columns, with no per-state object or per-N record;
+``run_sweep`` builds its records from the same columns.  In the table
+and the fig3/fig4 curves a family outside its parity class leaves an
+empty cell (a warning and a skipped row in a sweep).
 
 Output is deterministic: a fixed config produces byte-identical files.
 Floats are written with 17 significant digits so CSV round-trips exactly;
@@ -49,6 +49,7 @@ from .states import (
     STATE_LABELS,
     CombinedStateParams,
     TwoModeState,
+    _cuts,
     _joined,
     _positive_int,
     _berry_wiseman_states,
@@ -171,6 +172,18 @@ _FAMILIES = {
     "combined": lambda ns, params: _combined_states(ns, params or CombinedStateParams()),
 }
 
+# The builders whose groups the phi -> 0 limits are read on.  The
+# berry-wiseman state gives a flat parity signal at phi = 0, so its limit
+# diverges.  Its finite limit belongs to parity detection behind a pi/2
+# bias, where it equals 1/(2 Delta J_z), the quantum Cramer-Rao bound; the
+# engine computes it there, with the pi/2 phases applied exactly to each
+# group as it is built, so the unbiased group does not outlive its
+# builder call.
+_LIMIT_FAMILIES = {
+    **_FAMILIES,
+    "berry-wiseman": lambda ns, params: _quarter_turn(_berry_wiseman_states(ns)),
+}
+
 
 def _outside_class(label: str, n: int) -> str | None:
     """Why N is outside the family's parity class, or None."""
@@ -190,40 +203,19 @@ def build_state(
     return _FAMILIES[label]([n], params).states()[0]
 
 
-# Chunk bound of the batched detection calls, in the flat entries that
-# ``detection._limit_entries`` and ``detection._point_entries`` count.  A
-# call on a chunk of 2^13 entries raises the traced memory by at most
-# about 1.2 MiB, for limits and for the points of every family; 2^12
-# halves that but takes about twice as long on dual-Fock points, and 2^14
-# doubles it for no gain.  The states are built in groups held to the same
-# bound in the rows they store: N + 1, the rows of a dense block, for the
-# families in ``_GROWING``, whose stored rows grow with N, and 2 for the
-# others, which store one or two.
-_CHUNK_ENTRIES = 2**13
+# Bound of one builder call, in the rows its states store: N + 1, the rows
+# of a dense block, for the families in ``_GROWING``, whose stored rows grow
+# with N, and 2 for the others, which store one or two.  Detection bounds
+# its own passes (``detection._PASS_ENTRIES``), so a group goes to it whole.
+_GROUP_ROWS = 2**13
 _GROWING = frozenset({"coherent", "berry-wiseman", "combined"})
 
 
-def _cuts(weights: np.ndarray, held: int = 0) -> list[int]:
-    """Bounds of the greedy runs of weights that sum to at most _CHUNK_ENTRIES.
-
-    The first run joins ``held`` entries taken before it (empty if its first
-    weight does not fit); a weight over the bound makes a run alone.
-    """
-    ends = np.add.accumulate(weights)
-    cuts, base = [0], -held
-    while cuts[-1] < ends.size:
-        stop = int(ends.searchsorted(base + _CHUNK_ENTRIES, side="right"))
-        if stop == cuts[-1] and base >= 0:
-            stop += 1
-        cuts.append(stop)
-        base = int(ends[stop - 1]) if stop else 0
-    return cuts
-
-
-def _family_states(label, ns, params=None, warn=False) -> Iterator[tuple]:
+def _family_states(label, ns, params=None, warn=False, limit=False) -> Iterator[tuple]:
     """(N, batch) of each group of the N of ns (rising) in the family's parity class.
 
-    Each group is built by one builder call as it is consumed.  If warn,
+    Each group is built by one builder call as it is consumed, from
+    ``_LIMIT_FAMILIES`` if limit, else from ``_FAMILIES``.  If warn,
     the N skipped below the next group's first N are warned of in one
     write before each group is built, and the rest at the end.
     """
@@ -231,13 +223,13 @@ def _family_states(label, ns, params=None, warn=False) -> Iterator[tuple]:
     need = FAMILY_PARITY.get(label)
     kept = ns if need is None else ns[ns % 2 == (need == "odd")]
     skipped = ns[ns % 2 != (need == "odd")] if warn and need is not None else ns[:0]
-    cuts = _cuts(kept + 1 if label in _GROWING else np.full(kept.size, 2))
+    cuts = _cuts(kept + 1 if label in _GROWING else np.full(kept.size, 2), _GROUP_ROWS)
     told = 0
     for a, b in zip(cuts, cuts[1:]):
         upto = int(skipped.searchsorted(kept[b])) if b < kept.size else skipped.size
         _warn_skipped(label, skipped[told:upto])
         told = upto
-        yield kept[a:b], _FAMILIES[label](kept[a:b], params)
+        yield kept[a:b], (_LIMIT_FAMILIES if limit else _FAMILIES)[label](kept[a:b], params)
     _warn_skipped(label, skipped[told:])
 
 
@@ -248,65 +240,14 @@ def _warn_skipped(label: str, ns: np.ndarray) -> None:
                                  for n in ns.tolist()))
 
 
-def _chunked(groups: Iterable[tuple], entries, evaluate) -> Iterator[tuple]:
-    """(key, N, columns) of each piece of the (key, N, batch) groups, one evaluate call per chunk.
-
-    A chunk takes the next states, across groups, while their ``entries``
-    sum to at most ``_CHUNK_ENTRIES``; a piece is the view of a group in
-    one chunk.  The groups are consumed lazily, so at most one chunk and
-    the groups it draws on are held.
-    """
-    held, total = [], 0
-    for key, ns, batch in groups:
-        weights = entries(batch)
-        cuts = _cuts(weights, total)
-        for a, b in zip(cuts, cuts[1:]):
-            if a < b:
-                held.append((key, ns[a:b], batch if b - a == ns.size else batch[a:b]))
-            if b < ns.size:  # a later state of the group does not fit
-                yield from _evaluated(held, evaluate)
-                held = []
-        total = int(np.add.reduce(weights[cuts[-2]:])) + (total if len(cuts) == 2 else 0)
-    yield from _evaluated(held, evaluate)
-
-
-def _evaluated(held: list[tuple], evaluate) -> Iterator[tuple]:
-    """(key, N, columns) of each held piece, from one evaluate call on all of them."""
-    if held:
-        columns = evaluate(_joined([batch for _, _, batch in held]))
-        starts = np.cumsum([0] + [ns.size for _, ns, _ in held]).tolist()
-        for (key, ns, _), at in zip(held, starts):
-            yield key, ns, columns[..., at : at + ns.size]
-
-
-def _limits(groups: Iterable[tuple]) -> Iterator[tuple]:
-    """(key, N, phi -> 0 limits) of each piece of the (key, N, batch) groups, a call per chunk."""
-    # The berry-wiseman state gives a flat parity signal at phi = 0, so its
-    # phi -> 0 limit diverges.  Its finite limit belongs to parity detection
-    # behind a pi/2 bias, where it equals 1/(2 Delta J_z), the quantum
-    # Cramer-Rao bound; the engine computes it there, with the pi/2 phases
-    # applied exactly, to each group at once.
-    turned = ((key, ns, _quarter_turn(batch) if batch.labels[0] == "berry-wiseman" else batch)
-              for key, ns, batch in groups)
-    return _chunked(turned, detection._limit_entries, detection._limit_column)
-
-
-def _points(groups: Iterable[tuple], phi: float) -> Iterator[tuple]:
-    """(key, N, columns <P>, d<P>/dphi, Delta P, delta phi) at phi of each piece of the groups."""
-    return _chunked(
-        groups, detection._point_entries, lambda batch: detection._point_columns(batch, phi)
-    )
-
-
 def _sweep_rows(config: SweepConfig) -> Iterator[tuple]:
     """N, delta phi (after <P>, d<P>/dphi and Delta P at fixed phi) and the scales, per row."""
     # Python ints where N or the running sums of their rows could pass int64
     exact = (config.n_max + 1) * (config.n_max - config.n_min + 1) < 2**63
     ns = np.arange(config.n_min, config.n_max + 1, dtype=np.int64 if exact else object)
-    family = _family_states(config.state_label, ns, config.combined_params, warn=True)
-    groups = ((None, group, batch) for group, batch in family)
-    pieces = _limits(groups) if config.phi_mode == "limit" else _points(groups, config.phi)
-    for _, group, columns in pieces:
+    limit = config.phi_mode == "limit"
+    for group, batch in _family_states(config.state_label, ns, config.combined_params, True, limit):
+        columns = detection._limit_column(batch) if limit else detection._point_columns(batch, config.phi)
         for row in zip(group.tolist(), *np.atleast_2d(columns).tolist()):
             yield row + detection._scales(row[0])
 
@@ -375,8 +316,8 @@ def _emit(payload: str, output_path: str) -> None:
     if output_path == "-":
         sys.stdout.write(payload)
         return
-    with open(output_path, "w", encoding="ascii", newline="") as handle:
-        handle.write(payload)
+    with open(output_path, "wb") as handle:
+        handle.write(payload.encode("ascii"))
 
 
 _TABLE_HEADER = (
@@ -413,14 +354,10 @@ def reproduce_table(output_path: str) -> list[dict]:
         ),
         (8, "noon", "(|8,0>+|0,8>)/sqrt2 (internal)", 8, 1.0 / n, "Heisenberg reference"),
     ]
-    groups = (
-        (index, np.array([n_row]), _FAMILIES[label]([n_row], None))
-        for index, label, _, n_row, _, _ in plan
-    )
-    computed_at = {index: limits.tolist()[0] for index, _, limits in _limits(groups)}
+    batch = _joined([_LIMIT_FAMILIES[label]([n_row], None) for _, label, _, n_row, _, _ in plan])
+    limits = detection._limit_column(batch).tolist()
     rows = []
-    for index, label, fock, n_row, closed, note in plan:
-        computed = computed_at[index]
+    for (index, label, fock, n_row, closed, note), computed in zip(plan, limits):
         rows.append(
             {
                 "row": index,
@@ -456,14 +393,14 @@ def _limit_curves(ns: np.ndarray, curves: list[tuple], povm: bool) -> str:
     """
     references = ("shot_noise", "heisenberg", "bw_povm")[: 2 + povm]
     header = ("N",) + tuple(column for column, _, _ in curves) + references
-    cells = np.full((len(curves), ns.size), math.nan)  # NaN: no limit at N, an empty cell
-    groups = (
-        (c, group, batch)
+    groups = [
+        (c * ns.size + np.searchsorted(ns, group), batch)
         for c, (_, label, params) in enumerate(curves)
-        for group, batch in _family_states(label, ns, params)
-    )
-    for c, group, limits in _limits(groups):
-        cells[c, np.searchsorted(ns, group)] = limits
+        for group, batch in _family_states(label, ns, params, limit=True)
+    ]
+    cells = np.full((len(curves), ns.size), math.nan)  # NaN: no limit at N, an empty cell
+    limits = detection._limit_column(_joined([batch for _, batch in groups]))
+    cells.flat[np.concatenate([at for at, _ in groups])] = limits
     return _csv_payload(header, (
         (n, *(None if math.isnan(cell) else cell for cell in row),
          *detection._scales(n)[: len(references)])

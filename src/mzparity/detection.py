@@ -25,17 +25,21 @@ any N.
 ``phase_uncertainties(states, phi)`` lays its states end to end in one
 batch (``states._Batch``), and its core ``_point_columns`` returns the
 columns <P>, d<P>/dphi, Delta P and delta phi of a batch, which the CLI
-formats straight into rows.  The J_y projections of every at-input block
-come from one ``wigner._projections`` call: a dense block (``noon_input``,
-``combined_input``) folds each column of one flat three-term recurrence
-into its projection as the rows arrive, in O(columns) memory, and a block
-stored on a few rows (dual-Fock, Yurke, Yuen, Pezze-Smerzi) reads only
-the columns at those rows, in closed form where |mu| <= 1.  <P>,
-d<P>/dphi and the shift of <P> since phi = 0 are read for every state at
-once, each summed over its own run of terms, so a state's numbers do not
-depend on the batch it came in.  ``phase_uncertainty``,
-``parity_expectation`` and ``parity_derivative`` are that call on one
-state.
+formats straight into rows.  Both cores bound their own memory
+(``_in_passes``): they cut a batch into runs of states whose flat entries
+(``_point_entries``, ``_limit_entries``) sum to at most ``_PASS_ENTRIES``,
+a state over the bound alone, make one pass (``_point_pass``,
+``_limit_pass``) per run and join the columns.  In a pass, the J_y
+projections of every at-input block come from one ``wigner._projections``
+call: a dense block (``noon_input``, ``combined_input``) folds each column
+of one flat three-term recurrence into its projection as the rows arrive,
+in O(columns) memory, and a block stored on a few rows (dual-Fock, Yurke,
+Yuen, Pezze-Smerzi) reads only the columns at those rows, in closed form
+where |mu| <= 1.  <P>, d<P>/dphi and the shift of <P> since phi = 0 are
+read for every state of the pass at once, each summed over its own run
+of terms, so a state's numbers do not depend on the batch or the pass it
+came in.  ``phase_uncertainty``, ``parity_expectation`` and
+``parity_derivative`` are that call on one state.
 
 ``phase_uncertainty_limits`` needs no spectrum.  Since P G P = -G for
 the phase generator G (J_y at input, J_z inside), <P>(phi) =
@@ -43,12 +47,12 @@ the phase generator G (J_y at input, J_z inside), <P>(phi) =
 moments F_m = <psi|(2iG)^m P psi> / m!: products with the tridiagonal J_y
 over a few rows around each block's nonzero amplitudes, or with the
 diagonal J_z.  The exact phi -> 0 limit is read off their leading orders.
-Its core ``_limit_column`` takes a batch: each product runs once over all
-its blocks (once per frame it holds), each state's moments are summed
-over its own segment, and the leading orders of every state are read in
-one vectorized step.  Every CLI figure, the table and each chunk of a
-``--limit`` sweep make one core call.  The engine is cross-checked
-against the brute-force Fock oracle.
+Its core ``_limit_column`` takes a batch: in each pass each product runs
+once over all its blocks (once per frame it holds), each state's moments
+are summed over its own segment, and the leading orders of every state
+are read in one vectorized step.  Every CLI figure, the table and each
+builder group of a sweep make one core call.  The engine is
+cross-checked against the brute-force Fock oracle.
 
 The commonly quoted per-family closed forms are evaluated verbatim by
 ``closed_form_expectation`` as secondary cross-checks, and their phi -> 0
@@ -76,6 +80,7 @@ from .states import (
     CombinedStateParams,
     TwoModeState,
     _Batch,
+    _cuts,
     _positive_int,
     parity_needed,
 )
@@ -107,6 +112,12 @@ _DERIVATIVE_FLOOR = 1e-14
 # coefficient's bound) below which a coefficient is roundoff.
 _TAYLOR_ORDER = 8
 _ZERO_TOL = 1e-11
+# Bound of one detection pass, in the flat entries that ``_point_entries``
+# and ``_limit_entries`` count.  A pass over 2^13 entries raises the traced
+# memory by at most about 1.2 MiB, for limits and for the points of every
+# family; 2^12 halves that but takes about twice as long on dual-Fock
+# points, and 2^14 doubles it for no gain.
+_PASS_ENTRIES = 2**13
 
 # Families whose quoted closed form deviates from the engine (and from the
 # oracle) at equal phi by more than roundoff.  The optimal-state formula
@@ -158,6 +169,19 @@ def _point_entries(batch: _Batch) -> np.ndarray:
 def _limit_entries(batch: _Batch) -> np.ndarray:
     """Flat entries a limit holds for each state: stored rows, _TAYLOR_ORDER each side of a block."""
     return np.add.reduceat(batch.sizes + 2 * _TAYLOR_ORDER, batch.firsts[:-1])
+
+
+def _in_passes(batch: _Batch, entries, one_pass) -> np.ndarray:
+    """one_pass on runs of the batch's states, their columns joined in order.
+
+    A run takes the next states while their ``entries`` sum to at most
+    ``_PASS_ENTRIES``, and a state over the bound makes a run alone, so a
+    pass holds a bounded number of entries whatever the batch.  Each
+    state's numbers are summed over its own segment, so they do not
+    depend on the run it falls in.
+    """
+    cuts = _cuts(entries(batch), _PASS_ENTRIES)
+    return np.concatenate([one_pass(batch[a:b]) for a, b in zip(cuts, cuts[1:])], axis=-1)
 
 
 def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
@@ -363,12 +387,13 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
     sqrt(1 - <P>^2).  A derivative below 1e-14 gives delta phi = +infinity;
     the phi -> 0 operating point is phase_uncertainty_limits' job.
 
-    Every state's terms come from one ``_spectra`` pass, whose J_y
-    projections come from one ``wigner._projections`` call, and every sum
-    and check is read for all states at once, each over its own run of
-    terms.  A non-finite phi
+    The states are read in passes of at most ``_PASS_ENTRIES`` flat
+    entries (a larger state alone).  In each, the terms come from one
+    ``_spectra`` call, whose J_y projections come from one
+    ``wigner._projections`` call, and every sum and check is read for all
+    its states at once, each over its own run of terms.  A non-finite phi
     raises DomainError, and so does an at-input block whose projection
-    would pass the J_y kernel's work bound, before anything is allocated;
+    would pass the J_y kernel's work bound, before its pass allocates;
     an unnormalized state NormalizationError, and a non-finite <P> or
     d<P>/dphi (a phase past the float range), an imaginary residue above
     1e-10 or an expectation outside [-1, 1] ConsistencyError, for the
@@ -383,8 +408,13 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
 
 
 def _point_columns(batch: _Batch, phi: float) -> np.ndarray:
-    """``phase_uncertainties`` of a batch, as the columns of ``_results``."""
+    """``phase_uncertainties`` of a batch, as the columns of ``_results``, in bounded passes."""
     phi = _finite_phase(phi)
+    return _in_passes(batch, _point_entries, lambda run: _point_pass(run, phi))
+
+
+def _point_pass(batch: _Batch, phi: float) -> np.ndarray:
+    """The columns of ``_results`` for every state of a batch, in one pass."""
     weights, freqs, terms, powers, probs, counts, below, above, tops = _spectra(batch)
     with np.errstate(invalid="ignore"):  # a phase past the float range is NaN, refused below
         phase = np.exp(-2j * phi * freqs)
@@ -641,21 +671,27 @@ def phase_uncertainty_limits(states) -> list[float]:
 
     Exact: the leading orders of 1 - <P>^2 and d<P>/dphi at phi = 0 come
     from the moments <psi|(2iG)^m P psi> of the phase generator G, so no
-    phase point is evaluated and no eigensystem is built.  All states
-    take one flat Taylor pass per frame and one vectorized read of the
-    leading orders, so a batch costs a few numpy calls, not a few per
-    state.  A state with no phase information (for example the plain
-    Yuen state) or a divergent limit gives +infinity.  If any state has
-    no leading order within the Taylor terms kept, NumericalLimitError
-    names the first such state; an unnormalized state raises
-    NormalizationError.
+    phase point is evaluated and no eigensystem is built.  The states are
+    read in passes of at most ``_PASS_ENTRIES`` flat entries (a larger
+    state alone), each one flat Taylor pass per frame and one vectorized
+    read of the leading orders, so a batch costs a few numpy calls per
+    pass, not a few per state.  A state with no phase information (for
+    example the plain Yuen state) or a divergent limit gives +infinity.
+    If any state has no leading order within the Taylor terms kept,
+    NumericalLimitError names the first such state; an unnormalized
+    state raises NormalizationError.
     """
     states = list(states)
     return _limit_column(_Batch.of(states)).tolist() if states else []
 
 
 def _limit_column(batch: _Batch) -> np.ndarray:
-    """``phase_uncertainty_limits`` of a batch, as one array."""
+    """``phase_uncertainty_limits`` of a batch, as one array, in bounded passes."""
+    return _in_passes(batch, _limit_entries, _limit_pass)
+
+
+def _limit_pass(batch: _Batch) -> np.ndarray:
+    """The phi -> 0 limit of every state of a batch, in one pass."""
     series, bounds = _taylor_series(batch)
     return _limit_from_series(series, bounds, batch.labels)
 

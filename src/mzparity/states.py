@@ -379,6 +379,20 @@ def _bounds(counts) -> np.ndarray:
     return bounds
 
 
+def _cuts(weights, bound: int) -> list[int]:
+    """Bounds of the greedy runs of weights that sum to at most bound.
+
+    Each run takes the next weights while they fit, by running sums and
+    ``searchsorted``; a weight over the bound makes a run alone.
+    """
+    ends = np.add.accumulate(weights)
+    cuts = [0]
+    while cuts[-1] < ends.size:
+        base = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
+        cuts.append(max(int(ends.searchsorted(base + bound, side="right")), cuts[-1] + 1))
+    return cuts
+
+
 def _joined(batches: list[_Batch]) -> _Batch:
     """The batches end to end, in one batch; a lone batch is itself."""
     if len(batches) == 1:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -487,9 +488,9 @@ def test_numerical_failure_mid_batch_exit_code(monkeypatch, capsys):
 
 def test_limit_sweep_memory_is_bounded_by_its_chunks():
     # The combined states N = 2..3000 store 1.1 million amplitudes in all,
-    # on their even rows inside the interferometer; the sweep takes their
-    # limits in chunks of _CHUNK_ENTRIES flat Taylor entries and peaks
-    # near 1.9 MiB.
+    # on their even rows inside the interferometer; detection takes their
+    # limits in passes of _PASS_ENTRIES flat Taylor entries, and the sweep
+    # peaks near 1.9 MiB.
     params = CombinedStateParams()
     tracemalloc.start()
     try:
@@ -511,7 +512,7 @@ def test_limit_sweep_memory_is_bounded_by_its_chunks():
 
 def test_point_sweep_memory_is_bounded_by_its_chunks():
     # The fixed-phi twin of the limit sweep above: the same states, built
-    # a group at a time, evaluated in chunks of _CHUNK_ENTRIES flat
+    # a group at a time, evaluated in passes of _PASS_ENTRIES flat
     # entries, with the same bound.
     params = CombinedStateParams()
     tracemalloc.start()
@@ -530,8 +531,8 @@ def test_point_sweep_memory_is_bounded_by_its_chunks():
 
 def test_groups_are_held_to_the_rows_their_states_store(monkeypatch):
     # A NOON state stores two rows at any N, so a group holds
-    # _CHUNK_ENTRIES / 2 of them; a berry-wiseman state stores N + 1, so a
-    # group's N + 1 sum to at most _CHUNK_ENTRIES, one N alone past it.
+    # _GROUP_ROWS / 2 of them; a berry-wiseman state stores N + 1, so a
+    # group's N + 1 sum to at most _GROUP_ROWS, one N alone past it.
     from mzparity import cli
 
     for label, builder, ns in (
@@ -553,7 +554,7 @@ def test_groups_are_held_to_the_rows_their_states_store(monkeypatch):
             assert groups[-2:] == [[9000], [9001]]
             for group, after in zip(groups[:-2], groups[1:]):
                 rows = sum(n + 1 for n in group)
-                assert rows <= cli._CHUNK_ENTRIES < rows + after[0] + 1
+                assert rows <= cli._GROUP_ROWS < rows + after[0] + 1
 
 
 def test_unwritable_output_path(tmp_path, capsys):
@@ -603,6 +604,31 @@ def test_berry_wiseman_bias_is_an_exact_quarter_turn(monkeypatch, capsys):
     (batch,) = seen
     (series,), (bounds,) = original(batch)
     assert abs(series[1]) <= 1e-15 * bounds[1]
+
+
+def test_berry_wiseman_limit_groups_are_read_without_their_unbiased_copy(monkeypatch):
+    # the quarter turn copies a group's amplitudes (32 MiB at N = 2^21), so
+    # the unbiased group must be gone before detection reads the biased
+    # one; the three groups of N = 1..200 are read one at a time
+    from mzparity import cli
+
+    built, alive = [], []
+    original, limit_column = cli._berry_wiseman_states, detection._limit_column
+
+    def building(ns):
+        batch = original(ns)
+        built.append(weakref.ref(batch.amplitudes))
+        return batch
+
+    def reading(batch):
+        alive.append([ref() is not None for ref in built])
+        return limit_column(batch)
+
+    monkeypatch.setattr(cli, "_berry_wiseman_states", building)
+    monkeypatch.setattr(detection, "_limit_column", reading)
+    records = run_sweep(SweepConfig("berry-wiseman", 1, 200, phi_mode="limit"))
+    assert [record.n_total for record in records] == list(range(1, 201))
+    assert alive == [[False], [False, False], [False, False, False]]
 
 
 def test_oversized_berry_wiseman_state_exit_code(capsys):
@@ -956,22 +982,22 @@ def test_run_sweep_records_are_the_rows_main_writes(label, mode, tmp_path, capsy
 
 
 def test_sweeps_across_chunks_match_one_state_calls_bitwise(monkeypatch):
-    # both sweeps take several detection calls, one per chunk of at most
-    # _CHUNK_ENTRIES entries, and every N must be what a call on its state
+    # detection cuts both sweeps into several passes of at most
+    # _PASS_ENTRIES entries, and every N must be what a call on its state
     # alone gives, to the last bit
     calls = {"point": 0, "limit": 0}
-    point_columns, limit_column = detection._point_columns, detection._limit_column
+    point_pass, limit_pass = detection._point_pass, detection._limit_pass
 
     def counting_points(batch, phi):
         calls["point"] += 1
-        return point_columns(batch, phi)
+        return point_pass(batch, phi)
 
     def counting_limits(batch):
         calls["limit"] += 1
-        return limit_column(batch)
+        return limit_pass(batch)
 
-    monkeypatch.setattr(detection, "_point_columns", counting_points)
-    monkeypatch.setattr(detection, "_limit_column", counting_limits)
+    monkeypatch.setattr(detection, "_point_pass", counting_points)
+    monkeypatch.setattr(detection, "_limit_pass", counting_limits)
     points = run_sweep(SweepConfig("dual-fock", 2, 400, phi=0.3))
     params = CombinedStateParams()
     limits = run_sweep(SweepConfig("combined", 2, 300, phi_mode="limit", combined_params=params))
@@ -987,22 +1013,39 @@ def test_sweeps_across_chunks_match_one_state_calls_bitwise(monkeypatch):
 
 
 def test_cuts_follow_the_greedy_rule():
-    # a run takes weights while they sum to at most the bound, the first
-    # run after held entries may be empty, and a weight over the bound
-    # makes a run alone
+    # a run takes weights while they sum to at most the bound, and a weight
+    # over the bound makes a run alone
     rng = np.random.default_rng(5)
-    bound = cli._CHUNK_ENTRIES
-    for held in (0, 1, bound // 2, bound, bound + 7):
-        for high in (3, bound // 4, 2 * bound):
-            weights = rng.integers(1, high, size=60)
-            cuts, total = [0], held
-            for k, weight in enumerate(weights.tolist()):
-                if (total or len(cuts) > 1) and total + weight > bound:
-                    cuts.append(k)
-                    total = 0
-                total += weight
-            cuts.append(weights.size)
-            assert cli._cuts(weights, held) == cuts, (held, high)
+    bound = 2**13
+    for high in (3, bound // 4, 2 * bound):
+        weights = rng.integers(1, high, size=60)
+        cuts, total = [0], 0
+        for k, weight in enumerate(weights.tolist()):
+            if k and total + weight > bound:
+                cuts.append(k)
+                total = 0
+            total += weight
+        cuts.append(weights.size)
+        assert states._cuts(weights, bound) == cuts, high
+    assert states._cuts(np.zeros(0, dtype=int), bound) == [0]
+
+
+def test_figures_and_table_make_one_limit_call_each(monkeypatch, tmp_path):
+    # each command joins all its groups (berry-wiseman built behind its
+    # quarter turn) into one batch for one detection call
+    calls = []
+    limit_column = detection._limit_column
+
+    def counting(batch):
+        calls.append(len(batch))
+        return limit_column(batch)
+
+    monkeypatch.setattr(detection, "_limit_column", counting)
+    for argv, states_in in ((["figure", "fig3"], 50 * 6), (["figure", "fig4"], 49 + 50 + 99),
+                            (["table"], 8)):
+        calls.clear()
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0, argv
+        assert calls == [states_in], argv
 
 
 def test_skip_warnings_go_out_a_group_at_a_time(monkeypatch, tmp_path):
@@ -1021,7 +1064,7 @@ def test_skip_warnings_go_out_a_group_at_a_time(monkeypatch, tmp_path):
         built.append(ns.tolist())
         return original(ns)
 
-    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 16)
+    monkeypatch.setattr(cli, "_GROUP_ROWS", 16)
     monkeypatch.setattr(cli, "_dual_fock_states", building)
     monkeypatch.setattr(sys, "stderr", Stderr())
     assert main(["sweep", "--state", "dual-fock", "--n-min", "1", "--n-max", "40", "--phi", "0.3",

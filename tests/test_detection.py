@@ -522,6 +522,22 @@ def test_batched_points_match_one_state_points():
     assert phase_uncertainties([], 0.3) == []
 
 
+def test_library_batches_are_memory_bounded():
+    # 400 dual-Fock states at N = 1000 hold 400 x 1001 projections; in one
+    # pass they peaked at 55 MiB traced.  Detection cuts the batch into
+    # passes of at most _PASS_ENTRIES entries (a state over it alone), and
+    # each state's numbers stay what a call on it alone gives, to the bit.
+    state = dual_fock_input(500)
+    tracemalloc.start()
+    try:
+        results = phase_uncertainties([state] * 400, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    assert results == [phase_uncertainty(state, 0.3)] * 400
+
+
 def test_stored_row_route_holds_only_its_columns():
     # 1000 stored rows of a 2j = 4000 block take the stored-row route: their
     # 1000 columns over 4001 rows visit fewer column-rows than all 2001

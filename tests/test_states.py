@@ -507,7 +507,7 @@ def test_family_groups_match_the_one_n_constructors(label, group, monkeypatch):
     # of every family: N + 1 rows each where they grow with N, else 2.
     from mzparity import cli
 
-    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 2**7)
+    monkeypatch.setattr(cli, "_GROUP_ROWS", 2**7)
     one_n = 9 if parity_needed(label, 8) else 8
     ns = {"one": range(one_n, one_n + 1), "skips": range(5, 12), "over-a-chunk": range(1, 200)}[group]
     params = CombinedStateParams(0.6, 0.8, 0.7) if label == "combined" else None
@@ -523,7 +523,7 @@ def test_family_groups_match_the_one_n_constructors(label, group, monkeypatch):
     groups, rows = [[]], 0
     for n in kept:
         weight = n + 1 if label in cli._GROWING else 2
-        if groups[-1] and rows + weight > cli._CHUNK_ENTRIES:
+        if groups[-1] and rows + weight > cli._GROUP_ROWS:
             groups.append([])
             rows = 0
         groups[-1].append(n)
