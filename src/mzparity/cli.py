@@ -1,7 +1,7 @@
 """Command-line surface: sweeps, reference-table and figure-data emission.
 
 Every number takes one route, and each family group stays one flat batch
-(``states._Batch``) from its builder to its output lines.  ``_FAMILIES``
+(one ``TwoModeState``) from its builder to its output lines.  ``_FAMILIES``
 maps each label to a builder that takes an array of N in the family's
 parity class (one mask over the N) and returns their states as one batch.
 ``_family_states`` builds the N in groups whose stored rows (N + 1 where
@@ -200,7 +200,7 @@ def build_state(
         raise DomainError(why)
     if label not in _FAMILIES:
         raise DomainError(f"unknown state label {label!r}")
-    return _FAMILIES[label]([n], params).states()[0]
+    return _FAMILIES[label]([n], params)
 
 
 # Bound of one builder call, in the rows its states store: N + 1, the rows

@@ -23,9 +23,9 @@ merged, so a NOON state inside the interferometer holds two terms at
 any N.
 
 ``phase_uncertainties(states, phi)`` lays its states end to end in one
-batch (``states._Batch``), and its core ``_point_columns`` returns the
-columns <P>, d<P>/dphi, Delta P and delta phi of a batch, which the CLI
-formats straight into rows.  Both cores bound their own memory
+batch (a TwoModeState of several states), and its core ``_point_columns``
+returns the columns <P>, d<P>/dphi, Delta P and delta phi of a batch,
+which the CLI formats straight into rows.  Both cores bound their own memory
 (``_in_passes``): they cut a batch into runs of states whose flat entries
 (``_point_entries``, ``_limit_entries``) sum to at most ``_PASS_ENTRIES``,
 a state over the bound alone, make one pass (``_point_pass``,
@@ -79,8 +79,8 @@ from .interferometer import _finite_phase
 from .states import (
     CombinedStateParams,
     TwoModeState,
-    _Batch,
     _cuts,
+    _joined,
     _positive_int,
     parity_needed,
 )
@@ -150,12 +150,12 @@ class BenchmarkLimits:
     bw_povm: float
 
 
-def _on_row_zero(stored) -> np.ndarray:
-    """Which blocks of a TwoModeState or a batch store row 0 alone."""
-    return (stored.sizes == 1) & (stored.rows[np.cumsum(stored.sizes) - stored.sizes] == 0)
+def _on_row_zero(batch: TwoModeState) -> np.ndarray:
+    """Which blocks of a batch store row 0 alone."""
+    return (batch.sizes == 1) & (batch.rows[np.cumsum(batch.sizes) - batch.sizes] == 0)
 
 
-def _point_entries(batch: _Batch) -> np.ndarray:
+def _point_entries(batch: TwoModeState) -> np.ndarray:
     """Flat entries a fixed-phi pass holds for each state of a batch: stored rows and terms.
 
     An inside state has one term per stored row; an at-input state 2j + 1
@@ -166,12 +166,12 @@ def _point_entries(batch: _Batch) -> np.ndarray:
     return np.add.reduceat(batch.sizes + terms, batch.firsts[:-1])
 
 
-def _limit_entries(batch: _Batch) -> np.ndarray:
+def _limit_entries(batch: TwoModeState) -> np.ndarray:
     """Flat entries a limit holds for each state: stored rows, _TAYLOR_ORDER each side of a block."""
     return np.add.reduceat(batch.sizes + 2 * _TAYLOR_ORDER, batch.firsts[:-1])
 
 
-def _in_passes(batch: _Batch, entries, one_pass) -> np.ndarray:
+def _in_passes(batch: TwoModeState, entries, one_pass) -> np.ndarray:
     """one_pass on runs of the batch's states, their columns joined in order.
 
     A run takes the next states while their ``entries`` sum to at most
@@ -184,21 +184,20 @@ def _in_passes(batch: _Batch, entries, one_pass) -> np.ndarray:
     return np.concatenate([one_pass(batch[a:b]) for a, b in zip(cuts, cuts[1:])], axis=-1)
 
 
-def _q_image(state) -> tuple[np.ndarray, np.ndarray]:
-    """(Q psi)_r = i^(2j) (-1)^r psi_(2j - r) on every stored row r of an inside state.
+def _q_image(batch: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """(Q psi)_r = i^(2j) (-1)^r psi_(2j - r) on every stored row r of inside states.
 
-    state is a TwoModeState or a batch of them.  Each row's
-    mirror 2j - r is found among the stored rows of its block by one
-    searchsorted over keys that rise through the flat arrays, across
+    Each row's mirror 2j - r is found among the stored rows of its block
+    by one searchsorted over keys that rise through the flat arrays, across
     states too, since the block bases keep rising.  Also returns which
     rows have their mirror stored; the image is 0 on the rest.
     """
-    owner = np.repeat(state.two_js, state.sizes)
-    base = np.repeat(np.cumsum(state.two_js + 1) - (state.two_js + 1), state.sizes)
-    keys, mirrors = base + state.rows, base + owner - state.rows
+    owner = np.repeat(batch.two_js, batch.sizes)
+    base = np.repeat(np.cumsum(batch.two_js + 1) - (batch.two_js + 1), batch.sizes)
+    keys, mirrors = base + batch.rows, base + owner - batch.rows
     at = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
     paired = keys[at] == mirrors
-    image = np.where(paired, _I_POWERS[(owner + 2 * state.rows) % 4] * state.amplitudes[at], 0.0)
+    image = np.where(paired, _I_POWERS[(owner + 2 * batch.rows) % 4] * batch.amplitudes[at], 0.0)
     return image, paired
 
 
@@ -236,7 +235,7 @@ def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _spectra(batch: _Batch) -> _Spectra:
+def _spectra(batch: TwoModeState) -> _Spectra:
     """The terms of each state's <P>(phi) in a batch, and the row-0 blocks apart.
 
     An at-input block stored on row 0 alone (mu = +j, mode b empty, as in
@@ -403,17 +402,17 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
     states = list(states)
     if not states:
         return []
-    columns = _point_columns(_Batch.of(states), phi)
+    columns = _point_columns(_joined(states), phi)
     return [DetectionResult(phi, *row) for row in zip(*columns.tolist())]
 
 
-def _point_columns(batch: _Batch, phi: float) -> np.ndarray:
+def _point_columns(batch: TwoModeState, phi: float) -> np.ndarray:
     """``phase_uncertainties`` of a batch, as the columns of ``_results``, in bounded passes."""
     phi = _finite_phase(phi)
     return _in_passes(batch, _point_entries, lambda run: _point_pass(run, phi))
 
 
-def _point_pass(batch: _Batch, phi: float) -> np.ndarray:
+def _point_pass(batch: TwoModeState, phi: float) -> np.ndarray:
     """The columns of ``_results`` for every state of a batch, in one pass."""
     weights, freqs, terms, powers, probs, counts, below, above, tops = _spectra(batch)
     with np.errstate(invalid="ignore"):  # a phase past the float range is NaN, refused below
@@ -513,7 +512,7 @@ def _extrapolate_limit(values: list[float], context: str) -> float:
     )
 
 
-def _input_moments(batch: _Batch) -> np.ndarray:
+def _input_moments(batch: TwoModeState) -> np.ndarray:
     """m! F_m of each state of a batch read at input, one row per state, m <= _TAYLOR_ORDER.
 
     2i J_y = J_+ - J_- is the real tridiagonal matrix with
@@ -560,7 +559,7 @@ def _input_moments(batch: _Batch) -> np.ndarray:
     return moments
 
 
-def _inside_moments(batch: _Batch) -> np.ndarray:
+def _inside_moments(batch: TwoModeState) -> np.ndarray:
     """m! F_m of each state of a batch read inside, one row per state, m <= _TAYLOR_ORDER.
 
     G = J_z and P = Q, so the moments are the sums of conj(psi) (Q psi)
@@ -578,7 +577,7 @@ def _inside_moments(batch: _Batch) -> np.ndarray:
     return moments
 
 
-def _taylor_series(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+def _taylor_series(batch: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients F_m of each state's <P>(phi) at phi = 0, and their bounds.
 
     Rows are the states of the batch, columns m = 0 .. _TAYLOR_ORDER.
@@ -682,15 +681,15 @@ def phase_uncertainty_limits(states) -> list[float]:
     state raises NormalizationError.
     """
     states = list(states)
-    return _limit_column(_Batch.of(states)).tolist() if states else []
+    return _limit_column(_joined(states)).tolist() if states else []
 
 
-def _limit_column(batch: _Batch) -> np.ndarray:
+def _limit_column(batch: TwoModeState) -> np.ndarray:
     """``phase_uncertainty_limits`` of a batch, as one array, in bounded passes."""
     return _in_passes(batch, _limit_entries, _limit_pass)
 
 
-def _limit_pass(batch: _Batch) -> np.ndarray:
+def _limit_pass(batch: TwoModeState) -> np.ndarray:
     """The phi -> 0 limit of every state of a batch, in one pass."""
     series, bounds = _taylor_series(batch)
     return _limit_from_series(series, bounds, batch.labels)

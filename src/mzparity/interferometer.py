@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, FrameError
-from .states import Frame, TwoModeState, _Batch, _batch, _nonzero_rows
+from .states import Frame, TwoModeState, _batch, _nonzero_rows
 from .wigner import _I_POWERS, _rotate
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
 def _output(state: TwoModeState, dense: list[np.ndarray], frame: Frame) -> TwoModeState:
     """The state whose blocks, in the order of state's, have the dense vectors ``dense``."""
     kept = _nonzero_rows(state.two_js, dense)
-    return _batch(*kept, [kept[0].size], frame, state.label, [state.truncation_tail]).states()[0]
+    return _batch(*kept, [kept[0].size], frame, state.label, [state.truncation_tail])
 
 
 def _finite_phase(phi) -> float:
@@ -105,8 +105,8 @@ def apply_beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeSt
     return _output(state, dense, flipped)
 
 
-def _shifted(batch: _Batch, phases) -> _Batch:
-    """The batch of inside states with their stored amplitudes times phases, in the same layout.
+def _shifted(batch: TwoModeState, phases) -> TwoModeState:
+    """The inside states of batch with their stored amplitudes times phases, in the same layout.
 
     ``phases`` takes the 2j of each stored row's block and the row; the
     product is checked as a new batch.
@@ -123,13 +123,12 @@ def _shifted(batch: _Batch, phases) -> _Batch:
 def apply_phase_shifter(state: TwoModeState, phi: float) -> TwoModeState:
     """Phase accumulation exp(-i phi J_z) between the beam splitters."""
     phi = _finite_phase(phi)
-    shifted = _shifted(
-        _Batch.of([state]), lambda two_js, rows: np.exp(-1j * phi * ((two_js - 2.0 * rows) / 2.0))
+    return _shifted(
+        state, lambda two_js, rows: np.exp(-1j * phi * ((two_js - 2.0 * rows) / 2.0))
     )
-    return shifted.states()[0]
 
 
-def _quarter_turn(batch: _Batch) -> _Batch:
+def _quarter_turn(batch: TwoModeState) -> TwoModeState:
     """The phase shifter at phi = pi/2 on every state of a batch, in one pass.
 
     Its phases are exact (``_quarter_phases``): ``math.pi / 2`` is not

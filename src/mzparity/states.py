@@ -8,12 +8,12 @@ frame tag records whether the amplitudes describe the external input ports
 or the modes between the two beam splitters; detection and transform
 operations dispatch on it.
 
-Each family the CLI sweeps has one builder that takes an array of N and
-returns all their states as one batch (``_Batch``: the flat arrays end to
-end, each state's first block, frame, label, tail and norm), made and
-checked once by ``_batch``; detection reads batches, and ``states()``
-splits one into read-only TwoModeState views.  The one-N constructors
-(``noon_internal``, ``dual_fock_input``, ...) validate N and split the
+One type, TwoModeState, holds one state or a batch of them end to end
+(each state's first block, frame, label, tail and norm beside the flat
+arrays), made and checked once by ``_batch``.  Each family the CLI sweeps
+has one builder that takes an array of N and returns all their states as
+one batch; detection reads batches.  The one-N constructors
+(``noon_internal``, ``dual_fock_input``, ...) validate N and return the
 same builder's batch of [N], so each family has one implementation of its
 amplitudes.
 
@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError
+from .errors import DomainError, FrameError, NormalizationError
 from .wigner import _central_binomials, _ragged
 
 __all__ = [
@@ -102,27 +102,33 @@ class Frame(enum.Enum):
 
 
 class TwoModeState:
-    """Pure two-mode state over Schwinger labels (j, mu), stored as nonzero rows.
+    """Pure two-mode states over Schwinger labels (j, mu), stored as nonzero rows.
 
     Row i of block 2j is the ket |j, mu> with mu = j - i, so row 0 carries
     mu = +j and row 2j carries mu = -j.  Each block keeps only its sorted
-    nonzero rows and their amplitudes, and the blocks lie end to end in
-    flat read-only arrays: block b has size ``two_js[b]`` and holds the
-    amplitudes ``amplitudes[offsets[b]:offsets[b + 1]]`` on the rows
-    ``rows[offsets[b]:offsets[b + 1]]``.  A coherent block thus stores one
-    amplitude, not 2j + 1.
+    nonzero rows and their amplitudes, laid end to end in flat read-only
+    arrays: block b has size ``two_js[b]`` and stores ``sizes[b]`` rows
+    (``rows``) and amplitudes (``amplitudes``).  A coherent block thus
+    stores one amplitude, not 2j + 1.
+
+    One object holds one state, or a builder's group of them end to end:
+    each state's first block, then the block count (``firsts``), and each
+    state's frame (``inside``), label, truncation tail and norm.
+    ``state[a:b]`` is states a .. b - 1, as views.  ``frame``, ``label``,
+    ``truncation_tail``, ``offsets`` (where each block's rows start, then
+    the end) and ``norm()`` read state 0.
 
     ``TwoModeState(components, frame, label)`` takes a mapping from 2j to a
     dense vector of 2j + 1 amplitudes and keeps its nonzero entries; a
-    block with none is not stored.  The states of one batch
-    (``_Batch.states``) hold views of its shared read-only arrays.
-    ``components`` and ``block`` give dense vectors back, built on demand
-    under the ``_MAX_AMPLITUDES`` budget.  States are immutable.
+    block with none is not stored.  ``components`` and ``block`` give
+    dense vectors back, built on demand under the ``_MAX_AMPLITUDES``
+    budget.  States are immutable.
     """
 
     __slots__ = (
-        "two_js", "offsets", "rows", "amplitudes", "frame", "label", "truncation_tail", "_norm"
+        "two_js", "sizes", "rows", "amplitudes", "firsts", "inside", "labels", "tails", "norms"
     )
+    __iter__ = None  # not a list of states: list(state) raises TypeError
 
     def __new__(
         cls,
@@ -131,11 +137,13 @@ class TwoModeState:
         label: str,
         truncation_tail: float = 0.0,
     ) -> "TwoModeState":
+        if not isinstance(label, str):
+            raise DomainError(f"label must be a str, got {label!r}")
+        if not 0.0 <= truncation_tail <= 1.0:
+            raise DomainError(f"truncation_tail must lie in [0, 1], got {truncation_tail!r}")
         two_js, blocks = [], []
-        for two_j, vec in components.items():
-            two_j = int(two_j)
-            if two_j < 0:
-                raise DomainError(f"negative twoJ key {two_j}")
+        for key, vec in components.items():
+            two_j = _positive_int(key, "twoJ key", least=0)
             arr = np.asarray(vec, dtype=complex)
             if arr.ndim != 1:
                 raise DomainError("amplitude vectors must be one-dimensional")
@@ -146,7 +154,7 @@ class TwoModeState:
             two_js.append(two_j)
             blocks.append(arr)
         stored = _nonzero_rows(np.array(two_js, dtype=np.int64), blocks)
-        return _batch(*stored, [stored[0].size], frame, label, [truncation_tail]).states()[0]
+        return _batch(*stored, [stored[0].size], frame, label, [truncation_tail])
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"TwoModeState is immutable; cannot set {name!r}")
@@ -157,25 +165,61 @@ class TwoModeState:
             f"blocks={self.two_js.size}, stored={self.rows.size})"
         )
 
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, cut: slice) -> "TwoModeState":
+        a, b, _ = cut.indices(len(self))
+        lo, hi = int(self.firsts[a]), int(self.firsts[b])
+        start, stop = _bounds(self.sizes)[[lo, hi]].tolist()
+        firsts = self.firsts[a : b + 1] - lo
+        firsts.setflags(write=False)  # the rest are views of read-only arrays
+        return _state(
+            self.two_js[lo:hi], self.sizes[lo:hi], self.rows[start:stop],
+            self.amplitudes[start:stop], firsts, self.inside[a:b],
+            self.labels[a:b], self.tails[a:b], self.norms[a:b])
+
+    def select(self, picked: np.ndarray) -> "TwoModeState":
+        """The states where picked is True, joined from a slice per run of them."""
+        padded = np.concatenate(([False], picked, [False]))
+        edges = (padded[1:] != padded[:-1]).nonzero()[0].tolist()
+        return _joined([self[a:b] for a, b in zip(edges[::2], edges[1::2])])
+
+    @property
+    def frame(self) -> Frame:
+        return Frame.INSIDE_INTERFEROMETER if self.inside[0] else Frame.AT_INPUT
+
+    @property
+    def label(self) -> str:
+        return self.labels[0]
+
+    @property
+    def truncation_tail(self) -> float:
+        return float(self.tails[0])
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return _bounds(self.sizes)
+
     def norm(self) -> float:
         """sqrt(sum |psi|^2) over every block, computed once at construction."""
-        return self._norm
+        return float(self.norms[0])
 
     def require_normalized(self, tol: float = 1e-8) -> None:
-        _Batch.of([self]).require_normalized(tol)
+        """NormalizationError, naming the first state whose norm is off 1 by more than tol."""
+        off = np.abs(self.norms - 1.0) > tol
+        if off.any():
+            s = int(off.argmax())
+            raise NormalizationError(f"state {self.labels[s]!r} has norm "
+                                     f"{float(self.norms[s])!r}, expected 1 within {tol}")
 
     @property
     def max_two_j(self) -> int:
         return int(self.two_js.max())
 
-    @property
-    def sizes(self) -> np.ndarray:
-        """Stored rows of each block."""
-        return self.offsets[1:] - self.offsets[:-1]
-
     def stored_blocks(self, which=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """(2j, rows, amplitudes) of each block, or of the block indices ``which``, as views."""
-        bounds, two_js = self.offsets.tolist(), self.two_js.tolist()
+        bounds, two_js = _bounds(self.sizes).tolist(), self.two_js.tolist()
         for b in range(len(two_js)) if which is None else which:
             lo, hi = bounds[b], bounds[b + 1]
             yield two_js[b], self.rows[lo:hi], self.amplitudes[lo:hi]
@@ -193,8 +237,7 @@ class TwoModeState:
                 f"dense vectors of state {self.label!r} need {needed} amplitudes, "
                 f"over the budget of {_MAX_AMPLITUDES}"
             )
-        two_js = self.two_js.tolist()
-        return MappingProxyType({two_j: self._dense(b) for b, two_j in enumerate(two_js)})
+        return MappingProxyType({block[0]: _dense(*block) for block in self.stored_blocks()})
 
     def block(self, two_j: int) -> np.ndarray:
         """Read-only dense vector of block 2j, built alone; KeyError if it is not stored.
@@ -209,14 +252,8 @@ class TwoModeState:
                 f"dense block 2j={two_j} of state {self.label!r} needs {two_j + 1} "
                 f"amplitudes, over the budget of {_MAX_AMPLITUDES}"
             )
-        return self._dense(int(where[0]))
-
-    def _dense(self, b: int) -> np.ndarray:
-        lo, hi = self.offsets[b], self.offsets[b + 1]
-        vec = np.zeros(int(self.two_js[b]) + 1, dtype=complex)
-        vec[self.rows[lo:hi]] = self.amplitudes[lo:hi]
-        vec.flags.writeable = False
-        return vec
+        (block,) = self.stored_blocks([int(where[0])])
+        return _dense(*block)
 
     def mean_photon_number(self) -> float:
         weights = np.abs(self.amplitudes) ** 2
@@ -240,6 +277,25 @@ class TwoModeState:
         return (two_j - 2.0 * np.arange(two_j + 1)) / 2.0
 
 
+_SLOT_SETTERS = [getattr(TwoModeState, name).__set__ for name in TwoModeState.__slots__]
+
+
+def _state(*values) -> TwoModeState:
+    """The TwoModeState holding values, one per slot in order, unchecked."""
+    state = object.__new__(TwoModeState)
+    for put, value in zip(_SLOT_SETTERS, values):
+        put(state, value)
+    return state
+
+
+def _dense(two_j: int, rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Read-only dense vector of a block 2j storing amplitudes on rows."""
+    vec = np.zeros(two_j + 1, dtype=complex)
+    vec[rows] = amplitudes
+    vec.flags.writeable = False
+    return vec
+
+
 def _nonzero_rows(two_js: np.ndarray, blocks: list[np.ndarray]):
     """Stored form (2j, sizes, rows, amplitudes) of the dense vectors of blocks 2j.
 
@@ -257,87 +313,10 @@ def _nonzero_rows(two_js: np.ndarray, blocks: list[np.ndarray]):
     return two_js, [rows.size for rows in kept], rows, amplitudes
 
 
-class _Batch:
-    """Several states end to end: each block's 2j and stored rows (``sizes``),
-    the rows and amplitudes block after block, each state's first block
-    then the block count (``firsts``), and each state's frame (``inside``),
-    label, truncation tail and norm.  ``batch[a:b]`` is states a .. b - 1,
-    as views.
-    """
-
-    __slots__ = (
-        "two_js", "sizes", "rows", "amplitudes", "firsts", "inside", "labels", "tails", "norms"
-    )
-
-    def __init__(self, two_js, sizes, rows, amplitudes, firsts, inside, labels, tails, norms):
-        self.two_js, self.sizes, self.rows, self.amplitudes = two_js, sizes, rows, amplitudes
-        self.firsts, self.inside, self.labels = firsts, inside, labels
-        self.tails, self.norms = tails, norms
-
-    @classmethod
-    def of(cls, states) -> "_Batch":
-        """The states end to end in one batch."""
-        return _joined([cls(
-            state.two_js, state.sizes, state.rows, state.amplitudes,
-            np.array([0, state.two_js.size]), np.array([state.frame is not Frame.AT_INPUT]),
-            [state.label], np.array([state.truncation_tail]), np.array([state.norm()]),
-        ) for state in states])
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, cut: slice) -> "_Batch":
-        a, b, _ = cut.indices(len(self))
-        lo, hi = int(self.firsts[a]), int(self.firsts[b])
-        start, stop = _bounds(self.sizes)[[lo, hi]].tolist()
-        return _Batch(
-            self.two_js[lo:hi], self.sizes[lo:hi], self.rows[start:stop],
-            self.amplitudes[start:stop], self.firsts[a : b + 1] - lo, self.inside[a:b],
-            self.labels[a:b], self.tails[a:b], self.norms[a:b])
-
-    def select(self, picked: np.ndarray) -> "_Batch":
-        """The batch of the states where picked is True, joined from a slice per run of them."""
-        padded = np.concatenate(([False], picked, [False]))
-        edges = (padded[1:] != padded[:-1]).nonzero()[0].tolist()
-        return _joined([self[a:b] for a, b in zip(edges[::2], edges[1::2])])
-
-    def require_normalized(self, tol: float = 1e-8) -> None:
-        """NormalizationError, naming the first state whose norm is off 1 by more than tol."""
-        off = np.abs(self.norms - 1.0) > tol
-        if off.any():
-            s = int(off.argmax())
-            raise NormalizationError(f"state {self.labels[s]!r} has norm "
-                                     f"{float(self.norms[s])!r}, expected 1 within {tol}")
-
-    def states(self) -> list[TwoModeState]:
-        """One read-only TwoModeState per state, its arrays views of the batch's."""
-        bounds = _bounds(self.sizes)
-        lows, rows = self.firsts.tolist(), bounds[self.firsts].tolist()
-        frames = (Frame.AT_INPUT, Frame.INSIDE_INTERFEROMETER)
-        spans = zip(lows, lows[1:], rows, rows[1:], self.inside.tolist(), self.labels,
-                    self.tails.tolist(), self.norms.tolist())
-        states, put = [], object.__setattr__
-        bounds.setflags(write=False)
-        for lo, hi, first, last, inside, label, tail, norm in spans:
-            offsets = bounds[lo : hi + 1]
-            if first:  # the bounds less the state's first row, so they restart at 0
-                offsets = offsets - first
-                offsets.setflags(write=False)
-            state = object.__new__(TwoModeState)
-            put(state, "two_js", self.two_js[lo:hi])
-            put(state, "offsets", offsets)
-            put(state, "rows", self.rows[first:last])
-            put(state, "amplitudes", self.amplitudes[first:last])
-            put(state, "frame", frames[inside])
-            put(state, "label", label)
-            put(state, "truncation_tail", tail)
-            put(state, "_norm", norm)
-            states.append(state)
-        return states
-
-
-def _batch(two_js, sizes, rows, amplitudes, blocks, frame: Frame, label, tails=None) -> _Batch:
-    """The batch of states laid end to end, state s owning the next blocks[s] blocks.
+def _batch(
+    two_js, sizes, rows, amplitudes, blocks, frame: Frame, label, tails=None
+) -> TwoModeState:
+    """The states laid end to end in one TwoModeState, state s owning the next blocks[s] blocks.
 
     ``label`` is every state's label or a list of them, ``tails`` each
     state's truncation_tail (0 if None).  The caller provides 2j >= 0 and
@@ -362,20 +341,21 @@ def _batch(two_js, sizes, rows, amplitudes, blocks, frame: Frame, label, tails=N
         norms = np.sqrt(np.add.reduceat(np.square(amplitudes.view(float)), 2 * bounds[firsts[:-1]]))
     if not math.isfinite(np.add.reduce(norms)) and not np.isfinite(amplitudes.view(float)).all():
         raise DomainError("amplitude vectors must be finite (NaN or inf amplitude)")
-    for array in (two_js, sizes, rows, amplitudes):
-        array.setflags(write=False)
-    labels = [label] * blocks.size if isinstance(label, str) else list(label)
+    labels = (label,) * blocks.size if isinstance(label, str) else tuple(label)
     tails = np.zeros(blocks.size) if tails is None else np.array(tails, dtype=float)
     inside = np.empty(blocks.size, dtype=bool)
     inside.fill(frame is Frame.INSIDE_INTERFEROMETER)
-    return _Batch(two_js, sizes, rows, amplitudes, firsts, inside, labels, tails, norms)
+    for array in (two_js, sizes, rows, amplitudes, inside, tails, norms):
+        array.setflags(write=False)
+    return _state(two_js, sizes, rows, amplitudes, firsts, inside, labels, tails, norms)
 
 
 def _bounds(counts) -> np.ndarray:
-    """0, then the running sums of counts: where each run starts, then the end."""
+    """0, then the running sums of counts: where each run starts, then the end; read-only."""
     bounds = np.empty(len(counts) + 1, dtype=np.int64)
     bounds[0] = 0
     np.add.accumulate(counts, out=bounds[1:])
+    bounds.setflags(write=False)
     return bounds
 
 
@@ -393,19 +373,24 @@ def _cuts(weights, bound: int) -> list[int]:
     return cuts
 
 
-def _joined(batches: list[_Batch]) -> _Batch:
-    """The batches end to end, in one batch; a lone batch is itself."""
+def _joined(batches: list[TwoModeState]) -> TwoModeState:
+    """The states of batches end to end, in one object; a lone batch is itself."""
     if len(batches) == 1:
         return batches[0]
     joined = [np.concatenate([getattr(batch, name) for batch in batches])
               for name in ("two_js", "sizes", "rows", "amplitudes", "inside", "tails", "norms")]
-    blocks = np.concatenate([batch.firsts[1:] - batch.firsts[:-1] for batch in batches])
-    labels = [label for batch in batches for label in batch.labels]
-    return _Batch(*joined[:4], _bounds(blocks), joined[4], labels, *joined[5:])
+    firsts = _bounds(np.concatenate([batch.firsts[1:] - batch.firsts[:-1] for batch in batches]))
+    for array in joined:
+        array.setflags(write=False)
+    labels = tuple(label for batch in batches for label in batch.labels)
+    return _state(*joined[:4], firsts, joined[4], labels, *joined[5:])
 
 
 def fidelity(first: TwoModeState, second: TwoModeState) -> float:
     """|<first|second>| over the rows both store; global-phase invariant.
+
+    The states must share a frame (FrameError otherwise): the rows of two
+    frames are kets of two bases.
 
     The shared rows are one intersection of the keys (2j, r) of both
     states, so no dense vector is built.  Each key is the complex number
@@ -413,6 +398,9 @@ def fidelity(first: TwoModeState, second: TwoModeState) -> float:
     key such as 2j(2j+1)/2 + r would overflow int64 past 2j ~ 4.3e9, and
     numpy orders complex numbers by real part, then imaginary part.
     """
+    if first.frame is not second.frame:
+        raise FrameError(f"fidelity needs two states in one frame, got {first.frame.value} "
+                         f"and {second.frame.value}")
     keys = [np.repeat(state.two_js, state.sizes) + 1j * state.rows for state in (first, second)]
     _, mine, theirs = np.intersect1d(*keys, assume_unique=True, return_indices=True)
     return abs(np.vdot(first.amplitudes[mine], second.amplitudes[theirs]))
@@ -450,7 +438,7 @@ def coherent_input(
     before it is allocated, and so does a kept window of more than
     ``_MAX_AMPLITUDES`` blocks before the state is built.
     """
-    return _coherent_states([nbar], coherent_phase, tail_bound).states()[0]
+    return _coherent_states([nbar], coherent_phase, tail_bound)
 
 
 def _coherent_states(nbars, coherent_phase: float = 0.0, tail_bound: float = 1e-12):
@@ -463,6 +451,8 @@ def _coherent_states(nbars, coherent_phase: float = 0.0, tail_bound: float = 1e-
     as ``coherent_input`` checks one, before any grid is allocated, and
     the first that fails raises.
     """
+    if not math.isfinite(coherent_phase):
+        raise DomainError(f"coherent_phase must be finite, got {coherent_phase!r}")
     given = np.array(nbars, dtype=float, ndmin=1)
     nbar = given.copy()
     valid = np.isfinite(nbar) & (nbar >= 0.0)
@@ -586,7 +576,7 @@ def _sums(grid: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 _AMP = 1.0 / math.sqrt(2.0)
 
 
-def _one_block_states(ns, rows_of, amps, frame: Frame, label: str) -> _Batch:
+def _one_block_states(ns, rows_of, amps, frame: Frame, label: str) -> TwoModeState:
     """One block 2j = N per state, storing rows_of(N)[k] with amplitude amps[k].
 
     ``rows_of`` takes the int64 array of N and gives each stored row as an
@@ -602,29 +592,29 @@ def _one_block_states(ns, rows_of, amps, frame: Frame, label: str) -> _Batch:
 
 def single_fock_input(n_total: int) -> TwoModeState:
     """|N>_a |0>_b: all photons in mode a, so mu = +j."""
-    return _single_fock_states([_positive_int(n_total, "n_total")]).states()[0]
+    return _single_fock_states([_positive_int(n_total, "n_total")])
 
 
-def _single_fock_states(ns) -> _Batch:
+def _single_fock_states(ns) -> TwoModeState:
     return _one_block_states(ns, lambda n: [0 * n], [1.0], Frame.AT_INPUT, "single-fock")
 
 
 def dual_fock_input(n_per_mode: int) -> TwoModeState:
     """|N>_a |N>_b: equal occupation, mu = 0, total photon number 2N."""
-    return _dual_fock_states([2 * _positive_int(n_per_mode, "n_per_mode")]).states()[0]
+    return _dual_fock_states([2 * _positive_int(n_per_mode, "n_per_mode")])
 
 
-def _dual_fock_states(ns) -> _Batch:
+def _dual_fock_states(ns) -> TwoModeState:
     """dual_fock_input at total photon numbers ns, all even."""
     return _one_block_states(ns, lambda n: [n // 2], [1.0], Frame.AT_INPUT, "dual-fock")
 
 
 def noon_internal(n_total: int) -> TwoModeState:
     """(|N,0> + |0,N>)/sqrt(2) on the internal modes: mu = +j and -j."""
-    return _noon_states([_positive_int(n_total, "n_total")], "noon-internal").states()[0]
+    return _noon_states([_positive_int(n_total, "n_total")], "noon-internal")
 
 
-def _noon_states(ns, label: str) -> _Batch:
+def _noon_states(ns, label: str) -> TwoModeState:
     amps, inside = [_AMP, _AMP], Frame.INSIDE_INTERFEROMETER
     return _one_block_states(ns, lambda n: [0 * n, n], amps, inside, label)
 
@@ -638,19 +628,15 @@ def noon_input(n_total: int) -> TwoModeState:
     """
     from .interferometer import apply_beam_splitter
 
-    (noon,) = _noon_states([_positive_int(n_total, "n_total")], "noon").states()
-    return apply_beam_splitter(noon, inverse=False)
+    return apply_beam_splitter(_noon_states([_positive_int(n_total, "n_total")], "noon"))
 
 
 def yurke_input(n_total: int) -> TwoModeState:
     """(|j,0> + |j,1>)/sqrt(2); needs integer j, so even N."""
-    n_total = _positive_int(n_total, "n_total")
-    if n_total % 2 != 0:
-        raise DomainError(f"yurke state needs even N (integer j), got {n_total}")
-    return _yurke_states([n_total]).states()[0]
+    return _yurke_states([_in_class("yurke", n_total)])
 
 
-def _yurke_states(ns) -> _Batch:
+def _yurke_states(ns) -> TwoModeState:
     return _one_block_states(
         ns, lambda n: [n // 2 - 1, n // 2], [_AMP, _AMP], Frame.AT_INPUT, "yurke"
     )
@@ -661,13 +647,10 @@ def yuen_input(n_total: int, modified: bool = False) -> TwoModeState:
 
     Needs half-integer j, so odd N.
     """
-    n_total = _positive_int(n_total, "n_total")
-    if n_total % 2 != 1:
-        raise DomainError(f"yuen state needs odd N (half-integer mu), got {n_total}")
-    return _yuen_states([n_total], modified).states()[0]
+    return _yuen_states([_in_class("modified-yuen" if modified else "yuen", n_total)], modified)
 
 
-def _yuen_states(ns, modified: bool) -> _Batch:
+def _yuen_states(ns, modified: bool) -> TwoModeState:
     amps, label = [_AMP, _AMP if modified else 1j * _AMP], "modified-yuen" if modified else "yuen"
     # rows (N - 1)/2 and (N + 1)/2 carry mu = +1/2 and -1/2
     return _one_block_states(ns, lambda n: [n // 2, n // 2 + 1], amps, Frame.AT_INPUT, label)
@@ -675,13 +658,10 @@ def _yuen_states(ns, modified: bool) -> _Batch:
 
 def pezze_smerzi_input(n_total: int) -> TwoModeState:
     """(|j,1> + |j,-1>)/sqrt(2); needs integer j >= 1, so even N >= 2."""
-    n_total = _positive_int(n_total, "n_total")
-    if n_total % 2 != 0:
-        raise DomainError(f"pezze-smerzi state needs even N, got {n_total}")
-    return _pezze_smerzi_states([n_total]).states()[0]
+    return _pezze_smerzi_states([_in_class("pezze-smerzi", n_total)])
 
 
-def _pezze_smerzi_states(ns) -> _Batch:
+def _pezze_smerzi_states(ns) -> TwoModeState:
     return _one_block_states(
         ns, lambda n: [n // 2 - 1, n // 2 + 1], [_AMP, _AMP], Frame.AT_INPUT, "pezze-smerzi"
     )
@@ -701,10 +681,10 @@ def berry_wiseman_internal(n_total: int) -> TwoModeState:
 
     It stores all N + 1 rows, held to ``_MAX_AMPLITUDES``.
     """
-    return _berry_wiseman_states([_positive_int(n_total, "n_total")]).states()[0]
+    return _berry_wiseman_states([_positive_int(n_total, "n_total")])
 
 
-def _berry_wiseman_states(ns) -> _Batch:
+def _berry_wiseman_states(ns) -> TwoModeState:
     """berry_wiseman_internal at each N of ns; the largest is held to the budget first."""
     ns = np.asarray(ns)
     _within_budget(int(np.maximum.reduce(ns)), "berry-wiseman")
@@ -752,14 +732,6 @@ def _combined_weights(params, caller: str) -> tuple[complex, complex]:
     return alpha, complex(params.beta_mag)
 
 
-def _combined_n(n_total) -> int:
-    """N of the combined state, validated: a positive even int."""
-    n_total = _positive_int(n_total, "n_total")
-    if n_total % 2 != 0:
-        raise DomainError(f"combined state needs even N (mu = 0 exists), got {n_total}")
-    return n_total
-
-
 def _combined_norms(amps: np.ndarray, starts, ns, params: CombinedStateParams) -> np.ndarray:
     """The norm of each state's run of amps from starts[s]; a degenerate state raises, naming N."""
     norms = np.sqrt(np.add.reduceat(np.abs(amps) ** 2, starts))
@@ -781,7 +753,7 @@ def combined_input(n_total: int, params: CombinedStateParams) -> TwoModeState:
     interference term disagrees with this construction whenever
     N = 2 (mod 4) and sin(theta) != 0, which the tests pin.
     """
-    n_total = _combined_n(n_total)
+    n_total = _in_class("combined", n_total)
     alpha, beta = _combined_weights(params, "combined_input")
     vec = alpha * np.asarray(noon_input(n_total).block(n_total))
     vec[n_total // 2] += beta
@@ -801,10 +773,10 @@ def combined_internal(n_total: int, params: CombinedStateParams) -> TwoModeState
     of N + 1 amplitudes is held to ``_MAX_AMPLITUDES``; that budget is
     checked before anything is allocated.
     """
-    return _combined_states([_combined_n(n_total)], params).states()[0]
+    return _combined_states([_in_class("combined", n_total)], params)
 
 
-def _combined_states(ns, params: CombinedStateParams) -> _Batch:
+def _combined_states(ns, params: CombinedStateParams) -> TwoModeState:
     """combined_internal at each even N of ns: one c(2k) table up to the largest j serves all."""
     alpha, beta = _combined_weights(params, "combined_internal")
     ns = np.asarray(ns)
@@ -827,12 +799,22 @@ def _combined_states(ns, params: CombinedStateParams) -> _Batch:
     )
 
 
-def _positive_int(n, what: str) -> int:
-    """n as a positive int; bools, non-finite and fractional values raise DomainError."""
+def _in_class(label: str, n) -> int:
+    """N as a positive int in the parity class of family label, else DomainError."""
+    n = _positive_int(n, "n_total")
+    need = parity_needed(label, n)
+    if need is not None:
+        raise DomainError(f"{label} state needs {need} N, got {n}")
+    return n
+
+
+def _positive_int(n, what: str, least: int = 1) -> int:
+    """n as an int >= least; bools, non-finite and fractional values raise DomainError."""
     try:
-        valid = not isinstance(n, bool) and math.isfinite(n) and n == int(n) and n >= 1
+        valid = not isinstance(n, bool) and math.isfinite(n) and n == int(n) and n >= least
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise DomainError(f"{what} must be a positive integer, got {n!r}")
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise DomainError(f"{what} must be {kind}, got {n!r}")
     return int(n)

@@ -950,21 +950,31 @@ MODES = {"limit": ["--limit"], "point": ["--phi", "0.3"]}
 
 def test_cli_paths_make_no_per_state_objects(monkeypatch, tmp_path):
     # the CLI keeps each family group a flat batch from builder to output
-    # line: it splits no batch into states and makes no per-state result or
-    # per-N record
+    # line: it makes a few TwoModeState objects per group and detection
+    # pass, not one per state, and no per-state result or per-N record
     def refuse(*args, **kwargs):
         raise AssertionError("a per-state object was made on the CLI path")
 
-    monkeypatch.setattr(states._Batch, "states", refuse)
+    made, state = [0], states._state
+
+    def counting(*values):
+        made[0] += 1
+        return state(*values)
+
+    monkeypatch.setattr(states, "_state", counting)
     monkeypatch.setattr(detection, "DetectionResult", refuse)
     monkeypatch.setattr(cli, "SweepRecord", refuse)
     out = str(tmp_path / "out.csv")
     for label in STATE_LABELS:
         for mode in MODES.values():
+            made[0] = 0
             assert main(_sweep_argv(label, mode) + ["--out", out]) == 0, (label, mode)
+            assert 0 < made[0] < 10, (label, mode, made[0])  # 40 N, up to 40 states
     for argv in (["figure", "fig3"], ["figure", "fig4"], ["table"],
                  ["expectation", "--state", "combined", "--n-min", "40", "--phi", "0.3"]):
+        made[0] = 0
         assert main(argv + ["--out", out]) == 0, argv
+        assert 0 < made[0] < 16, (argv, made[0])
 
 
 @pytest.mark.parametrize("label", STATE_LABELS)

@@ -44,7 +44,7 @@ from mzparity import (
 )
 from mzparity import detection, wigner
 from mzparity.cli import build_state
-from mzparity.states import _Batch, parity_needed
+from mzparity.states import parity_needed
 from mzparity.detection import _extrapolate_limit, _limit_from_series, _phi_ladder
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -449,7 +449,7 @@ def _mixed_state(frame, seed):
 )
 def test_moment_series_matches_spectrum(build, args):
     state = build(*args)
-    (series,), (bounds,) = detection._taylor_series(_Batch.of([state]))
+    (series,), (bounds,) = detection._taylor_series(state)
     want, want_bounds = spectrum_series(*full_spectrum(state))
     assert np.allclose(bounds, want_bounds, rtol=1e-15, atol=0.0)
     assert np.all(np.abs(series - want) <= 1e-13 * bounds)
@@ -522,6 +522,15 @@ def test_batched_points_match_one_state_points():
     assert phase_uncertainties([], 0.3) == []
 
 
+def test_a_lone_state_is_not_a_list_of_states():
+    # a state has a length and slices, but is not iterable
+    state = noon_internal(4)
+    with pytest.raises(TypeError, match="not iterable"):
+        phase_uncertainties(state, 0.3)
+    with pytest.raises(TypeError, match="not iterable"):
+        phase_uncertainty_limits(state)
+
+
 def test_library_batches_are_memory_bounded():
     # 400 dual-Fock states at N = 1000 hold 400 x 1001 projections; in one
     # pass they peaked at 55 MiB traced.  Detection cuts the batch into
@@ -555,7 +564,7 @@ def test_stored_row_route_holds_only_its_columns():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
-    (series,), (bounds,) = detection._taylor_series(_Batch.of([state]))
+    (series,), (bounds,) = detection._taylor_series(state)
     assert abs(result.expectation - series[0].real) <= 1e-14
     assert abs(result.derivative - series[1].real) <= 1e-14 * bounds[1]
 
@@ -654,7 +663,7 @@ def full_spectrum(state):
     block adds |psi_0|^2 C(2j, k) / 2^(2j) there: the weights the engine
     does not form, since it reads those blocks as cos(phi)^(2j).
     """
-    spectrum = detection._spectra(_Batch.of([state]))
+    spectrum = detection._spectra(state)
     top = max(state.components)
     weights = np.zeros(2 * top + 1, dtype=complex)
     np.add.at(weights, (top + 2 * spectrum.freqs).astype(int), spectrum.weights)
@@ -680,7 +689,7 @@ def test_spectrum_weights_sum_to_parity_at_zero(label, n):
     # lam = k - j, an inside block one at lam = r - j for each stored row r,
     # and each row-0 block is cos(0)^(2j) = 1 times its weight
     state = make_state(label, n)
-    spectrum = detection._spectra(_Batch.of([state]))
+    spectrum = detection._spectra(state)
     freqs = []
     for two_j, rows, _ in state.stored_blocks():
         if state.frame is Frame.INSIDE_INTERFEROMETER:
@@ -900,7 +909,7 @@ def _check_against_eigen_projection(state, weights=None):
 def test_row_zero_blocks_match_eigensystem_projection(label, n):
     # every block sits on row 0 alone, so <P> is sum p_n cos(phi)^n: no grid
     state = make_state(label, n)
-    spectrum = detection._spectra(_Batch.of([state]))
+    spectrum = detection._spectra(state)
     assert spectrum.weights.size == 0 and spectrum.powers.size == len(state.components)
     # the eigenvectors' row 0, squared, is the binomial C(2j, k) / 4^j that
     # full_spectrum adds
@@ -931,7 +940,7 @@ def test_row_zero_rule_in_a_mixed_state(monkeypatch):
         return original(two_js, seeds, take)
 
     monkeypatch.setattr(wigner, "_run_columns", counting)
-    spectrum = detection._spectra(_Batch.of([state]))
+    spectrum = detection._spectra(state)
     assert sorted(built) == [5, 8]
     assert spectrum.powers.tolist() == [0, 3, 6, 9]
     # one term per k of blocks 5 and 8, in block order

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mzparity import (
     CombinedStateParams,
     DomainError,
     Frame,
+    FrameError,
     NormalizationError,
     STATE_LABELS,
     TwoModeState,
@@ -123,6 +125,14 @@ def test_coherent_vacuum_and_domain():
             coherent_input(bad)
     with pytest.raises(DomainError):
         coherent_input(4.0, tail_bound=0.1)
+
+
+@pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+def test_non_finite_coherent_phase_is_refused_before_anything_is_built(phase):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="coherent_phase must be finite"):
+            coherent_input(4.0, phase)
 
 
 def test_coherent_phase_rotates_amplitudes():
@@ -296,6 +306,15 @@ def test_fidelity_basic():
     assert fidelity(yurke_input(4), dual_fock_input(2)) == pytest.approx(SQ2)
 
 
+def test_fidelity_refuses_states_in_different_frames():
+    # noon_input is the beam-splitter preimage of noon_internal: one
+    # physical state, whose rows in the two frames are kets of two bases
+    with pytest.raises(FrameError, match="one frame"):
+        fidelity(noon_input(2), noon_internal(2))
+    inside = apply_beam_splitter(noon_input(2), inverse=True)
+    assert fidelity(inside, noon_internal(2)) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_fidelity_reads_stored_rows_of_a_wide_coherent_state():
     # the dense vectors would need 1.4e10 amplitudes; about 14,000 are stored
     state = coherent_input(1e6)
@@ -328,6 +347,57 @@ def test_state_validation():
         TwoModeState({1: [1.0, np.inf]}, Frame.AT_INPUT, "bad")
     with pytest.raises(DomainError):
         TwoModeState({0: [1.0]}, "at-input", "bad")  # frame must be the enum
+
+
+@pytest.mark.parametrize("key", [1.5, True, np.float64(0.5), "2"])
+def test_block_keys_must_be_integers(key):
+    # int() would store 1.5 as a 2j = 1 block and True as 2j = 1
+    with pytest.raises(DomainError, match="twoJ key must be an integer >= 0"):
+        TwoModeState({key: [1.0, 0.0]}, Frame.AT_INPUT, "x")
+    state = TwoModeState({2.0: [0.6, 0.0, 0.8]}, Frame.AT_INPUT, "x")  # integral floats are fine
+    assert state.two_js.tolist() == [2] and state.rows.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("label", [7, None, ["x"]])
+def test_labels_must_be_strings(label):
+    with pytest.raises(DomainError, match="label must be a str"):
+        TwoModeState({0: [1.0]}, Frame.AT_INPUT, label)
+
+
+@pytest.mark.parametrize("tail", [math.nan, -0.1, 1.5, math.inf])
+def test_truncation_tail_must_lie_in_the_unit_interval(tail):
+    with pytest.raises(DomainError, match="truncation_tail"):
+        TwoModeState({0: [1.0]}, Frame.AT_INPUT, "x", truncation_tail=tail)
+    assert TwoModeState({0: [1.0]}, Frame.AT_INPUT, "x", 1.0).truncation_tail == 1.0
+
+
+def test_a_state_is_a_batch_of_one():
+    state = noon_internal(6)
+    assert len(state) == 1 and state[0:1].label == "noon-internal"
+    assert np.array_equal(state[0:1].amplitudes, state.amplitudes)
+    with pytest.raises(TypeError):
+        list(state)
+    # every slot is read-only: its arrays, and the labels as a tuple
+    for held in (state, state[0:1], apply_beam_splitter(state), coherent_input(2.0)):
+        for name in TwoModeState.__slots__:
+            value = getattr(held, name)
+            assert isinstance(value, tuple) or not value.flags.writeable, name
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: yurke_input(3), "yurke state needs even N, got 3"),
+        (lambda: yuen_input(4), "yuen state needs odd N, got 4"),
+        (lambda: yuen_input(4, modified=True), "modified-yuen state needs odd N, got 4"),
+        (lambda: pezze_smerzi_input(5), "pezze-smerzi state needs even N, got 5"),
+        (lambda: combined_input(5, CombinedStateParams()), "combined state needs even N, got 5"),
+        (lambda: combined_internal(5, CombinedStateParams()), "combined state needs even N, got 5"),
+    ],
+)
+def test_constructors_name_the_parity_they_need(build, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        build()
 
 
 def test_require_normalized():
@@ -513,9 +583,7 @@ def test_family_groups_match_the_one_n_constructors(label, group, monkeypatch):
     params = CombinedStateParams(0.6, 0.8, 0.7) if label == "combined" else None
     batches = list(cli._family_states(label, ns, params))
     cases = [
-        (n, state)
-        for group, batch in batches
-        for n, state in zip(group.tolist(), batch.states())
+        (n, batch[s : s + 1]) for group, batch in batches for s, n in enumerate(group.tolist())
     ]
     kept = [n for n in ns if parity_needed(label, n) is None]
     assert [n for n, _ in cases] == kept
@@ -570,6 +638,6 @@ def test_coherent_windows_keep_their_range_and_tail(nbar):
     assert abs(state.truncation_tail - tail) <= 2 * np.spacing(tail)
     # in a group, each window is built as it is alone; the empty cells
     # of the nbar = 0.5 row under a wide window stay finite
-    grouped = states_module._coherent_states([0.5, nbar, 2.5]).states()[1]
+    grouped = states_module._coherent_states([0.5, nbar, 2.5])[1:2]
     assert np.array_equal(grouped.amplitudes, state.amplitudes)
     assert grouped.truncation_tail == state.truncation_tail
