@@ -14,8 +14,7 @@ berry-wiseman is built behind a quarter turn); fig3, fig4 and the table
 join all their groups and make one ``_limit_column`` call each.
 Detection cuts what it is given into passes of bounded size, so memory
 stays bounded at any N.  Output lines are formatted straight from the
-returned columns, with no per-state object or per-N record;
-``run_sweep`` builds its records from the same columns.  In the table
+returned columns, with no per-state object or per-N record.  In the table
 and the fig3/fig4 curves a family outside its parity class leaves an
 empty cell (a warning and a skipped row in a sweep).
 
@@ -67,12 +66,10 @@ from .states import (
 
 __all__ = [
     "SweepConfig",
-    "SweepRecord",
     "build_state",
     "emit_figure_data",
     "main",
     "reproduce_table",
-    "run_sweep",
 ]
 
 DEFAULT_PHI = 1e-4
@@ -121,36 +118,6 @@ class SweepConfig:
             raise DomainError(
                 "alpha/beta/theta parameters apply exactly when state is 'combined'"
             )
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    n_total: int
-    delta_phi: float
-    shot_noise: float
-    heisenberg: float
-    bw_povm: float | None = None
-    phi: float | None = None
-    expectation_at_phi: float | None = None
-    derivative: float | None = None
-    variance: float | None = None
-
-    def cells(self) -> tuple[float | int | None, ...]:
-        """The values of the output columns (``_CSV_COLUMNS``), in order."""
-        return (
-            self.n_total,
-            self.phi,
-            self.expectation_at_phi,
-            self.derivative,
-            self.variance,
-            self.delta_phi,
-            self.shot_noise,
-            self.heisenberg,
-            self.bw_povm,
-        )
-
-    def row(self) -> dict[str, float | int | None]:
-        return dict(zip(_CSV_COLUMNS, self.cells()))
 
 
 # label -> builder of the family's states at an array of total photon
@@ -250,15 +217,6 @@ def _sweep_rows(config: SweepConfig) -> Iterator[tuple]:
         columns = detection._limit_column(batch) if limit else detection._point_columns(batch, config.phi)
         for row in zip(group.tolist(), *np.atleast_2d(columns).tolist()):
             yield row + detection._scales(row[0])
-
-
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """One record per valid N; invalid parity class is skipped with a warning."""
-    rows = _sweep_rows(config)
-    if config.phi_mode == "limit":
-        return [SweepRecord(*row) for row in rows]
-    # a point row is N, <P>, d<P>/dphi, Delta P, then delta phi and the scales
-    return [SweepRecord(row[0], *row[4:], float(config.phi), *row[1:4]) for row in rows]
 
 
 def _sweep_payload(config: SweepConfig) -> str:

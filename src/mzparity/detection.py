@@ -1,16 +1,29 @@
 """Parity-detection observables and the error-propagation phase uncertainty.
 
 Fixed-phi observables come from one list of terms per state: weights w
-and frequencies lam, plus the at-input blocks stored on row 0 alone, such
-that
+and frequencies lam, plus the at-input blocks stored on row 0 alone and
+the Jacobi forms of the at-input blocks stored within |mu| <= 1, such that
 
-    <P>(phi) = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b).
+    <P>(phi) = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b)
+               + sum_f g_f d_f(phi).
 
+Each at-input block takes one of three routes, chosen by its stored rows.
 A block whose only stored row is 0 (mu = +j, mode b empty: every coherent
 and single-Fock block) is |psi_0|^2 times d[0, 0](2 phi) = cos(phi)^(2j),
 so it keeps only n_b = 2j and p_b = |psi_0|^2 and is read in closed form,
-with no eigensystem and no terms: a coherent state costs O(blocks).  Every
-other at-input block gives one term per J_y eigenvector e_k of the block,
+with no eigensystem and no terms: a coherent state costs O(blocks).  A
+block whose stored rows all lie within |mu| <= 1 (every dual-Fock, Yurke,
+Yuen, modified-Yuen and Pezze-Smerzi block) needs the d numbers
+d^j_(mu mu')(2 phi) between those rows alone, and each is a fixed factor
+times a Jacobi polynomial P^(a,b)_n(cos 2 phi) whose a and b do not change
+with j (``_central_forms``): it keeps one factor g_f per family (a, b)
+and its degree n, and no terms.  At a phase, one three-term recurrence in
+the degree per family present (``_jacobi_reads``) runs from degree 0 to
+the pass's largest degree on Python floats and reads every such block as
+it passes the block's degree, so a sweep of these families costs
+O(largest N) and one point O(1) memory.  Every other at-input block (a
+dense ``noon_input`` or ``combined_input`` block, or any state built with
+other rows) gives one term per J_y eigenvector e_k of the block,
 w_k = conj(<e_k|S psi>) <e_k|psi> at the exact eigenvalue lam_k, with S
 the diagonal parity sign; the exact parity mirror makes <e_k|S psi> the
 component on e_(2j-k).  A block inside the interferometer gives one term
@@ -30,15 +43,14 @@ which the CLI formats straight into rows.  Both cores bound their own memory
 (``_point_entries``, ``_limit_entries``) sum to at most ``_PASS_ENTRIES``,
 a state over the bound alone, make one pass (``_point_pass``,
 ``_limit_pass``) per run and join the columns.  In a pass, the J_y
-projections of every at-input block come from one ``wigner._projections``
-call: a dense block (``noon_input``, ``combined_input``) folds each column
-of one flat three-term recurrence into its projection as the rows arrive,
-in O(columns) memory, and a block stored on a few rows (dual-Fock, Yurke,
-Yuen, Pezze-Smerzi) reads only the columns at those rows, in closed form
-where |mu| <= 1.  <P>, d<P>/dphi and the shift of <P> since phi = 0 are
-read for every state of the pass at once, each summed over its own run
-of terms, so a state's numbers do not depend on the batch or the pass it
-came in.  ``phase_uncertainty``, ``parity_expectation`` and
+projections of every projected block come from one ``wigner._projections``
+call, which folds each column of one flat three-term recurrence of a
+dense block into its projection as the rows arrive, in O(columns) memory.
+<P>, d<P>/dphi and the shift of <P> since phi = 0 are read for every
+state of the pass at once, each summed over its own run of terms, row-0
+blocks and Jacobi forms, and every recurrence starts from degree 0 in
+every pass, so a state's numbers do not depend on the batch or the pass
+it came in.  ``phase_uncertainty``, ``parity_expectation`` and
 ``parity_derivative`` are that call on one state.
 
 ``phase_uncertainty_limits`` needs no spectrum.  Since P G P = -G for
@@ -69,6 +81,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -155,13 +168,21 @@ def _on_row_zero(batch: TwoModeState) -> np.ndarray:
     return (batch.sizes == 1) & (batch.rows[np.cumsum(batch.sizes) - batch.sizes] == 0)
 
 
+def _near_center(batch: TwoModeState) -> np.ndarray:
+    """Which blocks of a batch store rows within |mu| <= 1 alone: |2j - 2r| <= 2 on each."""
+    close = np.abs(np.repeat(batch.two_js, batch.sizes) - 2 * batch.rows) <= 2
+    return np.logical_and.reduceat(close, np.cumsum(batch.sizes) - batch.sizes)
+
+
 def _point_entries(batch: TwoModeState) -> np.ndarray:
     """Flat entries a fixed-phi pass holds for each state of a batch: stored rows and terms.
 
     An inside state has one term per stored row; an at-input state 2j + 1
-    projections, one term each, for every block not read as cos(phi)^(2j).
+    projections, one term each, for every block read neither as
+    cos(phi)^(2j) nor by the degree recurrences (stored within |mu| <= 1),
+    which hold no terms.
     """
-    terms = np.where(_on_row_zero(batch), 0, batch.two_js + 1)
+    terms = np.where(_on_row_zero(batch) | _near_center(batch), 0, batch.two_js + 1)
     terms = np.where(np.repeat(batch.inside, np.diff(batch.firsts)), batch.sizes, terms)
     return np.add.reduceat(batch.sizes + terms, batch.firsts[:-1])
 
@@ -202,14 +223,19 @@ def _q_image(batch: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Spectra(NamedTuple):
-    """<P>(phi) of each state s = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b).
+    """<P>(phi) of each state s = sum_k w_k exp(-2i phi lam_k) + sum_b p_b cos(phi)^(n_b)
+    + sum_f g_f d_f(phi).
 
     weights and freqs hold every state's terms end to end, terms[s] of them
     for state s: the blocks read through their J_y projection (at input)
     or through Q (inside).  powers n_b = 2j and probs p_b = |psi_0|^2 list
     the at-input blocks stored on row 0 alone, counts[s] of them for state
-    s.  below and above are 1 -+ <P>(0) of each state, as sums of squares,
-    and tops the largest 2j of each state.
+    s.  kinds, degrees and factors list the Jacobi forms of the at-input
+    blocks stored within |mu| <= 1 (``_central_forms``), forms[s] of them
+    for state s: the family 3a + b, the degree n and the factor g of each
+    d_f, a sin^a(phi) cos^b(phi) P^(a,b)_n(cos 2 phi) (``_jacobi_reads``).
+    below and above are 1 -+ <P>(0) of each state, as sums of squares, and
+    tops the largest 2j of each state.
     """
 
     weights: np.ndarray
@@ -218,6 +244,10 @@ class _Spectra(NamedTuple):
     powers: np.ndarray
     probs: np.ndarray
     counts: np.ndarray
+    kinds: np.ndarray
+    degrees: np.ndarray
+    factors: np.ndarray
+    forms: np.ndarray
     below: np.ndarray
     above: np.ndarray
     tops: np.ndarray
@@ -236,13 +266,19 @@ def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _spectra(batch: TwoModeState) -> _Spectra:
-    """The terms of each state's <P>(phi) in a batch, and the row-0 blocks apart.
+    """The terms of each state's <P>(phi) in a batch, with the row-0 blocks and Jacobi forms apart.
 
     An at-input block stored on row 0 alone (mu = +j, mode b empty, as in
     every coherent and single-Fock block) is |psi_0|^2 times
     d[0, 0](2 phi) = cos(phi)^(2j), so it keeps only its 2j and |psi_0|^2
-    and needs no eigensystem.  Every other at-input block gives one term
-    per k: w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors e_k
+    and needs no eigensystem.  Any other at-input block stored within
+    |mu| <= 1 (dual-Fock, Yurke, Yuen, modified Yuen, Pezze-Smerzi) keeps
+    its Jacobi forms (``_central_forms``), read at a phase by degree
+    recurrences, and no terms; it is held to the J_y projection's work
+    bound all the same (``wigner._lanes``), so the 2j a point admits, and
+    its refusal before anything is allocated, do not depend on the route.
+    Every other at-input block gives one term per k:
+    w_k = conj(<e_k|S psi>) <e_k|psi> over the J_y eigenvectors e_k
     at lam_k = k - j; the parity mirror D V = V[:, ::-1] makes <e_k|S psi>
     the component on e_(2j-k), so w_k = conj(c_(2j-k)) c_k for the
     projections c.  The projections of every such block of every state
@@ -265,12 +301,20 @@ def _spectra(batch: TwoModeState) -> _Spectra:
     owner = np.repeat(np.arange(len(batch)), np.diff(batch.firsts))
     block_input = ~batch.inside[owner]
     on_row0 = block_input & _on_row_zero(batch)
+    central = block_input & ~on_row0 & _near_center(batch)
     mass = amps.real**2 + amps.imag**2
     odd = rows % 2 == 1
     below, above = np.where(odd, 2.0 * mass, 0.0), np.where(odd, 0.0, 2.0 * mass)
+    blocks, kinds, degrees, factors = (np.empty(0, dtype=int),) * 3 + (np.empty(0, dtype=complex),)
+    if central.any():  # the Jacobi forms of each block stored within |mu| <= 1
+        picked = np.repeat(central, sizes)
+        stored = (two_js[central], sizes[central], rows[picked])
+        wigner._lanes(*stored)  # the projection's work bound
+        blocks, kinds, degrees, factors = _central_forms(*stored, amps[picked])
+        blocks = np.flatnonzero(central)[blocks]
     # (state, weight w, doubled frequency 2 lam) of every term, block by block
     parts = [(np.empty(0, dtype=int), np.empty(0, dtype=complex), np.empty(0, dtype=int))]
-    projected = block_input & ~on_row0
+    projected = block_input & ~on_row0 & ~central
     if projected.any():  # every k of each block read through its J_y projection
         picked = np.repeat(projected, sizes)
         plain = wigner._projections(two_js[projected], sizes[projected], rows[picked], amps[picked])
@@ -303,10 +347,150 @@ def _spectra(batch: TwoModeState) -> _Spectra:
         two_js[on_row0],
         mass[(np.cumsum(sizes) - sizes)[on_row0]],
         np.bincount(owner[on_row0], minlength=len(batch)),
+        kinds,
+        degrees,
+        factors,
+        np.bincount(owner[blocks], minlength=len(batch)),
         _segment_sums(below, rows_per_state),
         _segment_sums(above, rows_per_state),
         np.maximum.reduceat(two_js, first_blocks),
     )
+
+
+def _central_forms(two_js, sizes, rows, amps):
+    """The Jacobi forms of at-input blocks stored within |mu| <= 1, given in stored form.
+
+    A block stored on rows R adds sum over r', r in R of
+    conj(psi_r') (-1)^r psi_r <r'|exp(2i phi J_y)|r> to <P>.  With
+    mu = j - r, that matrix element is d^j_(mu mu')(2 phi) =
+    sigma sqrt(c) sin^a(phi) cos^b(phi) P^(a,b)_n(cos 2 phi), a Jacobi
+    polynomial with a = |mu - mu'|, b = |mu + mu'| and n = j - (a + b) / 2
+    (Edmonds, Angular Momentum in Quantum Mechanics, 1957), where
+    sigma = -1 if mu - mu' = 1, else 1, and c = prod_(i = 1..b) (n + a + i)
+    / (n + i).  For |mu|, |mu'| <= 1, a and b do not depend on j, so every
+    pair of stored rows falls in one of six families 3a + b, and the pairs
+    of a block in one family add up to one factor.  Returns the block,
+    family, degree and factor of each nonzero sum, by block, then family.
+    """
+    pairs = sizes * sizes
+    k = wigner._ragged(pairs)
+    width = np.repeat(sizes, pairs)
+    start = np.repeat(np.cumsum(sizes) - sizes, pairs)
+    left, right = start + k // width, start + k % width  # rows r' and r
+    a = np.abs(rows[right] - rows[left])
+    b = np.abs(np.repeat(two_js, pairs) - rows[left] - rows[right])
+    sign = np.where(rows[right] % 2, -1.0, 1.0)
+    sign[rows[left] - rows[right] == 1] *= -1.0
+    weights = np.conj(amps[left]) * sign * amps[right]
+    keys = np.repeat(np.arange(sizes.size), pairs) * 9 + 3 * a + b
+    bins = 9 * sizes.size
+    factors = np.bincount(keys, weights.real, bins) + 1j * np.bincount(keys, weights.imag, bins)
+    blocks, kinds = np.divmod(np.flatnonzero(factors), 9)
+    return blocks, kinds, (two_js[blocks] - kinds // 3 - kinds % 3) // 2, factors[factors != 0.0]
+
+
+# Degrees a Jacobi recurrence advances per numpy call for its coefficients:
+# two arrays of 2^11 floats, 32 KiB, whatever the degree it runs to.
+_STEPS = 2**11
+
+
+def _jacobi_steps(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients w_n and v_n of ``_jacobi_run`` for n = lo .. hi - 1."""
+    n = np.arange(lo, hi, dtype=float)
+    c = a + b
+    w = (2.0 * n + c - 1.0) * (2.0 * n + c) / (2.0 * (n + c) * (n + a))
+    # the last factor is 0 at n = 1, c = 0, where n - 1 = 0 makes v_1 = 0 anyway
+    v = (n + b - 1.0) * (2.0 * n + c) * (n - 1.0) / (
+        (n + c) * (n + a) * np.maximum(2.0 * n + c - 2.0, 1.0)
+    )
+    return w, v
+
+
+def _jacobi_run(a: int, b: int, e: float, degrees: list[int]) -> tuple[np.ndarray, ...]:
+    """p_n, p_n - 1 and (p_n - p_(n-1)) / e at each degree n, given rising; p_n = P^(a,b)_n(t) / P^(a,b)_n(1).
+
+    t = 1 + e, with e given exactly.  The three-term recurrence in the
+    degree (DLMF 18.9.1), divided by P_n(1), holds at t = 1 with every
+    p_n = 1, so it can be written on the differences:
+    p_n - p_(n-1) = e r_n with r_n = w_n p_(n-1) + v_n r_(n-1).  Near t = 1
+    every r_n has one sign, so the gaps p_n - 1, summed from the e r_n,
+    keep full relative accuracy where p_n itself would round to 1, in the
+    spirit of Reinsch's modification of the Goertzel recurrence.  The
+    recurrence runs on Python floats from degree 0, its coefficients read
+    through memoryviews of arrays of _STEPS degrees, and keeps no array over
+    the degrees, so a degree's numbers do not depend on the others read.
+    """
+    top = degrees[-1] if degrees else 0
+    steps = chain.from_iterable(
+        zip(*map(memoryview, _jacobi_steps(a, b, lo, min(lo + _STEPS, top + 1))))
+        for lo in range(1, top + 1, _STEPS)
+    )
+    p, s, r, done = 1.0, 0.0, 0.0, 0
+    values, shifts, ratios = [], [], []
+    for n in degrees:
+        for w, v in islice(steps, n - done):
+            r = w * p + v * r
+            step = e * r
+            p += step
+            s += step
+        values.append(p)
+        shifts.append(s)
+        ratios.append(r)
+        done = n
+    return np.array(values), np.array(shifts), np.array(ratios)
+
+
+def _jacobi_reads(phi: float, kinds: np.ndarray, degrees: np.ndarray):
+    """d(phi), dd/dphi and d(phi) - d(0) of each Jacobi form (``_central_forms``) at phase phi.
+
+    d = sqrt(c) sin^a(phi) cos^b(phi) P^(a,b)_n(x), x = cos 2 phi, of
+    family 3a + b at degree n.  Each family present runs one recurrence
+    (``_jacobi_run``) to its largest degree, reading its forms in rising
+    degree, a repeated degree once more at no step.  Where x < 0 it runs on
+    P^(b,a)_n(-x) = (-1)^n P^(a,b)_n(x) instead, so the variable t it
+    reads stays within [0, 1] and 1 - t = 2 sin^2 phi or 2 cos^2 phi is
+    exact.  dP/dt follows from p_n and r_n without a second recurrence
+    (DLMF 18.9.16 written on the differences, free of cancellation):
+    (1 + t) p_n' = n (p_n + 2 (n + b) r_n / (2n + a + b)).  At d(0) = 1
+    (a = 0) the shift is cos^b(phi) (P_n - 1) + (cos^b(phi) - 1), to full
+    relative accuracy near phi = 0; otherwise d(0) = 0.
+    """
+    values, slopes, shifts = (np.empty(kinds.size) for _ in range(3))
+    # d is read at the angle 2 phi, which leaves the float range where the phases
+    # exp(-2i phi lam) of a projection do, past |phi| ~ 9e307
+    sine, cosine = (math.sin(phi), math.cos(phi)) if math.isfinite(2.0 * phi) else (math.nan,) * 2
+    reflect = 2.0 * sine * sine > 1.0
+    e = -2.0 * (cosine if reflect else sine) ** 2  # t - 1
+    for kind in np.flatnonzero(np.bincount(kinds, minlength=9)).tolist():
+        a, b = divmod(kind, 3)
+        at = np.flatnonzero(kinds == kind)
+        at = at[np.argsort(degrees[at], kind="stable")]  # rising degrees
+        degree = degrees[at]
+        ta, tb = (b, a) if reflect else (a, b)
+        p, s, r = _jacobi_run(ta, tb, e, degree.tolist())
+        n = degree.astype(float)
+        slope = n * (p + 2.0 * (n + tb) * r / (2.0 * n + a + b)) / (2.0 + e)  # dp/dt
+        top, scale = np.ones(n.size), np.ones(n.size)  # P^(ta,tb)_n(1) and c
+        for i in range(1, ta + 1):
+            top *= (n + i) / i
+        for i in range(1, b + 1):
+            scale *= (n + a + i) / (n + i)
+        if reflect:
+            top *= np.where(degree % 2, -1.0, 1.0)
+            slope = -slope
+        jacobi, slope = top * p, top * slope  # P^(a,b)_n(x) and its x-derivative
+        trig = sine**a * cosine**b
+        trig_slope = (a * sine ** (a - 1) * cosine ** (b + 1) if a else 0.0) - (
+            b * sine ** (a + 1) * cosine ** (b - 1) if b else 0.0
+        )
+        values[at] = np.sqrt(scale) * trig * jacobi
+        slopes[at] = np.sqrt(scale) * (trig_slope * jacobi - 4.0 * sine * cosine * trig * slope)
+        if a:
+            shifts[at] = values[at]
+        else:  # cos^b(phi) - 1 without cancellation
+            drop = (0.0, -2.0 * math.sin(0.5 * phi) ** 2, -sine * sine)[b]
+            shifts[at] = trig * (jacobi - 1.0 if reflect else s) + drop
+    return values, slopes, shifts
 
 
 def _cos_powers(phi: float, powers: np.ndarray) -> np.ndarray:
@@ -387,10 +571,11 @@ def phase_uncertainties(states, phi: float) -> list[DetectionResult]:
     the phi -> 0 operating point is phase_uncertainty_limits' job.
 
     The states are read in passes of at most ``_PASS_ENTRIES`` flat
-    entries (a larger state alone).  In each, the terms come from one
-    ``_spectra`` call, whose J_y projections come from one
-    ``wigner._projections`` call, and every sum and check is read for all
-    its states at once, each over its own run of terms.  A non-finite phi
+    entries (a larger state alone).  In each, the terms and Jacobi forms
+    come from one ``_spectra`` call, whose J_y projections come from one
+    ``wigner._projections`` call, each Jacobi family present runs one
+    degree recurrence, and every sum and check is read for all its states
+    at once, each over its own run of terms.  A non-finite phi
     raises DomainError, and so does an at-input block whose projection
     would pass the J_y kernel's work bound, before its pass allocates;
     an unnormalized state NormalizationError, and a non-finite <P> or
@@ -414,7 +599,9 @@ def _point_columns(batch: TwoModeState, phi: float) -> np.ndarray:
 
 def _point_pass(batch: TwoModeState, phi: float) -> np.ndarray:
     """The columns of ``_results`` for every state of a batch, in one pass."""
-    weights, freqs, terms, powers, probs, counts, below, above, tops = _spectra(batch)
+    spectra = _spectra(batch)
+    weights, freqs, terms, powers, probs, counts = spectra[:6]
+    kinds, degrees, factors, forms, below, above, tops = spectra[6:]
     with np.errstate(invalid="ignore"):  # a phase past the float range is NaN, refused below
         phase = np.exp(-2j * phi * freqs)
     expectations = _segment_sums(weights * phase, terms)
@@ -440,6 +627,11 @@ def _point_pass(batch: TwoModeState, phi: float) -> np.ndarray:
                 powers[moving] * math.log1p(-2.0 * math.sin(0.5 * phi) ** 2)
             )
             shifts += _segment_sums(drops, counts)
+    if kinds.size:
+        values, slopes, moves = (factors * read for read in _jacobi_reads(phi, kinds, degrees))
+        expectations += _segment_sums(values, forms)
+        derivatives += _segment_sums(slopes, forms)
+        shifts[near] += _segment_sums(moves, forms)[near].real
     values = expectations.real
     spreads = np.where(near, (below - shifts) * (above + shifts), 1.0 - values * values)
     return _results(expectations, derivatives, spreads, batch.labels)

@@ -436,7 +436,9 @@ def coherent_input(
     kept block stores its one amplitude on row 0, with no zero padding.
     A scan wider than ``_MAX_WINDOW`` photon numbers raises DomainError
     before it is allocated, and so does a kept window of more than
-    ``_MAX_AMPLITUDES`` blocks before the state is built.
+    ``_MAX_AMPLITUDES`` blocks before the state is built.  A finite
+    coherent_phase whose product with a kept photon number passes the
+    float range raises DomainError too.
     """
     return _coherent_states([nbar], coherent_phase, tail_bound)
 
@@ -556,6 +558,10 @@ def _coherent_grid(nbar, mode, below, above, coherent_phase: float, tail_bound: 
     probs, kept_ns = grid[span], ns[span]
     amps = np.sqrt(probs)
     if coherent_phase:  # at phase 0 the factors are exactly 1
+        top = int(kept_ns.max())
+        if not math.isfinite(coherent_phase * top):  # Python floats: inf, with no warning
+            raise DomainError(f"coherent_phase {coherent_phase!r} times photon number {top} "
+                              "leaves the float range")
         amps = amps * np.exp(1j * coherent_phase * kept_ns)
     amps /= np.repeat(np.sqrt(np.add.reduceat(probs, np.cumsum(sizes) - sizes)), sizes)
     grid[span] = 0.0

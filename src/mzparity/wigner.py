@@ -25,10 +25,12 @@ dense block folds every column into its components as the rows arrive
 and keeps none, and a block stored on a few rows keeps only the columns
 at those rows.  The columns at the rows |mu| <= 1 (lam = 0, -1/2, -1)
 need no recurrence: they follow in closed form from the central
-binomials c(2k) = C(2k, k) / 4^k (``_read_central``), so the blocks of
-dual-Fock, Yurke, Yuen and Pezze-Smerzi states are read as whole arrays
-at any 2j.  V is symmetric, so mapping J_y components back to rows is
-the same fold, and every other reader is built on it.  ``_rotate``
+binomials c(2k) = C(2k, k) / 4^k (``_read_central``), so a block stored
+there is read as whole arrays at any 2j.  (Detection reads the fixed-phi
+points of such blocks from degree recurrences instead; ``_rotate`` and
+the d numbers still project them.)  V is symmetric, so mapping J_y
+components back to rows is the same fold, and every other reader is
+built on it.  ``_rotate``
 (exp(-i theta J_y) on a block) is two projections with the phases
 exp(-i theta lam_k) between them.  The projection of a block stored on
 row r alone is i^r times row r of V: ``d_element`` and ``d_derivative``
@@ -84,11 +86,12 @@ __all__ = [
 # a block read on its stored rows visits 2j + 1 per column it needs, in
 # closed form or not, which refuses the 17,033 stored rows of noon_input
 # at N = 10^5 (the CLI reads NOON inside the interferometer, on two rows)
-# and a dual-Fock point at N = 2^24.  Only fixed-phi points of blocks with
-# rows other than 0 and |mu| <= 1 (a Yurke block of 2j <= 4, a Yuen block
-# of 2j <= 3, which fold), apply_mzi on such blocks and the d_* kernels
-# run the recurrence: every phi -> 0 limit comes from generator moments,
-# edge-row blocks rotate in closed form, and a row-0 block is read as
+# and a dual-Fock point at N = 2^24.  Detection holds the blocks it reads
+# from degree recurrences (rows within |mu| <= 1) to the same bound
+# (``_lanes``).  Only fixed-phi points of blocks stored on other rows than
+# 0 and |mu| <= 1, apply_mzi on such blocks and the d_* kernels run the
+# recurrence: every phi -> 0 limit comes from generator moments, edge-row
+# blocks rotate in closed form, and a row-0 block is read as
 # cos(phi)^(2j).
 _MAX_COLUMN_ROWS = 2**24
 
@@ -256,26 +259,7 @@ def _projections(two_js, sizes, rows, amplitudes) -> np.ndarray:
     column-rows raises DomainError before anything is allocated.
     """
     n = two_js + 1
-    heights = two_js // 2 + 1
-    block = np.repeat(np.arange(two_js.size), sizes)
-    seeds = np.minimum(rows, two_js[block] - rows)
-    # the distinct (block, seed) pairs, numbered by block, then seed
-    order = np.lexsort((seeds, block))
-    fresh = np.ones(order.size, dtype=bool)
-    fresh[1:] = (np.diff(block[order]) != 0) | (np.diff(seeds[order]) != 0)
-    pair = np.empty(order.size, dtype=np.int64)
-    pair[order] = np.cumsum(fresh) - 1
-    columns = np.bincount(block[order[fresh]], minlength=two_js.size)
-    # column-rows: every column over its upper rows, or d columns over all rows
-    folding, reading = heights.astype(float) ** 2, columns * n.astype(float)
-    folded = folding <= reading
-    work = np.where(folded, folding, reading)
-    if np.any(work > _MAX_COLUMN_ROWS):
-        b = int(np.argmax(work > _MAX_COLUMN_ROWS))
-        raise DomainError(
-            f"J_y projection of block 2j = {two_js[b]} visits {work[b]:.0f} column-rows, "
-            f"over the budget of {_MAX_COLUMN_ROWS}"
-        )
+    block, seeds, order, fresh, pair, folded = _lanes(two_js, sizes, rows)
     phased = _I_POWERS[rows % 4] * amplitudes
     base = np.cumsum(n) - n
     out = np.zeros(int(n.sum()), dtype=complex)
@@ -298,6 +282,39 @@ def _projections(two_js, sizes, rows, amplitudes) -> np.ndarray:
             if picked.any():
                 read(*(arg[picked] for arg in lane_args), out)
     return out
+
+
+def _lanes(two_js, sizes, rows):
+    """The columns a projection of blocks in stored form needs, and whether each block folds.
+
+    Returns the block and the seed min(r, 2j - r) of each stored row, the
+    order that sorts them by block, then seed, which of them in that order
+    is the first of its (block, seed) pair, each row's pair number, and
+    the folded route of each block.  A block whose cheaper route would
+    visit more than ``_MAX_COLUMN_ROWS`` column-rows raises DomainError;
+    only arrays over the stored rows are made first.
+    """
+    heights = two_js // 2 + 1
+    block = np.repeat(np.arange(two_js.size), sizes)
+    seeds = np.minimum(rows, two_js[block] - rows)
+    # the distinct (block, seed) pairs, numbered by block, then seed
+    order = np.lexsort((seeds, block))
+    fresh = np.ones(order.size, dtype=bool)
+    fresh[1:] = (np.diff(block[order]) != 0) | (np.diff(seeds[order]) != 0)
+    pair = np.empty(order.size, dtype=np.int64)
+    pair[order] = np.cumsum(fresh) - 1
+    columns = np.bincount(block[order[fresh]], minlength=two_js.size)
+    # column-rows: every column over its upper rows, or d columns over all rows
+    folding, reading = heights.astype(float) ** 2, columns * (two_js + 1.0)
+    folded = folding <= reading
+    work = np.where(folded, folding, reading)
+    if np.any(work > _MAX_COLUMN_ROWS):
+        b = int(np.argmax(work > _MAX_COLUMN_ROWS))
+        raise DomainError(
+            f"J_y projection of block 2j = {two_js[b]} visits {work[b]:.0f} column-rows, "
+            f"over the budget of {_MAX_COLUMN_ROWS}"
+        )
+    return block, seeds, order, fresh, pair, folded
 
 
 def _central_binomials(top: int) -> np.ndarray:

@@ -29,13 +29,13 @@ from mzparity import (
     phase_uncertainty_limit,
 )
 from mzparity import cli, detection, states, wigner
+from mzparity.states import parity_needed
 from mzparity.cli import (
     DEFAULT_PHI,
     SweepConfig,
     build_state,
     main,
     reproduce_table,
-    run_sweep,
 )
 
 EXPECTED_HEADER = "N,phi,expectation,derivative,variance,delta_phi,shot_noise,heisenberg,bw_povm"
@@ -43,6 +43,11 @@ EXPECTED_HEADER = "N,phi,expectation,derivative,variance,delta_phi,shot_noise,he
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def sweep_rows(config):
+    """The rows the CLI writes for a sweep config, parsed from its CSV output."""
+    return parse_csv(cli._sweep_payload(config))
 
 
 @pytest.fixture(scope="module")
@@ -278,9 +283,9 @@ def test_oversized_coherent_state_exit_code(capsys):
 
 
 def test_oversized_eigensystem_exit_code(capsys):
-    # the dual-Fock state itself is one amplitude; its fixed-phi terms
-    # would read one J_y column over 2^24 + 1 rows, past the projection's
-    # work bound, and are refused before anything is allocated
+    # the dual-Fock state itself is one amplitude; its fixed-phi point is
+    # held to the J_y projection's work bound, which one column over
+    # 2^24 + 1 rows passes, and is refused before anything is allocated
     tracemalloc.start()
     try:
         code = main(["sweep", "--state", "dual-fock", "--n-min", "16777216", "--phi", "0.1"])
@@ -319,7 +324,8 @@ def test_noon_points_hold_two_terms_at_any_n(n, capsys):
 
 
 def test_dual_fock_point_past_the_dense_eigensystem_budget(tmp_path):
-    # every column at 2j = 4100 would take 134 MB; the one stored row needs one
+    # every column at 2j = 4100 would take 134 MB; the one stored row needs
+    # one Legendre recurrence
     out = tmp_path / "dual.csv"
     assert main(["sweep", "--state", "dual-fock", "--n-min", "4100", "--phi", "0.3",
                  "--out", str(out)]) == 0
@@ -494,19 +500,20 @@ def test_limit_sweep_memory_is_bounded_by_its_chunks():
     params = CombinedStateParams()
     tracemalloc.start()
     try:
-        records = run_sweep(SweepConfig("combined", 2, 3000, phi_mode="limit",
-                                        combined_params=params))
+        rows = sweep_rows(SweepConfig("combined", 2, 3000, phi_mode="limit",
+                                      combined_params=params))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [record.n_total for record in records] == list(range(2, 3001, 2))
-    for record in records[::50]:
-        state = build_state("combined", record.n_total, params)
+    assert [int(row["N"]) for row in rows] == list(range(2, 3001, 2))
+    for row in rows[::50]:
+        n, delta_phi = int(row["N"]), float(row["delta_phi"])
+        state = build_state("combined", n, params)
         probs = np.abs(state.amplitudes) ** 2
-        mu = 0.5 * record.n_total - state.rows
+        mu = 0.5 * n - state.rows
         bound = 0.5 / math.sqrt(probs @ mu**2 - (probs @ mu) ** 2)
-        assert math.isfinite(record.delta_phi)
-        assert record.delta_phi >= bound * (1.0 - 1e-12)
+        assert math.isfinite(delta_phi)
+        assert delta_phi >= bound * (1.0 - 1e-12)
     assert peak < 3 * 2**20
 
 
@@ -517,15 +524,15 @@ def test_point_sweep_memory_is_bounded_by_its_chunks():
     params = CombinedStateParams()
     tracemalloc.start()
     try:
-        records = run_sweep(SweepConfig("combined", 2, 3000, phi=0.3, combined_params=params))
+        rows = sweep_rows(SweepConfig("combined", 2, 3000, phi=0.3, combined_params=params))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [record.n_total for record in records] == list(range(2, 3001, 2))
-    for record in records[::50]:
-        want = phase_uncertainty(build_state("combined", record.n_total, params), 0.3)
-        assert record.expectation_at_phi == want.expectation
-        assert record.delta_phi == want.delta_phi
+    assert [int(row["N"]) for row in rows] == list(range(2, 3001, 2))
+    for row in rows[::50]:
+        want = phase_uncertainty(build_state("combined", int(row["N"]), params), 0.3)
+        assert float(row["expectation"]) == want.expectation
+        assert float(row["delta_phi"]) == want.delta_phi
     assert peak < 3 * 2**20
 
 
@@ -563,10 +570,10 @@ def test_unwritable_output_path(tmp_path, capsys):
 
 
 def test_run_sweep_api_matches_library():
-    config = SweepConfig("dual-fock", 4, 4, phi_mode="limit")
-    (record,) = run_sweep(config)
-    assert record.delta_phi == phase_uncertainty_limit(dual_fock_input(2))
-    assert record.phi is None
+    # the sweep the CLI writes is the library's number, with an empty phi cell
+    (row,) = sweep_rows(SweepConfig("dual-fock", 4, 4, phi_mode="limit"))
+    assert float(row["delta_phi"]) == phase_uncertainty_limit(dual_fock_input(2))
+    assert row["phi"] == ""
 
 
 def _berry_wiseman_bound(n):
@@ -577,12 +584,12 @@ def _berry_wiseman_bound(n):
 
 
 def test_berry_wiseman_limit_is_the_quantum_cramer_rao_bound():
-    records = run_sweep(SweepConfig("berry-wiseman", 1, 200, phi_mode="limit"))
-    records += run_sweep(SweepConfig("berry-wiseman", 1000, 1000, phi_mode="limit"))
-    assert [record.n_total for record in records] == list(range(1, 201)) + [1000]
-    for record in records:
-        bound = _berry_wiseman_bound(record.n_total)
-        assert record.delta_phi == pytest.approx(bound, rel=1e-13, abs=0.0)
+    rows = sweep_rows(SweepConfig("berry-wiseman", 1, 200, phi_mode="limit"))
+    rows += sweep_rows(SweepConfig("berry-wiseman", 1000, 1000, phi_mode="limit"))
+    assert [int(row["N"]) for row in rows] == list(range(1, 201)) + [1000]
+    for row in rows:
+        bound = _berry_wiseman_bound(int(row["N"]))
+        assert float(row["delta_phi"]) == pytest.approx(bound, rel=1e-13, abs=0.0)
 
 
 def test_berry_wiseman_bias_is_an_exact_quarter_turn(monkeypatch, capsys):
@@ -626,8 +633,8 @@ def test_berry_wiseman_limit_groups_are_read_without_their_unbiased_copy(monkeyp
 
     monkeypatch.setattr(cli, "_berry_wiseman_states", building)
     monkeypatch.setattr(detection, "_limit_column", reading)
-    records = run_sweep(SweepConfig("berry-wiseman", 1, 200, phi_mode="limit"))
-    assert [record.n_total for record in records] == list(range(1, 201))
+    rows = sweep_rows(SweepConfig("berry-wiseman", 1, 200, phi_mode="limit"))
+    assert [int(row["N"]) for row in rows] == list(range(1, 201))
     assert alive == [[False], [False, False], [False, False, False]]
 
 
@@ -764,9 +771,8 @@ def test_fig3_theta_curves_overlap_everywhere_as_quoted(fig3_rows):
 
 def test_fig3_dual_fock_column_matches_sweep(fig3_rows):
     row = next(r for r in fig3_rows if r["N"] == "10")
-    config = SweepConfig("dual-fock", 10, 10, phi_mode="limit")
-    (record,) = run_sweep(config)
-    assert float(row["dual_fock"]) == record.delta_phi
+    (swept,) = sweep_rows(SweepConfig("dual-fock", 10, 10, phi_mode="limit"))
+    assert row["dual_fock"] == swept["delta_phi"]
 
 
 def test_fig4_layout_and_bounds(fig4_rows):
@@ -869,15 +875,17 @@ def test_huge_phase_exits_3(label, capsys):
     assert "numerical failure" in captured.err and "not finite" in captured.err
 
 
-def test_projected_point_sweeps_need_no_recurrence(monkeypatch, tmp_path):
-    # the rows |mu| <= 1 read their J_y columns in closed form; only Yurke
-    # blocks of 2j <= 4 and Yuen blocks of 2j <= 3 fold, which runs it
-    def refuse(two_js, seeds, take):
-        raise AssertionError(f"J_y recurrence run for 2j = {two_js}")
+def test_projected_point_sweeps_need_no_projection(monkeypatch, tmp_path):
+    # the five families store rows within |mu| <= 1 alone, which the degree
+    # recurrences read at every N: no block is projected on its J_y
+    # eigenvectors, and no J_y recurrence runs
+    def refuse(two_js, *args):
+        raise AssertionError(f"J_y projection of 2j = {two_js}")
 
+    monkeypatch.setattr(wigner, "_projections", refuse)
     monkeypatch.setattr(wigner, "_run_columns", refuse)
-    for label, lo, hi in (("dual-fock", 2, 2000), ("pezze-smerzi", 2, 400), ("yurke", 6, 400),
-                          ("yuen", 5, 401), ("modified-yuen", 5, 401)):
+    for label, lo, hi in (("dual-fock", 2, 2000), ("pezze-smerzi", 2, 400), ("yurke", 2, 400),
+                          ("yuen", 1, 401), ("modified-yuen", 1, 401)):
         out = tmp_path / f"{label}.csv"
         assert main(["sweep", "--state", label, "--phi", "0.3", "--n-min", str(lo),
                      "--n-max", str(hi), "--out", str(out)]) == 0
@@ -936,9 +944,7 @@ def test_sweep_config_takes_positive_int_photon_numbers(field):
             SweepConfig("noon", **bounds)
     config = SweepConfig("noon", **{"n_min": 1, "n_max": 3, field: 3.0})
     assert type(config.n_min) is int and type(config.n_max) is int
-    records = run_sweep(config)
-    assert [record.n_total for record in records] == list(range(config.n_min, 4))
-    assert all(type(record.n_total) is int for record in records)
+    assert [row["N"] for row in sweep_rows(config)] == [str(n) for n in range(config.n_min, 4)]
 
 
 def _sweep_argv(label, mode):
@@ -951,7 +957,7 @@ MODES = {"limit": ["--limit"], "point": ["--phi", "0.3"]}
 def test_cli_paths_make_no_per_state_objects(monkeypatch, tmp_path):
     # the CLI keeps each family group a flat batch from builder to output
     # line: it makes a few TwoModeState objects per group and detection
-    # pass, not one per state, and no per-state result or per-N record
+    # pass, not one per state, and no per-state result
     def refuse(*args, **kwargs):
         raise AssertionError("a per-state object was made on the CLI path")
 
@@ -963,7 +969,6 @@ def test_cli_paths_make_no_per_state_objects(monkeypatch, tmp_path):
 
     monkeypatch.setattr(states, "_state", counting)
     monkeypatch.setattr(detection, "DetectionResult", refuse)
-    monkeypatch.setattr(cli, "SweepRecord", refuse)
     out = str(tmp_path / "out.csv")
     for label in STATE_LABELS:
         for mode in MODES.values():
@@ -980,21 +985,36 @@ def test_cli_paths_make_no_per_state_objects(monkeypatch, tmp_path):
 @pytest.mark.parametrize("label", STATE_LABELS)
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_run_sweep_records_are_the_rows_main_writes(label, mode, tmp_path, capsys):
-    config = SweepConfig(label, 1, 40, **({"phi_mode": "limit"} if mode == "limit" else {"phi": 0.3}),
-                         combined_params=CombinedStateParams() if label == "combined" else None)
-    records = run_sweep(config)
+    # the JSON records main writes are its CSV rows, and each is the
+    # library's number for the family's state at that N alone, to the bit
+    paths = {fmt: tmp_path / f"sweep.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        assert main(_sweep_argv(label, MODES[mode]) + ["--format", fmt, "--out", str(path)]) == 0
     capsys.readouterr()
-    rows = [record.cells() for record in records]
-    for fmt, payload in (("csv", cli._csv_payload), ("json", cli._json_payload)):
-        out = tmp_path / f"sweep.{fmt}"
-        assert main(_sweep_argv(label, MODES[mode]) + ["--format", fmt, "--out", str(out)]) == 0
-        assert out.read_text() == payload(cli._CSV_COLUMNS, rows)
+    rows, records = parse_csv(paths["csv"].read_text()), json.loads(paths["json"].read_text())
+    assert [int(row["N"]) for row in rows] == [n for n in range(1, 41) if parity_needed(label, n) is None]
+    assert [list(record) for record in records] == [list(EXPECTED_HEADER.split(","))] * len(rows)
+    for row, record in zip(rows, records):
+        n = int(row["N"])
+        state = cli._LIMIT_FAMILIES[label]([n], None) if mode == "limit" else build_state(label, n)
+        if mode == "limit":
+            want = {"phi": None, "expectation": None, "delta_phi": phase_uncertainty_limit(state)}
+        else:
+            got = phase_uncertainty(state, 0.3)
+            want = {"phi": 0.3, "expectation": got.expectation, "derivative": got.derivative,
+                    "variance": got.variance, "delta_phi": got.delta_phi}
+        for column, value in record.items():
+            cell = row[column]
+            assert value == (None if cell == "" else "inf" if cell == "inf" else json.loads(cell))
+            if column in want:
+                assert (None if cell == "" else float(cell)) == want[column], (n, column)
 
 
 def test_sweeps_across_chunks_match_one_state_calls_bitwise(monkeypatch):
     # detection cuts both sweeps into several passes of at most
     # _PASS_ENTRIES entries, and every N must be what a call on its state
-    # alone gives, to the last bit
+    # alone gives, to the last bit.  A dual-Fock state holds one entry, so
+    # its sweep is cut with a bound of 64 entries.
     calls = {"point": 0, "limit": 0}
     point_pass, limit_pass = detection._point_pass, detection._limit_pass
 
@@ -1008,18 +1028,21 @@ def test_sweeps_across_chunks_match_one_state_calls_bitwise(monkeypatch):
 
     monkeypatch.setattr(detection, "_point_pass", counting_points)
     monkeypatch.setattr(detection, "_limit_pass", counting_limits)
-    points = run_sweep(SweepConfig("dual-fock", 2, 400, phi=0.3))
+    with monkeypatch.context() as patch:
+        patch.setattr(detection, "_PASS_ENTRIES", 64)
+        points = sweep_rows(SweepConfig("dual-fock", 2, 400, phi=0.3))
     params = CombinedStateParams()
-    limits = run_sweep(SweepConfig("combined", 2, 300, phi_mode="limit", combined_params=params))
+    limits = sweep_rows(SweepConfig("combined", 2, 300, phi_mode="limit", combined_params=params))
     assert calls["point"] > 1 and calls["limit"] > 1
-    assert [record.n_total for record in points] == list(range(2, 401, 2))
-    for record in points:
-        want = phase_uncertainty(dual_fock_input(record.n_total // 2), 0.3)
-        got = (record.expectation_at_phi, record.derivative, record.variance, record.delta_phi)
-        assert got == (want.expectation, want.derivative, want.variance, want.delta_phi)
-    assert [record.n_total for record in limits] == list(range(2, 301, 2))
-    for record in limits:
-        assert record.delta_phi == phase_uncertainty_limit(build_state("combined", record.n_total))
+    assert [int(row["N"]) for row in points] == list(range(2, 401, 2))
+    columns = ("expectation", "derivative", "variance", "delta_phi")
+    for row in points:
+        want = phase_uncertainty(dual_fock_input(int(row["N"]) // 2), 0.3)
+        assert tuple(float(row[c]) for c in columns) == tuple(getattr(want, c) for c in columns)
+    assert [int(row["N"]) for row in limits] == list(range(2, 301, 2))
+    for row in limits:
+        want = phase_uncertainty_limit(build_state("combined", int(row["N"])))
+        assert float(row["delta_phi"]) == want
 
 
 def test_cuts_follow_the_greedy_rule():

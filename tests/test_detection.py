@@ -654,6 +654,13 @@ def _on_row_zero(state, vec):
     return state.frame is Frame.AT_INPUT and vec[0] != 0 and not np.any(vec[1:])
 
 
+def _near_center(state, two_j, vec):
+    """An at-input block, not on row 0 alone, whose nonzero rows all lie within |mu| <= 1."""
+    rows = np.flatnonzero(vec)
+    return (state.frame is Frame.AT_INPUT and not _on_row_zero(state, vec)
+            and bool(np.all(np.abs(two_j - 2 * rows) <= 2)))
+
+
 def full_spectrum(state):
     """The engine's terms on the grid lam = -J .. J in steps of 1/2, plus each row-0 block.
 
@@ -661,12 +668,20 @@ def full_spectrum(state):
     binned by frequency, so equal frequencies merge.  Row 0 of the J_y
     eigenvectors squared is C(2j, k) / 4^j at lam_k = k - j, so a row-0
     block adds |psi_0|^2 C(2j, k) / 2^(2j) there: the weights the engine
-    does not form, since it reads those blocks as cos(phi)^(2j).
+    does not form, since it reads those blocks as cos(phi)^(2j).  A block
+    stored within |mu| <= 1 is read from degree recurrences, with no
+    terms either; its weights conj(c_(2j-k)) c_k come from its J_y
+    projections c here.
     """
     spectrum = detection._spectra(state)
     top = max(state.components)
     weights = np.zeros(2 * top + 1, dtype=complex)
     np.add.at(weights, (top + 2 * spectrum.freqs).astype(int), spectrum.weights)
+    for two_j, vec in state.components.items():
+        if _near_center(state, two_j, vec):
+            rows = np.flatnonzero(vec)
+            plain = wigner._projections(np.array([two_j]), np.array([rows.size]), rows, vec[rows])
+            weights[top - two_j : top + two_j + 1 : 2] += np.conj(plain[::-1]) * plain
     row_zero = {
         two_j: vec[0] for two_j, vec in state.components.items() if _on_row_zero(state, vec)
     }
@@ -685,24 +700,28 @@ def full_spectrum(state):
      ("berry-wiseman", 12), ("combined", 10), ("modified-yuen", 15)],
 )
 def test_spectrum_weights_sum_to_parity_at_zero(label, n):
-    # an at-input block not on row 0 alone gives a term at every
-    # lam = k - j, an inside block one at lam = r - j for each stored row r,
-    # and each row-0 block is cos(0)^(2j) = 1 times its weight
+    # an at-input block neither on row 0 alone nor within |mu| <= 1 gives
+    # a term at every lam = k - j, an inside block one at lam = r - j for
+    # each stored row r, each row-0 block is cos(0)^(2j) = 1 times its
+    # weight, and each Jacobi form of a block within |mu| <= 1 is 1 times
+    # its factor at phi = 0 where a = 0, else 0
     state = make_state(label, n)
     spectrum = detection._spectra(state)
     freqs = []
-    for two_j, rows, _ in state.stored_blocks():
+    for two_j, vec in state.components.items():
         if state.frame is Frame.INSIDE_INTERFEROMETER:
-            freqs.extend((rows - two_j / 2.0).tolist())
-        elif rows.tolist() != [0]:
+            freqs.extend((np.flatnonzero(vec) - two_j / 2.0).tolist())
+        elif not _on_row_zero(state, vec) and not _near_center(state, two_j, vec):
             freqs.extend((np.arange(two_j + 1) - two_j / 2.0).tolist())
     assert spectrum.freqs.tolist() == freqs
     assert spectrum.terms.tolist() == [len(freqs)]
+    assert (spectrum.forms.sum() > 0) == (label in ("dual-fock", "modified-yuen"))
     want = sum(
         np.vdot(vec, _parity_image(state, two_j, vec))
         for two_j, vec in state.components.items()
     )
-    assert abs(spectrum.weights.sum() + spectrum.probs.sum() - want) <= 1e-13
+    central = spectrum.factors[spectrum.kinds // 3 == 0].sum()
+    assert abs(spectrum.weights.sum() + spectrum.probs.sum() + central - want) <= 1e-13
 
 
 def _jy_dense(two_j):
@@ -800,8 +819,8 @@ def test_dual_fock_matches_legendre_on_middle_rows():
 
 @pytest.mark.parametrize("order", [2500, 10000])
 def test_dual_fock_points_past_the_dense_eigensystem_budget(order):
-    # 2j = 5000 and 20000: the one stored row builds one J_y eigenvector,
-    # where every column would take 0.2 GB and 3.2 GB
+    # 2j = 5000 and 20000: the one stored row runs one Legendre recurrence,
+    # where every J_y column would take 0.2 GB and 3.2 GB
     want = (-1) ** order * np.polynomial.legendre.legval(math.cos(0.6), [0.0] * order + [1.0])
     tracemalloc.start()
     try:
@@ -1069,9 +1088,9 @@ def test_engine_reads_build_no_dense_vector(monkeypatch):
 
 
 def test_yurke_point_is_the_forward_image(monkeypatch):
-    # the closed-form J_y columns at |mu| <= 1 are the forward beam
+    # the degree recurrences read <r'|exp(2i phi J_y)|r>, the forward beam
     # splitter's image; the inverse one moves <P> by 0.40 here, and only
-    # Yurke, among the projected families, tells the two apart
+    # Yurke, among the recurrence families, tells the two apart
     from mzparity import oracle
 
     monkeypatch.setattr(oracle, "MAX_ORACLE_PHOTONS", 40)
@@ -1082,7 +1101,7 @@ def test_yurke_point_is_the_forward_image(monkeypatch):
 
 
 def test_projected_points_obey_the_quantum_cramer_rao_bound():
-    # the four families read through the closed-form columns, up to N = 2^12:
+    # the families read from degree recurrences, up to N = 2^12:
     # |<P>| <= 1 and delta_phi >= 1 / (2 Delta J_y) within the tolerance of
     # test_fixed_phi_points_obey_the_quantum_cramer_rao_bound
     evens = [2, 4, 6, 10, 64, 100, 1000, 4096]
@@ -1127,3 +1146,106 @@ def test_first_failing_state_names_its_first_failure():
         detection._results(finite[::2], slopes[::2], spreads[::2], ["a", "c"])
     with pytest.raises(ConsistencyError, match=r"^parity derivative for 'a' is not finite"):
         detection._results(finite[:1], np.array([complex(math.inf, 0.0)]), spreads[:1], ["a"])
+
+
+def _wigner_sum(mp, two_j, two_mp, two_m, theta):
+    """d^j_(m' m)(theta) and its theta-derivative from Wigner's factorial sum, in mpmath.
+
+    d = sum_k (-1)^(m' - m + k) sqrt((j+m')! (j-m')! (j+m)! (j-m)!) /
+    ((j+m-k)! k! (m'-m+k)! (j-m'-k)!) c^(2j+m-m'-2k) s^(m'-m+2k), with
+    c, s = cos, sin(theta/2); each term follows from the one before.  It
+    shares nothing with the engine's recurrences.
+    """
+    jpm, jmmp, dm = (two_j + two_m) // 2, (two_j - two_mp) // 2, (two_mp - two_m) // 2
+    c, s, fac = mp.cos(theta / 2), mp.sin(theta / 2), mp.factorial
+    k, last = max(0, -dm), min(jpm, jmmp)
+    term = (-1) ** (dm + k) * mp.sqrt(
+        fac((two_j + two_mp) // 2) * fac(jmmp) * fac(jpm) * fac((two_j - two_m) // 2)
+    ) / (fac(jpm - k) * fac(k) * fac(dm + k) * fac(jmmp - k))
+    term *= c ** (two_j - dm - 2 * k) * s ** (dm + 2 * k)
+    value = slope = mp.mpf(0)
+    while True:
+        value += term
+        slope += term * ((dm + 2 * k) * c / s - (two_j - dm - 2 * k) * s / c) / 2
+        if k == last:
+            return value, slope
+        term *= -((s / c) ** 2) * (jpm - k) * (jmmp - k) / ((k + 1) * (dm + k + 1))
+        k += 1
+
+
+def _parity_reference(mp, state, phi):
+    """<P>(phi) = sum conj(psi_r') (-1)^r psi_r d^j_(mu mu')(2 phi) of an at-input state, and d/dphi.
+
+    The amplitudes are normalized in mpmath, as the engine takes them to be.
+    """
+    value = slope = mp.mpf(0)
+    for two_j, rows, amps in state.stored_blocks():
+        for row_p, amp_p in zip(rows.tolist(), amps.tolist()):
+            for row, amp in zip(rows.tolist(), amps.tolist()):
+                d, d_slope = _wigner_sum(mp, two_j, two_j - 2 * row, two_j - 2 * row_p, 2 * phi)
+                weight = mp.conj(mp.mpc(amp_p)) * (-1) ** row * mp.mpc(amp)
+                value += weight * d
+                slope += weight * 2 * d_slope
+    norm = mp.fsum(abs(mp.mpc(amp)) ** 2 for amp in state.amplitudes.tolist())
+    return value.real / norm, slope.real / norm
+
+
+RECURRENCE_CASES = [("dual-fock", n) for n in (2, 10, 64, 200)] + [
+    (label, n + (label in ("yuen", "modified-yuen")))
+    for label in ("yurke", "pezze-smerzi", "yuen", "modified-yuen") for n in (2, 10, 64, 198)
+]
+
+
+def test_recurrence_families_match_a_wigner_sum_in_mpmath():
+    # the five families read from degree recurrences, against 50 digits
+    # more than the factorial sum cancels: <P> within 5e-15, d<P>/dphi
+    # within 1e-14 N, and near phi = 0 the spread (1 - <P>)(1 + <P>), whose
+    # small factor is the gap the near-zero shift carries, within 1e-14
+    # relative (the phase-blind Pezze-Smerzi state at N = 2 has none, which
+    # the reference reads as roundoff of its 50 digits)
+    mp = pytest.importorskip("mpmath")
+    states = [make_state(label, n) for label, n in RECURRENCE_CASES]
+    assert all(detection._spectra(state).terms.sum() == 0 for state in states)
+    for phi in (1e-9, 1e-4, 1e-3, 0.3, 1.3):
+        results = phase_uncertainties(states, phi)
+        for state, result in zip(states, results):
+            n = state.max_two_j
+            with mp.workdps(50 + n // 3):
+                value, slope = _parity_reference(mp, state, mp.mpf(phi))
+                spread = float((1 - value) * (1 + value))
+            what = (state.label, n, phi)
+            assert abs(result.expectation - float(value)) <= 5e-15, what
+            assert abs(result.derivative - float(slope)) <= 1e-14 * n, what
+            if phi <= 1e-2:
+                assert abs(result.variance**2 - spread) <= 1e-14 * spread + 1e-40, what
+
+
+def test_recurrence_columns_do_not_depend_on_the_batch():
+    # every state starts its recurrences from degree 0 in every pass, so
+    # its columns are the same bits alone, inside a random batch of
+    # recurrence states and others, and in any order of that batch
+    rng = np.random.default_rng(12)
+    pool = [make_state(label, n) for label, n in RECURRENCE_CASES]
+    pool += [noon_internal(7), coherent_input(20.0), noon_input(12), _row_zero_mixed_state()]
+    for phi in (1e-6, 0.3, 2.0):
+        alone = {id(state): phase_uncertainty(state, phi) for state in pool}
+        for _ in range(3):
+            picked = [pool[k] for k in rng.choice(len(pool), size=12, replace=True)]
+            for order in (picked, picked[::-1], [picked[k] for k in rng.permutation(12)]):
+                assert phase_uncertainties(order, phi) == [alone[id(state)] for state in order]
+
+
+@pytest.mark.parametrize("state", [dual_fock_input(2**19), pezze_smerzi_input(2**20)],
+                         ids=["dual-fock", "pezze-smerzi"])
+def test_recurrence_point_at_a_million_photons_holds_no_block(state):
+    # the point reads its degree recurrences in steps of _STEPS coefficients
+    # and holds no array over the block's 2^20 + 1 rows (144 MiB traced
+    # through the block's J_y projection)
+    tracemalloc.start()
+    try:
+        result = phase_uncertainty(state, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(result.expectation) <= 1.0 and math.isfinite(result.delta_phi)
+    assert peak < 2**20

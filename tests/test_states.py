@@ -135,6 +135,17 @@ def test_non_finite_coherent_phase_is_refused_before_anything_is_built(phase):
             coherent_input(4.0, phase)
 
 
+def test_huge_coherent_phase_is_refused_by_name_without_a_warning():
+    # phase times photon number used to overflow in the amplitude factors,
+    # with a RuntimeWarning, and then blame the amplitude vectors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^coherent_phase 1e[+]308 times photon number"):
+            coherent_input(4.0, 1e308)
+        assert coherent_input(0.0, 1e308).fock_terms() == [(0, 0, 1.0 + 0j)]
+        assert coherent_input(4.0, 1e300).norm() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_coherent_phase_rotates_amplitudes():
     flat = coherent_input(2.0)
     spun = coherent_input(2.0, coherent_phase=0.3)
