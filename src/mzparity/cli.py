@@ -48,6 +48,7 @@ from .states import (
     STATE_LABELS,
     CombinedStateParams,
     TwoModeState,
+    _MAX_PHOTONS,
     _cuts,
     _joined,
     _positive_int,
@@ -110,6 +111,8 @@ class SweepConfig:
             )
         for name in ("n_min", "n_max"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+        if self.n_max >= _MAX_PHOTONS:
+            raise DomainError(f"n_max = {self.n_max} photons, over the budget of 2^48")
         if self.phi_mode not in ("fixed", "limit"):
             raise DomainError(f"phi_mode must be 'fixed' or 'limit', got {self.phi_mode!r}")
         if self.format not in ("csv", "json"):
@@ -208,15 +211,20 @@ def _warn_skipped(label: str, ns: np.ndarray) -> None:
 
 
 def _sweep_rows(config: SweepConfig) -> Iterator[tuple]:
-    """N, delta phi (after <P>, d<P>/dphi and Delta P at fixed phi) and the scales, per row."""
-    # Python ints where N or the running sums of their rows could pass int64
-    exact = (config.n_max + 1) * (config.n_max - config.n_min + 1) < 2**63
-    ns = np.arange(config.n_min, config.n_max + 1, dtype=np.int64 if exact else object)
+    """N, delta phi (after <P>, d<P>/dphi and Delta P at fixed phi) and the scales, per row.
+
+    The N are laid out in windows of at most ``_GROUP_ROWS``, so no array
+    spans the whole range.
+    """
     limit = config.phi_mode == "limit"
-    for group, batch in _family_states(config.state_label, ns, config.combined_params, True, limit):
-        columns = detection._limit_column(batch) if limit else detection._point_columns(batch, config.phi)
-        for row in zip(group.tolist(), *np.atleast_2d(columns).tolist()):
-            yield row + detection._scales(row[0])
+    for first in range(config.n_min, config.n_max + 1, _GROUP_ROWS):
+        ns = np.arange(first, min(first + _GROUP_ROWS, config.n_max + 1))
+        for group, batch in _family_states(config.state_label, ns, config.combined_params,
+                                           True, limit):
+            columns = (detection._limit_column(batch) if limit
+                       else detection._point_columns(batch, config.phi))
+            for row in zip(group.tolist(), *np.atleast_2d(columns).tolist()):
+                yield row + detection._scales(row[0])
 
 
 def _sweep_payload(config: SweepConfig) -> str:

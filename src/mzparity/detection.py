@@ -56,15 +56,21 @@ it came in.  ``phase_uncertainty``, ``parity_expectation`` and
 ``phase_uncertainty_limits`` needs no spectrum.  Since P G P = -G for
 the phase generator G (J_y at input, J_z inside), <P>(phi) =
 <psi| exp(2i phi G) P |psi>, so its Taylor coefficients at phi = 0 are the
-moments F_m = <psi|(2iG)^m P psi> / m!: products with the tridiagonal J_y
-over a few rows around each block's nonzero amplitudes, or with the
-diagonal J_z.  The exact phi -> 0 limit is read off their leading orders.
-Its core ``_limit_column`` takes a batch: in each pass each product runs
-once over all its blocks (once per frame it holds), each state's moments
-are summed over its own segment, and the leading orders of every state
-are read in one vectorized step.  Every CLI figure, the table and each
-builder group of a sweep make one core call.  The engine is
-cross-checked against the brute-force Fock oracle.
+moments F_m = <psi|(2iG)^m P psi> / m!.  Because |<P>(phi)| <= 1 for every
+state, F_0, F_1 and F_2 decide the exact phi -> 0 limit: it is
+sqrt(1 - F_0^2) / |F_1| when |F_0| < 1 (+inf where F_1 = 0); a parity
+eigenstate, F_0 = +-1, has <G> = 0, so F_1 = 0 and F_2 = -2 F_0 <G^2>, and
+its limit is 1/(2 Delta G), parity detection at the quantum Cramer-Rao
+bound (Seshadreesan et al., PRA 87, 043833 (2013)), or +inf where
+G psi = 0 as well (``_limit_from_series``).  The three are one product
+u = (J_+ - J_-) psi with the tridiagonal 2i J_y over the stored rows and
+one row either side of each block, or sums over the stored rows with the
+diagonal J_z.  Its core ``_limit_column`` takes a batch: in each pass each
+product runs once over all its blocks (once per frame it holds), each
+state's moments are summed over its own segment, and the leading orders
+of every state are read in one vectorized step.  Every CLI figure, the
+table and each builder group of a sweep make one core call.  The engine
+is cross-checked against the brute-force Fock oracle.
 
 The commonly quoted per-family closed forms are evaluated verbatim by
 ``closed_form_expectation`` as secondary cross-checks, and their phi -> 0
@@ -120,10 +126,8 @@ __all__ = [
 
 _RESIDUE_TOL = 1e-10
 _DERIVATIVE_FLOOR = 1e-14
-# Taylor terms the phi -> 0 limit looks at (even: the at-input pass makes
-# the orders in pairs 2k - 1, 2k), and the relative size (against each
-# coefficient's bound) below which a coefficient is roundoff.
-_TAYLOR_ORDER = 8
+# The relative size (against each Taylor coefficient's bound) below which
+# a coefficient of the phi -> 0 limit is roundoff.
 _ZERO_TOL = 1e-11
 # Bound of one detection pass, in the flat entries that ``_point_entries``
 # and ``_limit_entries`` count.  A pass over 2^13 entries raises the traced
@@ -188,8 +192,8 @@ def _point_entries(batch: TwoModeState) -> np.ndarray:
 
 
 def _limit_entries(batch: TwoModeState) -> np.ndarray:
-    """Flat entries a limit holds for each state: stored rows, _TAYLOR_ORDER each side of a block."""
-    return np.add.reduceat(batch.sizes + 2 * _TAYLOR_ORDER, batch.firsts[:-1])
+    """Flat entries a limit holds for each state: stored rows, and one row each side of a block."""
+    return np.add.reduceat(batch.sizes + 2, batch.firsts[:-1])
 
 
 def _in_passes(batch: TwoModeState, entries, one_pass) -> np.ndarray:
@@ -705,22 +709,22 @@ def _extrapolate_limit(values: list[float], context: str) -> float:
 
 
 def _input_moments(batch: TwoModeState) -> np.ndarray:
-    """m! F_m of each state of a batch read at input, one row per state, m <= _TAYLOR_ORDER.
+    """m! F_m of each state of a batch read at input, m = 0, 1, 2, one row per state.
 
-    2i J_y = J_+ - J_- is the real tridiagonal matrix with
+    2i J_y = A = J_+ - J_- is the real tridiagonal matrix with
     <mu_r|J_+|mu_(r+1)> = sqrt((r+1)(2j-r)) above the diagonal and its
-    negative below.  Its m-th power reaches m rows beyond the stored ones,
-    so each block keeps only the rows within _TAYLOR_ORDER of its first
-    and last stored row, which is exact for every m kept.  The blocks of
-    every state share one flat array, built from the stored rows in one
-    pass, whose coupling is zero at block edges; a row-0 block (coherent,
-    single-Fock) costs O(_TAYLOR_ORDER).
+    negative below.  A is antisymmetric and S A S = -A, so with u = A psi
+    the moments <psi|A^m S psi> are <psi|S psi>, -<psi|S u> and <u|S u>.
+    u reaches one row past the stored ones, so each block keeps only the
+    rows from one before its first to one after its last stored row.  The
+    blocks of every state share one flat array, built from the stored rows
+    in one pass, whose coupling is zero at block edges; a row-0 block
+    (coherent, single-Fock) costs two rows.
     """
-    order = _TAYLOR_ORDER
     two_js, sizes, rows = batch.two_js, batch.sizes, batch.rows
     stored_ends = np.cumsum(sizes)
-    firsts = np.maximum(rows[stored_ends - sizes] - order, 0)
-    widths = np.minimum(rows[stored_ends - 1] + order, two_js) - firsts + 1
+    firsts = np.maximum(rows[stored_ends - sizes] - 1, 0)
+    widths = np.minimum(rows[stored_ends - 1] + 1, two_js) - firsts + 1
     ends = np.cumsum(widths)
     row_zero_at = ends - widths - firsts  # flat index of each block's row 0
     # block size and row index of every entry of the flat array
@@ -730,49 +734,38 @@ def _input_moments(batch: TwoModeState) -> np.ndarray:
     raising[ends[:-1] - 1] = 0.0  # no coupling from one block into the next
     sign = np.where(row % 2, -1.0, 1.0)  # the diagonal of S
     starts = (ends - widths)[batch.firsts[:-1]]
-    # u_k = A^k psi for A = J_+ - J_-.  A is real and antisymmetric, and
-    # S A S = -A, so <psi|A^m S psi> = (-1)^m <u_a|S u_b> for any a + b = m;
-    # a = m // 2 and b = m - a differ by at most 1, so each step keeps
-    # only u_(k-1) and u_k, for orders 2k - 1 and 2k.
-    moments = np.empty((len(batch), order + 1), dtype=complex)
-    current = np.zeros(ends[-1], dtype=complex)
-    current[np.repeat(row_zero_at, sizes) + rows] = batch.amplitudes
-    moments[:, 0] = np.add.reduceat(np.conj(current) * (sign * current), starts)
-    for k in range(1, order // 2 + 1):
-        following = np.empty_like(current)
-        np.multiply(raising, current[1:], out=following[:-1])
-        following[-1] = 0.0
-        following[1:] -= raising * current[:-1]
-        signed = sign * following
-        moments[:, 2 * k - 1] = np.add.reduceat(np.conj(current) * signed, starts)
-        moments[:, 2 * k] = np.add.reduceat(np.conj(following) * signed, starts)
-        current = following
-    moments[:, 1::2] *= -1.0
+    psi = np.zeros(ends[-1], dtype=complex)
+    psi[np.repeat(row_zero_at, sizes) + rows] = batch.amplitudes
+    parity = np.add.reduceat(np.conj(psi) * (sign * psi), starts)
+    u = np.empty_like(psi)
+    np.multiply(raising, psi[1:], out=u[:-1])
+    u[-1] = 0.0
+    u[1:] -= raising * psi[:-1]
+    signed = sign * u
+    moved = [np.add.reduceat(np.conj(v) * signed, starts) for v in (psi, u)]
+    moments = np.stack([parity, *moved], axis=1)
+    moments[:, 1] *= -1.0
     return moments
 
 
 def _inside_moments(batch: TwoModeState) -> np.ndarray:
-    """m! F_m of each state of a batch read inside, one row per state, m <= _TAYLOR_ORDER.
+    """m! F_m of each state of a batch read inside, m = 0, 1, 2, one row per state.
 
     G = J_z and P = Q, so the moments are the sums of conj(psi) (Q psi)
-    times the powers of 2i mu over each state's stored rows, read one order
-    at a time: (2i mu)^m = i^m (2 mu)^m, and i^m is exact.
+    times 1, 2 mu and (2 mu)^2 over each state's stored rows, times i^m,
+    which is exact.
     """
     generator = np.repeat(batch.two_js, batch.sizes) - 2.0 * batch.rows
     terms = np.conj(batch.amplitudes) * _q_image(batch)[0]
     starts = (np.cumsum(batch.sizes) - batch.sizes)[batch.firsts[:-1]]
-    moments = np.empty((len(batch), _TAYLOR_ORDER + 1), dtype=complex)
-    power = np.ones(generator.size)
-    for m in range(_TAYLOR_ORDER + 1):
-        moments[:, m] = _I_POWERS[m % 4] * np.add.reduceat(terms * power, starts)
-        power *= generator
-    return moments
+    sums = [np.add.reduceat(terms * power, starts) for power in (1.0, generator, generator**2)]
+    return np.stack(sums, axis=1) * _I_POWERS[:3]
 
 
 def _taylor_series(batch: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients F_m of each state's <P>(phi) at phi = 0, and their bounds.
+    """Taylor coefficients F_0, F_1, F_2 of each state's <P>(phi) at phi = 0, and their bounds.
 
-    Rows are the states of the batch, columns m = 0 .. _TAYLOR_ORDER.
+    Rows are the states of the batch, columns m = 0, 1, 2.
     <P>(phi) = <psi| exp(2i phi G) P |psi>, so F_m = <psi|(2iG)^m P psi> / m!.
     The batch takes one flat pass for each frame it holds
     (``_input_moments``, ``_inside_moments``), with no eigensystem, and each
@@ -781,26 +774,14 @@ def _taylor_series(batch: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     those are the bounds.
     """
     batch.require_normalized()
-    order = _TAYLOR_ORDER
-    series = np.empty((len(batch), order + 1), dtype=complex)
+    series = np.empty((len(batch), 3), dtype=complex)
     for picked, moments in ((~batch.inside, _input_moments), (batch.inside, _inside_moments)):
         if picked.any():
             series[picked] = moments(batch if picked.all() else batch.select(picked))
     # floats, so the bounds tops ** m cannot overflow
     tops = np.maximum.reduceat(batch.two_js, batch.firsts[:-1]).astype(float)
-    factorials = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
-    return series / factorials, tops[:, None] ** np.arange(order + 1) / factorials
-
-
-def _square_series(coeffs: np.ndarray) -> np.ndarray:
-    """Each row's power series squared and cut at its length: column k is sum_i c_i c_(k-i).
-
-    The products are summed in order of i, the same in every row.
-    """
-    size = coeffs.shape[1]
-    shift = np.arange(size)[None, :] - np.arange(size)[:, None]  # k - i at row i, column k
-    shifted = np.where(shift >= 0, coeffs[:, np.maximum(shift, 0)], 0.0)
-    return (coeffs[:, :, None] * shifted).sum(axis=1)
+    factorials = np.array([1.0, 1.0, 2.0])
+    return series / factorials, tops[:, None] ** np.arange(3) / factorials
 
 
 def _leading_orders(coeffs: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -810,31 +791,41 @@ def _leading_orders(coeffs: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray,
 
 
 def _limit_from_series(series: np.ndarray, bounds: np.ndarray, labels: list[str]) -> np.ndarray:
-    """Exact phi -> 0 limit of sqrt(1 - f^2) / |f'| for f = sum_m series[s, m] phi^m, per row s.
+    """Exact phi -> 0 limit of sqrt(1 - f^2) / |f'| for f = sum_m F_m phi^m, per row.
 
-    bounds[s, m] bounds |series[s, m]|, and a coefficient counts as zero
-    below _ZERO_TOL times its bound.  If every coefficient past the
-    constant is zero, f does not depend on phi and the limit is +inf: for
-    a normalized state with |F_0| < 1 the limit diverges anyway, and with
-    |F_0| = 1, P psi = +-psi, so F_2 = 0 forces G psi = 0 and the state
-    is phase-blind.  Otherwise, with p and q the leading orders of
-    1 - f^2 and f', the uncertainty behaves as phi^(p/2 - q): finite when
-    p = 2q, +inf when p < 2q.  Every row is read at once.  A row with no
-    leading order within the coefficients given, or with orders no state
-    can have, raises NumericalLimitError, and one whose coefficients are
-    not real raises ConsistencyError; the first such row raises, and the
-    message names its label.
+    series[s] holds F_0, F_1 and F_2 of state s, and bounds[s] bounds their
+    sizes; a coefficient counts as zero below _ZERO_TOL times its bound.
+    With p and q the leading orders of 1 - f^2 and f', the uncertainty
+    behaves as phi^(p/2 - q).  Since |f| <= 1 at every phi for every state,
+    these three coefficients decide it, and only (p, q) = (0, 0) or (2, 1)
+    is finite:
+
+    - |F_0| < 1: p = 0, and the limit is sqrt(1 - F_0^2) / |F_1|, or +inf
+      where F_1 = 0.
+    - F_0 = +-1: P psi = +-psi, a parity eigenstate.  P G P = -G makes
+      <G> = 0, so F_1 = 2i F_0 <G> = 0 and F_2 = -2 F_0 <G^2>; then
+      1 - f^2 = 4 <G^2> phi^2 + O(phi^3) and f' = 2 F_2 phi + O(phi^2), and
+      the limit is 1/(2 Delta G): parity detection at the quantum
+      Cramer-Rao bound (Seshadreesan et al., PRA 87, 043833 (2013)).  If
+      F_2 = 0 too, G psi = 0, every F_m past F_0 vanishes, f does not
+      depend on phi and the limit is +inf.
+
+    So the limit is +inf wherever F_1 and F_2 are roundoff, and
+    sqrt(lead) / |rate| from the leading coefficients of 1 - f^2 and f'
+    where it is finite.  Any other reading (|F_0| > 1, F_1 != 0 at
+    |F_0| = 1, or 1 - f^2 negative at order 2) no normalized state can
+    give, and it raises NumericalLimitError; coefficients that are not
+    real raise ConsistencyError.  Every row is read at once; the first row
+    that fails raises, and the message names its label.
     """
-    order = series.shape[1] - 1
     blind = np.all(np.abs(series[:, 1:]) <= _ZERO_TOL * bounds[:, 1:], axis=1)
     unreal = ~blind & np.any(np.abs(series.imag) > _ZERO_TOL * bounds, axis=1)
-    real = series.real
-    # 1 - f^2 and f' as power series; the bounds propagate the same way
-    spread = -_square_series(real)
-    spread[:, 0] += 1.0
-    spread_bounds = _square_series(bounds)
-    orders = np.arange(1, order + 1)
-    slope, slope_bounds = real[:, 1:] * orders, bounds[:, 1:] * orders
+    (f0, f1, f2), (b0, b1, b2) = series.real.T, bounds.T
+    # 1 - f^2 and f' to order 2, and their bounds; column k of a square is
+    # c_0 c_k + c_1 c_(k-1) + ..., summed in that order
+    spread = np.stack([1.0 - f0 * f0, -(f0 * f1 + f1 * f0), -((f0 * f2 + f1 * f1) + f2 * f0)], 1)
+    spread_bounds = np.stack([b0 * b0, b0 * b1 + b1 * b0, (b0 * b2 + b1 * b1) + b2 * b0], 1)
+    slope, slope_bounds = np.stack([f1, 2.0 * f2], axis=1), np.stack([b1, 2.0 * b2], axis=1)
     p, has_p = _leading_orders(spread, spread_bounds)
     q, has_q = _leading_orders(slope, slope_bounds)
     every = np.arange(series.shape[0])
@@ -848,9 +839,9 @@ def _limit_from_series(series: np.ndarray, bounds: np.ndarray, labels: list[str]
         if unreal[s]:
             raise ConsistencyError(f"{context}: Taylor coefficients {series[s]!r} are not real")
         raise NumericalLimitError(
-            f"{context}: no consistent leading orders within {order} Taylor terms "
+            f"{context}: no consistent leading orders in F_0..F_2 "
             f"(1 - <P>^2 starts at order {int(p[s]) if has_p[s] else None}, d<P>/dphi at "
-            f"order {int(q[s]) if has_q[s] else None}; coefficients {real[s]!r})"
+            f"order {int(q[s]) if has_q[s] else None}; coefficients {series[s].real!r})"
         )
     limits = np.full(series.shape[0], math.inf)
     limits[finite] = np.sqrt(lead[finite]) / np.abs(rate[finite])
@@ -868,7 +859,7 @@ def phase_uncertainty_limits(states) -> list[float]:
     read of the leading orders, so a batch costs a few numpy calls per
     pass, not a few per state.  A state with no phase information (for
     example the plain Yuen state) or a divergent limit gives +infinity.
-    If any state has no leading order within the Taylor terms kept,
+    If any state's F_0, F_1 and F_2 fit no state (``_limit_from_series``),
     NumericalLimitError names the first such state; an unnormalized
     state raises NormalizationError.
     """

@@ -313,6 +313,12 @@ def _nonzero_rows(two_js: np.ndarray, blocks: list[np.ndarray]):
     return two_js, [rows.size for rows in kept], rows, amplitudes
 
 
+# Photons one block may hold.  Below 2^48 every flat key and running sum
+# that detection forms over a pass (2j + 1 summed over at most 2^13 blocks)
+# stays under 2^62, and every N is exact as a float.
+_MAX_PHOTONS = 2**48
+
+
 def _batch(
     two_js, sizes, rows, amplitudes, blocks, frame: Frame, label, tails=None
 ) -> TwoModeState:
@@ -322,9 +328,17 @@ def _batch(
     state's truncation_tail (0 if None).  The caller provides 2j >= 0 and
     rising rows within 0 .. 2j in each block; the checks every state gets
     (a block, the frame, finite amplitudes) are made here, once for all.
-    The arrays are taken over, not copied, and made read-only.
+    The arrays are taken over, not copied, and made read-only.  A block of
+    ``_MAX_PHOTONS`` photons or more raises DomainError before anything is
+    allocated.
     """
-    two_js = np.array(two_js, dtype=np.int64, copy=None, ndmin=1)
+    two_js = np.array(two_js, copy=None, ndmin=1)  # Python ints past int64 stay exact here
+    over = two_js >= _MAX_PHOTONS
+    if over.any():
+        raise DomainError(
+            f"N = {two_js[over][0]} photons in one block, over the budget of 2^48"
+        )
+    two_js = two_js.astype(np.int64, copy=False)
     sizes = np.array(sizes, dtype=np.int64, copy=None, ndmin=1)
     rows = np.array(rows, dtype=np.int64, copy=None, ndmin=1)
     amplitudes = np.array(amplitudes, dtype=complex, copy=None, ndmin=1, order="C")
@@ -585,10 +599,11 @@ _AMP = 1.0 / math.sqrt(2.0)
 def _one_block_states(ns, rows_of, amps, frame: Frame, label: str) -> TwoModeState:
     """One block 2j = N per state, storing rows_of(N)[k] with amplitude amps[k].
 
-    ``rows_of`` takes the int64 array of N and gives each stored row as an
-    array over them, rising.
+    ``rows_of`` takes the array of N and gives each stored row as an
+    array over them, rising; an N past int64 reaches ``_batch`` as a Python
+    int and is refused there.
     """
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = np.asarray(ns)
     rows = np.array(rows_of(ns))  # one line per stored row, one column per state
     ones = np.empty(ns.size, dtype=np.int64)
     ones.fill(1)

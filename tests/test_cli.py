@@ -282,6 +282,49 @@ def test_oversized_coherent_state_exit_code(capsys):
     assert peak < 8 * 2**20
 
 
+# Sweeps past 2^48 photons, each with what it did before the budget:
+HUGE_N_SWEEPS = {
+    # N = 2^60 + 0..9: exit 0, but 4 of 10 rows differed from one-state calls
+    "2^60": ["--n-min", str(2**60), "--n-max", str(2**60 + 9), "--phi", "1e-15"],
+    # N = 2^58 + 0..40: exit 3 on an imaginary residue of 0.35
+    "2^58": ["--n-min", str(2**58), "--n-max", str(2**58 + 40), "--phi", "1e-15"],
+    # an empty object-dtype range: the header alone, exit 0
+    "2^63": ["--n-min", "4", "--n-max", str(2**63), "--limit"],
+    # a ValueError traceback, exit 1
+    "2^64+1": ["--n-min", "4", "--n-max", str(2**64 + 1), "--limit"],
+    # "Python int too large to convert to C long", exit 3
+    "2^64-1": ["--n-min", str(2**64 - 1), "--limit"],
+}
+
+
+@pytest.mark.parametrize("bounds", HUGE_N_SWEEPS.values(), ids=HUGE_N_SWEEPS.keys())
+def test_photon_numbers_past_the_budget_exit_code(bounds, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--state", "noon", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith("photons, over the budget of 2^48\n")
+    with pytest.raises(DomainError, match="over the budget of 2\\^48$"):
+        SweepConfig("single-fock", 1, 2**48)
+
+
+def test_photon_numbers_under_the_budget_sweep_in_windows(capsys):
+    # the largest admitted N, laid out in windows of _GROUP_ROWS N: every
+    # row is there, and each is the library's number for that state alone
+    top = 2**48 - 1
+    first = top - cli._GROUP_ROWS - 2
+    assert main(["sweep", "--state", "noon", "--n-min", str(first), "--n-max", str(top),
+                 "--phi", "1e-9"]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert [int(row["N"]) for row in rows] == list(range(first, top + 1))
+    for row in rows[::1000] + rows[-2:]:
+        want = phase_uncertainty(build_state("noon", int(row["N"])), 1e-9)
+        assert float(row["expectation"]) == want.expectation
+        assert float(row["delta_phi"]) == want.delta_phi
+
+
 def test_oversized_eigensystem_exit_code(capsys):
     # the dual-Fock state itself is one amplitude; its fixed-phi point is
     # held to the J_y projection's work bound, which one column over
@@ -1082,8 +1125,9 @@ def test_figures_and_table_make_one_limit_call_each(monkeypatch, tmp_path):
 
 
 def test_skip_warnings_go_out_a_group_at_a_time(monkeypatch, tmp_path):
-    # with groups of 8 dual-Fock states, the N skipped below each next
-    # group's first N are written, in one write, before the group is built
+    # with groups of 8 dual-Fock states, in windows of 16 N, the N skipped
+    # in a window below its next group's first N are written, in one write,
+    # before the group is built, and the rest of the window after its last
     writes, built = [], []
 
     class Stderr(io.StringIO):
@@ -1107,5 +1151,5 @@ def test_skip_warnings_go_out_a_group_at_a_time(monkeypatch, tmp_path):
     def warned(ns):
         return "".join(f"warning: dual-fock is defined for even N; N={n} skipped\n" for n in ns)
 
-    assert writes == [(0, warned(range(1, 18, 2))), (1, warned(range(19, 34, 2))),
-                      (2, warned(range(35, 40, 2)))]
+    assert writes == [(0, warned(range(1, 16, 2))), (1, warned(range(17, 32, 2))),
+                      (2, warned(range(33, 40, 2)))]

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from mzparity import (
     CombinedStateParams,
@@ -42,7 +44,7 @@ from mzparity import (
     yuen_input,
     yurke_input,
 )
-from mzparity import detection, wigner
+from mzparity import detection, oracle, wigner
 from mzparity.cli import build_state
 from mzparity.states import parity_needed
 from mzparity.detection import _extrapolate_limit, _limit_from_series, _phi_ladder
@@ -374,8 +376,8 @@ FLAT_TOP = ([0.7, 0.2, 0.2, -0.05, -0.05], [0.0, 1.0, -1.0, 2.0, -2.0])  # 1 - 0
 
 
 def spectrum_series(weights, freqs):
-    """F_m = sum w (-2i lam)^m / m! and bounds (2 max|lam|)^m / m!, m <= _TAYLOR_ORDER."""
-    order = detection._TAYLOR_ORDER
+    """F_m = sum w (-2i lam)^m / m! and bounds (2 max|lam|)^m / m!, m = 0, 1, 2."""
+    order = 2
     weights, freqs = np.asarray(weights, dtype=complex), np.asarray(freqs, dtype=float)
     span = 2.0 * float(np.max(np.abs(freqs)))
     series, bounds = np.empty(order + 1, dtype=complex), np.empty(order + 1)
@@ -404,6 +406,8 @@ def test_series_limit_finite():
 
 
 def test_series_limit_divergent():
+    # no state has <P> = 1 - 0.8 phi^4: F_0 = 1 with F_2 = 0 forces G psi = 0,
+    # so F_0..F_2 read it as phase-blind, +inf either way
     assert spectrum_limit(FLAT_TOP) == math.inf
 
 
@@ -415,11 +419,94 @@ def test_series_limit_phase_blind():
 def test_series_limit_without_leading_order_raises():
     # f = 1 + 0.1 phi: 1 - f^2 starts at order 1 and f' at order 0, which
     # no state can have
-    series = np.zeros(detection._TAYLOR_ORDER + 1, dtype=complex)
-    series[:2] = 1.0, 0.1
-    bounds = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, detection._TAYLOR_ORDER + 1)])
-    with pytest.raises(NumericalLimitError):
+    series = np.array([1.0, 0.1, 0.0], dtype=complex)
+    bounds = np.array([1.0, 1.0, 0.5])
+    with pytest.raises(NumericalLimitError, match="no consistent leading orders"):
         _limit_from_series(series[None], bounds[None], ["t"])
+
+
+@st.composite
+def limit_cases(draw):
+    """(state, whether it is a parity eigenstate) of one to three blocks 2j <= 12.
+
+    A state is drawn on rows of one parity or of both, and kept at input,
+    taken inside by ``apply_beam_splitter``, or stored as drawn inside (on
+    rows of both parities).  An input state whose stored rows share one
+    parity, and its image inside, are parity eigenstates.
+    """
+    two_js = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True))
+    parity = draw(st.sampled_from((None, 0, 1)))
+    route = draw(st.sampled_from(("input", "image", "inside")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = {}
+    for two_j in two_js:
+        rows = np.arange(two_j + 1)
+        allowed = rows % 2 == parity if parity is not None and route != "inside" else rows >= 0
+        if allowed.any():
+            kept = allowed & (rng.random(two_j + 1) < draw(st.sampled_from((0.3, 0.7, 1.0))))
+            kept[rng.choice(np.flatnonzero(allowed))] = True
+            vec = rng.standard_normal(two_j + 1) + 1j * rng.standard_normal(two_j + 1)
+            blocks[two_j] = np.where(kept, vec, 0.0)
+    assume(blocks)
+    norm = math.sqrt(sum(np.vdot(v, v).real for v in blocks.values()))
+    frame = Frame.INSIDE_INTERFEROMETER if route == "inside" else Frame.AT_INPUT
+    state = TwoModeState({k: v / norm for k, v in blocks.items()}, frame, "drawn")
+    if route == "image":
+        state = apply_beam_splitter(state)
+    one_parity = {int(r) % 2 for vec in blocks.values() for r in np.flatnonzero(vec)}
+    return state, route != "inside" and len(one_parity) == 1
+
+
+def dense_limit_terms(state):
+    """F_0, F_1, F_2, <G>, <G^2> and 2J of a state from the oracle's dense generators.
+
+    F_m = <psi|(2iG)^m P psi> / m!, with G = J_y and P the parity at input,
+    and inside G = J_z and P = Q = E^dag P E for the oracle's output coupler
+    E = exp(i pi/2 J_x), whose <P>(phi) is <psi|exp(i phi J_z) Q exp(-i phi J_z)|psi>.
+    """
+    series, mean, square = np.zeros(3, dtype=complex), 0.0, 0.0
+    for two_j, vec in state.components.items():
+        if two_j == 0:  # G = 0 and P = 1 on the vacuum block
+            series[0] += abs(vec[0]) ** 2
+            continue
+        jx, jy, jz, parity = oracle.build_generators(two_j)
+        if state.frame is Frame.AT_INPUT:
+            g, image = jy.matrix, parity.matrix @ vec
+        else:
+            turned = parity.matrix @ oracle.evolve(vec, jx, -0.5 * math.pi)
+            g, image = jz.matrix, oracle.evolve(turned, jx, 0.5 * math.pi)
+        moved = 2j * g @ image
+        series += [np.vdot(vec, image), np.vdot(vec, moved), np.vdot(vec, 2j * g @ moved) / 2.0]
+        mean += np.vdot(vec, g @ vec).real
+        square += np.vdot(g @ vec, g @ vec).real
+    return series, mean, square, max(state.components)
+
+
+@given(limit_cases())
+def test_limits_take_the_two_finite_cases_of_a_dense_series(case):
+    # |<P>(phi)| <= 1 leaves two finite limits: 1/(2 Delta G) for a parity
+    # eigenstate (F_0 = +-1), sqrt(1 - F_0^2) / |F_1| for every other state,
+    # +inf where F_1 is roundoff.  The reference shares no code with the
+    # engine's moments: dense generators and the oracle's own evolution.
+    # Over 6000 drawn states the relative error stayed within 1.2e-15 times
+    # the ratio's condition number, 2J / |F_1| + 1 / (1 - F_0^2), and within
+    # 6.7e-16 for eigenstates; the test allows 5e-15 times it.
+    state, eigenstate = case
+    (f0, f1, _), mean, square, top = dense_limit_terms(state)
+    got = phase_uncertainty_limit(state)
+    assert abs(f0.imag) < 1e-13 and abs(f1.imag) < 1e-13 * max(top, 1)
+    if eigenstate:
+        assert abs(abs(f0.real) - 1.0) < 1e-13
+        spread, condition = square - mean * mean, 1.0
+        want = 0.5 / math.sqrt(spread) if spread > 1e-20 * max(top, 1) ** 2 else math.inf
+    else:
+        rate = abs(f1.real)
+        want = math.sqrt(1.0 - f0.real**2) / rate if rate > 1e-11 * top else math.inf
+        condition = top / rate + 1.0 / (1.0 - f0.real**2) if math.isfinite(want) else 1.0
+    if math.isinf(want):
+        assert got == math.inf
+    else:
+        assert abs(got / want - 1.0) <= 5e-15 * condition
 
 
 def _mixed_state(frame, seed):

@@ -146,6 +146,22 @@ def test_huge_coherent_phase_is_refused_by_name_without_a_warning():
         assert coherent_input(4.0, 1e300).norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_blocks_of_2_to_the_48_photons_or_more_are_refused():
+    # past 2^48 detection's flat keys and running sums could pass int64, and
+    # an N past int64 stopped the builders with an OverflowError
+    builders = (
+        noon_internal, noon_input, single_fock_input, yurke_input, pezze_smerzi_input,
+        lambda n: dual_fock_input(n // 2), lambda n: yuen_input(n + 1),
+    )
+    for n in (2**48, 2**60, 2**63, 2**64 + 2):
+        for build in builders:
+            with pytest.raises(DomainError, match=r"photons in one block, over the budget of 2\^48$"):
+                build(n)
+    top = 2**48 - 1
+    assert noon_internal(top).fock_terms() == [(top, 0, SQ2 + 0j), (0, top, SQ2 + 0j)]
+    assert yuen_input(top).two_js.tolist() == [top]
+
+
 def test_coherent_phase_rotates_amplitudes():
     flat = coherent_input(2.0)
     spun = coherent_input(2.0, coherent_phase=0.3)
